@@ -12,7 +12,7 @@ from .expansion import (GroupExpansion, classify, compile_unitary,
                         construct_V, synthesize_group_gate)
 from .groups import FactorSystem, FiniteGroup, builtin_catalog, load_group_file
 from .protocol import (ProtocolTrace, build_M, fourier_basis, random_states,
-                       shift_representation, simulate_protocol)
+                       simulate_protocol)
 from .report import (build_report, canonical_json, expansion_from_report,
                      matrix_payload, parse_matrix_payload, verify_report)
 from .representations import (Representation, irrep_dimensions, irreps_of,
@@ -37,6 +37,6 @@ __all__ = [
     "load_group_file", "matrix_payload", "merge_blocks",
     "parse_matrix_payload", "pauli_projective_rep",
     "projective_irreps_from_extension", "random_states", "schmidt_decompose",
-    "search_group", "shift_representation", "simulate_protocol",
+    "search_group", "simulate_protocol",
     "synthesize_group_gate", "verify_report",
 ]

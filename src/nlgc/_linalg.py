@@ -20,27 +20,6 @@ def unitarity_deviation(m: np.ndarray) -> float:
     return float(np.linalg.norm(dagger(m) @ m - np.eye(d)))
 
 
-def is_unitary(m: np.ndarray, tol: float = 1e-8) -> bool:
-    return m.shape[0] == m.shape[1] and unitarity_deviation(m) <= tol
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (x + dagger(x)) / 2.0
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Unitary obtained by exponentiating a random anti-Hermitian matrix."""
-    h = random_hermitian(dim, rng)
-    evals, evecs = np.linalg.eigh(h)
-    return (evecs * np.exp(1j * evals)) @ dagger(evecs)
-
-
-def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 def null_space(a: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     """Orthonormal basis (columns) of the right null space of a."""
     if a.size == 0:

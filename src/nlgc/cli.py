@@ -39,11 +39,14 @@ def _fmt(x: float) -> str:
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path} must hold a JSON object")
+    return data
 
 
 def _write_text(text: str, out: str | None):
@@ -75,7 +78,8 @@ def _compile_args(parser: argparse.ArgumentParser):
     parser.add_argument("--side", choices=["A", "B", "both"], default="both",
                         help="which side carries the group representation")
     parser.add_argument("--tol", type=float, default=1e-9,
-                        help="numerical tolerance (block tolerance is 10x this)")
+                        help="numerical tolerance (block tolerance is "
+                             "min(10x this, 1e-8))")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-order", type=int, default=32,
                         help="largest group order the search will consider")
@@ -98,8 +102,7 @@ def cmd_compile(args) -> int:
     trace = simulate_protocol(exp, psi)
     meta = {"seed": args.seed, "tol": args.tol, "sideRequested": args.side,
             "maxOrder": args.max_order, "projectiveAllowed": args.projective}
-    report = build_report(exp, trace, meta=meta, original=bu,
-                          block_tol=max(10 * args.tol, 1e-8), seed=args.seed)
+    report = build_report(exp, trace, meta=meta, original=bu)
     _write_text(canonical_json(report), args.out)
     return EXIT_FALLBACK if exp.fallback else EXIT_OK
 
@@ -152,14 +155,11 @@ def cmd_simulate(args) -> int:
                         "warnings": list(trace.warnings)})
     lines.append(f"ebits={_fmt(exp.cost_ebits)} cbits={_fmt(2 * exp.cost_ebits)} "
                  f"group={exp.group.name} order={exp.group.order}")
-    text = "\n".join(lines) + "\n"
     if args.out is not None:
         _write_text(canonical_json({"results": results,
                                     "group": exp.group.name,
                                     "ebits": exp.cost_ebits}), args.out)
-        sys.stdout.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK if all_ok else EXIT_UNCERTIFIED
 
 

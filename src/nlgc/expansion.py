@@ -21,7 +21,7 @@ from ._linalg import dagger, frobenius, gram_schmidt, polar_unitary
 from .errors import (AssignmentError, InconsistencyError, SingularInputError,
                      ValidationError)
 from .groups import FactorSystem, FiniteGroup
-from .protocol import build_M, check_M_unitary, shift_representation
+from .protocol import build_M, check_M_unitary
 from .representations import Representation, pauli_projective_rep
 from .sbd import (BLOCK_TOL, BlockStructure, EquivalenceClass,
                   classify_equivalence, finest_sbd, gram_set)
@@ -55,10 +55,16 @@ class GroupExpansion:
     m_unitary: bool
     m_deviation: float
     route: str                     # "ordinary" | "projective" | "fallback"
-    fallback: bool
     classification: str = GENERAL
     details: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
+    # finest classified block structure of each orientation, keyed "A" | "B":
+    # {"sizes", "classes", "classDims"}
+    blocks: dict = field(default_factory=dict)
+
+    @property
+    def fallback(self) -> bool:
+        return self.route == "fallback"
 
     @property
     def savings_ebits(self) -> float:
@@ -255,9 +261,7 @@ def synthesize_group_gate(group: FiniteGroup, factor: FactorSystem | None = None
         d_b = max(2, math.isqrt(n - 1) + 1)
     rng = np.random.default_rng(seed)
     w0 = rng.normal(size=(n, d_b, d_b)) + 1j * rng.normal(size=(n, d_b, d_b))
-    shifts = shift_representation(group, factor)
-    m0 = np.einsum("fgh,fjk->gjhk", shifts, w0).reshape(n * d_b, n * d_b)
-    m = polar_unitary(m0)
+    m = polar_unitary(build_M(group, factor, w0))
     e = group.identity
     w = np.array([m[e * d_b:(e + 1) * d_b, f * d_b:(f + 1) * d_b] for f in range(n)])
     if frobenius(build_M(group, factor, w) - m) > 1e-9 * n * d_b:
@@ -273,24 +277,24 @@ def _merge_warnings(into: list[str], new) -> None:
             into.append(w)
 
 
-def _build_candidate(bu: BipartiteUnitary, dec: SchmidtDecomposition, cand,
-                     side: str, tol: float, block_tol: float) -> GroupExpansion:
-    bs = cand.structure
-    v = construct_V(dec.a_ops, bs, tol=block_tol)
-    u_rep = assemble_U(cand.group, cand.factor, cand.irreps, bs, cand.assignment)
-    w_coeffs, w_ops = compute_W(v, dec.a_ops, u_rep, dec.b_ops, bs,
-                                cand.irreps, cand.assignment, tol=tol)
+def _finish(bu: BipartiteUnitary, dec: SchmidtDecomposition, bs: BlockStructure,
+            group: FiniteGroup, factor: FactorSystem, v: np.ndarray,
+            u_rep: Representation, w_coeffs: np.ndarray, w_ops: np.ndarray,
+            side: str, route: str, warnings, tol: float) -> GroupExpansion:
+    """Price, check and classify an assembled expansion.
+
+    The cost is log2|G|; the residual, the unitarity of M and the class are
+    computed from the expansion itself.
+    """
     exp = GroupExpansion(
-        unitary=bu, schmidt=dec, structure=bs, group=cand.group,
-        factor=cand.factor, v=v, u_rep=u_rep, w_coeffs=w_coeffs, w_ops=w_ops,
-        side=side,
-        cost_ebits=float(np.log2(cand.group.order)),
+        unitary=bu, schmidt=dec, structure=bs, group=group, factor=factor,
+        v=v, u_rep=u_rep, w_coeffs=w_coeffs, w_ops=w_ops, side=side,
+        cost_ebits=float(np.log2(group.order)),
         baseline_ebits=float(2 * np.log2(min(bu.dim_a, bu.dim_b))),
         residual=0.0, m_unitary=True, m_deviation=0.0,
-        route=cand.route, fallback=False,
-        warnings=list(cand.warnings))
+        route=route, warnings=list(warnings))
     exp.residual = float(frobenius(bu.matrix - exp.reconstruct()))
-    m = build_M(cand.group, cand.factor, w_ops)
+    m = build_M(group, factor, w_ops)
     exp.m_unitary, exp.m_deviation = check_M_unitary(m)
     if not exp.m_unitary:
         _merge_warnings(exp.warnings, [
@@ -301,12 +305,29 @@ def _build_candidate(bu: BipartiteUnitary, dec: SchmidtDecomposition, cand,
     return exp
 
 
-def _compile_side(bu: BipartiteUnitary, side: str, tol: float, block_tol: float,
-                  seed: int, max_order: int, allow_projective: bool, catalog):
+def _build_candidate(bu: BipartiteUnitary, dec: SchmidtDecomposition, cand,
+                     side: str, tol: float, block_tol: float) -> GroupExpansion:
+    bs = cand.structure
+    v = construct_V(dec.a_ops, bs, tol=block_tol)
+    u_rep = assemble_U(cand.group, cand.factor, cand.irreps, bs, cand.assignment)
+    w_coeffs, w_ops = compute_W(v, dec.a_ops, u_rep, dec.b_ops, bs,
+                                cand.irreps, cand.assignment, tol=tol)
+    return _finish(bu, dec, bs, cand.group, cand.factor, v, u_rep, w_coeffs,
+                   w_ops, side, cand.route, cand.warnings, tol)
+
+
+def _finest_structure(bu: BipartiteUnitary, block_tol: float,
+                      seed: int) -> tuple[SchmidtDecomposition, BlockStructure]:
+    """Schmidt terms and finest classified block structure of one orientation."""
     dec = schmidt_decompose(bu)
     grams = gram_set(dec)
     bs = finest_sbd(grams, tol=block_tol, seed=seed)
-    bs = classify_equivalence(bs, grams, tol=block_tol)
+    return dec, classify_equivalence(bs, grams, tol=block_tol)
+
+
+def _compile_side(bu: BipartiteUnitary, dec: SchmidtDecomposition,
+                  bs: BlockStructure, side: str, tol: float, block_tol: float,
+                  seed: int, max_order: int, allow_projective: bool, catalog):
     warnings: list[str] = []
     for cand in search_group(bs.class_dims(), bu.dim_a, catalog,
                              allow_projective, structure=bs, seed=seed,
@@ -328,10 +349,14 @@ def _compile_side(bu: BipartiteUnitary, side: str, tol: float, block_tol: float,
     return None, warnings
 
 
-def _fallback_expansion(bu: BipartiteUnitary, side: str, tol: float,
-                        block_tol: float, warnings) -> GroupExpansion:
+def _fallback_expansion(bu: BipartiteUnitary, dec: SchmidtDecomposition,
+                        side: str, tol: float, warnings) -> GroupExpansion:
+    """Shift-and-phase expansion over C_d x C_d with V = I.
+
+    The shift/clock operators form an orthogonal operator basis, so the W
+    coefficients are plain trace overlaps Tr(P_f^dagger A_j) / d.
+    """
     d = bu.dim_a
-    dec = schmidt_decompose(bu)
     group, factor, rep = pauli_projective_rep(d)
     bs = BlockStructure(np.eye(d, dtype=complex), [d],
                         [EquivalenceClass([0], {0: np.eye(d, dtype=complex)})])
@@ -339,18 +364,8 @@ def _fallback_expansion(bu: BipartiteUnitary, side: str, tol: float,
                          np.asarray(dec.a_ops, dtype=complex)) / d
     w_ops = np.einsum("jf,jab->fab", w_coeffs,
                       np.asarray(dec.b_ops, dtype=complex))
-    exp = GroupExpansion(
-        unitary=bu, schmidt=dec, structure=bs, group=group, factor=factor,
-        v=np.eye(d, dtype=complex), u_rep=rep, w_coeffs=w_coeffs, w_ops=w_ops,
-        side=side,
-        cost_ebits=float(2 * np.log2(d)),
-        baseline_ebits=float(2 * np.log2(min(bu.dim_a, bu.dim_b))),
-        residual=0.0, m_unitary=True, m_deviation=0.0,
-        route="fallback", fallback=True, warnings=list(warnings))
-    exp.residual = float(frobenius(bu.matrix - exp.reconstruct()))
-    m = build_M(group, factor, w_ops)
-    exp.m_unitary, exp.m_deviation = check_M_unitary(m)
-    exp.classification, exp.details = classify(exp, tol=tol)
+    exp = _finish(bu, dec, bs, group, factor, np.eye(d, dtype=complex), rep,
+                  w_coeffs, w_ops, side, "fallback", warnings, tol)
     _merge_warnings(exp.warnings, [
         "no admissible group found within the search bound; fell back to the "
         "generalized shift-and-phase expansion at the teleportation cost"])
@@ -358,8 +373,7 @@ def _fallback_expansion(bu: BipartiteUnitary, side: str, tol: float,
 
 
 def compile_unitary(u: BipartiteUnitary, side: str = "both",
-                    tol: float = NUM_TOL, block_tol: float | None = None,
-                    seed: int = 0, max_order: int = 32,
+                    tol: float = NUM_TOL, seed: int = 0, max_order: int = 32,
                     allow_projective: bool = True, catalog=None) -> GroupExpansion:
     """Find the cheapest verified group expansion of a bipartite unitary.
 
@@ -369,32 +383,37 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
     relative to the catalog. When every candidate is exhausted on both
     sides, the generalized shift-and-phase fallback on the smaller factor is
     returned with its warning flag set; compile_unitary itself never fails
-    on a valid unitary.
+    on a valid unitary. The finest block structures of both orientations,
+    computed at block tolerance min(10*tol, BLOCK_TOL), are summarized in
+    the result's blocks.
     """
     if side not in ("A", "B", "both"):
         raise ValidationError("side must be A, B, or both")
-    if block_tol is None:
-        block_tol = min(10 * tol, BLOCK_TOL)
-    tasks = {"A": ["A"], "B": ["B"], "both": ["A", "B"]}[side]
+    block_tol = min(10 * tol, BLOCK_TOL)
+    oriented = {"A": u, "B": u.swapped()}
+    finest = {label: _finest_structure(bu, block_tol, seed)
+              for label, bu in oriented.items()}
     results = []
     pending: list[str] = []
-    for label in tasks:
-        bu = u if label == "A" else u.swapped()
-        exp, warns = _compile_side(bu, label, tol, block_tol, seed, max_order,
+    for label in (["A", "B"] if side == "both" else [side]):
+        dec, bs = finest[label]
+        exp, warns = _compile_side(oriented[label], dec, bs, label, tol,
+                                   block_tol, seed, max_order,
                                    allow_projective, catalog)
         _merge_warnings(pending, warns)
         if exp is not None:
             results.append(exp)
     if results:
-        results.sort(key=lambda e: (e.cost_ebits, e.side))
-        best = results[0]
-        return best
-    if side == "both":
-        label = "B" if u.dim_b < u.dim_a else "A"
+        best = min(results, key=lambda e: (e.cost_ebits, e.side))
     else:
-        label = side
-    bu = u if label == "A" else u.swapped()
-    return _fallback_expansion(bu, label, tol, block_tol, pending)
-
-
-compile = compile_unitary
+        if side == "both":
+            label = "B" if u.dim_b < u.dim_a else "A"
+        else:
+            label = side
+        best = _fallback_expansion(oriented[label], finest[label][0], label,
+                                   tol, pending)
+    best.blocks = {label: {"sizes": list(bs.block_sizes),
+                           "classes": [list(c.members) for c in bs.classes],
+                           "classDims": bs.class_dims()}
+                   for label, (_, bs) in finest.items()}
+    return best

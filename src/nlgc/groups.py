@@ -222,13 +222,6 @@ def detect_root_order(phases: np.ndarray, max_r: int = 256, tol: float = 1e-8) -
     return 0
 
 
-def factor_system_from(group: FiniteGroup, phases: np.ndarray,
-                       strict: bool = True) -> FactorSystem:
-    fs = FactorSystem(phases, root_order=detect_root_order(np.asarray(phases)))
-    fs.validate(group, strict=strict)
-    return fs
-
-
 # ---------------------------------------------------------------- constructors
 
 def cyclic(n: int) -> FiniteGroup:

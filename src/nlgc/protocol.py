@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import dagger, frobenius
+from ._linalg import dagger, frobenius, unitarity_deviation
 from .errors import ValidationError
 from .groups import FactorSystem, FiniteGroup
+from .representations import regular_representation
 
 UNBIASED_TOL = 1e-12
 M_UNITARY_TOL = 1e-8
@@ -49,20 +50,8 @@ class ProtocolTrace:
         }
 
 
-def shift_representation(group: FiniteGroup, factor: FactorSystem | None = None) -> np.ndarray:
-    """R(f)|k> = mu(k f^-1, f) |k f^-1>, the translation action M is built from."""
-    n = group.order
-    mu = np.ones((n, n), dtype=complex) if factor is None else factor.phases
-    mats = np.zeros((n, n, n), dtype=complex)
-    cols = np.arange(n)
-    for f in range(n):
-        rows = group.table[cols, group.inverses[f]]
-        mats[f, rows, cols] = mu[rows, f]
-    return mats
-
-
 def build_M(group: FiniteGroup, factor: FactorSystem | None, w_ops: np.ndarray) -> np.ndarray:
-    """M = sum_f R(f) (x) W(f) on b (x) B.
+    """M = sum_f R(f) (x) W(f) on b (x) B, R the regular representation.
 
     The (g, f) block of the result is mu(g, g^-1 f) W(g^-1 f); this identity
     is asserted entrywise before returning.
@@ -71,10 +60,10 @@ def build_M(group: FiniteGroup, factor: FactorSystem | None, w_ops: np.ndarray) 
     n = group.order
     if w_ops.shape[0] != n:
         raise ValidationError("need one W operator per group element")
-    shifts = shift_representation(group, factor)
-    m = np.einsum("fgh,fjk->gjhk", shifts, w_ops).reshape(
+    reg = regular_representation(group, factor)
+    m = np.einsum("fgh,fjk->gjhk", reg.matrices, w_ops).reshape(
         n * w_ops.shape[1], n * w_ops.shape[2])
-    mu = np.ones((n, n), dtype=complex) if factor is None else factor.phases
+    mu = reg.factor.phases
     d = w_ops.shape[1]
     for g in range(n):
         for f in range(n):
@@ -87,8 +76,8 @@ def build_M(group: FiniteGroup, factor: FactorSystem | None, w_ops: np.ndarray) 
 
 def check_M_unitary(m: np.ndarray, tol: float = M_UNITARY_TOL) -> tuple[bool, float]:
     """Frobenius deviation of M†M from the identity, with pass/fail at tol."""
-    dev = frobenius(dagger(m) @ m - np.eye(m.shape[0]))
-    return bool(dev <= tol), float(dev)
+    dev = unitarity_deviation(m)
+    return bool(dev <= tol), dev
 
 
 def fourier_basis(n: int) -> np.ndarray:

@@ -7,6 +7,7 @@ V, U(f), W(f), basis change) to rebuild the expansion without recompiling.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 
 import numpy as np
@@ -16,7 +17,7 @@ from .errors import ValidationError
 from .expansion import GroupExpansion, classify
 from .groups import FactorSystem, FiniteGroup
 from .representations import Representation
-from .sbd import BlockStructure, EquivalenceClass, classify_equivalence, finest_sbd, gram_set
+from .sbd import BlockStructure, EquivalenceClass
 from .schmidt import BipartiteUnitary, schmidt_decompose
 
 REPORT_FORMAT = "nlgc-report"
@@ -109,17 +110,6 @@ def parse_state_payload(data: dict) -> np.ndarray:
     return vec
 
 
-def _blocks_summary(bu: BipartiteUnitary, tol: float, seed: int) -> dict:
-    dec = schmidt_decompose(bu)
-    grams = gram_set(dec)
-    bs = classify_equivalence(finest_sbd(grams, tol=tol, seed=seed), grams, tol=tol)
-    return {
-        "sizes": list(bs.block_sizes),
-        "classes": [list(c.members) for c in bs.classes],
-        "classDims": bs.class_dims(),
-    }
-
-
 def _structure_payload(bs: BlockStructure) -> dict:
     return {
         "basisChange": encode_matrix(bs.basis_change),
@@ -146,12 +136,13 @@ def _structure_from_payload(data: dict) -> BlockStructure:
 
 
 def build_report(exp: GroupExpansion, trace=None, meta: dict | None = None,
-                 original: BipartiteUnitary | None = None,
-                 block_tol: float = 1e-8, seed: int = 0) -> dict:
+                 original: BipartiteUnitary | None = None) -> dict:
     """Full, self-contained description of one compilation result.
 
     original is the gate in its user orientation; when omitted it is
-    recovered from the expansion (undoing the B-side swap if needed).
+    recovered from the expansion (undoing the B-side swap if needed). The
+    blocks section is the per-orientation block summary compile_unitary
+    computed; nothing is recomputed here.
     """
     if original is None:
         original = exp.unitary if exp.side == "A" else exp.unitary.swapped()
@@ -180,10 +171,7 @@ def build_report(exp: GroupExpansion, trace=None, meta: dict | None = None,
             "rank": len(exp.schmidt),
             "coefficients": [float(c) for c in exp.schmidt.coefficients],
         },
-        "blocks": {
-            "A": _blocks_summary(original, block_tol, seed),
-            "B": _blocks_summary(original.swapped(), block_tol, seed),
-        },
+        "blocks": exp.blocks,
         "group": {
             "name": exp.group.name,
             "order": exp.group.order,
@@ -218,50 +206,71 @@ def build_report(exp: GroupExpansion, trace=None, meta: dict | None = None,
     return report
 
 
+@contextlib.contextmanager
+def _report_fields():
+    """Turn a missing or mis-typed report field into a ValidationError."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"malformed report: {type(exc).__name__}: {exc}") from exc
+
+
+def _check_shape(name: str, arr: np.ndarray, shape: tuple) -> None:
+    if arr.shape != shape:
+        raise ValidationError(
+            f"malformed report: {name} has shape {arr.shape}, expected {shape}")
+
+
 def expansion_from_report(report: dict) -> GroupExpansion:
-    """Rebuild a working expansion from its serialized report."""
-    if report.get("format") != REPORT_FORMAT:
+    """Rebuild a working expansion from its serialized report.
+
+    A missing or mis-shaped field raises ValidationError.
+    """
+    if not isinstance(report, dict) or report.get("format") != REPORT_FORMAT:
         raise ValidationError("not a compilation report")
-    inp = report["input"]
-    original = BipartiteUnitary(decode_matrix(inp["matrix"]),
-                                int(inp["dimA"]), int(inp["dimB"]))
-    side = report["expansion"]["side"]
+    with _report_fields():
+        inp, grp, exp_data = report["input"], report["group"], report["expansion"]
+        original = BipartiteUnitary(decode_matrix(inp["matrix"]),
+                                    int(inp["dimA"]), int(inp["dimB"]))
+        side = exp_data["side"]
+        group = FiniteGroup(grp["name"], np.array(grp["table"], dtype=int))
+        if grp["projective"]:
+            factor = FactorSystem(decode_matrix(grp["factorPhases"]),
+                                  int(grp["factorRootOrder"]))
+        else:
+            factor = FactorSystem.trivial(group.order)
+        u_mats = np.array([decode_matrix(m) for m in exp_data["uOps"]])
+        w_ops = np.array([decode_matrix(m) for m in exp_data["wOps"]])
+        v = decode_matrix(exp_data["v"])
+        structure = _structure_from_payload(exp_data["structure"])
+        stored = dict(
+            w_coeffs=decode_matrix(exp_data["wCoeffs"]),
+            cost_ebits=float(report["costs"]["costEbits"]),
+            baseline_ebits=float(report["costs"]["baselineEbits"]),
+            residual=float(exp_data["residual"]),
+            m_unitary=bool(report["mStatus"]["unitary"]),
+            m_deviation=float(report["mStatus"]["deviation"]),
+            route=exp_data["route"],
+            classification=report["classification"]["label"],
+            warnings=list(report.get("warnings", [])),
+            blocks=report["blocks"],
+        )
+    if side not in ("A", "B"):
+        raise ValidationError("malformed report: side must be A or B")
     bu = original if side == "A" else original.swapped()
-    grp = report["group"]
-    group = FiniteGroup(grp["name"], np.array(grp["table"], dtype=int))
+    n, d_a, d_b = group.order, bu.dim_a, bu.dim_b
+    _check_shape("v", v, (d_a, d_a))
+    _check_shape("uOps", u_mats, (n, d_a, d_a))
+    _check_shape("wOps", w_ops, (n, d_b, d_b))
+    _check_shape("structure basisChange", structure.basis_change, (d_a, d_a))
     if grp["projective"]:
-        factor = FactorSystem(decode_matrix(grp["factorPhases"]),
-                              int(grp["factorRootOrder"]))
         factor.validate(group, strict=True)
-    else:
-        factor = FactorSystem.trivial(group.order)
-    exp_data = report["expansion"]
-    u_mats = np.array([decode_matrix(m) for m in exp_data["uOps"]])
     u_rep = Representation(group, factor, u_mats)
     u_rep.validate()
-    dec = schmidt_decompose(bu)
-    exp = GroupExpansion(
-        unitary=bu,
-        schmidt=dec,
-        structure=_structure_from_payload(exp_data["structure"]),
-        group=group,
-        factor=factor,
-        v=decode_matrix(exp_data["v"]),
-        u_rep=u_rep,
-        w_coeffs=decode_matrix(exp_data["wCoeffs"]),
-        w_ops=np.array([decode_matrix(m) for m in exp_data["wOps"]]),
-        side=side,
-        cost_ebits=float(report["costs"]["costEbits"]),
-        baseline_ebits=float(report["costs"]["baselineEbits"]),
-        residual=float(exp_data["residual"]),
-        m_unitary=bool(report["mStatus"]["unitary"]),
-        m_deviation=float(report["mStatus"]["deviation"]),
-        route=exp_data["route"],
-        fallback=bool(exp_data["fallback"]),
-        classification=report["classification"]["label"],
-        warnings=list(report.get("warnings", [])),
-    )
-    return exp
+    return GroupExpansion(unitary=bu, schmidt=schmidt_decompose(bu),
+                          structure=structure, group=group, factor=factor,
+                          v=v, u_rep=u_rep, w_ops=w_ops, side=side, **stored)
 
 
 def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
@@ -275,13 +284,16 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
 
     checks: dict[str, bool] = {}
     exp = expansion_from_report(report)
+    with _report_fields():
+        stored_dev = float(report["input"]["unitarityDeviation"])
+        stored_norm = float(report["input"]["frobeniusNorm"])
+        stored_rank = int(report["schmidt"]["rank"])
     u = exp.unitary.matrix
 
     dev = unitarity_deviation(u)
     checks["inputUnitary"] = bool(dev <= 1e-8)
-    checks["inputDigest"] = bool(
-        abs(dev - report["input"]["unitarityDeviation"]) <= 1e-6
-        and abs(frobenius(u) - report["input"]["frobeniusNorm"]) <= 1e-6)
+    checks["inputDigest"] = bool(abs(dev - stored_dev) <= 1e-6
+                                 and abs(frobenius(u) - stored_norm) <= 1e-6)
 
     residual = float(frobenius(u - exp.reconstruct()))
     checks["residual"] = bool(residual <= max(1e-8, exp.residual + 1e-9))
@@ -299,5 +311,5 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     label, _ = classify(exp, tol=tol)
     checks["classification"] = bool(label == exp.classification)
 
-    checks["schmidtRank"] = bool(len(exp.schmidt) == report["schmidt"]["rank"])
+    checks["schmidtRank"] = bool(len(exp.schmidt) == stored_rank)
     return all(checks.values()), checks

@@ -52,10 +52,6 @@ class BlockStructure:
         s = self.basis_change
         return dagger(s) @ m @ s
 
-    def blocks_of(self, m: np.ndarray) -> list[np.ndarray]:
-        t = self.transformed(m)
-        return [t[sl, sl] for sl in self.block_slices()]
-
     def off_block_mass(self, mats) -> float:
         """Largest magnitude found outside the blocks, over all matrices."""
         mask = np.ones((self.dim, self.dim), dtype=bool)
@@ -90,10 +86,6 @@ def commutant_basis(mats, rtol: float = 1e-9) -> list[np.ndarray]:
     rows = [np.kron(m, eye) - np.kron(eye, m.T) for m in family]
     basis = null_space(np.vstack(rows), rtol=rtol)
     return [basis[:, j].reshape(d, d) for j in range(basis.shape[1])]
-
-
-def commutant_dimension(mats, rtol: float = 1e-9) -> int:
-    return len(commutant_basis(mats, rtol=rtol))
 
 
 def _component_structure(mats, commutant, rng, tol):

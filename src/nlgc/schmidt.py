@@ -34,7 +34,7 @@ class BipartiteUnitary:
             raise DimensionError(
                 f"matrix shape {self.matrix.shape} does not match dA*dB = {d}")
         dev = unitarity_deviation(self.matrix)
-        if dev > UNITARITY_TOL:
+        if not dev <= UNITARITY_TOL:     # fails closed on NaN entries
             raise ValidationError(f"matrix is not unitary (deviation {dev:.3e})")
 
     @property
@@ -125,11 +125,6 @@ def schmidt_decompose(u: BipartiteUnitary, tol: float = RANK_CUTOFF) -> SchmidtD
     a_ops = [terms[i][1] for i in final]
     b_ops = [terms[i][2] for i in final]
     return SchmidtDecomposition(u, coeffs, a_ops, b_ops)
-
-
-def schmidt_rank(dec: SchmidtDecomposition) -> int:
-    """Number of retained Schmidt terms."""
-    return len(dec)
 
 
 def operator_basis_expansion(u: BipartiteUnitary, side: str = "b") -> tuple[list, list]:

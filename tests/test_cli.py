@@ -126,6 +126,50 @@ def test_invalid_inputs_exit_two(tmp_path, capsys, cnot_file):
     capsys.readouterr()
 
 
+def test_nan_gate_exits_two_with_one_error_line(tmp_path, capsys):
+    rows = [[[float(z.real), float(z.imag)] for z in row] for row in CNOT]
+    rows[0][0] = [float("nan"), 0.0]
+    nan_gate = tmp_path / "nan.json"
+    nan_gate.write_text(json.dumps({"dimA": 2, "dimB": 2, "matrix": rows}))
+    assert main(["compile", str(nan_gate)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+def _without(*path):
+    def tamper(rep):
+        target = rep
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        return rep
+    return tamper
+
+
+TAMPERS = {
+    "no mStatus": _without("mStatus"),
+    "no blocks": _without("blocks"),
+    "too few uOps": _without("expansion", "uOps", -1),
+    "too few wOps": _without("expansion", "wOps", -1),
+    "wOps of the wrong size": lambda rep: {
+        **rep, "expansion": {**rep["expansion"], "wOps": [[[[1.0, 0.0]]]] * 2}},
+    "table not a list": lambda rep: {**rep, "group": {**rep["group"], "table": 7}},
+    "not an object": lambda rep: [rep],
+}
+
+
+@pytest.mark.parametrize("tamper", TAMPERS.values(), ids=TAMPERS.keys())
+def test_malformed_reports_exit_two(tamper, cnot_file, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["compile", cnot_file, "--out", str(out)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(tamper(json.loads(out.read_text()))))
+    for command in ("verify", "simulate"):
+        assert main([command, str(bad)]) == 2, command
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
 def test_schmidt_prints_rank_and_coefficients(cnot_file, capsys):
     assert main(["schmidt", cnot_file]) == 0
     data = json.loads(capsys.readouterr().out)

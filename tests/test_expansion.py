@@ -207,6 +207,22 @@ def test_restricted_catalog_falls_back_with_warnings():
     assert any("no group of order 8" in w for w in exp.warnings)
 
 
+def test_one_sided_compile_reports_the_blocks_of_both_sides():
+    bu = BipartiteUnitary(np.diag([1, 1, 1, -1, 1, -1]).astype(complex), 3, 2)
+    both = compile_unitary(bu)
+    assert set(both.blocks) == {"A", "B"}
+    assert compile_unitary(bu, side="A").blocks == both.blocks
+
+
+def test_fallback_keeps_v_at_the_identity():
+    rng = np.random.default_rng(17)
+    bu = BipartiteUnitary(random_unitary(4, rng), 2, 2)
+    exp = compile_unitary(bu, allow_projective=False)
+    np.testing.assert_array_equal(exp.v, np.eye(2))
+    assert exp.route == "fallback"
+    assert exp.fallback
+
+
 def test_no_projective_option_forces_fallback_on_generic_gates():
     rng = np.random.default_rng(13)
     bu = BipartiteUnitary(random_unitary(4, rng), 2, 2)

@@ -7,9 +7,8 @@ from nlgc.expansion import compile_unitary
 from nlgc.groups import cyclic, direct_product
 from nlgc.protocol import (build_M, check_M_unitary, fourier_basis,
                            measurement_phase_correction, random_states,
-                           shift_representation, simulate_protocol,
-                           validate_unbiased)
-from nlgc.representations import pauli_projective_rep
+                           simulate_protocol, validate_unbiased)
+from nlgc.representations import pauli_projective_rep, regular_representation
 from nlgc.schmidt import BipartiteUnitary
 
 CNOT = np.array([[1, 0, 0, 0],
@@ -20,14 +19,14 @@ SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
 def test_shift_representation_of_c2_is_identity_and_flip():
-    shifts = shift_representation(cyclic(2))
+    shifts = regular_representation(cyclic(2)).matrices
     np.testing.assert_allclose(shifts[0], np.eye(2), atol=1e-12)
     np.testing.assert_allclose(shifts[1], np.array([[0, 1], [1, 0]]), atol=1e-12)
 
 
 def test_shift_representation_satisfies_the_twisted_product_rule():
     group, fs, _ = pauli_projective_rep(2)
-    shifts = shift_representation(group, fs)
+    shifts = regular_representation(group, fs).matrices
     n = group.order
     for f in range(n):
         for g in range(n):
@@ -38,7 +37,7 @@ def test_shift_representation_satisfies_the_twisted_product_rule():
 
 def test_shift_representation_is_unitary_for_any_factor():
     group, fs, _ = pauli_projective_rep(3)
-    for s in shift_representation(group, fs):
+    for s in regular_representation(group, fs).matrices:
         np.testing.assert_allclose(s.conj().T @ s, np.eye(9), atol=1e-10)
 
 

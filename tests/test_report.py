@@ -24,7 +24,7 @@ def cnot_report(seed=0):
     bu = BipartiteUnitary(CNOT, 2, 2)
     exp = compile_unitary(bu, seed=seed)
     trace = simulate_protocol(exp, random_states(4, 1, seed=seed)[0])
-    return build_report(exp, trace, meta={"seed": seed}, original=bu, seed=seed)
+    return build_report(exp, trace, meta={"seed": seed}, original=bu)
 
 
 def test_matrix_codec_round_trip():
@@ -65,7 +65,7 @@ def test_rebuilt_expansion_simulates_like_the_original():
     bu = BipartiteUnitary(SWAP, 2, 2)
     exp = compile_unitary(bu, seed=4)
     rep = json.loads(canonical_json(
-        build_report(exp, None, meta={}, original=bu, seed=4)))
+        build_report(exp, None, meta={}, original=bu)))
     back = expansion_from_report(rep)
     assert back.group.order == exp.group.order
     assert back.classification == exp.classification
@@ -77,6 +77,11 @@ def test_rebuilt_expansion_simulates_like_the_original():
         assert t1.deterministic and t2.deterministic
         np.testing.assert_allclose(sorted(t1.branch_probabilities),
                                    sorted(t2.branch_probabilities), atol=1e-8)
+
+
+def test_blocks_survive_a_report_round_trip():
+    rep = json.loads(canonical_json(cnot_report()))
+    assert build_report(expansion_from_report(rep))["blocks"] == rep["blocks"]
 
 
 def test_report_contains_the_advertised_sections():
