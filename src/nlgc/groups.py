@@ -170,10 +170,6 @@ class FactorSystem:
         return cls(np.ones((order, order), dtype=complex), root_order=1)
 
     @property
-    def order(self) -> int:
-        return self.phases.shape[0]
-
-    @property
     def is_trivial(self) -> bool:
         return bool(np.allclose(self.phases, 1.0, atol=PHASE_TOL))
 

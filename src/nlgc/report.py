@@ -178,7 +178,7 @@ def build_report(exp: GroupExpansion, trace=None, meta: dict | None = None,
             "identity": int(exp.group.identity),
             "table": [[int(x) for x in row] for row in exp.group.table],
             "projective": not trivial,
-            "factorRootOrder": 1 if trivial else int(factor.order),
+            "factorRootOrder": 1 if trivial else int(factor.root_order),
             "factorPhases": None if trivial else encode_matrix(factor.phases),
         },
         "expansion": {

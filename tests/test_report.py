@@ -79,6 +79,18 @@ def test_rebuilt_expansion_simulates_like_the_original():
                                    sorted(t2.branch_probabilities), atol=1e-8)
 
 
+def test_factor_root_order_is_the_order_of_the_phases():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    q, r = np.linalg.qr(x)
+    bu = BipartiteUnitary(q * (np.diag(r) / np.abs(np.diag(r))), 3, 3)
+    rep = build_report(compile_unitary(bu), original=bu)
+    assert rep["group"]["order"] == 9 and rep["group"]["projective"]
+    assert rep["group"]["factorRootOrder"] == 3
+    ok, checks = verify_report(json.loads(canonical_json(rep)))
+    assert ok, checks
+
+
 def test_blocks_survive_a_report_round_trip():
     rep = json.loads(canonical_json(cnot_report()))
     assert build_report(expansion_from_report(rep))["blocks"] == rep["blocks"]

@@ -52,7 +52,7 @@ def test_single_two_dim_class_needs_a_projective_rep():
     assert not first.factor.is_trivial
     assert [ir.dim for ir in first.irreps] == [2]
     # the factor system squares to one on the diagonal: root order divides 4
-    assert first.factor.order in (2, 4)
+    assert first.factor.root_order in (2, 4)
     for ir in first.irreps:
         ir.validate()
 
