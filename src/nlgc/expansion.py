@@ -26,7 +26,7 @@ from .representations import Representation, pauli_projective_rep
 from .sbd import (BLOCK_TOL, BlockStructure, EquivalenceClass,
                   classify_equivalence, finest_sbd, gram_set)
 from .schmidt import BipartiteUnitary, SchmidtDecomposition, schmidt_decompose
-from .search import search_group
+from .search import CatalogIndex, builtin_index, search_group
 
 NUM_TOL = 1e-9
 
@@ -305,17 +305,6 @@ def _finish(bu: BipartiteUnitary, dec: SchmidtDecomposition, bs: BlockStructure,
     return exp
 
 
-def _build_candidate(bu: BipartiteUnitary, dec: SchmidtDecomposition, cand,
-                     side: str, tol: float, block_tol: float) -> GroupExpansion:
-    bs = cand.structure
-    v = construct_V(dec.a_ops, bs, tol=block_tol)
-    u_rep = assemble_U(cand.group, cand.factor, cand.irreps, bs, cand.assignment)
-    w_coeffs, w_ops = compute_W(v, dec.a_ops, u_rep, dec.b_ops, bs,
-                                cand.irreps, cand.assignment, tol=tol)
-    return _finish(bu, dec, bs, cand.group, cand.factor, v, u_rep, w_coeffs,
-                   w_ops, side, cand.route, cand.warnings, tol)
-
-
 def _finest_structure(bu: BipartiteUnitary, block_tol: float,
                       seed: int) -> tuple[SchmidtDecomposition, BlockStructure]:
     """Schmidt terms and finest classified block structure of one orientation."""
@@ -327,21 +316,25 @@ def _finest_structure(bu: BipartiteUnitary, block_tol: float,
 
 def _compile_side(bu: BipartiteUnitary, dec: SchmidtDecomposition,
                   bs: BlockStructure, side: str, tol: float, block_tol: float,
-                  seed: int, max_order: int, allow_projective: bool, catalog):
+                  index: CatalogIndex, allow_projective: bool):
     warnings: list[str] = []
-    for cand in search_group(bs.class_dims(), bu.dim_a, catalog,
-                             allow_projective, structure=bs, seed=seed,
-                             max_order=max_order, warning_sink=warnings):
-        _merge_warnings(warnings, cand.warnings)
+    for cand in search_group(bs, bu.dim_a, index, allow_projective,
+                             warning_sink=warnings):
+        merged = cand.structure
         try:
-            exp = _build_candidate(bu, dec, cand, side, tol, block_tol)
+            v = construct_V(dec.a_ops, merged, tol=block_tol)
+            u_rep = assemble_U(cand.group, cand.factor, cand.irreps, merged,
+                               cand.assignment)
+            w_coeffs, w_ops = compute_W(v, dec.a_ops, u_rep, dec.b_ops, merged,
+                                        cand.irreps, cand.assignment, tol=tol)
+            exp = _finish(bu, dec, merged, cand.group, cand.factor, v, u_rep,
+                          w_coeffs, w_ops, side, cand.route, warnings, tol)
         except (SingularInputError, InconsistencyError, AssignmentError) as exc:
             _merge_warnings(warnings, [
                 "order-%d candidate %s rejected: %s"
                 % (cand.group.order, cand.group.name, exc)])
             continue
         if exp.residual <= max(block_tol, 1e-8):
-            _merge_warnings(exp.warnings, warnings)
             return exp, warnings
         _merge_warnings(warnings, [
             "order-%d candidate %s left residual %.3e"
@@ -385,11 +378,14 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
     returned with its warning flag set; compile_unitary itself never fails
     on a valid unitary. The finest block structures of both orientations,
     computed at block tolerance min(10*tol, BLOCK_TOL), are summarized in
-    the result's blocks.
+    the result's blocks. Without a catalog the search uses the builtin
+    index of (max_order, seed), built once per process; an explicit
+    catalog gets its own index, shared by both sides of this call.
     """
     if side not in ("A", "B", "both"):
         raise ValidationError("side must be A, B, or both")
     block_tol = min(10 * tol, BLOCK_TOL)
+    index = builtin_index(max_order, seed) if catalog is None else CatalogIndex(catalog, seed)
     oriented = {"A": u, "B": u.swapped()}
     finest = {label: _finest_structure(bu, block_tol, seed)
               for label, bu in oriented.items()}
@@ -398,8 +394,7 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
     for label in (["A", "B"] if side == "both" else [side]):
         dec, bs = finest[label]
         exp, warns = _compile_side(oriented[label], dec, bs, label, tol,
-                                   block_tol, seed, max_order,
-                                   allow_projective, catalog)
+                                   block_tol, index, allow_projective)
         _merge_warnings(pending, warns)
         if exp is not None:
             results.append(exp)

@@ -183,18 +183,18 @@ class FactorSystem:
         n = group.order
         if mu.shape != (n, n):
             raise DimensionError("factor system size does not match the group")
-        if np.max(np.abs(np.abs(mu) - 1.0)) > tol:
+        if not np.max(np.abs(np.abs(mu) - 1.0)) <= tol:
             raise ValidationError("factor system phases must have unit modulus")
         lhs = mu[:, :, None] * mu[t, :]
         rhs = mu[:, t] * mu[None, :, :]
-        if np.max(np.abs(lhs - rhs)) > tol:
+        if not np.max(np.abs(lhs - rhs)) <= tol:
             raise ValidationError("cocycle identity fails")
         e = group.identity
-        if np.max(np.abs(mu[e, :] - 1.0)) > tol or np.max(np.abs(mu[:, e] - 1.0)) > tol:
+        if not np.max(np.abs(np.concatenate((mu[e, :], mu[:, e])) - 1.0)) <= tol:
             raise ValidationError("factor system must be 1 on the identity")
         if strict:
             pairs = mu[np.arange(n), group.inverses]
-            if np.max(np.abs(pairs - 1.0)) > tol:
+            if not np.max(np.abs(pairs - 1.0)) <= tol:
                 raise ValidationError("factor system must be 1 on inverse pairs")
 
     def exponents(self, r: int | None = None, tol: float = 1e-6) -> np.ndarray:

@@ -273,12 +273,30 @@ def expansion_from_report(report: dict) -> GroupExpansion:
                           v=v, u_rep=u_rep, w_ops=w_ops, side=side, **stored)
 
 
+def _blocks_consistent(blocks: dict, dims: dict) -> bool:
+    """Each orientation's summary splits its d_A into positive block sizes,
+    partitions the blocks into classes, and gives each class the size of its
+    representative, the first member."""
+    for label, d_a in dims.items():
+        if label not in blocks:
+            return False
+        sizes, classes = blocks[label]["sizes"], blocks[label]["classes"]
+        members = sorted(m for c in classes for m in c)
+        if (min(sizes) < 1 or sum(sizes) != d_a
+                or members != list(range(len(sizes)))
+                or blocks[label]["classDims"] != [sizes[c[0]] for c in classes]):
+            return False
+    return True
+
+
 def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     """Re-check a report's claims from its own embedded data.
 
     Rebuilds the expansion, recomputes the residual, the M unitarity status,
     the cost accounting, and the classification label, and compares each
-    against the stored values.
+    against the stored values. The fallback flag must match the route, and
+    the block summaries must be consistent with the input dimensions; the
+    blocks themselves are not recomputed.
     """
     from .protocol import build_M, check_M_unitary
 
@@ -288,6 +306,9 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
         stored_dev = float(report["input"]["unitarityDeviation"])
         stored_norm = float(report["input"]["frobeniusNorm"])
         stored_rank = int(report["schmidt"]["rank"])
+        checks["fallbackFlag"] = report["expansion"]["fallback"] is exp.fallback
+        checks["blocks"] = _blocks_consistent(exp.blocks, {
+            "A": int(report["input"]["dimA"]), "B": int(report["input"]["dimB"])})
     u = exp.unitary.matrix
 
     dev = unitarity_deviation(u)

@@ -35,25 +35,22 @@ class Representation:
         return np.einsum("fii->f", self.matrices)
 
     def multiplication_defect(self) -> float:
-        """Largest deviation from the twisted multiplication law."""
+        """Largest deviation from the twisted multiplication law; NaN propagates."""
         t = self.group.table
         mu = self.factor.phases
-        worst = 0.0
-        for f in range(self.group.order):
-            prod = np.einsum("ij,gjk->gik", self.matrices[f], self.matrices)
-            target = mu[f, :, None, None] * self.matrices[t[f]]
-            worst = max(worst, float(np.max(np.abs(prod - target))))
-        return worst
+        return float(np.max([
+            np.max(np.abs(np.einsum("ij,gjk->gik", self.matrices[f], self.matrices)
+                          - mu[f, :, None, None] * self.matrices[t[f]]))
+            for f in range(self.group.order)]))
 
     def unitarity_defect(self) -> float:
-        d = self.dim
-        eye = np.eye(d)
-        return max(float(np.max(np.abs(dagger(m) @ m - eye))) for m in self.matrices)
+        grams = np.einsum("fji,fjk->fik", self.matrices.conj(), self.matrices)
+        return float(np.max(np.abs(grams - np.eye(self.dim))))
 
     def validate(self, tol: float = 1e-8):
-        if self.multiplication_defect() > tol:
+        if not self.multiplication_defect() <= tol:
             raise ValidationError("matrices violate the twisted multiplication law")
-        if self.unitarity_defect() > tol:
+        if not self.unitarity_defect() <= tol:
             raise ValidationError("representation matrices must be unitary")
 
 
@@ -92,14 +89,6 @@ def left_translation_ops(group: FiniteGroup, factor: FactorSystem | None = None)
     return out
 
 
-_IRREP_CACHE: dict = {}
-
-
-def _cache_key(group: FiniteGroup, factor: FactorSystem, seed: int) -> tuple:
-    mu = np.round(factor.phases, 12)
-    return (group.table.tobytes(), mu.tobytes(), seed)
-
-
 def irreps_of(group: FiniteGroup, factor: FactorSystem | None = None,
               seed: int = 0, tol: float = 1e-8) -> list[Representation]:
     """All inequivalent irreps carrying the given factor system.
@@ -110,10 +99,6 @@ def irreps_of(group: FiniteGroup, factor: FactorSystem | None = None,
     sum to the group order.
     """
     factor = factor or trivial_factor(group)
-    key = _cache_key(group, factor, seed)
-    if key in _IRREP_CACHE:
-        return _IRREP_CACHE[key]
-
     reg = regular_representation(group, factor)
     gens = group.generating_set() or [group.identity]
     gen_mats = [reg.matrices[g] for g in gens]
@@ -137,7 +122,6 @@ def irreps_of(group: FiniteGroup, factor: FactorSystem | None = None,
         r.validate(tol=1e-7)
     if factor.is_trivial and len(irreps) != len(group.conjugacy_classes()):
         raise InconsistencyError("irrep count does not match conjugacy classes")
-    _IRREP_CACHE[key] = irreps
     return irreps
 
 
@@ -229,42 +213,29 @@ def gauge_normalize(matrices_list: list[np.ndarray], group: FiniteGroup,
     return new_list, fs
 
 
-def projective_irreps_from_extension(l: FiniteGroup, z: int, r: int,
-                                     seed: int = 0):
-    """Projective irreps of l/<z> from ordinary irreps of l.
+def projective_irreps_from_extension(irreps: list[Representation], z: int):
+    """Projective irreps of l/<z> from the ordinary irreps of an extension l.
 
-    Keeps the irreps representing the central element z as omega_r times
-    the identity; evaluating them on fixed coset representatives yields
-    projective irreps of the quotient whose factor system is
-    omega_r ** n(f, g) with n from the lift. The induced factor system is
-    normalized on the identity but generally not on inverse pairs; rescale
-    with gauge_normalize before feeding it to anything that assumes
-    U(f^-1) = U(f)†. r = 1 returns the ordinary irreps of l unchanged.
+    Keeps the irreps representing the central element z, of order r, as
+    omega_r times the identity; evaluating them on fixed coset
+    representatives yields projective irreps of the quotient whose factor
+    system is omega_r ** n(f, g) with n from the lift. They are returned
+    rescaled to the standard gauge, so U(f^-1) = U(f)†.
 
-    Returns (quotient, irrep list, n_table).
+    Returns (quotient, irrep list).
     """
-    if r == 1:
-        n = l.order
-        return l, irreps_of(l, seed=seed), np.zeros((n, n), dtype=int)
-    if z not in l.center():
-        raise ValidationError("z must be central")
-    if l.element_order(z) != r:
-        raise ValidationError(f"element {z} does not have order {r}")
-    quotient, lift, n_table, _ = quotient_by_central_cyclic(l, z)
+    quotient, lift, _, r = quotient_by_central_cyclic(irreps[0].group, z)
     omega = np.exp(2j * np.pi / r)
-    mu_raw = omega ** n_table
-    factor = FactorSystem(mu_raw, root_order=r)
-    picked = []
-    for ir in irreps_of(l, seed=seed):
-        dz = ir.matrices[z]
-        if np.allclose(dz, omega * np.eye(ir.dim), atol=1e-8):
-            picked.append(Representation(quotient, factor, ir.matrices[lift]))
-    if sum(p.dim ** 2 for p in picked) != quotient.order:
+    picked = [ir.matrices[lift] for ir in irreps
+              if np.allclose(ir.matrices[z], omega * np.eye(ir.dim), atol=1e-8)]
+    if sum(p.shape[1] ** 2 for p in picked) != quotient.order:
         raise InconsistencyError(
             "projective irreps from the extension do not exhaust the quotient order")
-    for p in picked:
+    gauged, fs = gauge_normalize(picked, quotient)
+    out = [Representation(quotient, fs, m) for m in gauged]
+    for p in out:
         p.validate()
-    return quotient, picked, n_table
+    return quotient, out
 
 
 def pauli_projective_rep(dim: int):

@@ -7,15 +7,13 @@ eligible once the order reaches their dimension-square sum.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .groups import FiniteGroup, are_isomorphic, builtin_catalog
-from .representations import (Representation, gauge_normalize, irreps_of,
-                              irrep_dimensions,
+from .representations import (Representation, irreps_of,
                               projective_irreps_from_extension)
 from .sbd import BlockStructure, EquivalenceClass, merge_blocks
 
@@ -36,7 +34,6 @@ class SearchCandidate:
     structure: BlockStructure
     plan: list[list[int]]
     route: str                       # "ordinary" | "projective"
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def factor(self):
@@ -109,23 +106,17 @@ def merge_plans(structure: BlockStructure) -> list[tuple[int, list[list[int]]]]:
     return out
 
 
-def _dims_fit(required: list[int], available: list[int]) -> bool:
-    need, have = Counter(required), Counter(available)
-    return all(have[d] >= c for d, c in need.items())
-
-
-def _assign(required: list[int], available: list[int]) -> list[int]:
-    """Match each required dim to the first unused available irrep index."""
-    used = set()
+def _assign(required: list[int], irreps: list[Representation]) -> list[int] | None:
+    """Match each required dim to the first unused irrep of that dimension;
+    None when the irreps do not cover the required dims."""
+    free = list(range(len(irreps)))
     out = []
     for d in required:
-        for i, a in enumerate(available):
-            if a == d and i not in used:
-                used.add(i)
-                out.append(i)
-                break
-        else:
-            raise ValidationError("irrep dimensions do not cover the classes")
+        i = next((i for i in free if irreps[i].dim == d), None)
+        if i is None:
+            return None
+        free.remove(i)
+        out.append(i)
     return out
 
 
@@ -134,38 +125,65 @@ def _group_sort_key(catalog_index: int, g: FiniteGroup) -> tuple:
     return (not g.is_abelian, n_irreps, catalog_index)
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+class CatalogIndex:
+    """A group catalog grouped by order in search order, with memoized irreps.
+
+    Building the index computes no irreps: the ordinary irreps of a catalog
+    group, and the projective irreps of the quotient of an extension group l
+    by a central element z, are computed the first time a search asks for
+    them and reused by every later search on the same index.
+    """
+
+    def __init__(self, catalog, seed: int = 0):
+        self.catalog = list(catalog)
+        self.seed = seed
+        self.by_order: dict[int, list[tuple[int, FiniteGroup]]] = {}
+        for idx, g in sorted(enumerate(self.catalog), key=lambda t: _group_sort_key(*t)):
+            self.by_order.setdefault(g.order, []).append((idx, g))
+        self._ordinary: dict[int, list[Representation]] = {}
+        self._projective: dict[tuple[int, int], tuple] = {}
+
+    def irreps(self, idx: int) -> list[Representation]:
+        """Ordinary irreps of the catalog group at position idx."""
+        if idx not in self._ordinary:
+            self._ordinary[idx] = irreps_of(self.catalog[idx], seed=self.seed)
+        return self._ordinary[idx]
+
+    def projective(self, idx: int, z: int):
+        """(quotient, irreps) of l/<z>, l the catalog group at position idx,
+        in the standard gauge; the quotient is named after the first
+        isomorphic catalog group of its order."""
+        if (idx, z) not in self._projective:
+            quotient, irreps = projective_irreps_from_extension(self.irreps(idx), z)
+            for _, known in self.by_order.get(quotient.order, []):
+                if are_isomorphic(quotient, known):
+                    quotient.name = known.name
+                    break
+            self._projective[idx, z] = quotient, irreps
+        return self._projective[idx, z]
 
 
-def search_group(required_dims, d_a: int, catalog=None, allow_projective: bool = True,
-                 *, structure: BlockStructure | None = None, seed: int = 0,
-                 max_order: int = 32, warning_sink: list | None = None):
+@functools.lru_cache(maxsize=None)
+def builtin_index(max_order: int = 32, seed: int = 0) -> CatalogIndex:
+    """The index of builtin_catalog(max_order), built once per process."""
+    return CatalogIndex(builtin_catalog(max_order), seed)
+
+
+def search_group(structure: BlockStructure, d_a: int, index: CatalogIndex,
+                 allow_projective: bool = True, warning_sink: list | None = None):
     """Yield SearchCandidate objects in ascending order of group order.
 
-    required_dims is the multiset of class dimensions of the finest block
-    structure; structure carries the block-level detail used for merge
-    plans (a synthetic one-block-per-dimension structure is used when
-    omitted). Ordinary candidates precede projective ones at equal order;
-    merged plans participate once the order reaches their dimension-square
-    sum. Any class of dimension 1 forces an ordinary representation for
-    that plan. The caller is responsible for the generalized-Pauli fallback
-    once the iterator is exhausted; warning_sink, when given, keeps
-    accumulating catalog-gap warnings even after the last yield so the
-    caller can attach them to a fallback result.
+    The class dimensions of structure, the finest block structure, are the
+    irrep dimensions a candidate must supply; its block-level detail drives
+    the merge plans. Ordinary candidates precede projective ones at equal
+    order; merged plans participate once the order reaches their
+    dimension-square sum. Any class of dimension 1 forces an ordinary
+    representation for that plan. The caller is responsible for the
+    generalized-Pauli fallback once the iterator is exhausted; warning_sink,
+    when given, collects the catalog-gap warnings, including those found
+    after the last yield.
     """
-    catalog = list(builtin_catalog(max_order) if catalog is None else catalog)
-    if structure is None:
-        structure = trivial_structure(sorted(required_dims))
-    if sorted(required_dims) != sorted(structure.class_dims()):
-        raise ValidationError("required dimensions disagree with the block structure")
-
-    by_order: dict[int, list[tuple[int, FiniteGroup]]] = {}
-    for idx, g in enumerate(catalog):
-        by_order.setdefault(g.order, []).append((idx, g))
-    for groups in by_order.values():
-        groups.sort(key=lambda t: _group_sort_key(t[0], t[1]))
-
+    by_order = index.by_order
     plans = merge_plans(structure)
     n_start = plans[0][0]
     warnings: list[str] = warning_sink if warning_sink is not None else []
@@ -188,43 +206,35 @@ def search_group(required_dims, d_a: int, catalog=None, allow_projective: bool =
                 continue
 
             for idx, g in by_order.get(n, []):
-                if not _dims_fit(required, irrep_dimensions(g, seed=seed)):
-                    continue
-                irreps = irreps_of(g, seed=seed)
-                dims = [ir.dim for ir in irreps]
-                yield SearchCandidate(g, irreps, _assign(required, dims),
-                                      merged, plan, "ordinary", list(warnings))
+                if g.is_abelian and max(required) > 1:
+                    continue        # every irrep of an abelian group is 1-dim
+                irreps = index.irreps(idx)
+                assignment = _assign(required, irreps)
+                if assignment is not None:
+                    yield SearchCandidate(g, irreps, assignment, merged, plan,
+                                          "ordinary")
 
             if not allow_projective or min(required) < 2:
                 continue
-            for r in _divisors(n):
-                if r < 2:
+            for r in range(2, n + 1):
+                if n % r:
                     continue
                 if r * n not in by_order:
                     warn(f"catalog has no group of order {r * n} "
                          f"for central extensions over order {n}")
                     continue
                 for idx, l in by_order[r * n]:
-                    for z in range(l.order):
-                        if z not in l.center() or l.element_order(z) != r:
+                    for z in l.center():
+                        if l.element_order(z) != r:
                             continue
-                        quotient, picked, _ = projective_irreps_from_extension(
-                            l, z, r, seed=seed)
-                        if not _dims_fit(required, [p.dim for p in picked]):
+                        quotient, irreps = index.projective(idx, z)
+                        assignment = _assign(required, irreps)
+                        if assignment is None:
                             continue
-                        gauged, fs = gauge_normalize(
-                            [p.matrices for p in picked], quotient)
                         key = (plan_key, quotient.table.tobytes(),
-                               np.round(fs.phases, 10).tobytes())
+                               np.round(irreps[0].factor.phases, 10).tobytes())
                         if key in seen_projective:
                             continue
                         seen_projective.add(key)
-                        for _, known in by_order.get(n, []):
-                            if are_isomorphic(quotient, known):
-                                quotient.name = known.name
-                                break
-                        irreps = [Representation(quotient, fs, m) for m in gauged]
-                        dims = [ir.dim for ir in irreps]
-                        yield SearchCandidate(
-                            quotient, irreps, _assign(required, dims),
-                            merged, plan, "projective", list(warnings))
+                        yield SearchCandidate(quotient, irreps, assignment,
+                                              merged, plan, "projective")

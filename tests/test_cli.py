@@ -170,6 +170,66 @@ def test_malformed_reports_exit_two(tamper, cnot_file, tmp_path, capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
+def _report(gate_file, tmp_path, *flags):
+    out = tmp_path / "report.json"
+    main(["compile", gate_file, "--out", str(out), *flags])
+    return json.loads(out.read_text())
+
+
+def _verify(rep, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(rep))
+    code = main(["verify", str(bad)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_nan_factor_phases_exit_two(tmp_path, capsys):
+    swap = write_gate(tmp_path / "swap.json", np.eye(4, dtype=complex)[[0, 2, 1, 3]], 2, 2)
+    rep = _report(swap, tmp_path)
+    assert rep["group"]["projective"] and rep["group"]["order"] == 4
+    rep["group"]["factorPhases"] = [[[float("nan"), 0.0]] * 4] * 4
+    code, _, err = _verify(rep, tmp_path, capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("flags", [["--no-projective"], []], ids=["fallback", "projective"])
+def test_forged_fallback_flag_fails_verification(flags, generic_file, tmp_path, capsys):
+    rep = _report(generic_file, tmp_path, *flags)
+    rep["expansion"]["fallback"] = not rep["expansion"]["fallback"]
+    code, out, _ = _verify(rep, tmp_path, capsys)
+    assert code == 4
+    assert "fallbackFlag: FAIL" in out
+    assert "blocks: ok" in out
+
+
+def _set_blocks(label, **fields):
+    return lambda blocks: blocks[label].update(fields)
+
+
+# CNOT has sizes [1, 1], classes [[0], [1]] and classDims [1, 1] on both sides
+BLOCK_TAMPERS = {
+    "blocks merged": _set_blocks("A", sizes=[2]),
+    "sizes exceed dA": _set_blocks("B", sizes=[2, 1], classDims=[2, 1]),
+    "empty block": _set_blocks("A", sizes=[2, 0], classDims=[2, 0]),
+    "block in two classes": _set_blocks("A", classes=[[0, 1], [1]]),
+    "block in no class": _set_blocks("B", classes=[[0]], classDims=[1]),
+    "class dims off": _set_blocks("B", sizes=[1, 1], classDims=[2, 1]),
+    "orientation missing": lambda blocks: blocks.pop("B"),
+}
+
+
+@pytest.mark.parametrize("tamper", BLOCK_TAMPERS.values(), ids=BLOCK_TAMPERS.keys())
+def test_inconsistent_blocks_fail_verification(tamper, cnot_file, tmp_path, capsys):
+    rep = _report(cnot_file, tmp_path)
+    tamper(rep["blocks"])
+    code, out, _ = _verify(rep, tmp_path, capsys)
+    assert code == 4
+    assert "blocks: FAIL" in out
+    assert "fallbackFlag: ok" in out
+
+
 def test_schmidt_prints_rank_and_coefficients(cnot_file, capsys):
     assert main(["schmidt", cnot_file]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from nlgc.errors import ValidationError
-from nlgc.groups import (FiniteGroup, alternating, are_isomorphic,
+from nlgc.groups import (FactorSystem, FiniteGroup, alternating, are_isomorphic,
                          builtin_catalog, central_extension, cyclic, dihedral,
                          direct_product, heisenberg, load_group_file,
                          quaternion, quotient_by_central_cyclic,
@@ -123,3 +123,15 @@ def test_group_file_rejects_bad_records(tmp_path):
     path.write_text('{"name": "x", "order": 2, "table": [0, 1, 1, 1]}')
     with pytest.raises(ValidationError):
         load_group_file(path)
+
+
+@pytest.mark.parametrize("where", ["everywhere", "one entry"])
+def test_nan_factor_system_fails_validation(where):
+    group = direct_product(cyclic(2), cyclic(2))
+    phases = np.ones((4, 4), dtype=complex)
+    if where == "everywhere":
+        phases[:] = np.nan
+    else:
+        phases[1, 2] = np.nan
+    with pytest.raises(ValidationError):
+        FactorSystem(phases).validate(group)

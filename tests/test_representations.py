@@ -90,7 +90,7 @@ def test_pauli_rep_qutrit_weyl_relations():
 def test_projective_irreps_from_d4_over_its_center():
     l = dihedral(4)
     z = [x for x in l.center() if x != l.identity][0]
-    quotient, picked, n_table = projective_irreps_from_extension(l, z, 2)
+    quotient, picked = projective_irreps_from_extension(irreps_of(l), z)
     assert quotient.order == 4
     assert sorted(p.dim for p in picked) == [2]
     gauged, fs = gauge_normalize([p.matrices for p in picked], quotient)
@@ -135,7 +135,7 @@ def test_heisenberg_extension_gives_qutrit_projective_irrep():
     l = heisenberg(3)
     assert l.order == 27
     candidates = [x for x in l.center() if l.element_order(x) == 3]
-    quotient, picked, _ = projective_irreps_from_extension(l, candidates[0], 3)
+    quotient, picked = projective_irreps_from_extension(irreps_of(l), candidates[0])
     assert quotient.order == 9
     assert sorted(p.dim for p in picked) == [3]
 
@@ -144,3 +144,17 @@ def test_representation_validate_rejects_wrong_factor():
     group, fs, rep = pauli_projective_rep(2)
     with pytest.raises(ValidationError):
         Representation(group, trivial_factor(group), rep.matrices).validate()
+
+
+@pytest.mark.parametrize("where", ["matrices", "one matrix entry", "factor phases"])
+def test_nan_representation_fails_validation(where):
+    group, fs, rep = pauli_projective_rep(2)
+    matrices, phases = rep.matrices.copy(), fs.phases.copy()
+    if where == "matrices":
+        matrices[:] = np.nan
+    elif where == "one matrix entry":
+        matrices[3, 0, 1] = np.nan
+    else:
+        phases[1, 3] = np.nan
+    with pytest.raises(ValidationError):
+        Representation(group, FactorSystem(phases), matrices).validate()

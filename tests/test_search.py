@@ -1,9 +1,9 @@
 """Group search ordering, merge plans, and candidate integrity."""
 import numpy as np
 
-from nlgc.groups import builtin_catalog, cyclic
-from nlgc.search import (merge_plans, search_group, set_partitions,
-                         trivial_structure)
+from nlgc.groups import cyclic
+from nlgc.search import (CatalogIndex, builtin_index, merge_plans,
+                         search_group, set_partitions, trivial_structure)
 
 
 def test_set_partitions_of_three_items():
@@ -25,7 +25,7 @@ def test_merge_plans_cost_ordering():
 
 
 def test_two_singlet_classes_start_at_order_two():
-    cands = list(search_group([1, 1], d_a=2))
+    cands = list(search_group(trivial_structure([1, 1]), 2, builtin_index()))
     assert cands, "search found nothing"
     first = cands[0]
     assert first.order == 2
@@ -38,13 +38,13 @@ def test_two_singlet_classes_start_at_order_two():
 
 
 def test_single_class_dim_one_is_the_trivial_group():
-    cands = list(search_group([1], d_a=1))
+    cands = list(search_group(trivial_structure([1]), 1, builtin_index()))
     assert cands[0].order == 1
     assert cands[0].group.name == "C1"
 
 
 def test_single_two_dim_class_needs_a_projective_rep():
-    cands = list(search_group([2], d_a=2))
+    cands = list(search_group(trivial_structure([2]), 2, builtin_index()))
     assert cands
     first = cands[0]
     assert first.order == 4
@@ -59,7 +59,7 @@ def test_single_two_dim_class_needs_a_projective_rep():
 
 def test_ordinary_candidates_come_before_projective_at_each_order():
     seen = {}
-    for cand in search_group([1, 1], d_a=2, max_order=8):
+    for cand in search_group(trivial_structure([1, 1]), 2, builtin_index(8)):
         seen.setdefault(cand.order, []).append(cand.route)
     for order, routes in seen.items():
         if "ordinary" in routes and "projective" in routes:
@@ -67,7 +67,7 @@ def test_ordinary_candidates_come_before_projective_at_each_order():
 
 
 def test_assignments_respect_class_dimensions():
-    for cand in search_group([1, 2], d_a=3, max_order=12):
+    for cand in search_group(trivial_structure([1, 2]), 3, builtin_index(12)):
         dims = [cand.irreps[i].dim for i in cand.assignment]
         sizes = cand.structure.class_dims()
         assert dims == sizes
@@ -80,7 +80,7 @@ def test_merged_plans_unlock_larger_blocks():
     # projective rep at order 4; the extension group lives at order 8, so
     # the catalog bound must reach that far for the fused plan to appear
     routes = set()
-    for cand in search_group([1, 1], d_a=2, max_order=8):
+    for cand in search_group(trivial_structure([1, 1]), 2, builtin_index(8)):
         routes.add((cand.order, len(cand.structure.classes), cand.route))
     assert (2, 2, "ordinary") in routes
     assert any(n == 4 and k == 1 and r == "projective" for n, k, r in routes)
@@ -90,30 +90,32 @@ def test_extension_scaffolding_respects_the_catalog_bound():
     # with the catalog capped at order 4 no order-8 extension exists, so the
     # fused projective candidate disappears and a warning marks the gap
     sink = []
-    cands = list(search_group([1, 1], d_a=2, max_order=4, warning_sink=sink))
+    cands = list(search_group(trivial_structure([1, 1]), 2, builtin_index(4),
+                              warning_sink=sink))
     assert all(c.route == "ordinary" for c in cands)
     assert any("order 8" in w for w in sink)
 
 
 def test_missing_catalog_order_produces_warning():
     catalog = [cyclic(1), cyclic(2), cyclic(4)]
-    cands = list(search_group([1, 1, 1], d_a=2, catalog=catalog,
-                              allow_projective=False, max_order=4))
+    sink = []
+    cands = list(search_group(trivial_structure([1, 1, 1]), 2, CatalogIndex(catalog),
+                              allow_projective=False, warning_sink=sink))
     assert cands
     assert cands[0].group.name == "C4"
-    assert any("order 3" in w for w in cands[0].warnings)
+    assert any("order 3" in w for w in sink)
 
 
 def test_search_exhausts_cleanly_when_nothing_fits():
     catalog = [cyclic(1), cyclic(2)]
-    cands = list(search_group([2], d_a=2, catalog=catalog,
-                              allow_projective=False, max_order=4))
+    cands = list(search_group(trivial_structure([2]), 2, CatalogIndex(catalog),
+                              allow_projective=False))
     assert cands == []
 
 
 def test_cost_floor_matches_dimension_squares():
     # required {1, 1, 2} needs at least order 6; S3 fits exactly
-    cands = list(search_group([1, 1, 2], d_a=4, max_order=12))
+    cands = list(search_group(trivial_structure([1, 1, 2]), 4, builtin_index(12)))
     assert cands
     assert cands[0].order == 6
     assert cands[0].group.name == "S3"
