@@ -378,9 +378,9 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
     returned with its warning flag set; compile_unitary itself never fails
     on a valid unitary. The finest block structures of both orientations,
     computed at block tolerance min(10*tol, BLOCK_TOL), are summarized in
-    the result's blocks. Without a catalog the search uses the builtin
-    index of (max_order, seed), built once per process; an explicit
-    catalog gets its own index, shared by both sides of this call.
+    the result's blocks. Each call builds one catalog index, of catalog or
+    else of builtin_catalog(max_order), shared by both sides, so no call
+    depends on an earlier one.
     """
     if side not in ("A", "B", "both"):
         raise ValidationError("side must be A, B, or both")

@@ -107,12 +107,11 @@ def irreps_of(group: FiniteGroup, factor: FactorSystem | None = None,
     bs = classify_equivalence(bs, gen_mats, tol=tol)
 
     slices = bs.block_slices()
-    s = bs.basis_change
-    rotated = np.einsum("ij,fjk,kl->fil", dagger(s), reg.matrices, s)
     irreps = []
     for cls in bs.classes:
-        sl = slices[cls.representative]
-        irreps.append(Representation(group, factor, rotated[:, sl, sl].copy()))
+        s = bs.basis_change[:, slices[cls.representative]]
+        irreps.append(Representation(group, factor, np.einsum(
+            "ij,fjk,kl->fil", dagger(s), reg.matrices, s)))
 
     total = sum(r.dim ** 2 for r in irreps)
     if total != group.order:

@@ -145,6 +145,10 @@ def finest_sbd(mats, tol: float = BLOCK_TOL, seed: int = 0,
 def _intertwiner(rep_blocks, mem_blocks, tol):
     """Unitary T with T R_rep T† = R_member for every listed block, or None."""
     n = rep_blocks[0].shape[0]
+    # Unitary conjugation keeps traces: traces further apart than n * tol fail the check below.
+    if any(abs(np.trace(rb) - np.trace(mb)) > n * tol + 1e-10 * (1 + np.max(np.abs(rb)))
+           for rb, mb in zip(rep_blocks, mem_blocks)):
+        return None
     eye = np.eye(n)
     rows = [np.kron(eye, rb.T) - np.kron(mb, eye)
             for rb, mb in zip(rep_blocks, mem_blocks)]
@@ -177,7 +181,8 @@ def classify_equivalence(bs: BlockStructure, mats, tol: float = BLOCK_TOL) -> Bl
     for every matrix in the set.
     """
     slices = bs.block_slices()
-    per_block = [[bs.transformed(m)[sl, sl] for m in mats] for sl in slices]
+    rotated = [bs.transformed(m) for m in mats]
+    per_block = [[r[sl, sl] for r in rotated] for sl in slices]
     classes: list[EquivalenceClass] = []
     for alpha in range(len(slices)):
         placed = False

@@ -7,7 +7,6 @@ eligible once the order reaches their dimension-square sum.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,9 +162,8 @@ class CatalogIndex:
         return self._projective[idx, z]
 
 
-@functools.lru_cache(maxsize=None)
 def builtin_index(max_order: int = 32, seed: int = 0) -> CatalogIndex:
-    """The index of builtin_catalog(max_order), built once per process."""
+    """A new index of builtin_catalog(max_order)."""
     return CatalogIndex(builtin_catalog(max_order), seed)
 
 

@@ -5,8 +5,8 @@ group, the route, the costs, the operators, the simulated branches and the
 warnings at once. Noise-level floats such as the residual make the hashes
 specific to a numpy and BLAS build; the Haar seeds are ones whose reports
 agree between one and two BLAS threads. The last test compiles several
-gates in one process and checks that nothing a compile leaves in the
-shared catalog index changes a later report.
+gates in one process and checks that nothing a compile leaves behind in
+the process changes a later report.
 """
 import hashlib
 
