@@ -18,7 +18,9 @@ class FiniteGroup:
     """Group given by its full multiplication table.
 
     table[f, g] is the element index of f*g. Construction verifies closure,
-    identity, inverses and associativity.
+    identity, inverses and associativity on a private copy of the table and
+    then makes it read-only, so the invariants computed on first use and
+    kept on the instance cannot go stale.
     """
 
     name: str
@@ -27,32 +29,31 @@ class FiniteGroup:
     inverses: np.ndarray = field(init=False, default=None)
 
     def __post_init__(self):
-        self.table = np.asarray(self.table, dtype=int)
-        n = self.table.shape[0]
-        if self.table.shape != (n, n):
+        self.table = table = np.array(self.table, dtype=int)
+        n = table.shape[0]
+        if table.shape != (n, n):
             raise ValidationError("multiplication table must be square")
-        if self.table.min() < 0 or self.table.max() >= n:
+        if table.min() < 0 or table.max() >= n:
             raise ValidationError("table entries must be element indices")
         idx = np.arange(n)
-        ident = [e for e in range(n)
-                 if np.array_equal(self.table[e], idx) and np.array_equal(self.table[:, e], idx)]
+        ident = np.flatnonzero((table == idx).all(1) & (table == idx[:, None]).all(0))
         if len(ident) != 1:
             raise ValidationError("table has no unique identity element")
-        self.identity = ident[0]
-        inv = np.full(n, -1, dtype=int)
-        for f in range(n):
-            hits = np.nonzero(self.table[f] == self.identity)[0]
-            if hits.size != 1 or self.table[hits[0], f] != self.identity:
-                raise ValidationError(f"element {f} has no two-sided inverse")
-            inv[f] = hits[0]
+        self.identity = e = int(ident[0])
+        hits = table == e
+        inv = hits.argmax(1)
+        bad = (hits.sum(1) != 1) | (table[inv, idx] != e)
+        if bad.any():
+            raise ValidationError(f"element {int(bad.argmax())} has no two-sided inverse")
         self.inverses = inv
-        lhs = self.table[self.table, :]     # (f*g)*h
-        rhs = self.table[:, self.table]     # f*(g*h)
+        lhs = table[table, :]     # (f*g)*h
+        rhs = table[:, table]     # f*(g*h)
         if not np.array_equal(lhs, rhs):
             f, g, h = (int(x) for x in np.argwhere(lhs != rhs)[0])
             raise ValidationError(
                 f"associativity fails at triple ({f}, {g}, {h}): "
                 f"({f}*{g})*{h} != {f}*({g}*{h})")
+        table.flags.writeable = inv.flags.writeable = False
 
     @property
     def order(self) -> int:
@@ -64,70 +65,81 @@ class FiniteGroup:
     def inv(self, f: int) -> int:
         return int(self.inverses[f])
 
+    @cached_property
+    def _orders(self) -> np.ndarray:
+        """Order of every element: the first k with x**k = e."""
+        powers = [np.arange(self.order)]
+        for _ in range(self.order - 1):
+            powers.append(self.table[powers[-1], powers[0]])
+        return (np.array(powers) == self.identity).argmax(0) + 1
+
     def element_order(self, f: int) -> int:
-        k, x = 1, f
-        while x != self.identity:
-            x = self.mult(x, f)
-            k += 1
-        return k
+        return int(self._orders[f])
+
+    def element_orders(self) -> list[int]:
+        return self._orders.tolist()
 
     @cached_property
     def is_abelian(self) -> bool:
         return np.array_equal(self.table, self.table.T)
 
+    @cached_property
+    def _center(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero((self.table == self.table.T).all(1)).tolist())
+
     def center(self) -> list[int]:
-        return [z for z in range(self.order)
-                if np.array_equal(self.table[z, :], self.table[:, z])]
+        return list(self._center)
+
+    @cached_property
+    def _classes(self) -> tuple[tuple[int, ...], ...]:
+        # column x of table[table, inverses[:, None]] holds g x g^-1 for every g;
+        # a class is labelled by its smallest member, so classes come in order
+        # of their first element
+        label = self.table[self.table, self.inverses[:, None]].min(0)
+        members = np.argsort(label, kind="stable")
+        cuts = [0, *(np.flatnonzero(np.diff(label[members])) + 1).tolist(), self.order]
+        members = members.tolist()
+        return tuple(tuple(members[a:b]) for a, b in zip(cuts, cuts[1:]))
 
     def conjugacy_classes(self) -> list[list[int]]:
-        seen = set()
-        classes = []
-        for x in range(self.order):
-            if x in seen:
-                continue
-            orbit = {self.mult(self.mult(g, x), self.inv(g)) for g in range(self.order)}
-            classes.append(sorted(orbit))
-            seen |= orbit
-        return classes
+        return [list(c) for c in self._classes]
 
     def subgroup_closure(self, gens) -> list[int]:
-        out = {self.identity}
-        frontier = list(gens)
-        out |= set(frontier)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in list(out):
-                    for y in (self.mult(x, g), self.mult(g, x)):
-                        if y not in out:
-                            out.add(y)
-                            nxt.append(y)
-            frontier = nxt
-        return sorted(out)
+        have = np.zeros(self.order, dtype=bool)
+        have[[self.identity, *gens]] = True
+        size = 0
+        while size < have.sum():
+            size = have.sum()
+            have[self.table[np.ix_(have, have)]] = True
+        return np.flatnonzero(have).tolist()
 
-    def generating_set(self) -> list[int]:
-        """Small generating set found greedily, preferring high-order elements."""
+    @cached_property
+    def _generating_set(self) -> tuple[int, ...]:
         gens: list[int] = []
         have = {self.identity}
-        by_order = sorted(range(self.order), key=lambda x: (-self.element_order(x), x))
-        for x in by_order:
+        for x in np.argsort(-self._orders, kind="stable").tolist():
             if len(have) == self.order:
                 break
             if x not in have:
                 gens.append(x)
                 have = set(self.subgroup_closure(gens))
-        return gens
+        return tuple(gens)
 
-    def element_orders(self) -> list[int]:
-        return [self.element_order(x) for x in range(self.order)]
+    def generating_set(self) -> list[int]:
+        """Small generating set found greedily, preferring high-order elements."""
+        return list(self._generating_set)
 
-    def signature(self) -> tuple:
-        """Cheap isomorphism invariant."""
+    @cached_property
+    def _signature(self) -> tuple:
         return (self.order,
                 tuple(sorted(self.element_orders())),
                 self.is_abelian,
-                len(self.center()),
-                tuple(sorted(len(c) for c in self.conjugacy_classes())))
+                len(self._center),
+                tuple(sorted(len(c) for c in self._classes)))
+
+    def signature(self) -> tuple:
+        """Cheap isomorphism invariant."""
+        return self._signature
 
     def to_dict(self) -> dict:
         return {"name": self.name, "order": self.order,
@@ -234,31 +246,18 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> F
 
 def dihedral(n: int) -> FiniteGroup:
     """Symmetries of the regular n-gon, order 2n. Index k<n: r^k, k>=n: s r^(k-n)."""
-    size = 2 * n
-    table = np.zeros((size, size), dtype=int)
-    for i in range(size):
-        for j in range(size):
-            flip_i, a = divmod(i, n)
-            flip_j, b = divmod(j, n)
-            if not flip_i and not flip_j:
-                table[i, j] = (a + b) % n
-            elif not flip_i and flip_j:
-                table[i, j] = n + (b - a) % n
-            elif flip_i and not flip_j:
-                table[i, j] = n + (a + b) % n
-            else:
-                table[i, j] = (b - a) % n
-    return FiniteGroup(f"D{n}", table)
+    flip, rot = np.divmod(np.arange(2 * n), n)
+    # (s^fi r^a)(s^fj r^b) = s^(fi xor fj) r^(b + (-1)^fj a), since r^a s = s r^-a
+    turn = (rot[None, :] + rot[:, None] * (1 - 2 * flip[None, :])) % n
+    return FiniteGroup(f"D{n}", (flip[:, None] ^ flip[None, :]) * n + turn)
 
 
 def _perm_group(name: str, perms: list[tuple]) -> FiniteGroup:
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = np.zeros((n, n), dtype=int)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[tuple(p[q[k]] for k in range(len(q)))]
-    return FiniteGroup(name, table)
+    """Group of lexicographically sorted permutations, (p*q)[k] = p[q[k]]."""
+    p = np.array(perms, dtype=int).reshape(len(perms), -1)
+    weights = p.shape[1] ** np.arange(p.shape[1])[::-1]   # sorted perms get sorted codes
+    composed = p[np.arange(len(p))[:, None, None], p[None]]
+    return FiniteGroup(name, np.searchsorted(p @ weights, composed @ weights))
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -301,14 +300,9 @@ def quaternion() -> FiniteGroup:
 
 def heisenberg(d: int) -> FiniteGroup:
     """Upper triangular 3x3 matrices over Z_d, order d**3."""
-    elems = list(itertools.product(range(d), repeat=3))
-    index = {e: i for i, e in enumerate(elems)}
-    n = d ** 3
-    table = np.zeros((n, n), dtype=int)
-    for i, (a, b, c) in enumerate(elems):
-        for j, (x, y, z) in enumerate(elems):
-            table[i, j] = index[((a + x) % d, (b + y) % d, (c + z + a * y) % d)]
-    return FiniteGroup(f"Heis{d}", table)
+    a, b, c = (x.ravel() for x in np.indices((d, d, d)))
+    product = ((a[:, None] + a) % d, (b[:, None] + b) % d, (c[:, None] + c + a[:, None] * b) % d)
+    return FiniteGroup(f"Heis{d}", np.ravel_multi_index(product, (d, d, d)))
 
 
 def central_extension(g: FiniteGroup, n_table: np.ndarray, r: int,
@@ -324,14 +318,9 @@ def central_extension(g: FiniteGroup, n_table: np.ndarray, r: int,
         raise DimensionError("exponent table size does not match the group")
     if r < 1 or ng % r != 0:
         raise ValidationError(f"root order {r} must divide the group order {ng}")
-    size = r * ng
-    lvl, elem = np.divmod(np.arange(size), ng)
-    table = np.zeros((size, size), dtype=int)
-    for i in range(size):
-        for j in range(size):
-            l, f = lvl[i], elem[i]
-            m, gg = lvl[j], elem[j]
-            table[i, j] = ((l + m + n_table[f, gg]) % r) * ng + g.table[f, gg]
+    lvl, elem = np.divmod(np.arange(r * ng), ng)
+    pairs = np.ix_(elem, elem)
+    table = ((lvl[:, None] + lvl + n_table[pairs]) % r) * ng + g.table[pairs]
     return FiniteGroup(name or f"Ext{r}({g.name})", table)
 
 
@@ -344,37 +333,19 @@ def quotient_by_central_cyclic(l: FiniteGroup, z: int):
     """
     if z not in l.center():
         raise ValidationError("z must be central")
-    r = l.element_order(z)
+    r, t = l.element_order(z), l.table
     powers = [l.identity]
     for _ in range(r - 1):
-        powers.append(l.mult(powers[-1], z))
-    coset_of = np.full(l.order, -1, dtype=int)
-    reps = []
-    for x in range(l.order):
-        if coset_of[x] >= 0:
-            continue
-        members = sorted(l.mult(p, x) for p in powers)
-        rep = l.identity if l.identity in members else members[0]
-        k = len(reps)
-        reps.append(rep)
-        for m in members:
-            coset_of[m] = k
-    nq = len(reps)
-    table = np.zeros((nq, nq), dtype=int)
-    n_table = np.full((nq, nq), -1, dtype=int)
-    for f in range(nq):
-        for g in range(nq):
-            prod = l.mult(reps[f], reps[g])
-            k = coset_of[prod]
-            table[f, g] = k
-            for m in range(r):          # prod = z**m * reps[k]
-                if l.mult(powers[m], reps[k]) == prod:
-                    n_table[f, g] = m
-                    break
-    if (n_table < 0).any():
-        raise ValidationError("coset decomposition failed, z is not central")
+        powers.append(t[powers[-1], z])
+    cosets = t[np.array(powers)[:, None], np.arange(l.order)]   # cosets[m, x] = z**m x
+    reps, coset_of = np.unique(cosets.min(0), return_inverse=True)
+    reps[coset_of[l.identity]] = l.identity
+    level = np.empty(l.order, dtype=int)     # y = z**level[y] reps[coset_of[y]]
+    level[cosets[:, reps]] = np.arange(r)[:, None]
+    prod = t[reps[:, None], reps]
+    table, n_table = coset_of[prod], level[prod]
     q = FiniteGroup(f"{l.name}/<z{z}>", table)
-    return q, np.array(reps, dtype=int), n_table, r
+    return q, reps, n_table, r
 
 
 # ------------------------------------------------------------------ catalog
@@ -388,46 +359,48 @@ def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
     gens = g1.generating_set()
     if not gens:
         return True  # trivial group
-    orders1 = [g1.element_order(x) for x in gens]
-    orders2 = g2.element_orders()
+    n, t1, t2 = g1.order, g1.table, g2.table
 
-    # expression tree: every element as parent * generator
-    expr = {g1.identity: None}
+    # expression tree, one level at a time: every element as parent * generator
+    levels = []
+    seen = {g1.identity}
     frontier = [g1.identity]
     while frontier:
-        nxt = []
+        level = []
         for x in frontier:
             for gi, gen in enumerate(gens):
-                y = g1.mult(x, gen)
-                if y not in expr:
-                    expr[y] = (x, gi)
-                    nxt.append(y)
-        frontier = nxt
+                y = int(t1[x, gen])
+                if y not in seen:
+                    seen.add(y)
+                    level.append((y, x, gi))
+        if level:
+            levels.append(tuple(np.array(col) for col in zip(*level)))
+        frontier = [y for y, _, _ in level]
 
-    candidates = [[y for y in range(g2.order) if orders2[y] == o] for o in orders1]
-    build_order = [y for y in expr if expr[y] is not None]  # parents precede children
-
+    candidates = [np.flatnonzero(g2._orders == g1.element_order(x)).tolist() for x in gens]
+    phi = np.empty(n, dtype=int)
+    phi[g1.identity] = g2.identity
     for images in itertools.product(*candidates):
-        phi = {g1.identity: g2.identity}
-        for y in build_order:
-            parent, gi = expr[y]
-            phi[y] = g2.mult(phi[parent], images[gi])
-        if len(set(phi.values())) != g1.order:
-            continue
-        if all(phi[g1.mult(a, b)] == g2.mult(phi[a], phi[b])
-               for a in range(g1.order) for b in range(g1.order)):
+        images = np.array(images)
+        for ys, parents, gis in levels:
+            phi[ys] = t2[phi[parents], images[gis]]
+        if (np.bincount(phi, minlength=n).all()       # onto, so one-to-one
+                and np.array_equal(phi[t1], t2[phi[:, None], phi])):
             return True
     return False
 
 
-def _abelian_products(max_order: int) -> list[FiniteGroup]:
+def _abelian_products(cyclics: list[FiniteGroup]) -> list[FiniteGroup]:
+    """Products of two and three cyclic factors, cyclics[k] being C(k+1), up
+    to the order of the last one."""
+    max_order = len(cyclics)
     out = []
     for n1 in range(2, max_order + 1):
         for n2 in range(n1, max_order // n1 + 1):
-            out.append(direct_product(cyclic(n1), cyclic(n2)))
+            pair = direct_product(cyclics[n1 - 1], cyclics[n2 - 1])
+            out.append(pair)
             for n3 in range(n2, max_order // (n1 * n2) + 1):
-                out.append(direct_product(direct_product(cyclic(n1), cyclic(n2)),
-                                          cyclic(n3), name=f"C{n1}xC{n2}xC{n3}"))
+                out.append(direct_product(pair, cyclics[n3 - 1], name=f"C{n1}xC{n2}xC{n3}"))
     return out
 
 
@@ -447,9 +420,8 @@ def builtin_catalog(max_order: int = 32, extra=None) -> list[FiniteGroup]:
     Z_3, and the order 16 Pauli extension. Isomorphic duplicates are removed
     exhaustively up to order 16 and by abelian invariants above that.
     """
-    groups: list[FiniteGroup] = []
-    groups.extend(cyclic(n) for n in range(1, max_order + 1))
-    groups.extend(g for g in _abelian_products(max_order) if g.order <= max_order)
+    cyclics = [cyclic(n) for n in range(1, max_order + 1)]
+    groups = cyclics + _abelian_products(cyclics)
     for g in (symmetric(3), alternating(4), symmetric(4), quaternion()):
         if g.order <= max_order:
             groups.append(g)

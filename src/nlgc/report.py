@@ -294,9 +294,9 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
 
     Rebuilds the expansion, recomputes the residual, the M unitarity status,
     the cost accounting, and the classification label, and compares each
-    against the stored values. The fallback flag must match the route, and
-    the block summaries must be consistent with the input dimensions; the
-    blocks themselves are not recomputed.
+    against the stored values. V must be unitary, the fallback flag must
+    match the route, and the block summaries must be consistent with the
+    input dimensions; the blocks themselves are not recomputed.
     """
     from .protocol import build_M, check_M_unitary
 
@@ -315,6 +315,7 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     checks["inputUnitary"] = bool(dev <= 1e-8)
     checks["inputDigest"] = bool(abs(dev - stored_dev) <= 1e-6
                                  and abs(frobenius(u) - stored_norm) <= 1e-6)
+    checks["vUnitary"] = bool(unitarity_deviation(exp.v) <= 1e-8)
 
     residual = float(frobenius(u - exp.reconstruct()))
     checks["residual"] = bool(residual <= max(1e-8, exp.residual + 1e-9))

@@ -36,12 +36,10 @@ class Representation:
 
     def multiplication_defect(self) -> float:
         """Largest deviation from the twisted multiplication law; NaN propagates."""
-        t = self.group.table
-        mu = self.factor.phases
-        return float(np.max([
-            np.max(np.abs(np.einsum("ij,gjk->gik", self.matrices[f], self.matrices)
-                          - mu[f, :, None, None] * self.matrices[t[f]]))
-            for f in range(self.group.order)]))
+        m = self.matrices
+        products = np.einsum("fij,gjk->fgik", m, m)
+        return float(np.max(np.abs(
+            products - self.factor.phases[:, :, None, None] * m[self.group.table])))
 
     def unitarity_defect(self) -> float:
         grams = np.einsum("fji,fjk->fik", self.matrices.conj(), self.matrices)

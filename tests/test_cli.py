@@ -6,7 +6,8 @@ import pytest
 
 from nlgc.cli import main
 from nlgc.groups import cyclic, save_group_file
-from nlgc.report import canonical_json, matrix_payload, state_payload
+from nlgc.report import (canonical_json, decode_matrix, encode_matrix,
+                         matrix_payload, state_payload)
 from nlgc.schmidt import BipartiteUnitary
 
 CNOT = np.array([[1, 0, 0, 0],
@@ -202,6 +203,15 @@ def test_forged_fallback_flag_fails_verification(flags, generic_file, tmp_path, 
     assert code == 4
     assert "fallbackFlag: FAIL" in out
     assert "blocks: ok" in out
+
+
+def test_non_unitary_v_fails_verification(generic_file, tmp_path, capsys):
+    rep = _report(generic_file, tmp_path)
+    v = decode_matrix(rep["expansion"]["v"])
+    rep["expansion"]["v"] = encode_matrix(1.001 * v)
+    code, out, _ = _verify(rep, tmp_path, capsys)
+    assert code == 4
+    assert "vUnitary: FAIL" in out
 
 
 def _set_blocks(label, **fields):

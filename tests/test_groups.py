@@ -30,6 +30,33 @@ def test_group_axioms_are_enforced():
         FiniteGroup("broken", bad)
 
 
+BAD_TABLES = {
+    "not square": ([[0, 1]], "must be square"),
+    "entry out of range": ([[0, 1], [1, 2]], "must be element indices"),
+    "no identity": ([[0, 0], [0, 0]], "no unique identity"),
+    "missing inverse": ([[0, 1], [1, 1]], "element 1 has no two-sided inverse"),
+    # identity 0, every element its own inverse, but (1*1)*2 = 2 != 0 = 1*(1*2)
+    "non-associative": ([[0, 1, 2], [1, 0, 1], [2, 2, 0]], r"associativity fails at triple"),
+}
+
+
+@pytest.mark.parametrize("table, message", BAD_TABLES.values(), ids=BAD_TABLES.keys())
+def test_bad_tables_name_the_broken_axiom(table, message):
+    with pytest.raises(ValidationError, match=message):
+        FiniteGroup("broken", np.array(table))
+
+
+def test_table_is_frozen_but_the_callers_array_is_not():
+    mine = C4_TABLE.copy()
+    g = FiniteGroup("C4", mine)
+    with pytest.raises(ValueError):
+        g.table[0, 0] = 1
+    with pytest.raises(ValueError):
+        g.inverses[1] = 1
+    mine[0, 0] = 3
+    assert g.table[0, 0] == 0 and g.conjugacy_classes() == [[0], [1], [2], [3]]
+
+
 def test_symmetric_three_structure():
     g = symmetric(3)
     assert g.order == 6
@@ -135,3 +162,186 @@ def test_nan_factor_system_fails_validation(where):
         phases[1, 2] = np.nan
     with pytest.raises(ValidationError):
         FactorSystem(phases).validate(group)
+
+
+# ------------------------------------------------ reference definitions
+# Plain-Python versions of the table-indexed invariants, on table.tolist().
+
+def ref_identity_inverses(t):
+    n = len(t)
+    e = next(e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n)))
+    return e, [next(y for y in range(n) if t[x][y] == e) for x in range(n)]
+
+
+def ref_orders(t, e):
+    orders = []
+    for x in range(len(t)):
+        k, y = 1, x
+        while y != e:
+            y, k = t[y][x], k + 1
+        orders.append(k)
+    return orders
+
+
+def ref_center(t):
+    return [z for z in range(len(t)) if all(t[z][x] == t[x][z] for x in range(len(t)))]
+
+
+def ref_classes(t, inv):
+    seen, classes = set(), []
+    for x in range(len(t)):
+        if x not in seen:
+            orbit = {t[t[g][x]][inv[g]] for g in range(len(t))}
+            classes.append(sorted(orbit))
+            seen |= orbit
+    return classes
+
+
+def ref_generating_set(t, e, orders):
+    gens, have = [], {e}
+    for x in sorted(range(len(t)), key=lambda x: (-orders[x], x)):
+        if len(have) == len(t):
+            break
+        if x not in have:
+            gens.append(x)
+            while True:                       # close {e} and gens under products
+                grown = have | set(gens) | {t[a][b] for a in have for b in gens}
+                if grown == have:
+                    break
+                have = grown
+    return gens
+
+
+def ref_signature(t, orders, center, classes):
+    abelian = all(t[a][b] == t[b][a] for a in range(len(t)) for b in range(len(t)))
+    return (len(t), tuple(sorted(orders)), abelian, len(center),
+            tuple(sorted(len(c) for c in classes)))
+
+
+def ref_quotient(t, e, z, r):
+    powers = [e]
+    for _ in range(r - 1):
+        powers.append(t[powers[-1]][z])
+    coset_of, reps = {}, []
+    for x in range(len(t)):
+        if x not in coset_of:
+            members = sorted(t[p][x] for p in powers)
+            reps.append(e if e in members else members[0])
+            coset_of.update((m, len(reps) - 1) for m in members)
+    table = [[coset_of[t[a][b]] for b in reps] for a in reps]
+    n_table = [[next(m for m in range(r) if t[powers[m]][reps[coset_of[t[a][b]]]] == t[a][b])
+                for b in reps] for a in reps]
+    return table, reps, n_table
+
+
+def reached_quotients(catalog):
+    """(l, z, r) for every l/<z> a projective search over orders <= 16 reaches:
+    z central of order r, r dividing the quotient order |l|/r."""
+    out = []
+    for l in catalog:
+        t = l.table.tolist()
+        orders = ref_orders(t, ref_identity_inverses(t)[0])
+        out += [(l, z, orders[z]) for z in ref_center(t)
+                if orders[z] > 1 and l.order % orders[z] ** 2 == 0
+                and l.order // orders[z] <= 16]
+    return out
+
+
+def assert_matches_reference(g):
+    t = g.table.tolist()
+    e, inv = ref_identity_inverses(t)
+    orders, center, classes = ref_orders(t, e), ref_center(t), ref_classes(t, inv)
+    assert (g.identity, g.inverses.tolist()) == (e, inv), g.name
+    assert g.element_orders() == orders, g.name
+    assert [g.element_order(x) for x in range(g.order)] == orders, g.name
+    assert g.center() == center, g.name
+    assert g.conjugacy_classes() == classes, g.name
+    assert g.generating_set() == ref_generating_set(t, e, orders), g.name
+    assert g.signature() == ref_signature(t, orders, center, classes), g.name
+
+
+def test_invariants_and_quotients_match_the_reference_definitions():
+    catalog = builtin_catalog(32)
+    # order-8 groups relabelled x -> 7 - x, so the identity is the last element
+    relabelled = [FiniteGroup(g.name + "'", 7 - g.table[::-1, ::-1])
+                  for g in catalog if g.order == 8]
+    for g in catalog + relabelled:
+        assert_matches_reference(g)
+    reached = reached_quotients(catalog + relabelled)
+    assert len(reached) == 246 + 13
+    for l, z, r in reached:
+        quotient, lift, n_table, r_out = quotient_by_central_cyclic(l, z)
+        table, reps, n_ref = ref_quotient(l.table.tolist(), l.identity, z, r)
+        assert (quotient.table.tolist(), lift.tolist(), n_table.tolist(), r_out) == (
+            table, reps, n_ref, r), quotient.name
+        assert_matches_reference(quotient)
+
+
+# The catalog group each reached quotient l/<z> is isomorphic to, per l in
+# catalog order and z in center order; catalog groups of one order up to 16
+# are pairwise non-isomorphic.
+QUOTIENT_CLASSES = {
+    "C4": "C2",
+    "C2xC2": "C2 C2 C2",
+    "C8": "C4",
+    "C2xC2xC2": "C2xC2 C2xC2 C2xC2 C2xC2 C2xC2 C2xC2 C2xC2",
+    "C2xC4": "C2xC2 C4 C4",
+    "Q8": "C2xC2",
+    "D4": "C2xC2",
+    "C9": "C3 C3",
+    "C3xC3": "C3 C3 C3 C3 C3 C3 C3 C3",
+    "C12": "C6",
+    "C2xC2xC3": "C6 C6 C6",
+    "D6": "S3",
+    "C16": "C4 C8 C4",
+    "C2xC2xC4": "C2xC2 C2xC2xC2 C2xC2 C2xC4 C2xC2 C2xC4 C2xC2 C2xC4 C2xC2 "
+                "C2xC4 C2xC2 C2xC4 C2xC2 C2xC4 C2xC2",
+    "C2xC8": "C2xC2 C2xC4 C2xC2 C8 C4 C8 C4",
+    "C4xC4": "C4 C2xC4 C4 C4 C4 C4 C4 C2xC4 C4 C2xC4 C4 C4 C4 C4 C4",
+    "D8": "D4",
+    "Pauli16": "C2xC2 C2xC2xC2 C2xC2",
+    "C18": "C6 C6",
+    "C2xC3xC3": "C6 C6 C6 C6 C6 C6 C6 C6",
+    "C20": "C10",
+    "C2xC2xC5": "C10 C10 C10",
+    "D10": "D5",
+    "C24": "C12",
+    "C2xC2xC6": "C2xC2xC3 C2xC2xC3 C2xC2xC3 C2xC2xC3 C2xC2xC3 C2xC2xC3 C2xC2xC3",
+    "C2xC3xC4": "C2xC2xC3 C12 C12",
+    "D12": "D6",
+    "C25": "C5 C5 C5 C5",
+    "C5xC5": " ".join(["C5"] * 24),
+    "C27": "C9 C9",
+    "C3xC3xC3": " ".join(["C3xC3"] * 26),
+    "C3xC9": "C3xC3 C3xC3 C9 C9 C9 C9 C9 C9",
+    "Heis3": "C3xC3 C3xC3",
+    "C28": "C14",
+    "C2xC2xC7": "C14 C14 C14",
+    "D14": "D7",
+    "C32": "C8 C16 C8",
+    "C2xC2xC8": "C2xC2xC2 C2xC2xC4 C2xC2xC2 C2xC8 C2xC4 C2xC8 C2xC4 C2xC8 "
+                "C2xC4 C2xC8 C2xC4 C2xC8 C2xC4 C2xC8 C2xC4",
+    "C2xC4xC4": "C2xC4 C2xC2xC4 C2xC4 C2xC4 C2xC4 C2xC4 C2xC4 C2xC2xC4 C2xC4 "
+                "C2xC2xC4 C2xC4 C2xC4 C2xC4 C2xC4 C2xC4 C4xC4 C2xC4 C4xC4 "
+                "C2xC4 C2xC4 C2xC4 C2xC4 C2xC4 C4xC4 C2xC4 C4xC4 C2xC4 C2xC4 "
+                "C2xC4 C2xC4 C2xC4",
+    "C2xC16": "C2xC4 C2xC8 C2xC4 C16 C8 C16 C8",
+    "C4xC8": "C2xC4 C4xC4 C2xC4 C8 C8 C8 C8 C2xC8 C2xC4 C2xC8 C2xC4 C8 C8 C8 C8",
+    "D16": "D8",
+}
+
+
+def test_isomorphism_verdicts_match_the_known_partition():
+    catalog = builtin_catalog(32)
+    groups = [(g, g.name) for g in catalog if g.order <= 16]
+    labels = {name: iter(names.split()) for name, names in QUOTIENT_CLASSES.items()}
+    groups += [(quotient_by_central_cyclic(l, z)[0], next(labels[l.name]))
+               for l, z, _ in reached_quotients(catalog)]
+    assert all(next(it, None) is None for it in labels.values())
+    pairs = 0
+    for i, (g1, class1) in enumerate(groups):
+        for g2, class2 in groups[i + 1:]:
+            if g1.order == g2.order:
+                assert are_isomorphic(g1, g2) == (class1 == class2), (g1.name, g2.name)
+                pairs += 1
+    assert pairs == 5315

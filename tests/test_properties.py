@@ -1,0 +1,46 @@
+"""Invariances the paper implies: a gate's cost and route depend on its
+nonlocal content only, not on local unitaries around it or a global phase."""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nlgc.expansion import compile_unitary
+from nlgc.schmidt import BipartiteUnitary
+
+OMEGA = np.exp(2j * np.pi / 3)
+GATES = {
+    "cnot": (np.eye(4, dtype=complex)[[0, 1, 3, 2]], 2, 2),
+    "swap": (np.eye(4, dtype=complex)[[0, 2, 1, 3]], 2, 2),
+    "qutrit-cp": (np.diag([OMEGA ** (i * j) for i in range(3) for j in range(3)]), 3, 3),
+}
+FEW = settings(max_examples=5, deadline=None, derandomize=True, database=None)
+
+
+def haar(dim, rng):
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(x)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def cost_and_route(matrix, da, db):
+    exp = compile_unitary(BipartiteUnitary(matrix, da, db))
+    return exp.cost_ebits, exp.route
+
+
+@pytest.mark.parametrize("name", GATES)
+@FEW
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_local_dressing_keeps_cost_and_route(name, seed):
+    g, da, db = GATES[name]
+    rng = np.random.default_rng(seed)
+    a, b, c, d = (haar(n, rng) for n in (da, db, da, db))
+    dressed = np.kron(a, b) @ g @ np.kron(c, d)
+    assert cost_and_route(dressed, da, db) == cost_and_route(g, da, db)
+
+
+@pytest.mark.parametrize("name", GATES)
+@FEW
+@given(angle=st.floats(0, 2 * np.pi))
+def test_global_phase_keeps_cost_and_route(name, angle):
+    g, da, db = GATES[name]
+    assert cost_and_route(np.exp(1j * angle) * g, da, db) == cost_and_route(g, da, db)
