@@ -21,7 +21,7 @@ from .representations import (Representation, irrep_dimensions, irreps_of,
 from .schmidt import BipartiteUnitary, SchmidtDecomposition, schmidt_decompose
 from .sbd import (BlockStructure, classify_equivalence, finest_sbd, gram_set,
                   merge_blocks)
-from .search import CatalogIndex, SearchCandidate, builtin_index, search_group
+from .search import CatalogIndex, SearchCandidate, search_group
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,7 @@ __all__ = [
     "GroupExpansion", "InconsistencyError", "NondeterminismError",
     "ProtocolTrace", "Representation", "SchmidtDecomposition",
     "SearchCandidate", "SingularInputError", "ValidationError", "build_M",
-    "build_report", "builtin_catalog", "builtin_index", "canonical_json",
+    "build_report", "builtin_catalog", "canonical_json",
     "classify", "classify_equivalence", "compile_unitary", "construct_V",
     "expansion_from_report", "finest_sbd", "fourier_basis", "gram_set",
     "irrep_dimensions", "irreps_of", "load_group_file", "matrix_payload",

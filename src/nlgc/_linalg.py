@@ -20,14 +20,14 @@ def unitarity_deviation(m: np.ndarray) -> float:
     return float(np.linalg.norm(dagger(m) @ m - np.eye(d)))
 
 
-def null_space(a: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
+def null_space(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the right null space of a."""
     if a.size == 0:
         return np.eye(a.shape[1], dtype=complex)
     # tall systems only need the economy factorization; wide ones need the
     # full row basis to expose every null direction
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    cutoff = rtol * max(1.0, s[0] if s.size else 0.0)
+    cutoff = 1e-9 * max(1.0, s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     return dagger(vh[rank:, :])
 
@@ -38,13 +38,12 @@ def polar_unitary(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def gram_schmidt(columns: np.ndarray, expected_rank: int | None = None,
-                 drop_tol: float = 1e-10) -> np.ndarray:
+def gram_schmidt(columns: np.ndarray, expected_rank: int) -> np.ndarray:
     """Orthonormalize columns left to right, dropping dependent ones.
 
     Processing order is fixed by the input column order so the result is
-    deterministic. Raises SingularInputError when expected_rank is given and
-    the span has a different dimension.
+    deterministic. Raises SingularInputError when the span does not have
+    dimension expected_rank.
     """
     scale = max(np.max(np.abs(columns)) if columns.size else 0.0, 1.0)
     basis: list[np.ndarray] = []
@@ -56,13 +55,11 @@ def gram_schmidt(columns: np.ndarray, expected_rank: int | None = None,
         for b in basis:
             v -= b * (b.conj() @ v)
         norm = np.linalg.norm(v)
-        if norm > drop_tol * scale:
+        if norm > 1e-10 * scale:
             basis.append(v / norm)
-    if expected_rank is not None and len(basis) != expected_rank:
+    if len(basis) != expected_rank:
         raise SingularInputError(
             f"column group spans dimension {len(basis)}, expected {expected_rank}")
-    if not basis:
-        return np.zeros((columns.shape[0], 0), dtype=complex)
     return np.column_stack(basis)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -72,16 +73,33 @@ def _catalog(max_order: int):
     return builtin_catalog(max_order, extra=extra or None)
 
 
+def _checked(convert, ok, need: str):
+    """argparse type rejecting values that fail ok: they exit 2 like any parse error."""
+    def parse(text: str):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {need}")
+    return parse
+
+
+_tol_type = _checked(float, lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
+_seed_type = _checked(int, lambda x: x >= 0, "an integer >= 0")
+_positive_type = _checked(int, lambda x: x >= 1, "an integer >= 1")
+
+
 def _compile_args(parser: argparse.ArgumentParser):
     parser.add_argument("--dims", nargs=2, type=int, metavar=("DA", "DB"),
                         help="tensor factor dimensions, overriding the file")
     parser.add_argument("--side", choices=["A", "B", "both"], default="both",
                         help="which side carries the group representation")
-    parser.add_argument("--tol", type=float, default=1e-9,
+    parser.add_argument("--tol", type=_tol_type, default=1e-9,
                         help="numerical tolerance (block tolerance is "
                              "min(10x this, 1e-8))")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-order", type=int, default=32,
+    parser.add_argument("--seed", type=_seed_type, default=0)
+    parser.add_argument("--max-order", type=_positive_type, default=32,
                         help="largest group order the search will consider")
     parser.add_argument("--projective", action=argparse.BooleanOptionalAction,
                         default=True,
@@ -90,7 +108,6 @@ def _compile_args(parser: argparse.ArgumentParser):
 
 def _compile_from_args(args, bu: BipartiteUnitary):
     return compile_unitary(bu, side=args.side, tol=args.tol, seed=args.seed,
-                           max_order=args.max_order,
                            allow_projective=args.projective,
                            catalog=_catalog(args.max_order))
 
@@ -244,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="report JSON or matrix JSON")
     _compile_args(p)
     p.add_argument("--state", help="JSON state file to simulate on")
-    p.add_argument("--random", type=int, default=1, metavar="N",
+    p.add_argument("--random", type=_positive_type, default=1, metavar="N",
                    help="number of random input states (default 1)")
     p.add_argument("--out", help="also write branch data as JSON here")
     p.set_defaults(func=cmd_simulate)
@@ -257,16 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-check a report from its own data")
     p.add_argument("report")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tol_type, default=1e-9)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("groups", help="inspect or extend the group catalog")
     gsub = p.add_subparsers(dest="group_action", required=True)
     gl = gsub.add_parser("list", help="list catalog groups")
-    gl.add_argument("--max-order", type=int, default=32)
+    gl.add_argument("--max-order", type=_positive_type, default=32)
     gs = gsub.add_parser("show", help="print one group in full")
     gs.add_argument("name")
-    gs.add_argument("--max-order", type=int, default=32)
+    gs.add_argument("--max-order", type=_positive_type, default=32)
     gload = gsub.add_parser("load", help="validate and register a group file")
     gload.add_argument("file")
     p.set_defaults(func=cmd_groups)

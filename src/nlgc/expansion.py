@@ -13,20 +13,21 @@ shift-and-phase expansion when the search space is exhausted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._linalg import dagger, frobenius, gram_schmidt, polar_unitary
 from .errors import (AssignmentError, InconsistencyError, SingularInputError,
                      ValidationError)
-from .groups import FactorSystem, FiniteGroup
+from .groups import FactorSystem, FiniteGroup, builtin_catalog
 from .protocol import build_M, check_M_unitary
 from .representations import Representation, pauli_projective_rep
-from .sbd import (BLOCK_TOL, BlockStructure, EquivalenceClass,
-                  classify_equivalence, finest_sbd, gram_set)
+from .sbd import (BLOCK_TOL, BlockStructure, classify_equivalence, finest_sbd,
+                  gram_set)
 from .schmidt import BipartiteUnitary, SchmidtDecomposition, schmidt_decompose
-from .search import CatalogIndex, builtin_index, search_group
+from .search import (CatalogIndex, _merge_warnings, search_group,
+                     trivial_structure)
 
 NUM_TOL = 1e-9
 
@@ -49,12 +50,13 @@ class GroupExpansion:
     w_coeffs: np.ndarray           # (schmidt rank, |G|)
     w_ops: np.ndarray              # (|G|, dB, dB)
     side: str                      # "A" | "B": which factor carries V U(f)
-    cost_ebits: float
-    baseline_ebits: float
-    residual: float
-    m_unitary: bool
-    m_deviation: float
     route: str                     # "ordinary" | "projective" | "fallback"
+    # the expansion's claims about itself, as expansion_claims computes them
+    cost_ebits: float = 0.0
+    baseline_ebits: float = 0.0
+    residual: float = 0.0
+    m_unitary: bool = True
+    m_deviation: float = 0.0
     classification: str = GENERAL
     details: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
@@ -247,61 +249,61 @@ def classify(exp: GroupExpansion, tol: float = NUM_TOL) -> tuple[str, dict]:
     return GENERAL, {}
 
 
-def synthesize_group_gate(group: FiniteGroup, factor: FactorSystem | None = None,
-                          d_b: int | None = None, seed: int = 0) -> BipartiteUnitary:
+def synthesize_group_gate(group: FiniteGroup, seed: int = 0) -> BipartiteUnitary:
     """Random bipartite unitary that the given group implements exactly.
 
-    Draws random W0(f), forms sum_f R(f) (x) W0(f) over the translation
-    representation, and unitarizes by the polar factor, which stays inside
-    the translation algebra; the W blocks of the result are read back off
-    the identity block row and re-verified.
+    Draws random W0(f) on d_B = max(2, ceil(sqrt|G|)) dimensions, forms
+    sum_f R(f) (x) W0(f) over the regular representation, and unitarizes by
+    the polar factor, which stays inside the translation algebra; the W
+    blocks are read back off the identity block row and re-verified.
     """
     n = group.order
-    if d_b is None:
-        d_b = max(2, math.isqrt(n - 1) + 1)
+    d_b = max(2, math.isqrt(n - 1) + 1)
     rng = np.random.default_rng(seed)
     w0 = rng.normal(size=(n, d_b, d_b)) + 1j * rng.normal(size=(n, d_b, d_b))
-    m = polar_unitary(build_M(group, factor, w0))
+    m = polar_unitary(build_M(group, None, w0))
     e = group.identity
     w = np.array([m[e * d_b:(e + 1) * d_b, f * d_b:(f + 1) * d_b] for f in range(n)])
-    if frobenius(build_M(group, factor, w) - m) > 1e-9 * n * d_b:
+    if frobenius(build_M(group, None, w) - m) > 1e-9 * n * d_b:
         raise InconsistencyError(
             "polar factor left the translation algebra; the random draw was "
             "too close to singular")
     return BipartiteUnitary(m, n, d_b)
 
 
-def _merge_warnings(into: list[str], new) -> None:
-    for w in new:
-        if w not in into:
-            into.append(w)
+def expansion_claims(exp: GroupExpansion, tol: float) -> dict:
+    """What an expansion claims about itself, computed from its own data.
+
+    Keys name the GroupExpansion fields: the cost log2|G|, the teleportation
+    baseline 2 log2 min(dA, dB), the residual, the unitarity of M and its
+    deviation, and the class with its witness data. Compiling stores them;
+    verify_report compares a report's stored values against them.
+    """
+    m_unitary, m_deviation = check_M_unitary(build_M(exp.group, exp.factor, exp.w_ops))
+    classification, details = classify(exp, tol=tol)
+    return dict(
+        cost_ebits=float(np.log2(exp.group.order)),
+        baseline_ebits=float(2 * np.log2(min(exp.unitary.dim_a, exp.unitary.dim_b))),
+        residual=float(frobenius(exp.unitary.matrix - exp.reconstruct())),
+        m_unitary=m_unitary, m_deviation=m_deviation,
+        classification=classification, details=details)
 
 
 def _finish(bu: BipartiteUnitary, dec: SchmidtDecomposition, bs: BlockStructure,
             group: FiniteGroup, factor: FactorSystem, v: np.ndarray,
             u_rep: Representation, w_coeffs: np.ndarray, w_ops: np.ndarray,
             side: str, route: str, warnings, tol: float) -> GroupExpansion:
-    """Price, check and classify an assembled expansion.
-
-    The cost is log2|G|; the residual, the unitarity of M and the class are
-    computed from the expansion itself.
-    """
+    """An assembled expansion with its claims filled in."""
     exp = GroupExpansion(
         unitary=bu, schmidt=dec, structure=bs, group=group, factor=factor,
         v=v, u_rep=u_rep, w_coeffs=w_coeffs, w_ops=w_ops, side=side,
-        cost_ebits=float(np.log2(group.order)),
-        baseline_ebits=float(2 * np.log2(min(bu.dim_a, bu.dim_b))),
-        residual=0.0, m_unitary=True, m_deviation=0.0,
         route=route, warnings=list(warnings))
-    exp.residual = float(frobenius(bu.matrix - exp.reconstruct()))
-    m = build_M(group, factor, w_ops)
-    exp.m_unitary, exp.m_deviation = check_M_unitary(m)
+    exp = replace(exp, **expansion_claims(exp, tol))
     if not exp.m_unitary:
-        _merge_warnings(exp.warnings, [
+        exp.warnings.append(
             "M is not unitary (deviation %.3e): the expansion uses linearly "
             "dependent operators and the branch protocol is not certified"
-            % exp.m_deviation])
-    exp.classification, exp.details = classify(exp, tol=tol)
+            % exp.m_deviation)
     return exp
 
 
@@ -330,15 +332,13 @@ def _compile_side(bu: BipartiteUnitary, dec: SchmidtDecomposition,
             exp = _finish(bu, dec, merged, cand.group, cand.factor, v, u_rep,
                           w_coeffs, w_ops, side, cand.route, warnings, tol)
         except (SingularInputError, InconsistencyError, AssignmentError) as exc:
-            _merge_warnings(warnings, [
-                "order-%d candidate %s rejected: %s"
-                % (cand.group.order, cand.group.name, exc)])
+            _merge_warnings(warnings, "order-%d candidate %s rejected: %s"
+                            % (cand.group.order, cand.group.name, exc))
             continue
         if exp.residual <= max(block_tol, 1e-8):
             return exp, warnings
-        _merge_warnings(warnings, [
-            "order-%d candidate %s left residual %.3e"
-            % (cand.group.order, cand.group.name, exp.residual)])
+        _merge_warnings(warnings, "order-%d candidate %s left residual %.3e"
+                        % (cand.group.order, cand.group.name, exp.residual))
     return None, warnings
 
 
@@ -351,22 +351,21 @@ def _fallback_expansion(bu: BipartiteUnitary, dec: SchmidtDecomposition,
     """
     d = bu.dim_a
     group, factor, rep = pauli_projective_rep(d)
-    bs = BlockStructure(np.eye(d, dtype=complex), [d],
-                        [EquivalenceClass([0], {0: np.eye(d, dtype=complex)})])
+    bs = trivial_structure([d])
     w_coeffs = np.einsum("fxy,jxy->jf", np.conj(rep.matrices),
                          np.asarray(dec.a_ops, dtype=complex)) / d
     w_ops = np.einsum("jf,jab->fab", w_coeffs,
                       np.asarray(dec.b_ops, dtype=complex))
     exp = _finish(bu, dec, bs, group, factor, np.eye(d, dtype=complex), rep,
                   w_coeffs, w_ops, side, "fallback", warnings, tol)
-    _merge_warnings(exp.warnings, [
+    exp.warnings.append(
         "no admissible group found within the search bound; fell back to the "
-        "generalized shift-and-phase expansion at the teleportation cost"])
+        "generalized shift-and-phase expansion at the teleportation cost")
     return exp
 
 
 def compile_unitary(u: BipartiteUnitary, side: str = "both",
-                    tol: float = NUM_TOL, seed: int = 0, max_order: int = 32,
+                    tol: float = NUM_TOL, seed: int = 0,
                     allow_projective: bool = True, catalog=None) -> GroupExpansion:
     """Find the cheapest verified group expansion of a bipartite unitary.
 
@@ -379,13 +378,13 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
     on a valid unitary. The finest block structures of both orientations,
     computed at block tolerance min(10*tol, BLOCK_TOL), are summarized in
     the result's blocks. Each call builds one catalog index, of catalog or
-    else of builtin_catalog(max_order), shared by both sides, so no call
-    depends on an earlier one.
+    else of builtin_catalog(), shared by both sides, so no call depends on
+    an earlier one.
     """
     if side not in ("A", "B", "both"):
         raise ValidationError("side must be A, B, or both")
     block_tol = min(10 * tol, BLOCK_TOL)
-    index = builtin_index(max_order, seed) if catalog is None else CatalogIndex(catalog, seed)
+    index = CatalogIndex(builtin_catalog() if catalog is None else catalog, seed)
     oriented = {"A": u, "B": u.swapped()}
     finest = {label: _finest_structure(bu, block_tol, seed)
               for label, bu in oriented.items()}
@@ -395,7 +394,7 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
         dec, bs = finest[label]
         exp, warns = _compile_side(oriented[label], dec, bs, label, tol,
                                    block_tol, index, allow_projective)
-        _merge_warnings(pending, warns)
+        _merge_warnings(pending, *warns)
         if exp is not None:
             results.append(exp)
     if results:

@@ -13,14 +13,15 @@ from .errors import DimensionError, ValidationError
 PHASE_TOL = 1e-9
 
 
-@dataclass
+@dataclass(eq=False)
 class FiniteGroup:
     """Group given by its full multiplication table.
 
     table[f, g] is the element index of f*g. Construction verifies closure,
     identity, inverses and associativity on a private copy of the table and
     then makes it read-only, so the invariants computed on first use and
-    kept on the instance cannot go stale.
+    kept on the instance cannot go stale. Equality and hashing are by
+    identity: isomorphism is are_isomorphic.
     """
 
     name: str
@@ -185,47 +186,43 @@ class FactorSystem:
     def is_trivial(self) -> bool:
         return bool(np.allclose(self.phases, 1.0, atol=PHASE_TOL))
 
-    def validate(self, group: FiniteGroup, tol: float = PHASE_TOL, strict: bool = True):
-        """Check modulus, cocycle identity and normalization conventions.
-
-        strict additionally requires mu(f, f^-1) = 1, the convention the rest
-        of the pipeline relies on (it makes U(f^-1) = U(f)† exactly).
-        """
+    def validate(self, group: FiniteGroup):
+        """Check unit modulus, the cocycle identity, and mu = 1 on the identity
+        and on inverse pairs: mu(f, f^-1) = 1 makes U(f^-1) = U(f)† exactly."""
         mu, t = self.phases, group.table
         n = group.order
         if mu.shape != (n, n):
             raise DimensionError("factor system size does not match the group")
-        if not np.max(np.abs(np.abs(mu) - 1.0)) <= tol:
+        if not np.max(np.abs(np.abs(mu) - 1.0)) <= PHASE_TOL:
             raise ValidationError("factor system phases must have unit modulus")
         lhs = mu[:, :, None] * mu[t, :]
         rhs = mu[:, t] * mu[None, :, :]
-        if not np.max(np.abs(lhs - rhs)) <= tol:
+        if not np.max(np.abs(lhs - rhs)) <= PHASE_TOL:
             raise ValidationError("cocycle identity fails")
         e = group.identity
-        if not np.max(np.abs(np.concatenate((mu[e, :], mu[:, e])) - 1.0)) <= tol:
+        if not np.max(np.abs(np.concatenate((mu[e, :], mu[:, e])) - 1.0)) <= PHASE_TOL:
             raise ValidationError("factor system must be 1 on the identity")
-        if strict:
-            pairs = mu[np.arange(n), group.inverses]
-            if not np.max(np.abs(pairs - 1.0)) <= tol:
-                raise ValidationError("factor system must be 1 on inverse pairs")
+        pairs = mu[np.arange(n), group.inverses]
+        if not np.max(np.abs(pairs - 1.0)) <= PHASE_TOL:
+            raise ValidationError("factor system must be 1 on inverse pairs")
 
-    def exponents(self, r: int | None = None, tol: float = 1e-6) -> np.ndarray:
-        """Integer table n(f, g) with mu = omega_r ** n."""
-        r = r or self.root_order
+    def exponents(self) -> np.ndarray:
+        """Integer table n(f, g) with mu = omega_r ** n, r the root order."""
+        r = self.root_order
         if not r:
             raise ValidationError("factor system has no root order")
         ang = np.angle(self.phases) * r / (2 * np.pi)
         n = np.mod(np.rint(ang).astype(int), r)
-        if np.max(np.abs(np.exp(2j * np.pi * n / r) - self.phases)) > tol:
+        if np.max(np.abs(np.exp(2j * np.pi * n / r) - self.phases)) > 1e-6:
             raise ValidationError(f"phases are not all powers of omega_{r}")
         return n
 
 
-def detect_root_order(phases: np.ndarray, max_r: int = 256, tol: float = 1e-8) -> int:
-    """Smallest r with all phases in the r-th roots of unity, or 0."""
-    for r in range(1, max_r + 1):
+def detect_root_order(phases: np.ndarray) -> int:
+    """Smallest r <= 256 with every phase within 1e-8 of an r-th root of unity, or 0."""
+    for r in range(1, 257):
         n = np.mod(np.rint(np.angle(phases) * r / (2 * np.pi)).astype(int), r)
-        if np.max(np.abs(np.exp(2j * np.pi * n / r) - phases)) <= tol:
+        if np.max(np.abs(np.exp(2j * np.pi * n / r) - phases)) <= 1e-8:
             return r
     return 0
 
@@ -408,8 +405,7 @@ def pauli_sixteen():
     """Order 16 extension generated by the qubit shift/clock pair with phases."""
     from .representations import pauli_projective_rep
     group, factor, _ = pauli_projective_rep(2)
-    n_table = factor.exponents(4)
-    return central_extension(group, n_table, 4, name="Pauli16")
+    return central_extension(group, factor.exponents(), factor.root_order, name="Pauli16")
 
 
 def builtin_catalog(max_order: int = 32, extra=None) -> list[FiniteGroup]:

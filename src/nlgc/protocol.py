@@ -31,8 +31,6 @@ class ProtocolTrace:
     branch_outcomes: list[tuple[int, int]]
     branch_probabilities: np.ndarray
     branch_fidelities: np.ndarray
-    m_matrix: np.ndarray
-    f_matrix: np.ndarray
     deterministic: bool
     min_fidelity: float
     ebits: float
@@ -69,15 +67,15 @@ def build_M(group: FiniteGroup, factor: FactorSystem | None, w_ops: np.ndarray) 
         for f in range(n):
             k = group.table[group.inverses[g], f]
             block = m[g * d:(g + 1) * d, f * d:(f + 1) * d]
-            if frobenius(block - mu[g, k] * w_ops[k]) > 1e-10 * max(1.0, frobenius(w_ops[k])):
+            if not frobenius(block - mu[g, k] * w_ops[k]) <= 1e-10 * max(1.0, frobenius(w_ops[k])):
                 raise ValidationError("translation blocks of M are inconsistent")
     return m
 
 
-def check_M_unitary(m: np.ndarray, tol: float = M_UNITARY_TOL) -> tuple[bool, float]:
-    """Frobenius deviation of M†M from the identity, with pass/fail at tol."""
+def check_M_unitary(m: np.ndarray) -> tuple[bool, float]:
+    """Frobenius deviation of M†M from the identity, with pass/fail at M_UNITARY_TOL."""
     dev = unitarity_deviation(m)
-    return bool(dev <= tol), dev
+    return bool(dev <= M_UNITARY_TOL), dev
 
 
 def fourier_basis(n: int) -> np.ndarray:
@@ -86,15 +84,15 @@ def fourier_basis(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
-def validate_unbiased(f_matrix: np.ndarray, tol: float = UNBIASED_TOL) -> None:
+def validate_unbiased(f_matrix: np.ndarray) -> None:
     """Measurement bases must be unbiased relative to the standard basis."""
     f_matrix = np.asarray(f_matrix, dtype=complex)
     n = f_matrix.shape[0]
     if f_matrix.shape != (n, n):
         raise ValidationError("measurement basis matrix must be square")
-    if frobenius(f_matrix @ dagger(f_matrix) - np.eye(n)) > 1e-9:
+    if not frobenius(f_matrix @ dagger(f_matrix) - np.eye(n)) <= 1e-9:
         raise ValidationError("measurement basis matrix is not unitary")
-    if np.max(np.abs(np.abs(f_matrix) - n ** -0.5)) > tol:
+    if not np.max(np.abs(np.abs(f_matrix) - n ** -0.5)) <= UNBIASED_TOL:
         raise ValidationError(
             "measurement basis is biased: entry magnitudes must all equal "
             "1/sqrt(%d)" % n)
@@ -130,16 +128,12 @@ def simulate_protocol(expansion, psi: np.ndarray, f_matrix: np.ndarray | None = 
     n = group.order
     d_a, d_b = expansion.unitary.dim_a, expansion.unitary.dim_b
     psi = np.asarray(psi, dtype=complex).reshape(d_a * d_b)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:      # fails closed on NaN
         raise ValidationError("input state is not normalized")
     psi0 = psi.reshape(d_a, d_b)
     target = (expansion.unitary.matrix @ psi).reshape(d_a * d_b)
 
-    if f_matrix is None:
-        f_matrix = fourier_basis(n)
-    validate_unbiased(f_matrix)
-
+    f_matrix = fourier_basis(n) if f_matrix is None else np.asarray(f_matrix)
     m = build_M(group, expansion.factor, expansion.w_ops)
     m_ok, m_dev = check_M_unitary(m)
     warnings = [] if m_ok else [
@@ -154,10 +148,10 @@ def simulate_protocol(expansion, psi: np.ndarray, f_matrix: np.ndarray | None = 
     probs = np.zeros(n * n)
     fids = np.zeros(n * n)
     for h in range(n):
-        # unnormalized post-measurement state on b (x) A (x) B; squared norms
-        # of its pieces are joint outcome probabilities
+        z = np.diag(measurement_phase_correction(h, f_matrix))
+        # unnormalized post-measurement state on b (x) A (x) B, phases undone
+        # by Z(h); squared norms of its pieces are joint outcome probabilities
         amp = np.conj(f_matrix[h])[:, None, None] * controlled / np.sqrt(n)
-        z = 1.0 / (np.sqrt(n) * np.conj(f_matrix[h]))
         amp = z[:, None, None] * amp
         # M acts on the joint (b, B) index
         stacked = amp.transpose(0, 2, 1).reshape(n * d_b, d_a)
@@ -184,8 +178,6 @@ def simulate_protocol(expansion, psi: np.ndarray, f_matrix: np.ndarray | None = 
         branch_outcomes=outcomes,
         branch_probabilities=probs,
         branch_fidelities=fids,
-        m_matrix=m,
-        f_matrix=np.asarray(f_matrix, dtype=complex),
         deterministic=deterministic,
         min_fidelity=min_fid,
         ebits=float(np.log2(n)),

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._linalg import frobenius, unitarity_deviation
 from .errors import ValidationError
-from .expansion import GroupExpansion, classify
+from .expansion import GroupExpansion, expansion_claims
 from .groups import FactorSystem, FiniteGroup
 from .representations import Representation
 from .sbd import BlockStructure, EquivalenceClass
@@ -265,7 +265,7 @@ def expansion_from_report(report: dict) -> GroupExpansion:
     _check_shape("wOps", w_ops, (n, d_b, d_b))
     _check_shape("structure basisChange", structure.basis_change, (d_a, d_a))
     if grp["projective"]:
-        factor.validate(group, strict=True)
+        factor.validate(group)
     u_rep = Representation(group, factor, u_mats)
     u_rep.validate()
     return GroupExpansion(unitary=bu, schmidt=schmidt_decompose(bu),
@@ -292,14 +292,13 @@ def _blocks_consistent(blocks: dict, dims: dict) -> bool:
 def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     """Re-check a report's claims from its own embedded data.
 
-    Rebuilds the expansion, recomputes the residual, the M unitarity status,
-    the cost accounting, and the classification label, and compares each
-    against the stored values. V must be unitary, the fallback flag must
-    match the route, and the block summaries must be consistent with the
-    input dimensions; the blocks themselves are not recomputed.
+    Rebuilds the expansion, recomputes its claims with expansion_claims (the
+    residual, the M unitarity status, the cost accounting and the
+    classification label), and compares each against the stored values. V
+    must be unitary, the fallback flag must match the route, and the block
+    summaries must be consistent with the input dimensions; the blocks
+    themselves are not recomputed.
     """
-    from .protocol import build_M, check_M_unitary
-
     checks: dict[str, bool] = {}
     exp = expansion_from_report(report)
     with _report_fields():
@@ -317,21 +316,13 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
                                  and abs(frobenius(u) - stored_norm) <= 1e-6)
     checks["vUnitary"] = bool(unitarity_deviation(exp.v) <= 1e-8)
 
-    residual = float(frobenius(u - exp.reconstruct()))
-    checks["residual"] = bool(residual <= max(1e-8, exp.residual + 1e-9))
-
-    m = build_M(exp.group, exp.factor, exp.w_ops)
-    ok, m_dev = check_M_unitary(m)
-    checks["mStatus"] = bool(ok == exp.m_unitary and abs(m_dev - exp.m_deviation) <= 1e-6)
-
-    n = exp.group.order
-    checks["costs"] = bool(
-        abs(exp.cost_ebits - np.log2(n)) <= 1e-9
-        and abs(exp.baseline_ebits
-                - 2 * np.log2(min(exp.unitary.dim_a, exp.unitary.dim_b))) <= 1e-9)
-
-    label, _ = classify(exp, tol=tol)
-    checks["classification"] = bool(label == exp.classification)
+    claims = expansion_claims(exp, tol)
+    checks["residual"] = bool(claims["residual"] <= max(1e-8, exp.residual + 1e-9))
+    checks["mStatus"] = bool(claims["m_unitary"] == exp.m_unitary
+                             and abs(claims["m_deviation"] - exp.m_deviation) <= 1e-6)
+    checks["costs"] = bool(abs(claims["cost_ebits"] - exp.cost_ebits) <= 1e-9
+                           and abs(claims["baseline_ebits"] - exp.baseline_ebits) <= 1e-9)
+    checks["classification"] = claims["classification"] == exp.classification
 
     checks["schmidtRank"] = bool(len(exp.schmidt) == stored_rank)
     return all(checks.values()), checks

@@ -16,7 +16,7 @@ from .groups import (FactorSystem, FiniteGroup, detect_root_order,
                      quotient_by_central_cyclic)
 from .sbd import classify_equivalence, finest_sbd
 
-NUM_TOL = 1e-9
+REP_TOL = 1e-8      # block tolerance of the irrep split, unit modulus of read-off phases
 
 
 @dataclass
@@ -52,14 +52,10 @@ class Representation:
             raise ValidationError("representation matrices must be unitary")
 
 
-def trivial_factor(group: FiniteGroup) -> FactorSystem:
-    return FactorSystem.trivial(group.order)
-
-
 def regular_representation(group: FiniteGroup, factor: FactorSystem | None = None) -> Representation:
     """Permutation-with-phases representation R(f)[g, gf] = mu(g, f)."""
     n = group.order
-    factor = factor or trivial_factor(group)
+    factor = factor or FactorSystem.trivial(n)
     mu = factor.phases
     mats = np.zeros((n, n, n), dtype=complex)
     rows = np.arange(n)
@@ -76,7 +72,7 @@ def left_translation_ops(group: FiniteGroup, factor: FactorSystem | None = None)
     dimension), so downstream splitting can skip the null space solve.
     """
     n = group.order
-    factor = factor or trivial_factor(group)
+    factor = factor or FactorSystem.trivial(n)
     mu = factor.phases
     out = []
     cols = np.arange(n)
@@ -88,7 +84,7 @@ def left_translation_ops(group: FiniteGroup, factor: FactorSystem | None = None)
 
 
 def irreps_of(group: FiniteGroup, factor: FactorSystem | None = None,
-              seed: int = 0, tol: float = 1e-8) -> list[Representation]:
+              seed: int = 0) -> list[Representation]:
     """All inequivalent irreps carrying the given factor system.
 
     Splits the twisted regular representation restricted to a generating
@@ -96,13 +92,13 @@ def irreps_of(group: FiniteGroup, factor: FactorSystem | None = None,
     class evaluated on every group element. The squared dimensions always
     sum to the group order.
     """
-    factor = factor or trivial_factor(group)
+    factor = factor or FactorSystem.trivial(group.order)
     reg = regular_representation(group, factor)
     gens = group.generating_set() or [group.identity]
     gen_mats = [reg.matrices[g] for g in gens]
-    bs = finest_sbd(gen_mats, tol=tol, seed=seed,
+    bs = finest_sbd(gen_mats, tol=REP_TOL, seed=seed,
                     commutant=left_translation_ops(group, factor))
-    bs = classify_equivalence(bs, gen_mats, tol=tol)
+    bs = classify_equivalence(bs, gen_mats, tol=REP_TOL)
 
     slices = bs.block_slices()
     irreps = []
@@ -122,12 +118,11 @@ def irreps_of(group: FiniteGroup, factor: FactorSystem | None = None,
     return irreps
 
 
-def irrep_dimensions(group: FiniteGroup, factor: FactorSystem | None = None,
-                     seed: int = 0) -> list[int]:
+def irrep_dimensions(group: FiniteGroup, factor: FactorSystem | None = None) -> list[int]:
     """Dimensions of all irreps; abelian groups with trivial twist shortcut to ones."""
     if (factor is None or factor.is_trivial) and group.is_abelian:
         return [1] * group.order
-    return sorted(r.dim for r in irreps_of(group, factor, seed=seed))
+    return sorted(r.dim for r in irreps_of(group, factor))
 
 
 def orthogonality_defect(irreps: list[Representation]) -> float:
@@ -156,8 +151,7 @@ def orthogonality_defect(irreps: list[Representation]) -> float:
     return worst
 
 
-def factor_phases_of(matrices: np.ndarray, group: FiniteGroup,
-                     tol: float = 1e-8) -> np.ndarray:
+def factor_phases_of(matrices: np.ndarray, group: FiniteGroup) -> np.ndarray:
     """Read the factor system off a projective representation's products."""
     n = group.order
     d = matrices.shape[1]
@@ -166,13 +160,13 @@ def factor_phases_of(matrices: np.ndarray, group: FiniteGroup,
         prods = np.einsum("ij,gjk->gik", matrices[f], matrices)
         targets = matrices[group.table[f]]
         mu[f, :] = np.einsum("gji,gjk->g", targets.conj(), prods) / d
-    if np.max(np.abs(np.abs(mu) - 1.0)) > tol:
+    if not np.max(np.abs(np.abs(mu) - 1.0)) <= REP_TOL:     # fails closed on NaN
         raise ValidationError("matrix set is not projective up to phases")
     return mu
 
 
-def gauge_normalize(matrices_list: list[np.ndarray], group: FiniteGroup,
-                    tol: float = 1e-8) -> tuple[list[np.ndarray], FactorSystem]:
+def gauge_normalize(matrices_list: list[np.ndarray],
+                    group: FiniteGroup) -> tuple[list[np.ndarray], FactorSystem]:
     """Rescale a family of same-factor projective reps to the standard gauge.
 
     After rescaling, mu is 1 whenever either argument is the identity or the
@@ -183,12 +177,12 @@ def gauge_normalize(matrices_list: list[np.ndarray], group: FiniteGroup,
     e = group.identity
     d0 = matrices_list[0].shape[1]
     alpha = np.trace(matrices_list[0][e]) / d0
-    if abs(alpha - 1.0) > tol:
+    if not abs(alpha - 1.0) <= REP_TOL:
         # U(e) is only a phase times the identity; absorb that phase first
         matrices_list = [m.copy() for m in matrices_list]
         for m in matrices_list:
             m[e] = m[e] / alpha
-    mu = factor_phases_of(matrices_list[0], group, tol=tol)
+    mu = factor_phases_of(matrices_list[0], group)
     c = np.ones(n, dtype=complex)
     for f in range(n):
         g = group.inv(f)
@@ -200,12 +194,12 @@ def gauge_normalize(matrices_list: list[np.ndarray], group: FiniteGroup,
             c[f] = 1.0
             c[g] = 1.0 / mu[f, g]
     new_list = [mats * c[:, None, None] for mats in matrices_list]
-    new_mu = factor_phases_of(new_list[0], group, tol=tol)
+    new_mu = factor_phases_of(new_list[0], group)
     fs = FactorSystem(new_mu, root_order=detect_root_order(new_mu))
-    fs.validate(group, strict=True)
+    fs.validate(group)
     for mats in new_list[1:]:
-        check = factor_phases_of(mats, group, tol=tol)
-        if np.max(np.abs(check - new_mu)) > 1e-6:
+        check = factor_phases_of(mats, group)
+        if not np.max(np.abs(check - new_mu)) <= 1e-6:
             raise InconsistencyError("representations do not share one factor system")
     return new_list, fs
 

@@ -74,7 +74,7 @@ def gram_set(dec) -> list[np.ndarray]:
     return [dagger(aj) @ ak for aj in dec.a_ops for ak in dec.a_ops]
 
 
-def commutant_basis(mats, rtol: float = 1e-9) -> list[np.ndarray]:
+def commutant_basis(mats) -> list[np.ndarray]:
     """Basis of all X commuting with every matrix in the set and its adjoints.
 
     Solves the stacked linear conditions X M - M X = 0 by a null space
@@ -84,7 +84,7 @@ def commutant_basis(mats, rtol: float = 1e-9) -> list[np.ndarray]:
     eye = np.eye(d)
     family = list(mats) + [dagger(m) for m in mats]
     rows = [np.kron(m, eye) - np.kron(eye, m.T) for m in family]
-    basis = null_space(np.vstack(rows), rtol=rtol)
+    basis = null_space(np.vstack(rows))
     return [basis[:, j].reshape(d, d) for j in range(basis.shape[1])]
 
 
@@ -152,7 +152,7 @@ def _intertwiner(rep_blocks, mem_blocks, tol):
     eye = np.eye(n)
     rows = [np.kron(eye, rb.T) - np.kron(mb, eye)
             for rb, mb in zip(rep_blocks, mem_blocks)]
-    ns = null_space(np.vstack(rows), rtol=1e-9)
+    ns = null_space(np.vstack(rows))
     if ns.shape[1] == 0:
         return None
     t = ns[:, 0].reshape(n, n)

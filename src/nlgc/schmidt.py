@@ -87,17 +87,17 @@ def _lex_key(b: np.ndarray) -> tuple:
     return tuple(x for entry in flat for x in (round(entry.real, 9), round(entry.imag, 9)))
 
 
-def schmidt_decompose(u: BipartiteUnitary, tol: float = RANK_CUTOFF) -> SchmidtDecomposition:
+def schmidt_decompose(u: BipartiteUnitary) -> SchmidtDecomposition:
     """Operator Schmidt decomposition via realignment and SVD.
 
-    Singular values below tol * s_max are discarded. Ordering is by
+    Singular values below RANK_CUTOFF * s_max are discarded. Ordering is by
     descending coefficient; coefficient ties are broken by lexicographic
     comparison of the flattened B entries so output is deterministic.
     """
     da, db = u.dim_a, u.dim_b
     r = _realign(u.matrix, da, db)
     left, vals, right = np.linalg.svd(r, full_matrices=False)
-    keep = vals > tol * vals[0]
+    keep = vals > RANK_CUTOFF * vals[0]
     vals = vals[keep]
     left = left[:, keep]
     right = right[keep, :]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, are_isomorphic, builtin_catalog
+from .groups import FiniteGroup, are_isomorphic
 from .representations import (Representation, irreps_of,
                               projective_irreps_from_extension)
 from .sbd import BlockStructure, EquivalenceClass, merge_blocks
@@ -31,7 +31,6 @@ class SearchCandidate:
     irreps: list[Representation]
     assignment: list[int]
     structure: BlockStructure
-    plan: list[list[int]]
     route: str                       # "ordinary" | "projective"
 
     @property
@@ -95,14 +94,14 @@ def merge_plans(structure: BlockStructure) -> list[tuple[int, list[list[int]]]]:
         keyed.append((_plan_cost(structure, parts), -len(parts),
                       tuple(tuple(p) for p in parts), parts))
     keyed.sort(key=lambda t: t[:3])
-    out = []
-    seen = set()
-    for cost, _, key, parts in keyed:
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((cost, parts))
-    return out
+    return [(cost, parts) for cost, _, _, parts in keyed]
+
+
+def _merge_warnings(into: list[str], *messages: str) -> None:
+    """Append each message not already in into, keeping first-seen order."""
+    for msg in messages:
+        if msg not in into:
+            into.append(msg)
 
 
 def _assign(required: list[int], irreps: list[Representation]) -> list[int] | None:
@@ -162,11 +161,6 @@ class CatalogIndex:
         return self._projective[idx, z]
 
 
-def builtin_index(max_order: int = 32, seed: int = 0) -> CatalogIndex:
-    """A new index of builtin_catalog(max_order)."""
-    return CatalogIndex(builtin_catalog(max_order), seed)
-
-
 def search_group(structure: BlockStructure, d_a: int, index: CatalogIndex,
                  allow_projective: bool = True, warning_sink: list | None = None):
     """Yield SearchCandidate objects in ascending order of group order.
@@ -186,14 +180,9 @@ def search_group(structure: BlockStructure, d_a: int, index: CatalogIndex,
     n_start = plans[0][0]
     warnings: list[str] = warning_sink if warning_sink is not None else []
     seen_projective = set()
-
-    def warn(msg: str) -> None:
-        if msg not in warnings:
-            warnings.append(msg)
-
     for n in range(max(n_start, 1), d_a ** 2 + 1):
         if n not in by_order:
-            warn(f"catalog has no group of order {n}")
+            _merge_warnings(warnings, f"catalog has no group of order {n}")
         for n0, plan in plans:
             if n0 > n:
                 continue
@@ -209,8 +198,7 @@ def search_group(structure: BlockStructure, d_a: int, index: CatalogIndex,
                 irreps = index.irreps(idx)
                 assignment = _assign(required, irreps)
                 if assignment is not None:
-                    yield SearchCandidate(g, irreps, assignment, merged, plan,
-                                          "ordinary")
+                    yield SearchCandidate(g, irreps, assignment, merged, "ordinary")
 
             if not allow_projective or min(required) < 2:
                 continue
@@ -218,8 +206,8 @@ def search_group(structure: BlockStructure, d_a: int, index: CatalogIndex,
                 if n % r:
                     continue
                 if r * n not in by_order:
-                    warn(f"catalog has no group of order {r * n} "
-                         f"for central extensions over order {n}")
+                    _merge_warnings(warnings, f"catalog has no group of order {r * n} "
+                                    f"for central extensions over order {n}")
                     continue
                 for idx, l in by_order[r * n]:
                     for z in l.center():
@@ -235,4 +223,4 @@ def search_group(structure: BlockStructure, d_a: int, index: CatalogIndex,
                             continue
                         seen_projective.add(key)
                         yield SearchCandidate(quotient, irreps, assignment,
-                                              merged, plan, "projective")
+                                              merged, "projective")

@@ -137,6 +137,39 @@ def test_nan_gate_exits_two_with_one_error_line(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
+def test_nan_state_exits_two_with_one_error_line(cnot_file, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["compile", cnot_file, "--out", str(out)]) == 0
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"dim": 4, "vector": [[float("nan"), 0.0], 1.0, 0.0, 0.0]}))
+    capsys.readouterr()
+    assert main(["simulate", str(out), "--state", str(state)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+BAD_OPTIONS = {
+    "tol nan": ["compile", "--tol", "nan"],
+    "tol negative": ["compile", "--tol", "-1"],
+    "tol inf": ["compile", "--tol", "inf"],
+    "tol text": ["compile", "--tol", "tiny"],
+    "max-order zero": ["compile", "--max-order", "0"],
+    "max-order negative": ["compile", "--max-order", "-5"],
+    "seed negative": ["compile", "--seed", "-1"],
+    "random negative": ["simulate", "--random", "-3"],
+    "random zero": ["simulate", "--random", "0"],
+}
+
+
+@pytest.mark.parametrize("args", BAD_OPTIONS.values(), ids=BAD_OPTIONS.keys())
+def test_bad_option_values_exit_two_without_a_traceback(args, cnot_file, capsys):
+    command, *options = args
+    assert main([command, cnot_file, *options]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"nlgc {command}: error: argument"), err
+    assert "Traceback" not in err
+
+
 def _without(*path):
     def tamper(rep):
         target = rep

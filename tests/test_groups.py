@@ -57,6 +57,13 @@ def test_table_is_frozen_but_the_callers_array_is_not():
     assert g.table[0, 0] == 0 and g.conjugacy_classes() == [[0], [1], [2], [3]]
 
 
+def test_group_equality_is_identity_and_never_raises():
+    g, twin = cyclic(4), cyclic(4)
+    assert g == g and g != twin
+    assert g in [twin, g] and g not in [twin]
+    assert len({g, twin, g}) == 2
+
+
 def test_symmetric_three_structure():
     g = symmetric(3)
     assert g.order == 6

@@ -155,6 +155,28 @@ def test_unnormalized_states_are_rejected():
         simulate_protocol(exp, np.ones(4, dtype=complex))
 
 
+def test_nan_state_is_rejected():
+    exp = compile_unitary(BipartiteUnitary(CNOT, 2, 2))
+    psi = np.array([np.nan, 1, 0, 0], dtype=complex)
+    with pytest.raises(ValidationError, match="not normalized"):
+        simulate_protocol(exp, psi)
+
+
+def test_nan_measurement_basis_is_rejected():
+    f = fourier_basis(3)
+    f[1, 2] = np.nan
+    with pytest.raises(ValidationError):
+        validate_unbiased(f)
+
+
+def test_nan_w_operator_makes_M_inconsistent():
+    exp = compile_unitary(BipartiteUnitary(CNOT, 2, 2))
+    w = exp.w_ops.copy()
+    w[1, 0, 0] = np.nan
+    with pytest.raises(ValidationError, match="inconsistent"):
+        build_M(exp.group, exp.factor, w)
+
+
 def test_fallback_expansion_protocol_is_deterministic():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

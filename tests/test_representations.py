@@ -10,7 +10,7 @@ from nlgc.representations import (Representation, factor_phases_of,
                                   irreps_of, orthogonality_defect,
                                   pauli_projective_rep,
                                   projective_irreps_from_extension,
-                                  regular_representation, trivial_factor)
+                                  regular_representation)
 
 
 def commutant_dim(mats):
@@ -64,7 +64,7 @@ def test_pauli_rep_is_the_qubit_pauli_family():
     group, fs, rep = pauli_projective_rep(2)
     rep.validate()
     assert group.order == 4
-    fs.validate(group, strict=True)
+    fs.validate(group)
     assert not fs.is_trivial
     # each matrix squares to +1 in the standard gauge and traces to 0
     for f in range(4):
@@ -94,7 +94,7 @@ def test_projective_irreps_from_d4_over_its_center():
     assert quotient.order == 4
     assert sorted(p.dim for p in picked) == [2]
     gauged, fs = gauge_normalize([p.matrices for p in picked], quotient)
-    fs.validate(quotient, strict=True)
+    fs.validate(quotient)
     rep = Representation(quotient, fs, gauged[0])
     rep.validate()
     # a 2-dim projective irrep of C2xC2 is the Pauli family up to gauge
@@ -117,7 +117,7 @@ def test_gauge_normalize_fixes_inverse_pairs():
     phases[group.identity] = 1.0
     scrambled = rep.matrices * phases[:, None, None]
     fixed, fs2 = gauge_normalize([scrambled], group)
-    fs2.validate(group, strict=True)
+    fs2.validate(group)
     for f in range(group.order):
         inv = group.inv(f)
         np.testing.assert_allclose(fixed[0][inv], fixed[0][f].conj().T, atol=1e-9)
@@ -140,10 +140,21 @@ def test_heisenberg_extension_gives_qutrit_projective_irrep():
     assert sorted(p.dim for p in picked) == [3]
 
 
+@pytest.mark.parametrize("where", ["identity", "other element"])
+def test_nan_matrices_have_no_factor_system(where):
+    group, _, rep = pauli_projective_rep(2)
+    matrices = rep.matrices.copy()
+    matrices[0 if where == "identity" else 2, 1, 0] = np.nan
+    with pytest.raises(ValidationError):
+        factor_phases_of(matrices, group)
+    with pytest.raises(ValidationError):
+        gauge_normalize([matrices], group)
+
+
 def test_representation_validate_rejects_wrong_factor():
     group, fs, rep = pauli_projective_rep(2)
     with pytest.raises(ValidationError):
-        Representation(group, trivial_factor(group), rep.matrices).validate()
+        Representation(group, FactorSystem.trivial(group.order), rep.matrices).validate()
 
 
 @pytest.mark.parametrize("where", ["matrices", "one matrix entry", "factor phases"])

@@ -1,9 +1,10 @@
 """Group search ordering, merge plans, and candidate integrity."""
 import numpy as np
+import pytest
 
-from nlgc.groups import cyclic
-from nlgc.search import (CatalogIndex, builtin_index, merge_plans,
-                         search_group, set_partitions, trivial_structure)
+from nlgc.groups import builtin_catalog, cyclic
+from nlgc.search import (CatalogIndex, merge_plans, search_group,
+                         set_partitions, trivial_structure)
 
 
 def test_set_partitions_of_three_items():
@@ -24,8 +25,28 @@ def test_merge_plans_cost_ordering():
     assert costs[-1] == 9
 
 
+BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+
+
+@pytest.mark.parametrize("n", range(len(BELL)))
+def test_merge_plans_list_every_partition_once_in_order(n):
+    sizes = [1 + k % 3 for k in range(n)]     # unequal sizes give cost ties
+    plans = merge_plans(trivial_structure(sizes))
+    keys = [tuple(tuple(part) for part in plan) for _, plan in plans]
+    assert len(plans) == BELL[n]
+    assert len(set(keys)) == len(keys)
+    for cost, plan in plans:
+        assert sorted(b for part in plan for b in part) == list(range(n))
+        assert all(part == sorted(part) for part in plan)
+        assert [part[0] for part in plan] == sorted(part[0] for part in plan)
+        # each block of a trivial structure is its own class
+        assert cost == sum(sum(sizes[b] for b in part) ** 2 for part in plan)
+    order = [(cost, -len(plan), key) for (cost, plan), key in zip(plans, keys)]
+    assert order == sorted(order)
+
+
 def test_two_singlet_classes_start_at_order_two():
-    cands = list(search_group(trivial_structure([1, 1]), 2, builtin_index()))
+    cands = list(search_group(trivial_structure([1, 1]), 2, CatalogIndex(builtin_catalog())))
     assert cands, "search found nothing"
     first = cands[0]
     assert first.order == 2
@@ -38,13 +59,13 @@ def test_two_singlet_classes_start_at_order_two():
 
 
 def test_single_class_dim_one_is_the_trivial_group():
-    cands = list(search_group(trivial_structure([1]), 1, builtin_index()))
+    cands = list(search_group(trivial_structure([1]), 1, CatalogIndex(builtin_catalog())))
     assert cands[0].order == 1
     assert cands[0].group.name == "C1"
 
 
 def test_single_two_dim_class_needs_a_projective_rep():
-    cands = list(search_group(trivial_structure([2]), 2, builtin_index()))
+    cands = list(search_group(trivial_structure([2]), 2, CatalogIndex(builtin_catalog())))
     assert cands
     first = cands[0]
     assert first.order == 4
@@ -59,7 +80,7 @@ def test_single_two_dim_class_needs_a_projective_rep():
 
 def test_ordinary_candidates_come_before_projective_at_each_order():
     seen = {}
-    for cand in search_group(trivial_structure([1, 1]), 2, builtin_index(8)):
+    for cand in search_group(trivial_structure([1, 1]), 2, CatalogIndex(builtin_catalog(8))):
         seen.setdefault(cand.order, []).append(cand.route)
     for order, routes in seen.items():
         if "ordinary" in routes and "projective" in routes:
@@ -67,7 +88,7 @@ def test_ordinary_candidates_come_before_projective_at_each_order():
 
 
 def test_assignments_respect_class_dimensions():
-    for cand in search_group(trivial_structure([1, 2]), 3, builtin_index(12)):
+    for cand in search_group(trivial_structure([1, 2]), 3, CatalogIndex(builtin_catalog(12))):
         dims = [cand.irreps[i].dim for i in cand.assignment]
         sizes = cand.structure.class_dims()
         assert dims == sizes
@@ -80,7 +101,7 @@ def test_merged_plans_unlock_larger_blocks():
     # projective rep at order 4; the extension group lives at order 8, so
     # the catalog bound must reach that far for the fused plan to appear
     routes = set()
-    for cand in search_group(trivial_structure([1, 1]), 2, builtin_index(8)):
+    for cand in search_group(trivial_structure([1, 1]), 2, CatalogIndex(builtin_catalog(8))):
         routes.add((cand.order, len(cand.structure.classes), cand.route))
     assert (2, 2, "ordinary") in routes
     assert any(n == 4 and k == 1 and r == "projective" for n, k, r in routes)
@@ -90,7 +111,7 @@ def test_extension_scaffolding_respects_the_catalog_bound():
     # with the catalog capped at order 4 no order-8 extension exists, so the
     # fused projective candidate disappears and a warning marks the gap
     sink = []
-    cands = list(search_group(trivial_structure([1, 1]), 2, builtin_index(4),
+    cands = list(search_group(trivial_structure([1, 1]), 2, CatalogIndex(builtin_catalog(4)),
                               warning_sink=sink))
     assert all(c.route == "ordinary" for c in cands)
     assert any("order 8" in w for w in sink)
@@ -115,7 +136,7 @@ def test_search_exhausts_cleanly_when_nothing_fits():
 
 def test_cost_floor_matches_dimension_squares():
     # required {1, 1, 2} needs at least order 6; S3 fits exactly
-    cands = list(search_group(trivial_structure([1, 1, 2]), 4, builtin_index(12)))
+    cands = list(search_group(trivial_structure([1, 1, 2]), 4, CatalogIndex(builtin_catalog(12))))
     assert cands
     assert cands[0].order == 6
     assert cands[0].group.name == "S3"
