@@ -134,6 +134,8 @@ def simulate_protocol(expansion, psi: np.ndarray, f_matrix: np.ndarray | None = 
     target = (expansion.unitary.matrix @ psi).reshape(d_a * d_b)
 
     f_matrix = fourier_basis(n) if f_matrix is None else np.asarray(f_matrix)
+    if f_matrix.shape != (n, n):
+        raise ValidationError(f"measurement basis must be {n}x{n}, one row per group element")
     m = build_M(group, expansion.factor, expansion.w_ops)
     m_ok, m_dev = check_M_unitary(m)
     warnings = [] if m_ok else [

@@ -204,21 +204,25 @@ def gauge_normalize(matrices_list: list[np.ndarray],
     return new_list, fs
 
 
+def central_irreps(irreps: list[Representation], z: int) -> list[Representation]:
+    """The irreps, in order, representing a central z of order r as omega_r times the identity."""
+    omega = np.exp(2j * np.pi / irreps[0].group.element_order(z))
+    return [ir for ir in irreps
+            if np.allclose(ir.matrices[z], omega * np.eye(ir.dim), atol=1e-8)]
+
+
 def projective_irreps_from_extension(irreps: list[Representation], z: int):
     """Projective irreps of l/<z> from the ordinary irreps of an extension l.
 
-    Keeps the irreps representing the central element z, of order r, as
-    omega_r times the identity; evaluating them on fixed coset
+    Evaluating the central_irreps of z, of order r, on fixed coset
     representatives yields projective irreps of the quotient whose factor
     system is omega_r ** n(f, g) with n from the lift. They are returned
     rescaled to the standard gauge, so U(f^-1) = U(f)†.
 
     Returns (quotient, irrep list).
     """
-    quotient, lift, _, r = quotient_by_central_cyclic(irreps[0].group, z)
-    omega = np.exp(2j * np.pi / r)
-    picked = [ir.matrices[lift] for ir in irreps
-              if np.allclose(ir.matrices[z], omega * np.eye(ir.dim), atol=1e-8)]
+    quotient, lift, _, _ = quotient_by_central_cyclic(irreps[0].group, z)
+    picked = [ir.matrices[lift] for ir in central_irreps(irreps, z)]
     if sum(p.shape[1] ** 2 for p in picked) != quotient.order:
         raise InconsistencyError(
             "projective irreps from the extension do not exhaust the quotient order")

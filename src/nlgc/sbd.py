@@ -82,9 +82,11 @@ def commutant_basis(mats) -> list[np.ndarray]:
     """
     d = mats[0].shape[0]
     eye = np.eye(d)
-    family = list(mats) + [dagger(m) for m in mats]
-    rows = [np.kron(m, eye) - np.kron(eye, m.T) for m in family]
-    basis = null_space(np.vstack(rows))
+    family = np.stack(list(mats) + [dagger(m) for m in mats])
+    # [f, i, k, j, l] = family[f, i, j] eye[k, l] - eye[i, j] family[f, l, k], as np.kron
+    system = family[:, :, None, :, None] * eye[:, None, :]
+    system -= eye[:, None, :, None] * family.transpose(0, 2, 1)[:, None, :, None, :]
+    basis = null_space(system.reshape(-1, d * d))
     return [basis[:, j].reshape(d, d) for j in range(basis.shape[1])]
 
 

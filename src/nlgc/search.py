@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteGroup, are_isomorphic
-from .representations import (Representation, irreps_of,
+from .representations import (Representation, central_irreps, irreps_of,
                               projective_irreps_from_extension)
 from .sbd import BlockStructure, EquivalenceClass, merge_blocks
 
@@ -167,25 +167,29 @@ def search_group(structure: BlockStructure, d_a: int, index: CatalogIndex,
 
     The class dimensions of structure, the finest block structure, are the
     irrep dimensions a candidate must supply; its block-level detail drives
-    the merge plans. Ordinary candidates precede projective ones at equal
-    order; merged plans participate once the order reaches their
-    dimension-square sum. Any class of dimension 1 forces an ordinary
-    representation for that plan. The caller is responsible for the
-    generalized-Pauli fallback once the iterator is exhausted; warning_sink,
-    when given, collects the catalog-gap warnings, including those found
-    after the last yield.
+    the merge plans, listed once the order passes the finest plan's cost.
+    Ordinary candidates precede projective ones at equal order; merged plans
+    participate once the order reaches their dimension-square sum. Any class
+    of dimension 1 forces an ordinary representation for that plan, and a
+    non-abelian extension is filled only if its irreps at z cover the classes.
+    The caller is responsible for the generalized-Pauli fallback once the
+    iterator is exhausted; warning_sink, when given, collects the catalog-gap
+    warnings, including those found after the last yield.
     """
     by_order = index.by_order
-    plans = merge_plans(structure)
-    n_start = plans[0][0]
+    finest = [[b] for b in range(len(structure.block_sizes))]
+    n_start = _plan_cost(structure, finest)
+    plans = [(n_start, finest)]     # any merge costs strictly more
     warnings: list[str] = warning_sink if warning_sink is not None else []
     seen_projective = set()
     for n in range(max(n_start, 1), d_a ** 2 + 1):
         if n not in by_order:
             _merge_warnings(warnings, f"catalog has no group of order {n}")
+        if n == n_start + 1:
+            plans = merge_plans(structure)
         for n0, plan in plans:
             if n0 > n:
-                continue
+                break
             plan_key = tuple(tuple(p) for p in plan)
             merged = merge_blocks(structure, plan)
             required = merged.class_dims()
@@ -210,8 +214,11 @@ def search_group(structure: BlockStructure, d_a: int, index: CatalogIndex,
                                     f"for central extensions over order {n}")
                     continue
                 for idx, l in by_order[r * n]:
+                    if l.is_abelian:
+                        continue    # its projective irreps are all 1-dim
                     for z in l.center():
-                        if l.element_order(z) != r:
+                        if (l.element_order(z) != r or _assign(
+                                required, central_irreps(index.irreps(idx), z)) is None):
                             continue
                         quotient, irreps = index.projective(idx, z)
                         assignment = _assign(required, irreps)

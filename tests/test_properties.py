@@ -1,5 +1,6 @@
 """Invariances the paper implies: a gate's cost and route depend on its
-nonlocal content only, not on local unitaries around it or a global phase."""
+nonlocal content only, not on local unitaries around it or a global phase;
+its cost depends neither on the compile seed nor on which side is which."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,3 +45,35 @@ def test_local_dressing_keeps_cost_and_route(name, seed):
 def test_global_phase_keeps_cost_and_route(name, angle):
     g, da, db = GATES[name]
     assert cost_and_route(np.exp(1j * angle) * g, da, db) == cost_and_route(g, da, db)
+
+
+def mirrored(matrix, da, db):
+    """The same gate with its two tensor factors exchanged."""
+    return matrix.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
+
+
+COST_GATES = {
+    "cnot": GATES["cnot"],
+    "qutrit-cp": GATES["qutrit-cp"],
+    "haar-2x3": (haar(6, np.random.default_rng(23)), 2, 3),
+}
+
+
+def cost(matrix, da, db, seed=0):
+    return compile_unitary(BipartiteUnitary(matrix, da, db), seed=seed).cost_ebits
+
+
+@pytest.mark.parametrize("name", COST_GATES)
+@FEW
+@given(seed=st.sampled_from((0, 1, 7)))
+def test_cost_does_not_depend_on_the_seed(name, seed):
+    g, da, db = COST_GATES[name]
+    assert cost(g, da, db, seed) == cost(g, da, db)
+
+
+@pytest.mark.parametrize("name", COST_GATES)
+@FEW
+@given(seed=st.sampled_from((0, 1, 7)))
+def test_side_swap_keeps_cost(name, seed):
+    g, da, db = COST_GATES[name]
+    assert cost(mirrored(g, da, db), db, da, seed) == cost(g, da, db, seed)

@@ -169,6 +169,14 @@ def test_nan_measurement_basis_is_rejected():
         validate_unbiased(f)
 
 
+def test_measurement_basis_of_the_wrong_size_is_rejected():
+    exp = compile_unitary(BipartiteUnitary(CNOT, 2, 2))
+    assert exp.group.order == 2
+    psi = random_states(4, 1, seed=0)[0]
+    with pytest.raises(ValidationError, match="must be 2x2"):
+        simulate_protocol(exp, psi, f_matrix=fourier_basis(3))
+
+
 def test_nan_w_operator_makes_M_inconsistent():
     exp = compile_unitary(BipartiteUnitary(CNOT, 2, 2))
     w = exp.w_ops.copy()

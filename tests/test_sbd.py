@@ -1,6 +1,8 @@
 """Simultaneous block diagonalization: fineness, Schur counting, classes."""
 import numpy as np
+import pytest
 
+from nlgc import sbd
 from nlgc.sbd import (BlockStructure, classify_equivalence, commutant_basis,
                       finest_sbd, gram_set, merge_blocks)
 from nlgc.schmidt import BipartiteUnitary, schmidt_decompose
@@ -138,3 +140,21 @@ def test_identity_family_stays_whole():
     fam = [np.eye(3, dtype=complex) * 2.0]
     bs = finest_sbd(fam, seed=0)
     assert sorted(bs.block_sizes) == [1, 1, 1]
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_commutant_system_equals_the_kron_stack_bytewise(d, monkeypatch):
+    # the system handed to the SVD is the np.kron stack byte for byte, so
+    # the commutant basis, and every report built on it, is unchanged
+    rng = np.random.default_rng(40 + d)
+    mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            for _ in range((1, 4, 9)[d % 3])]
+    eye = np.eye(d)
+    expected = np.vstack([np.kron(m, eye) - np.kron(eye, m.T)
+                          for m in mats + [m.conj().T for m in mats]])
+    solved = []
+    null_space = sbd.null_space
+    monkeypatch.setattr(sbd, "null_space", lambda a: solved.append(a) or null_space(a))
+    commutant_basis(mats)
+    assert solved[0].shape == expected.shape
+    assert solved[0].tobytes() == expected.tobytes()

@@ -1,10 +1,14 @@
 """Group search ordering, merge plans, and candidate integrity."""
+import functools
+
 import numpy as np
 import pytest
 
 from nlgc.groups import builtin_catalog, cyclic
-from nlgc.search import (CatalogIndex, merge_plans, search_group,
-                         set_partitions, trivial_structure)
+from nlgc.sbd import BlockStructure, EquivalenceClass, merge_blocks
+from nlgc.search import (CatalogIndex, SearchCandidate, _assign, _merge_warnings,
+                         merge_plans, search_group, set_partitions,
+                         trivial_structure)
 
 
 def test_set_partitions_of_three_items():
@@ -140,3 +144,109 @@ def test_cost_floor_matches_dimension_squares():
     assert cands
     assert cands[0].order == 6
     assert cands[0].group.name == "S3"
+
+
+def _reference_search(structure, d_a, index, allow_projective=True, warning_sink=None):
+    """search_group as an exhaustive walk: every merge plan at every order,
+    and a projective fill of every (extension, central element) pair."""
+    by_order = index.by_order
+    plans = merge_plans(structure)
+    n_start = plans[0][0]
+    warnings = warning_sink if warning_sink is not None else []
+    seen_projective = set()
+    for n in range(max(n_start, 1), d_a ** 2 + 1):
+        if n not in by_order:
+            _merge_warnings(warnings, f"catalog has no group of order {n}")
+        for n0, plan in plans:
+            if n0 > n:
+                continue
+            plan_key = tuple(tuple(p) for p in plan)
+            merged = merge_blocks(structure, plan)
+            required = merged.class_dims()
+            if any(n % d for d in required):
+                continue
+            for idx, g in by_order.get(n, []):
+                if g.is_abelian and max(required) > 1:
+                    continue
+                irreps = index.irreps(idx)
+                assignment = _assign(required, irreps)
+                if assignment is not None:
+                    yield SearchCandidate(g, irreps, assignment, merged, "ordinary")
+            if not allow_projective or min(required) < 2:
+                continue
+            for r in range(2, n + 1):
+                if n % r:
+                    continue
+                if r * n not in by_order:
+                    _merge_warnings(warnings, f"catalog has no group of order {r * n} "
+                                    f"for central extensions over order {n}")
+                    continue
+                for idx, l in by_order[r * n]:
+                    for z in l.center():
+                        if l.element_order(z) != r:
+                            continue
+                        quotient, irreps = index.projective(idx, z)
+                        assignment = _assign(required, irreps)
+                        if assignment is None:
+                            continue
+                        key = (plan_key, quotient.table.tobytes(),
+                               np.round(irreps[0].factor.phases, 10).tobytes())
+                        if key in seen_projective:
+                            continue
+                        seen_projective.add(key)
+                        yield SearchCandidate(quotient, irreps, assignment,
+                                              merged, "projective")
+
+
+def _two_equivalent_blocks():
+    """Blocks of sizes 1, 2, 2 where the two 2-blocks form one class."""
+    eye2 = np.eye(2, dtype=complex)
+    classes = [EquivalenceClass([0], {0: np.eye(1, dtype=complex)}),
+               EquivalenceClass([1, 2], {1: eye2, 2: eye2})]
+    return BlockStructure(np.eye(5, dtype=complex), [1, 2, 2], classes)
+
+
+EQUIVALENCE_STRUCTURES = {
+    **{str(dims): (lambda dims=dims: trivial_structure(dims))
+       for dims in ([1], [2], [3], [4], [2, 2], [2, 1], [3, 3])},
+    "[1, 2, 2] with one 2-class": _two_equivalent_blocks,
+}
+SEARCH_SETTINGS = {"catalog 32": (32, True), "catalog 12": (12, True),
+                   "ordinary only": (32, False)}
+
+
+@functools.lru_cache(maxsize=None)
+def _indexes(max_order):
+    """Separate reference and change indexes, shared by every structure."""
+    return (CatalogIndex(builtin_catalog(max_order)),
+            CatalogIndex(builtin_catalog(max_order)))
+
+
+def _trace(candidates):
+    return [(c.order, c.group.name, c.route, c.assignment, c.structure.block_sizes,
+             c.factor.phases.tobytes()) for c in candidates]
+
+
+@pytest.mark.parametrize("setting", SEARCH_SETTINGS)
+@pytest.mark.parametrize("name", EQUIVALENCE_STRUCTURES)
+def test_search_yields_what_the_exhaustive_walk_yields(name, setting):
+    max_order, allow_projective = SEARCH_SETTINGS[setting]
+    ref_index, index = _indexes(max_order)
+    structure = EQUIVALENCE_STRUCTURES[name]()
+    ref_warnings, warnings = [], []
+    expected = _trace(_reference_search(structure, structure.dim, ref_index,
+                                        allow_projective, ref_warnings))
+    got = _trace(search_group(structure, structure.dim, index, allow_projective,
+                              warnings))
+    assert got == expected
+    assert warnings == ref_warnings
+
+
+def test_abelian_extensions_give_only_one_dim_projective_irreps():
+    index = _indexes(32)[0]
+    for order, groups in index.by_order.items():
+        for idx, g in groups:
+            if g.is_abelian:
+                for z in g.center():
+                    _, irreps = index.projective(idx, z)
+                    assert [ir.dim for ir in irreps] == [1] * (order // g.element_order(z))
