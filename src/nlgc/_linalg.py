@@ -20,16 +20,26 @@ def unitarity_deviation(m: np.ndarray) -> float:
     return float(np.linalg.norm(dagger(m) @ m - np.eye(d)))
 
 
+def svd_rank(a: np.ndarray, full: bool = False) -> tuple[int, np.ndarray]:
+    """Numerical rank of a and its right singular vectors (rows of vh)."""
+    _, s, vh = np.linalg.svd(a, full_matrices=full)
+    return int(np.sum(s > 1e-9 * max(1.0, s[0] if s.size else 0.0))), vh
+
+
 def null_space(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the right null space of a."""
     if a.size == 0:
         return np.eye(a.shape[1], dtype=complex)
     # tall systems only need the economy factorization; wide ones need the
     # full row basis to expose every null direction
-    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    cutoff = 1e-9 * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
+    rank, vh = svd_rank(a, full=a.shape[0] < a.shape[1])
     return dagger(vh[rank:, :])
+
+
+def leading_phase(rows: np.ndarray) -> np.ndarray:
+    """Unit phase of the first entry above 1e-8 in size of each row (one must exist)."""
+    lead = rows[np.arange(len(rows)), (np.abs(rows) > 1e-8).argmax(1)]
+    return lead / np.abs(lead)
 
 
 def polar_unitary(m: np.ndarray) -> np.ndarray:

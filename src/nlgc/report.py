@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from ._linalg import frobenius, unitarity_deviation
+from ._linalg import dagger, frobenius, unitarity_deviation
 from .errors import ValidationError
 from .expansion import GroupExpansion, expansion_claims
 from .groups import FactorSystem, FiniteGroup
@@ -289,13 +289,30 @@ def _blocks_consistent(blocks: dict, dims: dict) -> bool:
     return True
 
 
+def _w_coeffs_consistent(exp: GroupExpansion) -> bool:
+    """wOps[f] = sum_j wCoeffs[j, f] B_j over the Schmidt terms of the report's own unitary.
+    Rounding that unitary fixes B only up to a unitary mixing of equal-coefficient terms,
+    so each such group compares the Gram matrices of its coefficient rows, which it keeps."""
+    dec, c = exp.schmidt, exp.w_coeffs
+    b = np.array(dec.b_ops).reshape(len(dec), -1)
+    w = exp.w_ops.reshape(len(exp.w_ops), -1)
+    p = b.conj() @ w.T          # coordinates of wOps in the orthonormal B_j
+    outside = np.linalg.norm(w.T - b.T @ p)
+    if c.shape != p.shape or not outside <= 1e-6 * max(1.0, np.linalg.norm(w)):
+        return False
+    s = np.asarray(dec.coefficients)
+    groups = np.split(np.arange(len(s)), np.flatnonzero(np.diff(s) < -1e-6 * s[0]) + 1)
+    return all(np.max(np.abs(dagger(c[g]) @ c[g] - dagger(p[g]) @ p[g])) <= 1e-6 for g in groups)
+
+
 def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     """Re-check a report's claims from its own embedded data.
 
     Rebuilds the expansion, recomputes its claims with expansion_claims (the
     residual, the M unitarity status, the cost accounting and the
     classification label), and compares each against the stored values. V
-    must be unitary, the fallback flag must match the route, and the block
+    must be unitary, the W coefficients must rebuild wOps from the Schmidt
+    terms, the fallback flag must match the route, and the block
     summaries must be consistent with the input dimensions; the blocks
     themselves are not recomputed.
     """
@@ -315,6 +332,7 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     checks["inputDigest"] = bool(abs(dev - stored_dev) <= 1e-6
                                  and abs(frobenius(u) - stored_norm) <= 1e-6)
     checks["vUnitary"] = bool(unitarity_deviation(exp.v) <= 1e-8)
+    checks["wCoeffs"] = _w_coeffs_consistent(exp)
 
     claims = expansion_claims(exp, tol)
     checks["residual"] = bool(claims["residual"] <= max(1e-8, exp.residual + 1e-9))

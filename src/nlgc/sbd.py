@@ -7,11 +7,13 @@ unitary conjugation.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import connected_components, dagger, null_space, polar_unitary
+from ._linalg import (connected_components, dagger, leading_phase, null_space,
+                      polar_unitary, svd_rank)
 from .errors import DimensionError, InconsistencyError, NondeterminismError
 
 BLOCK_TOL = 1e-8
@@ -74,31 +76,32 @@ def gram_set(dec) -> list[np.ndarray]:
     return [dagger(aj) @ ak for aj in dec.a_ops for ak in dec.a_ops]
 
 
+def _sylvester_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Conditions X R_f - L_f X = 0 on the row-major vec of X, over (f, n, n)
+    stacks: byte for byte the np.kron stack of kron(I, R_f^T) - kron(L_f, I)."""
+    f, n, _ = left.shape
+    eye = np.eye(n)
+    # [f, i, k, j, l] = eye[i, j] right[f, l, k] - left[f, i, j] eye[k, l]
+    rows = eye[:, None, :, None] * right.transpose(0, 2, 1)[:, None, :, None, :]
+    rows -= left[:, :, None, :, None] * eye[:, None, :]
+    return rows.reshape(f * n * n, n * n)
+
+
 def commutant_basis(mats) -> list[np.ndarray]:
-    """Basis of all X commuting with every matrix in the set and its adjoints.
-
-    Solves the stacked linear conditions X M - M X = 0 by a null space
-    computation (row-major vec convention).
-    """
+    """Basis of all X commuting with every matrix of a set and its adjoints,
+    solved over an orthonormal basis of their span: k <= d² matrices."""
     d = mats[0].shape[0]
-    eye = np.eye(d)
-    family = np.stack(list(mats) + [dagger(m) for m in mats])
-    # [f, i, k, j, l] = family[f, i, j] eye[k, l] - eye[i, j] family[f, l, k], as np.kron
-    system = family[:, :, None, :, None] * eye[:, None, :]
-    system -= eye[:, None, :, None] * family.transpose(0, 2, 1)[:, None, :, None, :]
-    basis = null_space(system.reshape(-1, d * d))
-    return [basis[:, j].reshape(d, d) for j in range(basis.shape[1])]
+    rank, vh = svd_rank(np.stack(list(mats) + [dagger(m) for m in mats]).reshape(-1, d * d))
+    span = vh[:rank].reshape(rank, d, d)
+    basis = null_space(_sylvester_rows(span, span))
+    return list(basis.T.reshape(-1, d, d))
 
 
-def _component_structure(mats, commutant, rng, tol):
-    """One randomized splitting pass: eigenbasis of a generic commutant element."""
-    d = mats[0].shape[0]
-    x = np.zeros((d, d), dtype=complex)
-    for k in commutant:
-        x += (rng.standard_normal() + 1j * rng.standard_normal()) * k
-    h = x + dagger(x)
-    _, basis = np.linalg.eigh(h)
+def _component_structure(mats, x, tol):
+    """One splitting pass: eigenbasis of x + x† for a commutant element x."""
+    _, basis = np.linalg.eigh(x + dagger(x))
 
+    d = basis.shape[0]
     adjacency = np.zeros((d, d), dtype=bool)
     for m in mats:
         t = np.abs(dagger(basis) @ m @ basis)
@@ -114,11 +117,13 @@ def finest_sbd(mats, tol: float = BLOCK_TOL, seed: int = 0,
                commutant=None) -> BlockStructure:
     """Finest common block diagonalization of a matrix set.
 
-    Algorithm: compute the commutant of the set joined with its adjoints,
-    draw a random Hermitian commutant element, eigendecompose it, and read
-    the blocks off the support graph of the transformed set. A second
-    independent draw must reproduce the same block sizes, otherwise the
-    split is declared unstable.
+    Gauge-fixed as by Maehara & Murota: project a seeded Hermitian H0 onto the
+    commutant of the set and its adjoints (commutant may pass an orthogonal
+    basis of it), eigendecompose, and read the blocks off the support graph
+    of the transformed set, same-size blocks in eigenvalue order. Block Q
+    gets the phase-fixed eigenvectors of Q†H1Q for a seeded H1, so nothing
+    depends on the commutant basis. A second seeded projection must give
+    the same block sizes, otherwise the split is declared unstable.
     """
     d = mats[0].shape[0]
     for m in mats:
@@ -127,16 +132,28 @@ def finest_sbd(mats, tol: float = BLOCK_TOL, seed: int = 0,
     if commutant is None:
         commutant = commutant_basis(mats)
     rng = np.random.default_rng(seed)
-    basis_a, comps_a = _component_structure(mats, commutant, rng, tol)
-    _, comps_b = _component_structure(mats, commutant, rng, tol)
+    x = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+    h = x + x.conj().transpose(0, 2, 1)
+    # orthogonal projections of H0 and its second draw: the same for any basis k
+    k = np.stack(commutant)
+    coeffs = np.einsum("kij,hij->hk", k.conj(), h[:2]) / np.einsum("kij,kij->k", k.conj(), k).real
+    x0, x0_again = np.einsum("hk,kij->hij", coeffs, k)
+    basis_a, comps_a = _component_structure(mats, x0, tol)
+    _, comps_b = _component_structure(mats, x0_again, tol)
     if sorted(len(c) for c in comps_a) != sorted(len(c) for c in comps_b):
         raise NondeterminismError(
             "block structure differs between independent random samples; "
             "loosen tol or check the input scale")
 
-    order = [i for comp in comps_a for i in comp]
-    s = basis_a[:, order]
-    bs = BlockStructure(s, [len(c) for c in comps_a])
+    s = basis_a[:, [i for comp in comps_a for i in comp]]
+    at = 0
+    for n, count in sorted(Counter(map(len, comps_a)).items()):
+        if n > 1:   # the size-n blocks as a (count, d, n) stack; 1x1 blocks keep q
+            q = s[:, at:at + n * count].reshape(d, count, n).swapaxes(0, 1)
+            _, v = np.linalg.eigh(q.conj().swapaxes(1, 2) @ h[2] @ q)
+            s[:, at:at + n * count] = (q @ v).swapaxes(0, 1).reshape(d, -1)
+        at += n * count
+    bs = BlockStructure(s / leading_phase(s.T), [len(c) for c in comps_a])
     worst = bs.off_block_mass(mats)
     if worst > tol:
         raise NondeterminismError(
@@ -151,10 +168,7 @@ def _intertwiner(rep_blocks, mem_blocks, tol):
     if any(abs(np.trace(rb) - np.trace(mb)) > n * tol + 1e-10 * (1 + np.max(np.abs(rb)))
            for rb, mb in zip(rep_blocks, mem_blocks)):
         return None
-    eye = np.eye(n)
-    rows = [np.kron(eye, rb.T) - np.kron(mb, eye)
-            for rb, mb in zip(rep_blocks, mem_blocks)]
-    ns = null_space(np.vstack(rows))
+    ns = null_space(_sylvester_rows(np.stack(mem_blocks), np.stack(rep_blocks)))
     if ns.shape[1] == 0:
         return None
     t = ns[:, 0].reshape(n, n)
@@ -162,17 +176,14 @@ def _intertwiner(rep_blocks, mem_blocks, tol):
     if scale <= tol:
         return None
     t = t / np.sqrt(scale)
-    if np.linalg.norm(dagger(t) @ t - eye) > 1e-6:
+    if np.linalg.norm(dagger(t) @ t - np.eye(n)) > 1e-6:
         return None
     t = polar_unitary(t)
     worst = max(np.max(np.abs(t @ rb @ dagger(t) - mb))
                 for rb, mb in zip(rep_blocks, mem_blocks))
     if worst > tol:
         return None
-    flat = t.reshape(-1)
-    idx = np.nonzero(np.abs(flat) > 1e-8)[0]
-    phase = flat[idx[0]] / abs(flat[idx[0]])
-    return t / phase
+    return t / leading_phase(t.reshape(1, -1))[0]
 
 
 def classify_equivalence(bs: BlockStructure, mats, tol: float = BLOCK_TOL) -> BlockStructure:
@@ -180,14 +191,14 @@ def classify_equivalence(bs: BlockStructure, mats, tol: float = BLOCK_TOL) -> Bl
 
     Fills bs.classes. Each class stores, per member, the unitary mapping the
     representative block content onto the member block content simultaneously
-    for every matrix in the set.
+    for every matrix in the set. Blocks are reordered class by class, by size,
+    larger classes first, so class lists do not depend on the seeded split.
     """
     slices = bs.block_slices()
     rotated = [bs.transformed(m) for m in mats]
     per_block = [[r[sl, sl] for r in rotated] for sl in slices]
     classes: list[EquivalenceClass] = []
     for alpha in range(len(slices)):
-        placed = False
         for cls in classes:
             rep = cls.representative
             if bs.block_sizes[rep] != bs.block_sizes[alpha]:
@@ -196,12 +207,17 @@ def classify_equivalence(bs: BlockStructure, mats, tol: float = BLOCK_TOL) -> Bl
             if t is not None:
                 cls.members.append(alpha)
                 cls.intertwiners[alpha] = t
-                placed = True
                 break
-        if not placed:
+        else:
             n = bs.block_sizes[alpha]
             classes.append(EquivalenceClass([alpha], {alpha: np.eye(n, dtype=complex)}))
-    bs.classes = classes
+    classes.sort(key=lambda c: (bs.block_sizes[c.representative], -len(c.members)))
+    order = [m for c in classes for m in c.members]
+    pos = {m: k for k, m in enumerate(order)}
+    bs.basis_change = bs.basis_change[:, np.r_[tuple(slices[m] for m in order)]]
+    bs.block_sizes = [bs.block_sizes[m] for m in order]
+    bs.classes = [EquivalenceClass([pos[m] for m in c.members],
+                                   {pos[m]: t for m, t in c.intertwiners.items()}) for c in classes]
     return bs
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import dagger, unitarity_deviation, weyl_operator_basis
+from ._linalg import dagger, leading_phase, unitarity_deviation, weyl_operator_basis
 from .errors import DimensionError, ValidationError
 
 UNITARITY_TOL = 1e-8
@@ -74,11 +74,7 @@ def _realign(matrix: np.ndarray, da: int, db: int) -> np.ndarray:
 
 def _phase_fix(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotate the pair so the first significant entry of b is positive real."""
-    flat = b.reshape(-1)
-    idx = np.nonzero(np.abs(flat) > 1e-8)[0]
-    if idx.size == 0:
-        return a, b
-    phase = flat[idx[0]] / abs(flat[idx[0]])
+    phase = leading_phase(b.reshape(1, -1))[0]
     return a * phase, b / phase
 
 

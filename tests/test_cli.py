@@ -247,6 +247,20 @@ def test_non_unitary_v_fails_verification(generic_file, tmp_path, capsys):
     assert "vUnitary: FAIL" in out
 
 
+@pytest.mark.parametrize("gate_fixture", ["cnot_file", "generic_file"])
+def test_tampered_w_coefficients_fail_verification(gate_fixture, request, tmp_path, capsys):
+    rep = _report(request.getfixturevalue(gate_fixture), tmp_path)
+    code, out, _ = _verify(rep, tmp_path, capsys)
+    assert code == 0
+    assert "wCoeffs: ok" in out
+    coeffs = decode_matrix(rep["expansion"]["wCoeffs"])
+    coeffs[0, 1] += 0.01
+    rep["expansion"]["wCoeffs"] = encode_matrix(coeffs)
+    code, out, _ = _verify(rep, tmp_path, capsys)
+    assert code == 4
+    assert "wCoeffs: FAIL" in out
+
+
 def _set_blocks(label, **fields):
     return lambda blocks: blocks[label].update(fields)
 

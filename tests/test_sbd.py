@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from nlgc import sbd
+from nlgc.expansion import synthesize_group_gate
+from nlgc.groups import alternating
 from nlgc.sbd import (BlockStructure, classify_equivalence, commutant_basis,
                       finest_sbd, gram_set, merge_blocks)
 from nlgc.schmidt import BipartiteUnitary, schmidt_decompose
@@ -93,6 +95,26 @@ def test_commutant_dimension_matches_schur_count():
             np.testing.assert_allclose(x @ m, m @ x, atol=1e-8)
 
 
+def test_commutant_includes_the_adjoints():
+    # N = |0><1| alone commutes with I and N; with N† only the scalars remain
+    nilpotent = np.array([[0, 1], [0, 0]], dtype=complex)
+    basis = commutant_basis([nilpotent])
+    assert len(basis) == 1 == commutant_dim_brute([nilpotent])
+    np.testing.assert_allclose(basis[0] / basis[0][0, 0], np.eye(2), atol=1e-12)
+
+
+def test_class_lists_do_not_depend_on_the_seed():
+    # equivalent blocks come out adjacent, larger classes first within a
+    # size, whatever order the seeded split put them in
+    rng = np.random.default_rng(29)
+    fam, _ = scrambled_family([(1, 1), (1, 2), (2, 1), (2, 2)], rng)
+    for seed in range(6):
+        bs = classify_equivalence(finest_sbd(fam, seed=seed), fam)
+        assert bs.block_sizes == [1, 1, 1, 2, 2, 2]
+        assert [c.members for c in bs.classes] == [[0, 1], [2], [3, 4], [5]]
+        assert bs.off_block_mass(fam) < 1e-9
+
+
 def test_finest_structure_is_idempotent():
     rng = np.random.default_rng(13)
     fam, _ = scrambled_family([(1, 2), (2, 1)], rng)
@@ -136,25 +158,95 @@ def test_merge_blocks_fuses_and_reorders():
     assert merged.off_block_mass(fam) < 1e-9
 
 
+def test_zero_family_splits_into_singletons():
+    # span{G, G†} is empty, so every matrix commutes and nothing couples
+    fam = [np.zeros((3, 3), dtype=complex)]
+    assert len(commutant_basis(fam)) == 9
+    assert finest_sbd(fam, seed=0).block_sizes == [1, 1, 1]
+
+
 def test_identity_family_stays_whole():
     fam = [np.eye(3, dtype=complex) * 2.0]
     bs = finest_sbd(fam, seed=0)
     assert sorted(bs.block_sizes) == [1, 1, 1]
 
 
-@pytest.mark.parametrize("d", range(1, 7))
-def test_commutant_system_equals_the_kron_stack_bytewise(d, monkeypatch):
-    # the system handed to the SVD is the np.kron stack byte for byte, so
-    # the commutant basis, and every report built on it, is unchanged
-    rng = np.random.default_rng(40 + d)
-    mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            for _ in range((1, 4, 9)[d % 3])]
+def kron_stack_commutant(mats):
+    # null space of the stacked np.kron system over the set and its adjoints
+    d = mats[0].shape[0]
     eye = np.eye(d)
-    expected = np.vstack([np.kron(m, eye) - np.kron(eye, m.T)
-                          for m in mats + [m.conj().T for m in mats]])
-    solved = []
-    null_space = sbd.null_space
-    monkeypatch.setattr(sbd, "null_space", lambda a: solved.append(a) or null_space(a))
-    commutant_basis(mats)
-    assert solved[0].shape == expected.shape
-    assert solved[0].tobytes() == expected.tobytes()
+    system = np.vstack([np.kron(m, eye) - np.kron(eye, m.T)
+                        for m in list(mats) + [m.conj().T for m in mats]])
+    _, s, vh = np.linalg.svd(system, full_matrices=system.shape[0] < system.shape[1])
+    return vh[int(np.sum(s > 1e-9 * max(1.0, s[0]))):].conj().T
+
+
+def projector(columns):
+    return columns @ columns.conj().T
+
+
+def schmidt_grams(name):
+    if name == "cnot":
+        bu = BipartiteUnitary(np.eye(4, dtype=complex)[[0, 1, 3, 2]], 2, 2)
+    elif name == "haar3x3":
+        bu = BipartiteUnitary(random_unitary(9, np.random.default_rng(6)), 3, 3)
+    else:
+        bu = synthesize_group_gate(alternating(4), seed=3)
+    return gram_set(schmidt_decompose(bu))
+
+
+HIDDEN_BLOCKS = {1: [(1, 1)], 2: [(1, 2)], 3: [(1, 1), (2, 1)], 4: [(2, 2)],
+                 5: [(1, 2), (3, 1)], 6: [(2, 1), (1, 2), (2, 1)]}
+
+
+@pytest.mark.parametrize("case", [f"d={d}" for d in HIDDEN_BLOCKS]
+                         + ["cnot", "haar3x3", "synth-A4"])
+def test_span_basis_commutant_equals_the_kron_stack_commutant(case):
+    # commutation is linear, so solving over a basis of span{G, G†} gives
+    # the same subspace as the 2·len(G)·d² rows of the kron stack
+    if case.startswith("d="):
+        d = int(case[2:])
+        mats, _ = scrambled_family(HIDDEN_BLOCKS[d], np.random.default_rng(40 + d))
+    else:
+        mats = schmidt_grams(case.replace("synth-", ""))
+    new = np.stack([k.reshape(-1) for k in commutant_basis(mats)], axis=1)
+    old = kron_stack_commutant(mats)
+    assert new.shape == old.shape
+    assert np.max(np.abs(projector(new) - projector(old))) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["cnot", "haar3x3", "A4"])
+def test_finest_sbd_does_not_depend_on_the_commutant_basis(name):
+    # the gauge: the split element is the projection of a seeded Hermitian
+    # onto the commutant, whatever orthonormal basis of it is passed. The
+    # projection is rounded differently in each basis, so the basis change
+    # agrees to rounding, not bit for bit.
+    grams = schmidt_grams(name)
+    basis = np.stack(commutant_basis(grams))
+    ref = classify_equivalence(finest_sbd(grams, seed=2, commutant=list(basis)), grams)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        mix = random_unitary(len(basis), rng)
+        mixed = list(np.einsum("ij,jab->iab", mix, basis))
+        bs = classify_equivalence(finest_sbd(grams, seed=2, commutant=mixed), grams)
+        assert bs.block_sizes == ref.block_sizes
+        assert [c.members for c in bs.classes] == [c.members for c in ref.classes]
+        assert np.max(np.abs(bs.basis_change - ref.basis_change)) <= 1e-12
+        for c, c_ref in zip(bs.classes, ref.classes):
+            for m in c.members:
+                assert np.max(np.abs(c.intertwiners[m] - c_ref.intertwiners[m])) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_intertwiner_rows_equal_the_kron_stack_bytewise(n):
+    # _intertwiner solves T R - M T = 0 over the shared broadcast rows,
+    # whose rows are the old per-block np.kron stack byte for byte
+    rng = np.random.default_rng(60 + n)
+    reps, mems = (rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+                  for _ in range(2))
+    eye = np.eye(n)
+    expected = np.vstack([np.kron(eye, rb.T) - np.kron(mb, eye)
+                          for rb, mb in zip(reps, mems)])
+    rows = sbd._sylvester_rows(mems, reps)
+    assert rows.shape == expected.shape
+    assert rows.tobytes() == expected.tobytes()
