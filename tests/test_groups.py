@@ -1,4 +1,6 @@
 """Finite group construction, isomorphism testing, catalog hygiene."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -106,11 +108,42 @@ def test_catalog_covers_every_order_and_has_no_duplicates():
     cat = builtin_catalog(32)
     orders = {g.order for g in cat}
     assert orders == set(range(1, 33))
-    small = [g for g in cat if g.order <= 16]
-    for i, g1 in enumerate(small):
-        for g2 in small[i + 1:]:
-            if g1.order == g2.order:
+    for i, g1 in enumerate(cat):
+        for g2 in cat[i + 1:]:
+            if g1.order != g2.order:
+                continue
+            if g1.is_abelian and g2.is_abelian:
+                # a finite abelian group is fixed by how many elements have each order
+                assert g1.signature() != g2.signature(), (g1.name, g2.name)
+            else:
                 assert not are_isomorphic(g1, g2), (g1.name, g2.name)
+
+
+CATALOG_32 = """
+    C1 C2 C3 C4 C2xC2 C5 C6 S3 C7 C8 C2xC2xC2 C2xC4 Q8 D4 C9 C3xC3 C10 D5 C11
+    C12 C2xC2xC3 A4 D6 C13 C14 D7 C15 C16 C2xC2xC4 C2xC8 C4xC4 D8 Pauli16 C17
+    C18 C2xC3xC3 D9 C19 C20 C2xC2xC5 D10 C21 C22 D11 C23 C24 C2xC2xC6 C2xC3xC4
+    S4 D12 C25 C5xC5 C26 D13 C27 C3xC3xC3 C3xC9 Heis3 C28 C2xC2xC7 D14 C29 C30
+    D15 C31 C32 C2xC2xC8 C2xC4xC4 C2xC16 C4xC8 D16""".split()
+# names and int64 tables of builtin_catalog(64), in catalog order
+CATALOG_64_SHA256 = "3a62414a750bfcceb34f04c8b13f90a2fc755c7a202e43a31076d6a73f927570"
+
+
+def catalog_digest(catalog) -> str:
+    h = hashlib.sha256()
+    for g in catalog:
+        h.update(g.name.encode())
+        h.update(g.table.tobytes())
+    return h.hexdigest()
+
+
+def test_catalog_names_and_tables_are_pinned():
+    assert [g.name for g in builtin_catalog(32)] == CATALOG_32
+    full = builtin_catalog(64)
+    assert catalog_digest(full) == CATALOG_64_SHA256
+    for n in range(1, 33):
+        prefix = [g for g in full if g.order <= n]
+        assert catalog_digest(builtin_catalog(n)) == catalog_digest(prefix), n
 
 
 def test_catalog_respects_max_order_and_extras():
