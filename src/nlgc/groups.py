@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -59,9 +60,6 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return self.table.shape[0]
-
-    def mult(self, f: int, g: int) -> int:
-        return int(self.table[f, g])
 
     def inv(self, f: int) -> int:
         return int(self.inverses[f])
@@ -206,17 +204,6 @@ class FactorSystem:
         if not np.max(np.abs(pairs - 1.0)) <= PHASE_TOL:
             raise ValidationError("factor system must be 1 on inverse pairs")
 
-    def exponents(self) -> np.ndarray:
-        """Integer table n(f, g) with mu = omega_r ** n, r the root order."""
-        r = self.root_order
-        if not r:
-            raise ValidationError("factor system has no root order")
-        ang = np.angle(self.phases) * r / (2 * np.pi)
-        n = np.mod(np.rint(ang).astype(int), r)
-        if np.max(np.abs(np.exp(2j * np.pi * n / r) - self.phases)) > 1e-6:
-            raise ValidationError(f"phases are not all powers of omega_{r}")
-        return n
-
 
 def detect_root_order(phases: np.ndarray) -> int:
     """Smallest r <= 256 with every phase within 1e-8 of an r-th root of unity, or 0."""
@@ -229,9 +216,15 @@ def detect_root_order(phases: np.ndarray) -> int:
 
 # ---------------------------------------------------------------- constructors
 
+def _cyclic_product(factors) -> FiniteGroup:
+    """C(n1) x C(n2) x ..., elements numbered in mixed radix as by direct_product."""
+    digits = np.unravel_index(np.arange(math.prod(factors)), factors)
+    table = np.ravel_multi_index([(d[:, None] + d) % n for d, n in zip(digits, factors)], factors)
+    return FiniteGroup("x".join(f"C{n}" for n in factors), table)
+
+
 def cyclic(n: int) -> FiniteGroup:
-    idx = np.arange(n)
-    return FiniteGroup(f"C{n}", (idx[:, None] + idx[None, :]) % n)
+    return _cyclic_product((n,))
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> FiniteGroup:
@@ -262,37 +255,16 @@ def symmetric(n: int) -> FiniteGroup:
 
 
 def alternating(n: int) -> FiniteGroup:
-    def parity(p):
-        swaps = 0
-        q = list(p)
-        for i in range(len(q)):
-            while q[i] != i:
-                j = q[i]
-                q[i], q[j] = q[j], q[i]
-                swaps += 1
-        return swaps % 2
-    perms = [p for p in sorted(itertools.permutations(range(n))) if parity(p) == 0]
-    return _perm_group(f"A{n}", perms)
+    perms = np.array(sorted(itertools.permutations(range(n)))).reshape(-1, n)
+    inversions = (perms[:, :, None] > perms[:, None, :]) & np.triu(np.ones((n, n), bool), 1)
+    return _perm_group(f"A{n}", perms[inversions.sum((1, 2)) % 2 == 0])
 
 
 def quaternion() -> FiniteGroup:
-    """Order 8 group of quaternion units {±1, ±i, ±j, ±k}."""
-    units = "1ijk"
-    rule = {("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-            ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
-            ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-            ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-            ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-            ("k", "i"): (1, "j"), ("i", "k"): (-1, "j")}
-    elems = [(s, u) for s in (1, -1) for u in units]
-    index = {e: i for i, e in enumerate(elems)}
-    n = 8
-    table = np.zeros((n, n), dtype=int)
-    for a, (sa, ua) in enumerate(elems):
-        for b, (sb, ub) in enumerate(elems):
-            sign, unit = rule[(ua, ub)]
-            table[a, b] = index[(sa * sb * sign, unit)]
-    return FiniteGroup("Q8", table)
+    """Order 8 group of quaternion units {±1, ±i, ±j, ±k}: element 4m + f is
+    (-1)^m q_f, with q_f = 1, i, j, k over C2xC2 and q_f q_g = (-1)^n(f, g) q_fg."""
+    n = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]]
+    return central_extension(_cyclic_product((2, 2)), n, 2, name="Q8")
 
 
 def heisenberg(d: int) -> FiniteGroup:
@@ -387,69 +359,66 @@ def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
     return False
 
 
-def _abelian_products(cyclics: list[FiniteGroup]) -> list[FiniteGroup]:
-    """Products of two and three cyclic factors, cyclics[k] being C(k+1), up
-    to the order of the last one."""
-    max_order = len(cyclics)
-    out = []
-    for n1 in range(2, max_order + 1):
-        for n2 in range(n1, max_order // n1 + 1):
-            pair = direct_product(cyclics[n1 - 1], cyclics[n2 - 1])
-            out.append(pair)
-            for n3 in range(n2, max_order // (n1 * n2) + 1):
-                out.append(direct_product(pair, cyclics[n3 - 1], name=f"C{n1}xC{n2}xC{n3}"))
-    return out
+def _elementary_divisors(factors) -> tuple[int, ...]:
+    """Prime-power parts of the orders of cyclic factors, sorted: two products
+    of cyclic groups are isomorphic exactly when these agree."""
+    parts = []
+    for n in factors:
+        for p in range(2, n + 1):    # smaller primes are divided out before a composite p
+            q = 1
+            while n % p == 0:
+                n, q = n // p, q * p
+            if q > 1:
+                parts.append(q)
+    return tuple(sorted(parts))
+
+
+def _abelian_factors(max_order: int) -> list[tuple[int, ...]]:
+    """Factor orders of C1 to C(max_order), then of the products of two and
+    three cyclic groups up to max_order, each factor at least the one
+    before, skipping any whose elementary divisors an earlier one has."""
+    candidates = [(n,) for n in range(1, max_order + 1)] + [
+        (n1, n2, *last) for n1 in range(2, max_order + 1) for n2 in range(n1, max_order // n1 + 1)
+        for last in [()] + [(n3,) for n3 in range(n2, max_order // (n1 * n2) + 1)]]
+    first: dict[tuple, tuple] = {}
+    for factors in candidates:
+        first.setdefault(_elementary_divisors(factors), factors)
+    return list(first.values())
 
 
 def pauli_sixteen():
-    """Order 16 extension generated by the qubit shift/clock pair with phases."""
-    from .representations import pauli_projective_rep
-    group, factor, _ = pauli_projective_rep(2)
-    return central_extension(group, factor.exponents(), factor.root_order, name="Pauli16")
+    """Order 16 extension of C2xC2 by the phases of the qubit Pauli operators
+    U = I, Z, X, -Y in standard gauge: U(f) U(g) = i^n(f, g) U(fg)."""
+    n = [[0, 0, 0, 0], [0, 0, 3, 1], [0, 1, 0, 3], [0, 3, 1, 0]]
+    return central_extension(_cyclic_product((2, 2)), n, 4, name="Pauli16")
 
 
 def builtin_catalog(max_order: int = 32, extra=None) -> list[FiniteGroup]:
-    """Standard group families up to max_order, deduplicated by isomorphism.
+    """Standard group families up to max_order, one per isomorphism class.
 
-    Cyclic groups, abelian products of up to three cyclic factors, dihedral
-    groups up to order 32, Q8, S3, A4, S4, Heisenberg groups over Z_2 and
-    Z_3, and the order 16 Pauli extension. Isomorphic duplicates are removed
-    exhaustively up to order 16 and by abelian invariants above that.
+    Cyclic groups, abelian products of up to three cyclic factors, Q8, S3,
+    A4, S4, dihedral groups D4 to D16, the Heisenberg group over Z_3 and
+    the order 16 Pauli extension, sorted by order. Only the groups returned
+    are built, with no isomorphism search: a product of cyclic groups is
+    skipped when its elementary divisors were seen before (cyclic groups
+    first), and D3 = S3 and Heis2 = D4 are not generated. An extra group
+    is dropped when it is isomorphic to a kept one: by are_isomorphic up
+    to order 16, by abelian signature above that.
     """
-    cyclics = [cyclic(n) for n in range(1, max_order + 1)]
-    groups = cyclics + _abelian_products(cyclics)
-    for g in (symmetric(3), alternating(4), symmetric(4), quaternion()):
-        if g.order <= max_order:
-            groups.append(g)
-    for n in range(3, 17):
-        if 2 * n <= min(32, max_order):
-            groups.append(dihedral(n))
-    for d in (2, 3):
-        if d ** 3 <= max_order:
-            groups.append(heisenberg(d))
-    if max_order >= 16:
-        groups.append(pauli_sixteen())
+    groups = [_cyclic_product(f) for f in _abelian_factors(max_order)]
+    groups += [make(*args) for order, make, *args in (
+        (6, symmetric, 3), (12, alternating, 4), (24, symmetric, 4), (8, quaternion),
+        *((2 * n, dihedral, n) for n in range(4, 17)), (27, heisenberg, 3), (16, pauli_sixteen))
+        if order <= max_order]
     for g in (extra or []):
-        if g.order <= max_order:
+        if g.order <= max_order and not any(
+                g.order == h.order and (
+                    are_isomorphic(g, h) if g.order <= 16 else
+                    g.is_abelian and h.is_abelian and g.signature() == h.signature())
+                for h in groups):
             groups.append(g)
-
-    kept: list[FiniteGroup] = []
-    for g in groups:
-        dup = False
-        for h in kept:
-            if g.order != h.order:
-                continue
-            if g.order <= 16:
-                if are_isomorphic(g, h):
-                    dup = True
-                    break
-            elif g.is_abelian and h.is_abelian and g.signature() == h.signature():
-                dup = True
-                break
-        if not dup:
-            kept.append(g)
-    kept.sort(key=lambda g: g.order)
-    return kept
+    groups.sort(key=lambda g: g.order)
+    return groups
 
 
 def load_group_file(path) -> FiniteGroup:

@@ -273,20 +273,35 @@ def expansion_from_report(report: dict) -> GroupExpansion:
                           v=v, u_rep=u_rep, w_ops=w_ops, side=side, **stored)
 
 
+def _partition_consistent(sizes, classes, d_a: int) -> bool:
+    """The block sizes are positive and split d_a, and the classes (lists of
+    block indices) partition the blocks."""
+    members = sorted(m for c in classes for m in c)
+    return min(sizes) >= 1 and sum(sizes) == d_a and members == list(range(len(sizes)))
+
+
 def _blocks_consistent(blocks: dict, dims: dict) -> bool:
-    """Each orientation's summary splits its d_A into positive block sizes,
-    partitions the blocks into classes, and gives each class the size of its
-    representative, the first member."""
+    """Each orientation's summary partitions its d_A into blocks and classes
+    and gives each class the size of its representative, the first member."""
     for label, d_a in dims.items():
         if label not in blocks:
             return False
         sizes, classes = blocks[label]["sizes"], blocks[label]["classes"]
-        members = sorted(m for c in classes for m in c)
-        if (min(sizes) < 1 or sum(sizes) != d_a
-                or members != list(range(len(sizes)))
+        if (not _partition_consistent(sizes, classes, d_a)
                 or blocks[label]["classDims"] != [sizes[c[0]] for c in classes]):
             return False
     return True
+
+
+def _structure_consistent(exp: GroupExpansion) -> bool:
+    """The stored basis change S is unitary, its sizes and classes partition
+    d_A, and S†(V†A_j)S is block diagonal over the Schmidt terms A_j of the
+    report's own unitary."""
+    bs = exp.structure
+    return bool(unitarity_deviation(bs.basis_change) <= 1e-8
+                and _partition_consistent(bs.block_sizes, [c.members for c in bs.classes],
+                                          exp.unitary.dim_a)
+                and bs.off_block_mass([dagger(exp.v) @ a for a in exp.schmidt.a_ops]) <= 1e-6)
 
 
 def _w_coeffs_consistent(exp: GroupExpansion) -> bool:
@@ -312,9 +327,9 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     residual, the M unitarity status, the cost accounting and the
     classification label), and compares each against the stored values. V
     must be unitary, the W coefficients must rebuild wOps from the Schmidt
-    terms, the fallback flag must match the route, and the block
-    summaries must be consistent with the input dimensions; the blocks
-    themselves are not recomputed.
+    terms, the fallback flag must match the route, the block summaries
+    must be consistent with the input dimensions, and the stored structure
+    must block-diagonalize V†A_j; the blocks themselves are not recomputed.
     """
     checks: dict[str, bool] = {}
     exp = expansion_from_report(report)
@@ -325,6 +340,7 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
         checks["fallbackFlag"] = report["expansion"]["fallback"] is exp.fallback
         checks["blocks"] = _blocks_consistent(exp.blocks, {
             "A": int(report["input"]["dimA"]), "B": int(report["input"]["dimB"])})
+        checks["structure"] = _structure_consistent(exp)
     u = exp.unitary.matrix
 
     dev = unitarity_deviation(u)

@@ -125,32 +125,6 @@ def irrep_dimensions(group: FiniteGroup, factor: FactorSystem | None = None) -> 
     return sorted(r.dim for r in irreps_of(group, factor))
 
 
-def orthogonality_defect(irreps: list[Representation]) -> float:
-    """Deviation from the row orthogonality of inequivalent irreps.
-
-    sum_f U'(f^-1)[n', m'] U(f)[m, n] must equal (|G|/d) on matched indices
-    of the same irrep and vanish otherwise.
-    """
-    group = irreps[0].group
-    n = group.order
-    worst = 0.0
-    for a, ra in enumerate(irreps):
-        inv_a = ra.matrices[group.inverses]            # U'(f^-1), indexed by f
-        for b, rb in enumerate(irreps):
-            # sums[n', m', m, n] = sum_f U'(f^-1)[n', m'] U(f)[m, n]
-            sums = np.einsum("fnm,fpq->nmpq", inv_a, rb.matrices)
-            if a == b:
-                d = ra.dim
-                target = np.zeros_like(sums)
-                for m in range(d):
-                    for nn in range(d):
-                        target[nn, m, m, nn] = n / d
-                worst = max(worst, float(np.max(np.abs(sums - target))))
-            else:
-                worst = max(worst, float(np.max(np.abs(sums))))
-    return worst
-
-
 def factor_phases_of(matrices: np.ndarray, group: FiniteGroup) -> np.ndarray:
     """Read the factor system off a projective representation's products."""
     n = group.order

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import dagger, leading_phase, unitarity_deviation, weyl_operator_basis
+from ._linalg import dagger, leading_phase, unitarity_deviation
 from .errors import DimensionError, ValidationError
 
 UNITARITY_TOL = 1e-8
@@ -121,24 +121,3 @@ def schmidt_decompose(u: BipartiteUnitary) -> SchmidtDecomposition:
     a_ops = [terms[i][1] for i in final]
     b_ops = [terms[i][2] for i in final]
     return SchmidtDecomposition(u, coeffs, a_ops, b_ops)
-
-
-def operator_basis_expansion(u: BipartiteUnitary, side: str = "b") -> tuple[list, list]:
-    """Expand the gate over a fixed shift/clock operator basis on one side.
-
-    Returns (a_ops, b_ops) with u = sum_m a_ops[m] (x) b_ops[m]. The chosen
-    side carries the orthonormal basis operators; the other side carries the
-    matched contractions. Used to probe invariance of downstream block
-    structure under the choice of starting expansion.
-    """
-    da, db = u.dim_a, u.dim_b
-    m = u.matrix.reshape(da, db, da, db)
-    if side == "b":
-        basis = [p / np.sqrt(db) for p in weyl_operator_basis(db)]
-        a_ops = [np.einsum("xy,axby->ab", p.conj(), m) for p in basis]
-        return a_ops, basis
-    if side == "a":
-        basis = [p / np.sqrt(da) for p in weyl_operator_basis(da)]
-        b_ops = [np.einsum("xy,xayb->ab", p.conj(), m) for p in basis]
-        return basis, b_ops
-    raise ValueError("side must be 'a' or 'b'")

@@ -217,13 +217,13 @@ def search_group(structure: BlockStructure, d_a: int, index: CatalogIndex,
                     if l.is_abelian:
                         continue    # its projective irreps are all 1-dim
                     for z in l.center():
-                        if (l.element_order(z) != r or _assign(
-                                required, central_irreps(index.irreps(idx), z)) is None):
+                        if l.element_order(z) != r:
                             continue
-                        quotient, irreps = index.projective(idx, z)
-                        assignment = _assign(required, irreps)
+                        # the projective irreps are these central irreps, in this order
+                        assignment = _assign(required, central_irreps(index.irreps(idx), z))
                         if assignment is None:
                             continue
+                        quotient, irreps = index.projective(idx, z)
                         key = (plan_key, quotient.table.tobytes(),
                                np.round(irreps[0].factor.phases, 10).tobytes())
                         if key in seen_projective:

@@ -1,0 +1,54 @@
+"""Test-only helpers shared by several test files: import them with
+`from conftest import ...`."""
+import numpy as np
+
+from nlgc._linalg import weyl_operator_basis
+from nlgc.representations import Representation
+from nlgc.schmidt import BipartiteUnitary
+
+
+def orthogonality_defect(irreps: list[Representation]) -> float:
+    """Deviation from the row orthogonality of inequivalent irreps.
+
+    sum_f U'(f^-1)[n', m'] U(f)[m, n] must equal (|G|/d) on matched indices
+    of the same irrep and vanish otherwise.
+    """
+    group = irreps[0].group
+    n = group.order
+    worst = 0.0
+    for a, ra in enumerate(irreps):
+        inv_a = ra.matrices[group.inverses]            # U'(f^-1), indexed by f
+        for b, rb in enumerate(irreps):
+            # sums[n', m', m, n] = sum_f U'(f^-1)[n', m'] U(f)[m, n]
+            sums = np.einsum("fnm,fpq->nmpq", inv_a, rb.matrices)
+            if a == b:
+                d = ra.dim
+                target = np.zeros_like(sums)
+                for m in range(d):
+                    for nn in range(d):
+                        target[nn, m, m, nn] = n / d
+                worst = max(worst, float(np.max(np.abs(sums - target))))
+            else:
+                worst = max(worst, float(np.max(np.abs(sums))))
+    return worst
+
+
+def operator_basis_expansion(u: BipartiteUnitary, side: str = "b") -> tuple[list, list]:
+    """Expand the gate over a fixed shift/clock operator basis on one side.
+
+    Returns (a_ops, b_ops) with u = sum_m a_ops[m] (x) b_ops[m]. The chosen
+    side carries the orthonormal basis operators; the other side carries the
+    matched contractions. Used to probe invariance of downstream block
+    structure under the choice of starting expansion.
+    """
+    da, db = u.dim_a, u.dim_b
+    m = u.matrix.reshape(da, db, da, db)
+    if side == "b":
+        basis = [p / np.sqrt(db) for p in weyl_operator_basis(db)]
+        a_ops = [np.einsum("xy,axby->ab", p.conj(), m) for p in basis]
+        return a_ops, basis
+    if side == "a":
+        basis = [p / np.sqrt(da) for p in weyl_operator_basis(da)]
+        b_ops = [np.einsum("xy,xayb->ab", p.conj(), m) for p in basis]
+        return basis, b_ops
+    raise ValueError("side must be 'a' or 'b'")

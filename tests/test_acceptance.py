@@ -7,13 +7,14 @@ just measured.
 import time
 
 import numpy as np
+from conftest import operator_basis_expansion, orthogonality_defect
 
 from nlgc.expansion import compile_unitary, construct_V, synthesize_group_gate
 from nlgc.groups import builtin_catalog, pauli_sixteen
 from nlgc.protocol import random_states, simulate_protocol
-from nlgc.representations import irreps_of, orthogonality_defect
+from nlgc.representations import irreps_of
 from nlgc.sbd import BlockStructure, EquivalenceClass, finest_sbd
-from nlgc.schmidt import BipartiteUnitary, operator_basis_expansion, schmidt_decompose
+from nlgc.schmidt import BipartiteUnitary, schmidt_decompose
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],

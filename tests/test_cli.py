@@ -287,6 +287,44 @@ def test_inconsistent_blocks_fail_verification(tamper, cnot_file, tmp_path, caps
     assert "fallbackFlag: ok" in out
 
 
+def _dressed_cnot(rng):
+    a, b, c, d = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                  for _ in range(4))
+    return np.kron(a, b) @ CNOT @ np.kron(c, d)
+
+
+def _shift_basis_entry(structure):
+    s = decode_matrix(structure["basisChange"])
+    s[0, 1] += 0.3
+    structure["basisChange"] = encode_matrix(s)
+
+
+def _rotate_basis(structure):
+    s = decode_matrix(structure["basisChange"])
+    structure["basisChange"] = encode_matrix(s @ np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+
+
+STRUCTURE_TAMPERS = {
+    "basis change moved": _shift_basis_entry,
+    "basis change still unitary but mixes the blocks": _rotate_basis,
+    "blocks merged": lambda structure: structure.update(sizes=[2]),
+}
+
+
+@pytest.mark.parametrize("tamper", STRUCTURE_TAMPERS.values(), ids=STRUCTURE_TAMPERS.keys())
+def test_tampered_structure_fails_verification(tamper, tmp_path, capsys):
+    gate = write_gate(tmp_path / "dressed.json", _dressed_cnot(np.random.default_rng(7)), 2, 2)
+    rep = _report(gate, tmp_path)
+    structure = rep["expansion"]["structure"]
+    assert structure["sizes"] == [1, 1]
+    code, out, _ = _verify(rep, tmp_path, capsys)
+    assert code == 0 and "structure: ok" in out
+    tamper(structure)
+    code, out, _ = _verify(rep, tmp_path, capsys)
+    assert code == 4
+    assert "structure: FAIL" in out
+
+
 def test_schmidt_prints_rank_and_coefficients(cnot_file, capsys):
     assert main(["schmidt", cnot_file]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -146,6 +146,13 @@ def test_catalog_names_and_tables_are_pinned():
         assert catalog_digest(builtin_catalog(n)) == catalog_digest(prefix), n
 
 
+def test_builtin_catalog_runs_no_isomorphism_search(monkeypatch):
+    def refuse(g1, g2):
+        raise AssertionError(f"are_isomorphic({g1.name}, {g2.name}) called")
+    monkeypatch.setattr("nlgc.groups.are_isomorphic", refuse)
+    assert catalog_digest(builtin_catalog(64)) == CATALOG_64_SHA256
+
+
 def test_catalog_respects_max_order_and_extras():
     cat = builtin_catalog(6)
     assert max(g.order for g in cat) == 6
@@ -169,11 +176,11 @@ def test_central_extension_and_quotient_round_trip():
     # lift identity: lift(f) lift(g) = z^n(f,g) lift(fg)
     for f in range(quot.order):
         for g in range(quot.order):
-            prod = ext.mult(lifts[f], lifts[g])
+            prod = ext.table[lifts[f], lifts[g]]
             zpow = ext.identity
             for _ in range(n_back[f, g]):
-                zpow = ext.mult(zpow, z[0])
-            assert prod == ext.mult(zpow, lifts[quot.table[f, g]])
+                zpow = ext.table[zpow, z[0]]
+            assert prod == ext.table[zpow, lifts[quot.table[f, g]]]
 
 
 def test_group_file_round_trip(tmp_path):

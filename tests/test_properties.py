@@ -1,11 +1,16 @@
 """Invariances the paper implies: a gate's cost and route depend on its
 nonlocal content only, not on local unitaries around it or a global phase;
-its cost depends neither on the compile seed nor on which side is which."""
+its cost depends neither on the compile seed nor on which side is which.
+A report carries enough to rerun the protocol it describes."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlgc.expansion import compile_unitary
+from nlgc.protocol import simulate_protocol
+from nlgc.report import build_report, canonical_json, expansion_from_report
 from nlgc.schmidt import BipartiteUnitary
 
 OMEGA = np.exp(2j * np.pi / 3)
@@ -77,3 +82,22 @@ def test_cost_does_not_depend_on_the_seed(name, seed):
 def test_side_swap_keeps_cost(name, seed):
     g, da, db = COST_GATES[name]
     assert cost(mirrored(g, da, db), db, da, seed) == cost(g, da, db, seed)
+
+
+@pytest.mark.parametrize("name", GATES)
+@FEW
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_report_round_trip_reproduces_the_simulation(name, seed):
+    g, da, db = GATES[name]
+    rng = np.random.default_rng(seed)
+    a, b, c, d = (haar(n, rng) for n in (da, db, da, db))
+    exp = compile_unitary(BipartiteUnitary(np.kron(a, b) @ g @ np.kron(c, d), da, db))
+    back = expansion_from_report(json.loads(canonical_json(build_report(exp))))
+    psi = rng.normal(size=da * db) + 1j * rng.normal(size=da * db)
+    psi /= np.linalg.norm(psi)
+    before, after = simulate_protocol(exp, psi), simulate_protocol(back, psi)
+    assert after.branch_outcomes == before.branch_outcomes
+    np.testing.assert_allclose(after.branch_probabilities, before.branch_probabilities,
+                               rtol=0, atol=1e-9)
+    np.testing.assert_allclose(after.branch_fidelities, before.branch_fidelities,
+                               rtol=0, atol=1e-9)

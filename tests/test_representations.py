@@ -1,14 +1,14 @@
 """Irrep extraction, orthogonality, and projective representation gauges."""
 import numpy as np
 import pytest
+from conftest import orthogonality_defect
 
 from nlgc.errors import ValidationError
 from nlgc.groups import (FactorSystem, builtin_catalog, cyclic, dihedral,
                          direct_product, heisenberg, quaternion, symmetric)
 from nlgc.representations import (Representation, factor_phases_of,
                                   gauge_normalize, irrep_dimensions,
-                                  irreps_of, orthogonality_defect,
-                                  pauli_projective_rep,
+                                  irreps_of, pauli_projective_rep,
                                   projective_irreps_from_extension,
                                   regular_representation)
 
