@@ -10,7 +10,8 @@ from .errors import (AssignmentError, CompilerError, DimensionError,
                      SingularInputError, ValidationError)
 from .expansion import (GroupExpansion, classify, compile_unitary,
                         construct_V, synthesize_group_gate)
-from .groups import FactorSystem, FiniteGroup, builtin_catalog, load_group_file
+from .groups import (FactorSystem, FiniteGroup, builtin_catalog, catalog_recipe,
+                     load_group_file)
 from .protocol import (ProtocolTrace, build_M, fourier_basis, random_states,
                        simulate_protocol)
 from .report import (build_report, canonical_json, expansion_from_report,
@@ -31,7 +32,7 @@ __all__ = [
     "GroupExpansion", "InconsistencyError", "NondeterminismError",
     "ProtocolTrace", "Representation", "SchmidtDecomposition",
     "SearchCandidate", "SingularInputError", "ValidationError", "build_M",
-    "build_report", "builtin_catalog", "canonical_json",
+    "build_report", "builtin_catalog", "canonical_json", "catalog_recipe",
     "classify", "classify_equivalence", "compile_unitary", "construct_V",
     "expansion_from_report", "finest_sbd", "fourier_basis", "gram_set",
     "irrep_dimensions", "irreps_of", "load_group_file", "matrix_payload",

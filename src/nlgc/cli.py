@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import CompilerError, DimensionError, ValidationError
 from .expansion import compile_unitary
-from .groups import builtin_catalog, load_group_file, save_group_file
+from .groups import (builtin_catalog, catalog_recipe, load_group_file,
+                     save_group_file)
 from .protocol import random_states, simulate_protocol
 from .report import (build_report, canonical_json, expansion_from_report,
                      matrix_payload, parse_matrix_payload, parse_state_payload,
@@ -63,14 +64,15 @@ def _load_unitary(path: str, dims) -> BipartiteUnitary:
     return parse_matrix_payload(data, tuple(dims) if dims else None)
 
 
-def _catalog(max_order: int):
+def _extra_groups() -> list:
+    """The groups registered in the NLGC_CATALOG_DIR directory, by file name."""
     extra = []
     cat_dir = os.environ.get(CATALOG_ENV)
     if cat_dir and os.path.isdir(cat_dir):
         for name in sorted(os.listdir(cat_dir)):
             if name.endswith(".json"):
                 extra.append(load_group_file(os.path.join(cat_dir, name)))
-    return builtin_catalog(max_order, extra=extra or None)
+    return extra
 
 
 def _checked(convert, ok, need: str):
@@ -109,7 +111,7 @@ def _compile_args(parser: argparse.ArgumentParser):
 def _compile_from_args(args, bu: BipartiteUnitary):
     return compile_unitary(bu, side=args.side, tol=args.tol, seed=args.seed,
                            allow_projective=args.projective,
-                           catalog=_catalog(args.max_order))
+                           catalog=catalog_recipe(args.max_order, _extra_groups()))
 
 
 def cmd_compile(args) -> int:
@@ -206,13 +208,15 @@ def cmd_verify(args) -> int:
 
 def cmd_groups(args) -> int:
     if args.group_action == "list":
-        for g in sorted(_catalog(args.max_order), key=lambda g: (g.order, g.name)):
+        catalog = builtin_catalog(args.max_order, _extra_groups())
+        for g in sorted(catalog, key=lambda g: (g.order, g.name)):
             dims = irrep_dimensions(g)
             kind = "abelian" if g.is_abelian else "nonabelian"
             print(f"{g.name}  order={g.order}  {kind}  irrepDims={dims}")
         return EXIT_OK
     if args.group_action == "show":
-        matches = [g for g in _catalog(args.max_order) if g.name == args.name]
+        matches = [g for g in builtin_catalog(args.max_order, _extra_groups())
+                   if g.name == args.name]
         if not matches:
             raise ValidationError(f"no group named {args.name!r} in the catalog")
         g = matches[0]

@@ -20,7 +20,7 @@ import numpy as np
 from ._linalg import dagger, frobenius, gram_schmidt, polar_unitary
 from .errors import (AssignmentError, InconsistencyError, SingularInputError,
                      ValidationError)
-from .groups import FactorSystem, FiniteGroup, builtin_catalog
+from .groups import FactorSystem, FiniteGroup
 from .protocol import build_M, check_M_unitary
 from .representations import Representation, pauli_projective_rep
 from .sbd import (BLOCK_TOL, BlockStructure, classify_equivalence, finest_sbd,
@@ -377,14 +377,16 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
     returned with its warning flag set; compile_unitary itself never fails
     on a valid unitary. The finest block structures of both orientations,
     computed at block tolerance min(10*tol, BLOCK_TOL), are summarized in
-    the result's blocks. Each call builds one catalog index, of catalog or
-    else of builtin_catalog(), shared by both sides, so no call depends on
-    an earlier one.
+    the result's blocks. catalog is a list of groups or catalog_recipe
+    entries, by default catalog_recipe(), the built-in catalog up to order
+    32. Each call builds one CatalogIndex of it, shared by both sides, which
+    builds the groups of an order the first time the search reaches it; no
+    call depends on an earlier one.
     """
     if side not in ("A", "B", "both"):
         raise ValidationError("side must be A, B, or both")
     block_tol = min(10 * tol, BLOCK_TOL)
-    index = CatalogIndex(builtin_catalog() if catalog is None else catalog, seed)
+    index = CatalogIndex(catalog, seed)
     oriented = {"A": u, "B": u.swapped()}
     finest = {label: _finest_structure(bu, block_tol, seed)
               for label, bu in oriented.items()}

@@ -5,7 +5,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -393,32 +393,48 @@ def pauli_sixteen():
     return central_extension(_cyclic_product((2, 2)), n, 4, name="Pauli16")
 
 
+def _built(g: FiniteGroup) -> tuple:
+    """Catalog recipe entry of a group that is already built."""
+    return g.order, lambda: g
+
+
+def catalog_recipe(max_order: int = 32, extra=None) -> list[tuple]:
+    """(order, make) entries of builtin_catalog(max_order, extra), in its
+    order: make() builds and validates the group, so the orders present are
+    known before any group is built.
+
+    An extra group is kept unless it is isomorphic (are_isomorphic, which
+    compares signatures first) to a builtin or an earlier extra of its
+    order; the groups of that order are built for the comparison.
+    """
+    recipe = [(math.prod(f), partial(_cyclic_product, f))
+              for f in _abelian_factors(max_order)]
+    recipe += [(order, partial(make, *args)) for order, make, *args in (
+        (6, symmetric, 3), (12, alternating, 4), (24, symmetric, 4), (8, quaternion),
+        *((2 * n, dihedral, n) for n in range(4, 17)), (27, heisenberg, 3), (16, pauli_sixteen))
+        if order <= max_order]
+    for g in (extra or []):
+        if g.order <= max_order:
+            recipe = [_built(make()) if order == g.order else (order, make)
+                      for order, make in recipe]
+            if not any(are_isomorphic(g, make()) for order, make in recipe if order == g.order):
+                recipe.append(_built(g))
+    recipe.sort(key=lambda entry: entry[0])
+    return recipe
+
+
 def builtin_catalog(max_order: int = 32, extra=None) -> list[FiniteGroup]:
     """Standard group families up to max_order, one per isomorphism class.
 
     Cyclic groups, abelian products of up to three cyclic factors, Q8, S3,
     A4, S4, dihedral groups D4 to D16, the Heisenberg group over Z_3 and
-    the order 16 Pauli extension, sorted by order. Only the groups returned
-    are built, with no isomorphism search: a product of cyclic groups is
+    the order 16 Pauli extension, sorted by order, and the extras kept by
+    catalog_recipe: every entry of catalog_recipe(max_order, extra), built.
+    Builtins need no isomorphism search: a product of cyclic groups is
     skipped when its elementary divisors were seen before (cyclic groups
-    first), and D3 = S3 and Heis2 = D4 are not generated. An extra group
-    is dropped when it is isomorphic to a kept one: by are_isomorphic up
-    to order 16, by abelian signature above that.
+    first), and D3 = S3 and Heis2 = D4 are not generated.
     """
-    groups = [_cyclic_product(f) for f in _abelian_factors(max_order)]
-    groups += [make(*args) for order, make, *args in (
-        (6, symmetric, 3), (12, alternating, 4), (24, symmetric, 4), (8, quaternion),
-        *((2 * n, dihedral, n) for n in range(4, 17)), (27, heisenberg, 3), (16, pauli_sixteen))
-        if order <= max_order]
-    for g in (extra or []):
-        if g.order <= max_order and not any(
-                g.order == h.order and (
-                    are_isomorphic(g, h) if g.order <= 16 else
-                    g.is_abelian and h.is_abelian and g.signature() == h.signature())
-                for h in groups):
-            groups.append(g)
-    groups.sort(key=lambda g: g.order)
-    return groups
+    return [make() for _, make in catalog_recipe(max_order, extra)]
 
 
 def load_group_file(path) -> FiniteGroup:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, are_isomorphic
+from .groups import FiniteGroup, _built, are_isomorphic, catalog_recipe
 from .representations import (Representation, central_irreps, irreps_of,
                               projective_irreps_from_extension)
 from .sbd import BlockStructure, EquivalenceClass, merge_blocks
@@ -126,25 +126,41 @@ def _group_sort_key(catalog_index: int, g: FiniteGroup) -> tuple:
 class CatalogIndex:
     """A group catalog grouped by order in search order, with memoized irreps.
 
-    Building the index computes no irreps: the ordinary irreps of a catalog
-    group, and the projective irreps of the quotient of an extension group l
-    by a central element z, are computed the first time a search asks for
-    them and reused by every later search on the same index.
+    catalog holds FiniteGroup objects and catalog_recipe (order, make)
+    entries, by default catalog_recipe(); a group's position is its place
+    there. The orders present are known at once; the groups of an order are
+    built, validated and sorted the first time groups(order) asks. The
+    ordinary irreps of a group, and the projective irreps of the quotient
+    of an extension l by a central z, are likewise computed on first use.
+    Nothing outlives the index: build one per compile.
     """
 
-    def __init__(self, catalog, seed: int = 0):
-        self.catalog = list(catalog)
+    def __init__(self, catalog=None, seed: int = 0):
         self.seed = seed
-        self.by_order: dict[int, list[tuple[int, FiniteGroup]]] = {}
-        for idx, g in sorted(enumerate(self.catalog), key=lambda t: _group_sort_key(*t)):
-            self.by_order.setdefault(g.order, []).append((idx, g))
+        self._makers: dict[int, list] = {}      # order -> [(position, make)]
+        for idx, entry in enumerate(catalog_recipe() if catalog is None else catalog):
+            order, make = _built(entry) if isinstance(entry, FiniteGroup) else entry
+            self._makers.setdefault(order, []).append((idx, make))
+        self.orders = frozenset(self._makers)
+        self._by_order: dict[int, list[tuple[int, FiniteGroup]]] = {}
+        self._groups: dict[int, FiniteGroup] = {}
         self._ordinary: dict[int, list[Representation]] = {}
         self._projective: dict[tuple[int, int], tuple] = {}
 
+    def groups(self, order: int) -> list[tuple[int, FiniteGroup]]:
+        """(catalog position, group) pairs of this order in search order,
+        built on the first request; empty when the catalog has none."""
+        if order not in self._by_order:
+            built = [(idx, make()) for idx, make in self._makers.get(order, [])]
+            self._groups.update(built)
+            self._by_order[order] = sorted(built, key=lambda t: _group_sort_key(*t))
+        return self._by_order[order]
+
     def irreps(self, idx: int) -> list[Representation]:
-        """Ordinary irreps of the catalog group at position idx."""
+        """Ordinary irreps of the catalog group at position idx, once its
+        order has been built."""
         if idx not in self._ordinary:
-            self._ordinary[idx] = irreps_of(self.catalog[idx], seed=self.seed)
+            self._ordinary[idx] = irreps_of(self._groups[idx], seed=self.seed)
         return self._ordinary[idx]
 
     def projective(self, idx: int, z: int):
@@ -153,7 +169,7 @@ class CatalogIndex:
         isomorphic catalog group of its order."""
         if (idx, z) not in self._projective:
             quotient, irreps = projective_irreps_from_extension(self.irreps(idx), z)
-            for _, known in self.by_order.get(quotient.order, []):
+            for _, known in self.groups(quotient.order):
                 if are_isomorphic(quotient, known):
                     quotient.name = known.name
                     break
@@ -176,14 +192,13 @@ def search_group(structure: BlockStructure, d_a: int, index: CatalogIndex,
     iterator is exhausted; warning_sink, when given, collects the catalog-gap
     warnings, including those found after the last yield.
     """
-    by_order = index.by_order
     finest = [[b] for b in range(len(structure.block_sizes))]
     n_start = _plan_cost(structure, finest)
     plans = [(n_start, finest)]     # any merge costs strictly more
     warnings: list[str] = warning_sink if warning_sink is not None else []
     seen_projective = set()
     for n in range(max(n_start, 1), d_a ** 2 + 1):
-        if n not in by_order:
+        if n not in index.orders:
             _merge_warnings(warnings, f"catalog has no group of order {n}")
         if n == n_start + 1:
             plans = merge_plans(structure)
@@ -196,7 +211,7 @@ def search_group(structure: BlockStructure, d_a: int, index: CatalogIndex,
             if any(n % d for d in required):
                 continue
 
-            for idx, g in by_order.get(n, []):
+            for idx, g in index.groups(n):
                 if g.is_abelian and max(required) > 1:
                     continue        # every irrep of an abelian group is 1-dim
                 irreps = index.irreps(idx)
@@ -209,11 +224,11 @@ def search_group(structure: BlockStructure, d_a: int, index: CatalogIndex,
             for r in range(2, n + 1):
                 if n % r:
                     continue
-                if r * n not in by_order:
+                if r * n not in index.orders:
                     _merge_warnings(warnings, f"catalog has no group of order {r * n} "
                                     f"for central extensions over order {n}")
                     continue
-                for idx, l in by_order[r * n]:
+                for idx, l in index.groups(r * n):
                     if l.is_abelian:
                         continue    # its projective irreps are all 1-dim
                     for z in l.center():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nlgc.cli import main
-from nlgc.groups import cyclic, save_group_file
+from nlgc.groups import FiniteGroup, cyclic, dihedral, save_group_file
 from nlgc.report import (canonical_json, decode_matrix, encode_matrix,
                          matrix_payload, state_payload)
 from nlgc.schmidt import BipartiteUnitary
@@ -370,3 +370,20 @@ def test_catalog_dir_feeds_the_search(tmp_path, capsys, monkeypatch):
     assert main(["compile", gate]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["group"]["order"] == 3
+
+
+def test_catalog_dir_drops_groups_isomorphic_to_a_builtin(tmp_path, capsys, monkeypatch):
+    d9 = dihedral(9)
+    p = np.random.default_rng(0).permutation(18)
+    table = np.empty_like(d9.table)
+    table[p[:, None], p] = p[d9.table]
+    catdir = tmp_path / "catalog"
+    catdir.mkdir()
+    save_group_file(FiniteGroup("D9alias", table), catdir / "D9alias.json")
+    monkeypatch.setenv("NLGC_CATALOG_DIR", str(catdir))
+    assert main(["groups", "list", "--max-order", "18"]) == 0
+    order_18 = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                if "order=18 " in line]
+    assert order_18 == ["C18", "C2xC3xC3", "D9"]
+    assert main(["groups", "show", "D9alias", "--max-order", "18"]) == 2
+    capsys.readouterr()

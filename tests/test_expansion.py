@@ -5,7 +5,7 @@ import pytest
 from nlgc.errors import SingularInputError
 from nlgc.expansion import (classify, compile_unitary, construct_V,
                             synthesize_group_gate)
-from nlgc.groups import cyclic, symmetric
+from nlgc.groups import FiniteGroup, cyclic, symmetric
 from nlgc.schmidt import BipartiteUnitary, schmidt_decompose
 from nlgc.search import trivial_structure
 
@@ -245,3 +245,34 @@ def test_classify_runs_on_rebuilt_expansions():
     label, details = classify(exp)
     assert label == exp.classification
     assert "wFactorPhases" in details
+
+
+@pytest.fixture
+def group_builds(monkeypatch):
+    """Orders of the FiniteGroup objects built while the test runs."""
+    built = []
+    validate = FiniteGroup.__post_init__
+
+    def counting(self):
+        validate(self)
+        built.append(self.order)
+    monkeypatch.setattr(FiniteGroup, "__post_init__", counting)
+    return built
+
+
+def test_a_compile_builds_only_the_catalog_orders_it_reaches(group_builds):
+    assert compile_unitary(BipartiteUnitary(CNOT, 2, 2)).group.order == 2
+    assert group_builds and max(group_builds) == 2
+    group_builds.clear()
+    assert compile_unitary(BipartiteUnitary(SWAP, 2, 2)).group.order == 4
+    # the projective C2xC2 comes from the first extension order over 4, 8,
+    # so the search stops before it fills from order 16
+    assert set(group_builds) == {4, 8}
+
+
+def test_every_compile_builds_its_own_catalog_index(group_builds):
+    compile_unitary(BipartiteUnitary(CNOT, 2, 2))
+    first = list(group_builds)
+    group_builds.clear()
+    compile_unitary(BipartiteUnitary(CNOT, 2, 2))
+    assert first and group_builds == first

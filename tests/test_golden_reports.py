@@ -28,7 +28,8 @@ import pytest
 
 from nlgc import (BipartiteUnitary, build_report, canonical_json,
                   compile_unitary, random_states, simulate_protocol)
-from nlgc.groups import builtin_catalog
+from nlgc.expansion import synthesize_group_gate
+from nlgc.groups import alternating, builtin_catalog
 
 
 def haar_unitary(dim, seed):
@@ -84,6 +85,21 @@ def test_earlier_compiles_leave_later_reports_unchanged():
     explicit = canonical_report(cnot, catalog=builtin_catalog(32))
     assert first == again == explicit
     assert sha256(first) == GOLDEN_SHA256["cnot"]
+
+
+@pytest.mark.parametrize("name", [*sorted(GATES), "haar2x3", "synth-A4"])
+def test_lazy_default_index_reports_equal_the_built_catalogs(name):
+    """The default index builds each order on first use; handing it every
+    group of builtin_catalog() already built changes no byte."""
+    if name == "haar2x3":
+        bu = BipartiteUnitary(haar_unitary(6, 2), 2, 3)
+    elif name == "synth-A4":
+        bu = synthesize_group_gate(alternating(4), seed=3)
+    else:
+        bu = gate(name)
+    lazy = canonical_report(bu)
+    assert lazy == canonical_report(bu, catalog=builtin_catalog())
+    assert json.loads(lazy)["expansion"]["fallback"] == (name == "haar4x4")
 
 
 # The section whose floats must match exactly, like every non-float value.

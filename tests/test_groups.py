@@ -6,7 +6,8 @@ import pytest
 
 from nlgc.errors import ValidationError
 from nlgc.groups import (FactorSystem, FiniteGroup, alternating, are_isomorphic,
-                         builtin_catalog, central_extension, cyclic, dihedral,
+                         builtin_catalog, catalog_recipe, central_extension,
+                         cyclic, dihedral,
                          direct_product, heisenberg, load_group_file,
                          quaternion, quotient_by_central_cyclic,
                          save_group_file, symmetric)
@@ -151,6 +152,34 @@ def test_builtin_catalog_runs_no_isomorphism_search(monkeypatch):
         raise AssertionError(f"are_isomorphic({g1.name}, {g2.name}) called")
     monkeypatch.setattr("nlgc.groups.are_isomorphic", refuse)
     assert catalog_digest(builtin_catalog(64)) == CATALOG_64_SHA256
+
+
+def test_catalog_recipe_knows_every_order_and_builds_no_group(monkeypatch):
+    orders = [g.order for g in builtin_catalog(64)]
+    monkeypatch.setattr(FiniteGroup, "__post_init__", None)     # any build fails
+    recipe = catalog_recipe(64)
+    monkeypatch.undo()
+    assert [order for order, _ in recipe] == orders
+    assert catalog_digest([make() for _, make in recipe]) == CATALOG_64_SHA256
+
+
+def relabelled(g: FiniteGroup, name: str, seed: int = 0) -> FiniteGroup:
+    """g with its elements renumbered by a seeded permutation."""
+    p = np.random.default_rng(seed).permutation(g.order)
+    table = np.empty_like(g.table)
+    table[p[:, None], p] = p[g.table]
+    return FiniteGroup(name, table)
+
+
+def test_isomorphic_extras_are_dropped_at_every_order():
+    c3s3 = direct_product(cyclic(3), symmetric(3))
+    extra = [relabelled(dihedral(9), "D9alias"), c3s3, relabelled(c3s3, "C3xS3alias"),
+             relabelled(direct_product(cyclic(2), cyclic(16)), "C2xC16alias"),
+             relabelled(dihedral(4), "D4alias")]
+    names = [g.name for g in builtin_catalog(32, extra=extra)]
+    assert [n for n in names if "alias" in n or n == "C3xS3"] == ["C3xS3"]
+    assert names[names.index("D9") + 1] == "C3xS3"    # an extra follows the builtins of its order
+    assert names == [g.name for g in builtin_catalog(32, extra=extra[1:2])]
 
 
 def test_catalog_respects_max_order_and_extras():

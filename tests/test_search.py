@@ -4,7 +4,7 @@ import functools
 import numpy as np
 import pytest
 
-from nlgc.groups import builtin_catalog, cyclic
+from nlgc.groups import builtin_catalog, catalog_recipe, cyclic
 from nlgc.sbd import BlockStructure, EquivalenceClass, merge_blocks
 from nlgc.search import (CatalogIndex, SearchCandidate, _assign, _merge_warnings,
                          merge_plans, search_group, set_partitions,
@@ -149,13 +149,12 @@ def test_cost_floor_matches_dimension_squares():
 def _reference_search(structure, d_a, index, allow_projective=True, warning_sink=None):
     """search_group as an exhaustive walk: every merge plan at every order,
     and a projective fill of every (extension, central element) pair."""
-    by_order = index.by_order
     plans = merge_plans(structure)
     n_start = plans[0][0]
     warnings = warning_sink if warning_sink is not None else []
     seen_projective = set()
     for n in range(max(n_start, 1), d_a ** 2 + 1):
-        if n not in by_order:
+        if n not in index.orders:
             _merge_warnings(warnings, f"catalog has no group of order {n}")
         for n0, plan in plans:
             if n0 > n:
@@ -165,7 +164,7 @@ def _reference_search(structure, d_a, index, allow_projective=True, warning_sink
             required = merged.class_dims()
             if any(n % d for d in required):
                 continue
-            for idx, g in by_order.get(n, []):
+            for idx, g in index.groups(n):
                 if g.is_abelian and max(required) > 1:
                     continue
                 irreps = index.irreps(idx)
@@ -177,11 +176,11 @@ def _reference_search(structure, d_a, index, allow_projective=True, warning_sink
             for r in range(2, n + 1):
                 if n % r:
                     continue
-                if r * n not in by_order:
+                if r * n not in index.orders:
                     _merge_warnings(warnings, f"catalog has no group of order {r * n} "
                                     f"for central extensions over order {n}")
                     continue
-                for idx, l in by_order[r * n]:
+                for idx, l in index.groups(r * n):
                     for z in l.center():
                         if l.element_order(z) != r:
                             continue
@@ -227,11 +226,9 @@ def _trace(candidates):
              c.factor.phases.tobytes()) for c in candidates]
 
 
-@pytest.mark.parametrize("setting", SEARCH_SETTINGS)
-@pytest.mark.parametrize("name", EQUIVALENCE_STRUCTURES)
-def test_search_yields_what_the_exhaustive_walk_yields(name, setting):
+def _assert_search_matches_walk(name, setting, index):
     max_order, allow_projective = SEARCH_SETTINGS[setting]
-    ref_index, index = _indexes(max_order)
+    ref_index = _indexes(max_order)[0]
     structure = EQUIVALENCE_STRUCTURES[name]()
     ref_warnings, warnings = [], []
     expected = _trace(_reference_search(structure, structure.dim, ref_index,
@@ -242,10 +239,24 @@ def test_search_yields_what_the_exhaustive_walk_yields(name, setting):
     assert warnings == ref_warnings
 
 
+@pytest.mark.parametrize("setting", SEARCH_SETTINGS)
+@pytest.mark.parametrize("name", EQUIVALENCE_STRUCTURES)
+def test_search_yields_what_the_exhaustive_walk_yields(name, setting):
+    _assert_search_matches_walk(name, setting, _indexes(SEARCH_SETTINGS[setting][0])[1])
+
+
+@pytest.mark.parametrize("setting", SEARCH_SETTINGS)
+@pytest.mark.parametrize("name", EQUIVALENCE_STRUCTURES)
+def test_lazily_filled_index_yields_what_the_exhaustive_walk_yields(name, setting):
+    # a fresh index of recipe entries builds each order when the search reaches it
+    index = CatalogIndex(catalog_recipe(SEARCH_SETTINGS[setting][0]))
+    _assert_search_matches_walk(name, setting, index)
+
+
 def test_abelian_extensions_give_only_one_dim_projective_irreps():
     index = _indexes(32)[0]
-    for order, groups in index.by_order.items():
-        for idx, g in groups:
+    for order in index.orders:
+        for idx, g in index.groups(order):
             if g.is_abelian:
                 for z in g.center():
                     _, irreps = index.projective(idx, z)
