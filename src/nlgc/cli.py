@@ -17,12 +17,10 @@ import numpy as np
 
 from .errors import CompilerError, DimensionError, ValidationError
 from .expansion import compile_unitary
-from .groups import (builtin_catalog, catalog_recipe, load_group_file,
-                     save_group_file)
+from .groups import FiniteGroup, builtin_catalog, catalog_recipe, save_group_file
 from .protocol import random_states, simulate_protocol
-from .report import (build_report, canonical_json, expansion_from_report,
-                     matrix_payload, parse_matrix_payload, parse_state_payload,
-                     state_payload, verify_report)
+from .report import (build_report, canonical_json, encode_matrix, expansion_from_report,
+                     parse_matrix_payload, parse_state_payload, verify_report)
 from .representations import irrep_dimensions
 from .schmidt import BipartiteUnitary, schmidt_decompose
 
@@ -44,7 +42,7 @@ def _read_json(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # not UTF-8, or not JSON
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path} must hold a JSON object")
@@ -71,7 +69,7 @@ def _extra_groups() -> list:
     if cat_dir and os.path.isdir(cat_dir):
         for name in sorted(os.listdir(cat_dir)):
             if name.endswith(".json"):
-                extra.append(load_group_file(os.path.join(cat_dir, name)))
+                extra.append(FiniteGroup.from_dict(_read_json(os.path.join(cat_dir, name))))
     return extra
 
 
@@ -190,8 +188,8 @@ def cmd_schmidt(args) -> int:
         "dimB": bu.dim_b,
         "rank": len(dec),
         "coefficients": [float(c) for c in dec.coefficients],
-        "aOps": [np.asarray(a).tolist() for a in dec.a_ops],
-        "bOps": [np.asarray(b).tolist() for b in dec.b_ops],
+        "aOps": encode_matrix(dec.a_ops),
+        "bOps": encode_matrix(dec.b_ops),
     }
     _write_text(canonical_json(payload), args.out)
     return EXIT_OK
@@ -234,7 +232,7 @@ def cmd_groups(args) -> int:
         return EXIT_OK
     # load: validate an external group file, register it when a catalog
     # directory is configured
-    g = load_group_file(args.file)
+    g = FiniteGroup.from_dict(_read_json(args.file))
     irrep_dimensions(g)
     print(f"valid group: {g.name} (order {g.order})")
     cat_dir = os.environ.get(CATALOG_ENV)

@@ -1,4 +1,5 @@
-"""Exception types raised by the compiler."""
+"""Exception types raised by the compiler, and the guard for outside input."""
+import contextlib
 
 
 class CompilerError(Exception):
@@ -27,3 +28,14 @@ class AssignmentError(CompilerError):
 
 class InconsistencyError(CompilerError):
     """An internal reconstruction identity failed beyond tolerance."""
+
+
+@contextlib.contextmanager
+def malformed(what: str):
+    """Turn a missing, mis-typed or out-of-range field of an input file into
+    a ValidationError. Usable as a decorator on the function that parses it."""
+    try:
+        yield
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError,
+            OverflowError) as exc:
+        raise ValidationError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc

@@ -9,7 +9,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ValidationError, malformed
 
 PHASE_TOL = 1e-9
 
@@ -31,6 +31,8 @@ class FiniteGroup:
     inverses: np.ndarray = field(init=False, default=None)
 
     def __post_init__(self):
+        if np.asarray(self.table).dtype.kind not in "iu":
+            raise ValidationError("table entries must be integer element indices")
         self.table = table = np.array(self.table, dtype=int)
         n = table.shape[0]
         if table.shape != (n, n):
@@ -146,17 +148,13 @@ class FiniteGroup:
                 "identity": int(self.identity)}
 
     @classmethod
+    @malformed("group record")
     def from_dict(cls, data: dict) -> "FiniteGroup":
-        try:
-            name = data["name"]
-            order = int(data["order"])
-            flat = data["table"]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"group record missing field: {exc}") from exc
+        order, flat = int(data["order"]), data["table"]
         if len(flat) != order * order:
             raise ValidationError(
                 f"table length {len(flat)} does not match order {order} squared")
-        g = cls(name, np.array(flat, dtype=int).reshape(order, order))
+        g = cls(data["name"], np.reshape(flat, (order, order)))
         if "identity" in data and int(data["identity"]) != g.identity:
             raise ValidationError("declared identity does not match the table")
         return g

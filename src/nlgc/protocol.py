@@ -61,14 +61,13 @@ def build_M(group: FiniteGroup, factor: FactorSystem | None, w_ops: np.ndarray) 
     reg = regular_representation(group, factor)
     m = np.einsum("fgh,fjk->gjhk", reg.matrices, w_ops).reshape(
         n * w_ops.shape[1], n * w_ops.shape[2])
-    mu = reg.factor.phases
-    d = w_ops.shape[1]
-    for g in range(n):
-        for f in range(n):
-            k = group.table[group.inverses[g], f]
-            block = m[g * d:(g + 1) * d, f * d:(f + 1) * d]
-            if not frobenius(block - mu[g, k] * w_ops[k]) <= 1e-10 * max(1.0, frobenius(w_ops[k])):
-                raise ValidationError("translation blocks of M are inconsistent")
+    # blocks[g, f] is the (g, f) block of M; k[g, f] = g^-1 f
+    blocks = m.reshape(n, w_ops.shape[1], n, w_ops.shape[2]).transpose(0, 2, 1, 3)
+    k = group.table[group.inverses]
+    expected = reg.factor.phases[np.arange(n)[:, None], k][:, :, None, None] * w_ops[k]
+    scale = np.maximum(1.0, np.linalg.norm(w_ops, axis=(1, 2)))[k]
+    if not np.all(np.linalg.norm(blocks - expected, axis=(2, 3)) <= 1e-10 * scale):
+        raise ValidationError("translation blocks of M are inconsistent")
     return m
 
 

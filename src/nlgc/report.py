@@ -7,13 +7,12 @@ V, U(f), W(f), basis change) to rebuild the expansion without recompiling.
 """
 from __future__ import annotations
 
-import contextlib
 import json
 
 import numpy as np
 
 from ._linalg import dagger, frobenius, unitarity_deviation
-from .errors import ValidationError
+from .errors import ValidationError, malformed
 from .expansion import GroupExpansion, expansion_claims
 from .groups import FactorSystem, FiniteGroup
 from .representations import Representation
@@ -25,32 +24,32 @@ REPORT_VERSION = 1
 
 
 def _round_sig(x: float) -> float:
-    out = float("%.12g" % float(x))
+    out = float("%.12g" % x)
     return 0.0 if out == 0.0 else out
 
 
-def encode_complex(z) -> list[float]:
-    z = complex(z)
-    return [_round_sig(z.real), _round_sig(z.imag)]
-
-
 def encode_matrix(m) -> list:
-    m = np.asarray(m)
-    if m.ndim == 1:
-        return [encode_complex(z) for z in m]
-    return [[encode_complex(z) for z in row] for row in m]
+    """A complex array as nested [re, im] pairs; canonical_json rounds them."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
-def _decode_entry(e) -> complex:
-    if isinstance(e, (int, float)):
-        return complex(e)
-    if isinstance(e, (list, tuple)) and len(e) == 2:
-        return complex(float(e[0]), float(e[1]))
-    raise ValidationError("matrix entries must be numbers or [re, im] pairs")
-
-
-def decode_matrix(rows) -> np.ndarray:
-    return np.array([[_decode_entry(e) for e in row] for row in rows])
+def decode_matrix(rows, shape: tuple) -> np.ndarray:
+    """The complex array a JSON array holds: all entries numbers, or all
+    [re, im] pairs. shape is the expected shape, None on an axis of any
+    length; anything else raises ValidationError."""
+    try:
+        a = np.asarray(rows)
+    except ValueError as exc:       # ragged, or numbers mixed with pairs
+        raise ValidationError(
+            "matrix is ragged or mixes numbers with [re, im] pairs") from exc
+    if a.dtype.kind not in "biuf":
+        raise ValidationError("matrix entries must be numbers or [re, im] pairs")
+    if a.ndim == len(shape) + 1 and a.shape[-1] == 2:
+        a = a.astype(float).view(complex)[..., 0]
+    if a.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, a.shape)):
+        raise ValidationError(f"matrix has shape {a.shape}, expected {shape}")
+    return a.astype(complex)
 
 
 def _canonical(obj):
@@ -65,7 +64,7 @@ def _canonical(obj):
     if isinstance(obj, (float, np.floating)):
         return _round_sig(float(obj))
     if isinstance(obj, (complex, np.complexfloating)):
-        return encode_complex(obj)
+        return [_round_sig(obj.real), _round_sig(obj.imag)]
     if isinstance(obj, np.ndarray):
         return _canonical(obj.tolist())
     return obj
@@ -79,10 +78,11 @@ def matrix_payload(bu: BipartiteUnitary) -> dict:
     return {"dimA": bu.dim_a, "dimB": bu.dim_b, "matrix": encode_matrix(bu.matrix)}
 
 
+@malformed("matrix file")
 def parse_matrix_payload(data: dict, dims: tuple[int, int] | None = None) -> BipartiteUnitary:
     if "matrix" not in data:
         raise ValidationError("matrix file needs a 'matrix' field")
-    m = decode_matrix(data["matrix"])
+    m = decode_matrix(data["matrix"], (None, None))
     if dims is not None:
         d_a, d_b = dims
     elif "dimA" in data and "dimB" in data:
@@ -101,10 +101,11 @@ def state_payload(psi: np.ndarray) -> dict:
     return {"dim": int(psi.size), "vector": encode_matrix(psi)}
 
 
+@malformed("state file")
 def parse_state_payload(data: dict) -> np.ndarray:
     if "vector" not in data:
         raise ValidationError("state file needs a 'vector' field")
-    vec = np.array([_decode_entry(e) for e in data["vector"]])
+    vec = decode_matrix(data["vector"], (None,))
     if "dim" in data and int(data["dim"]) != vec.size:
         raise ValidationError("state length disagrees with its declared dim")
     return vec
@@ -123,15 +124,15 @@ def _structure_payload(bs: BlockStructure) -> dict:
     }
 
 
-def _structure_from_payload(data: dict) -> BlockStructure:
+def _structure_from_payload(data: dict, d_a: int) -> BlockStructure:
     classes = [
         EquivalenceClass(
             members=list(c["members"]),
-            intertwiners={int(k): decode_matrix(v)
+            intertwiners={int(k): decode_matrix(v, (None, None))
                           for k, v in c["intertwiners"].items()})
         for c in data["classes"]
     ]
-    return BlockStructure(decode_matrix(data["basisChange"]),
+    return BlockStructure(decode_matrix(data["basisChange"], (d_a, d_a)),
                           [int(s) for s in data["sizes"]], classes)
 
 
@@ -206,22 +207,7 @@ def build_report(exp: GroupExpansion, trace=None, meta: dict | None = None,
     return report
 
 
-@contextlib.contextmanager
-def _report_fields():
-    """Turn a missing or mis-typed report field into a ValidationError."""
-    try:
-        yield
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ValidationError(
-            f"malformed report: {type(exc).__name__}: {exc}") from exc
-
-
-def _check_shape(name: str, arr: np.ndarray, shape: tuple) -> None:
-    if arr.shape != shape:
-        raise ValidationError(
-            f"malformed report: {name} has shape {arr.shape}, expected {shape}")
-
-
+@malformed("report")
 def expansion_from_report(report: dict) -> GroupExpansion:
     """Rebuild a working expansion from its serialized report.
 
@@ -229,48 +215,38 @@ def expansion_from_report(report: dict) -> GroupExpansion:
     """
     if not isinstance(report, dict) or report.get("format") != REPORT_FORMAT:
         raise ValidationError("not a compilation report")
-    with _report_fields():
-        inp, grp, exp_data = report["input"], report["group"], report["expansion"]
-        original = BipartiteUnitary(decode_matrix(inp["matrix"]),
-                                    int(inp["dimA"]), int(inp["dimB"]))
-        side = exp_data["side"]
-        group = FiniteGroup(grp["name"], np.array(grp["table"], dtype=int))
-        if grp["projective"]:
-            factor = FactorSystem(decode_matrix(grp["factorPhases"]),
-                                  int(grp["factorRootOrder"]))
-        else:
-            factor = FactorSystem.trivial(group.order)
-        u_mats = np.array([decode_matrix(m) for m in exp_data["uOps"]])
-        w_ops = np.array([decode_matrix(m) for m in exp_data["wOps"]])
-        v = decode_matrix(exp_data["v"])
-        structure = _structure_from_payload(exp_data["structure"])
-        stored = dict(
-            w_coeffs=decode_matrix(exp_data["wCoeffs"]),
-            cost_ebits=float(report["costs"]["costEbits"]),
-            baseline_ebits=float(report["costs"]["baselineEbits"]),
-            residual=float(exp_data["residual"]),
-            m_unitary=bool(report["mStatus"]["unitary"]),
-            m_deviation=float(report["mStatus"]["deviation"]),
-            route=exp_data["route"],
-            classification=report["classification"]["label"],
-            warnings=list(report.get("warnings", [])),
-            blocks=report["blocks"],
-        )
+    inp, grp, exp_data = report["input"], report["group"], report["expansion"]
+    d_a, d_b = int(inp["dimA"]), int(inp["dimB"])
+    original = BipartiteUnitary(decode_matrix(inp["matrix"], (d_a * d_b,) * 2), d_a, d_b)
+    side = exp_data["side"]
     if side not in ("A", "B"):
         raise ValidationError("malformed report: side must be A or B")
     bu = original if side == "A" else original.swapped()
+    group = FiniteGroup(grp["name"], grp["table"])
     n, d_a, d_b = group.order, bu.dim_a, bu.dim_b
-    _check_shape("v", v, (d_a, d_a))
-    _check_shape("uOps", u_mats, (n, d_a, d_a))
-    _check_shape("wOps", w_ops, (n, d_b, d_b))
-    _check_shape("structure basisChange", structure.basis_change, (d_a, d_a))
     if grp["projective"]:
+        factor = FactorSystem(decode_matrix(grp["factorPhases"], (n, n)),
+                              int(grp["factorRootOrder"]))
         factor.validate(group)
-    u_rep = Representation(group, factor, u_mats)
+    else:
+        factor = FactorSystem.trivial(n)
+    u_rep = Representation(group, factor, decode_matrix(exp_data["uOps"], (n, d_a, d_a)))
     u_rep.validate()
-    return GroupExpansion(unitary=bu, schmidt=schmidt_decompose(bu),
-                          structure=structure, group=group, factor=factor,
-                          v=v, u_rep=u_rep, w_ops=w_ops, side=side, **stored)
+    return GroupExpansion(
+        unitary=bu, schmidt=schmidt_decompose(bu),
+        structure=_structure_from_payload(exp_data["structure"], d_a),
+        group=group, factor=factor, v=decode_matrix(exp_data["v"], (d_a, d_a)),
+        u_rep=u_rep, w_ops=decode_matrix(exp_data["wOps"], (n, d_b, d_b)), side=side,
+        w_coeffs=decode_matrix(exp_data["wCoeffs"], (None, None)),
+        cost_ebits=float(report["costs"]["costEbits"]),
+        baseline_ebits=float(report["costs"]["baselineEbits"]),
+        residual=float(exp_data["residual"]),
+        m_unitary=bool(report["mStatus"]["unitary"]),
+        m_deviation=float(report["mStatus"]["deviation"]),
+        route=exp_data["route"],
+        classification=report["classification"]["label"],
+        warnings=list(report.get("warnings", [])),
+        blocks=report["blocks"])
 
 
 def _partition_consistent(sizes, classes, d_a: int) -> bool:
@@ -320,6 +296,7 @@ def _w_coeffs_consistent(exp: GroupExpansion) -> bool:
     return all(np.max(np.abs(dagger(c[g]) @ c[g] - dagger(p[g]) @ p[g])) <= 1e-6 for g in groups)
 
 
+@malformed("report")
 def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     """Re-check a report's claims from its own embedded data.
 
@@ -333,14 +310,13 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     """
     checks: dict[str, bool] = {}
     exp = expansion_from_report(report)
-    with _report_fields():
-        stored_dev = float(report["input"]["unitarityDeviation"])
-        stored_norm = float(report["input"]["frobeniusNorm"])
-        stored_rank = int(report["schmidt"]["rank"])
-        checks["fallbackFlag"] = report["expansion"]["fallback"] is exp.fallback
-        checks["blocks"] = _blocks_consistent(exp.blocks, {
-            "A": int(report["input"]["dimA"]), "B": int(report["input"]["dimB"])})
-        checks["structure"] = _structure_consistent(exp)
+    stored_dev = float(report["input"]["unitarityDeviation"])
+    stored_norm = float(report["input"]["frobeniusNorm"])
+    stored_rank = int(report["schmidt"]["rank"])
+    checks["fallbackFlag"] = report["expansion"]["fallback"] is exp.fallback
+    checks["blocks"] = _blocks_consistent(exp.blocks, {
+        "A": int(report["input"]["dimA"]), "B": int(report["input"]["dimB"])})
+    checks["structure"] = _structure_consistent(exp)
     u = exp.unitary.matrix
 
     dev = unitarity_deviation(u)

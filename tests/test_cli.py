@@ -34,6 +34,10 @@ def generic_file(tmp_path):
     return write_gate(tmp_path / "generic.json", q, 2, 2)
 
 
+def _cnot_rows():
+    return [[[float(z.real), float(z.imag)] for z in row] for row in CNOT]
+
+
 def test_compile_writes_a_valid_report(cnot_file, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["compile", cnot_file, "--out", str(out)]) == 0
@@ -128,7 +132,7 @@ def test_invalid_inputs_exit_two(tmp_path, capsys, cnot_file):
 
 
 def test_nan_gate_exits_two_with_one_error_line(tmp_path, capsys):
-    rows = [[[float(z.real), float(z.imag)] for z in row] for row in CNOT]
+    rows = _cnot_rows()
     rows[0][0] = [float("nan"), 0.0]
     nan_gate = tmp_path / "nan.json"
     nan_gate.write_text(json.dumps({"dimA": 2, "dimB": 2, "matrix": rows}))
@@ -144,6 +148,69 @@ def test_nan_state_exits_two_with_one_error_line(cnot_file, tmp_path, capsys):
     state.write_text(json.dumps({"dim": 4, "vector": [[float("nan"), 0.0], 1.0, 0.0, 0.0]}))
     capsys.readouterr()
     assert main(["simulate", str(out), "--state", str(state)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+def _ragged_rows():
+    rows = _cnot_rows()
+    rows[1].pop()
+    return rows
+
+
+def _mixed_rows():
+    rows = _cnot_rows()
+    rows[0][0] = 1
+    return rows
+
+
+def _gate_text(**fields):
+    return json.dumps({"dimA": 2, "dimB": 2, "matrix": _cnot_rows(), **fields})
+
+
+def _group_text(table, order=2):
+    return json.dumps({"name": "G", "order": order, "table": table})
+
+
+def _huge_dim_a(text):
+    assert '"dimA": 2' in text
+    return text.replace('"dimA": 2', '"dimA": 1e400')     # a float that parses as inf
+
+
+def _report_with_table_entry(rep):
+    rep["group"]["table"][0][0] = 0.4      # int() would truncate it to 0, the identity
+    return json.dumps(rep)
+
+
+# command, and the bad file's contents made from a fresh CNOT report
+MALFORMED_FILES = {
+    "ragged gate rows, compile": ("compile", lambda rep: _gate_text(matrix=_ragged_rows())),
+    "ragged gate rows, simulate": ("simulate", lambda rep: _gate_text(matrix=_ragged_rows())),
+    "gate mixing numbers and pairs": ("compile", lambda rep: _gate_text(matrix=_mixed_rows())),
+    "dimA text, compile": ("compile", lambda rep: _gate_text(dimA="two")),
+    "dimA text, schmidt": ("schmidt", lambda rep: _gate_text(dimA="two")),
+    "dimA 1e400 in a gate": ("compile", lambda rep: _huge_dim_a(_gate_text())),
+    "dimA 1e400 in a report": ("verify", lambda rep: _huge_dim_a(json.dumps(rep))),
+    "gate not UTF-8": ("compile", lambda rep: b"\xff" + _gate_text().encode()),
+    "group order text": ("groups load", lambda rep: _group_text([0, 1, 1, 0], order="x")),
+    "group table entry text": ("groups load", lambda rep: _group_text([0, 1, 1, "a"])),
+    "group table entry float": ("groups load", lambda rep: _group_text([0, 1, 1, 0.9])),
+    "group file not JSON": ("groups load", lambda rep: "not json"),
+    "report table entry float": ("verify", _report_with_table_entry),
+}
+
+
+@pytest.mark.parametrize("command, make", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())
+def test_malformed_files_exit_two_with_one_error_line(command, make, cnot_file, tmp_path,
+                                                      capsys, monkeypatch):
+    monkeypatch.delenv("NLGC_CATALOG_DIR", raising=False)
+    out = tmp_path / "report.json"
+    assert main(["compile", cnot_file, "--out", str(out)]) == 0
+    content = make(json.loads(out.read_text()))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content if isinstance(content, bytes) else content.encode())
+    capsys.readouterr()
+    assert main([*command.split(), str(bad)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
@@ -240,7 +307,7 @@ def test_forged_fallback_flag_fails_verification(flags, generic_file, tmp_path, 
 
 def test_non_unitary_v_fails_verification(generic_file, tmp_path, capsys):
     rep = _report(generic_file, tmp_path)
-    v = decode_matrix(rep["expansion"]["v"])
+    v = decode_matrix(rep["expansion"]["v"], (None, None))
     rep["expansion"]["v"] = encode_matrix(1.001 * v)
     code, out, _ = _verify(rep, tmp_path, capsys)
     assert code == 4
@@ -253,7 +320,7 @@ def test_tampered_w_coefficients_fail_verification(gate_fixture, request, tmp_pa
     code, out, _ = _verify(rep, tmp_path, capsys)
     assert code == 0
     assert "wCoeffs: ok" in out
-    coeffs = decode_matrix(rep["expansion"]["wCoeffs"])
+    coeffs = decode_matrix(rep["expansion"]["wCoeffs"], (None, None))
     coeffs[0, 1] += 0.01
     rep["expansion"]["wCoeffs"] = encode_matrix(coeffs)
     code, out, _ = _verify(rep, tmp_path, capsys)
@@ -294,13 +361,13 @@ def _dressed_cnot(rng):
 
 
 def _shift_basis_entry(structure):
-    s = decode_matrix(structure["basisChange"])
+    s = decode_matrix(structure["basisChange"], (2, 2))
     s[0, 1] += 0.3
     structure["basisChange"] = encode_matrix(s)
 
 
 def _rotate_basis(structure):
-    s = decode_matrix(structure["basisChange"])
+    s = decode_matrix(structure["basisChange"], (2, 2))
     structure["basisChange"] = encode_matrix(s @ np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
 

@@ -185,6 +185,38 @@ def test_nan_w_operator_makes_M_inconsistent():
         build_M(exp.group, exp.factor, w)
 
 
+def _reference_M(group, factor, w_ops):
+    """M and build_M's translation-block check, written block by block."""
+    n, d = group.order, w_ops.shape[1]
+    m = np.einsum("fgh,fjk->gjhk", regular_representation(group, factor).matrices,
+                  w_ops).reshape(n * d, n * d)
+    ok = True
+    for g in range(n):
+        for f in range(n):
+            k = group.table[group.inverses[g], f]
+            block = m[g * d:(g + 1) * d, f * d:(f + 1) * d]
+            ok &= bool(np.linalg.norm(block - factor.phases[g, k] * w_ops[k])
+                       <= 1e-10 * max(1.0, np.linalg.norm(w_ops[k])))
+    return m, ok
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [None, np.nan, np.inf], ids=["finite", "nan", "inf"])
+def test_build_M_checks_every_projective_translation_block(bad):
+    group, fs, _ = pauli_projective_rep(3)
+    rng = np.random.default_rng(2)
+    w = rng.normal(size=(9, 2, 2)) + 1j * rng.normal(size=(9, 2, 2))
+    if bad is not None:
+        w[4, 1, 0] = bad
+    m, ok = _reference_M(group, fs, w)
+    assert ok == (bad is None)
+    if ok:
+        np.testing.assert_array_equal(build_M(group, fs, w), m)
+    else:
+        with pytest.raises(ValidationError, match="translation blocks of M are inconsistent"):
+            build_M(group, fs, w)
+
+
 def test_fallback_expansion_protocol_is_deterministic():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

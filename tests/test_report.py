@@ -29,12 +29,20 @@ def cnot_report(seed=0):
 
 def test_matrix_codec_round_trip():
     rng = np.random.default_rng(0)
-    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    np.testing.assert_allclose(decode_matrix(encode_matrix(m)), m, atol=1e-9)
+    for shape in [(3,), (3, 3), (2, 3, 3)]:
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        np.testing.assert_array_equal(decode_matrix(encode_matrix(m), shape), m)
+        rows = json.loads(canonical_json(encode_matrix(m)))
+        np.testing.assert_allclose(decode_matrix(rows, (None,) * len(shape)), m, atol=1e-9)
+        for wrong in [shape[:-1], (*shape, 3), (4,) + shape[1:]]:
+            with pytest.raises(ValidationError):
+                decode_matrix(rows, wrong)
+    with pytest.raises(ValidationError, match="mixes numbers"):
+        decode_matrix([[1, [0.0, 1.0]], [[0.0, 1.0], 0]], (2, 2))
 
 
 def test_matrix_decode_accepts_plain_reals():
-    m = decode_matrix([[1, 0], [0, -1]])
+    m = decode_matrix([[1, 0], [0, -1]], (2, 2))
     np.testing.assert_array_equal(m, np.diag([1.0, -1.0]))
 
 
