@@ -233,6 +233,8 @@ def cmd_groups(args) -> int:
     # load: validate an external group file, register it when a catalog
     # directory is configured
     g = FiniteGroup.from_dict(_read_json(args.file))
+    if g.name in ("", ".", "..") or any(s and s in g.name for s in ("/", os.sep, os.altsep)):
+        raise ValidationError(f"group name {g.name!r} cannot be a catalog file name")
     irrep_dimensions(g)
     print(f"valid group: {g.name} (order {g.order})")
     cat_dir = os.environ.get(CATALOG_ENV)
@@ -300,7 +302,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ValidationError, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

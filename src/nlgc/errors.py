@@ -39,3 +39,10 @@ def malformed(what: str):
     except (AttributeError, KeyError, IndexError, TypeError, ValueError,
             OverflowError) as exc:
         raise ValidationError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
+
+
+def json_int(value, what: str) -> int:
+    """An integer field of an input file: a bool, a float or text raises ValidationError."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an integer, not {value!r}")
+    return value

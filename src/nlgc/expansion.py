@@ -7,11 +7,13 @@ U(f), solve for the partner operators W(f), and verify the identity
     gate = sum_f [V U(f)] (x) W(f)
 
 exactly. compile_unitary ties the whole pipeline to the group search and
-returns the cheapest verified expansion, falling back to the generalized
-shift-and-phase expansion when the search space is exhausted.
+returns the cheapest verified expansion, the generalized shift-and-phase
+fallback of each side among the candidates.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -26,8 +28,8 @@ from .representations import Representation, pauli_projective_rep
 from .sbd import (BLOCK_TOL, BlockStructure, classify_equivalence, finest_sbd,
                   gram_set)
 from .schmidt import BipartiteUnitary, SchmidtDecomposition, schmidt_decompose
-from .search import (CatalogIndex, _merge_warnings, search_group,
-                     trivial_structure)
+from .search import (CatalogIndex, SearchCandidate, _merge_warnings,
+                     search_group, trivial_structure)
 
 NUM_TOL = 1e-9
 
@@ -289,24 +291,6 @@ def expansion_claims(exp: GroupExpansion, tol: float) -> dict:
         classification=classification, details=details)
 
 
-def _finish(bu: BipartiteUnitary, dec: SchmidtDecomposition, bs: BlockStructure,
-            group: FiniteGroup, factor: FactorSystem, v: np.ndarray,
-            u_rep: Representation, w_coeffs: np.ndarray, w_ops: np.ndarray,
-            side: str, route: str, warnings, tol: float) -> GroupExpansion:
-    """An assembled expansion with its claims filled in."""
-    exp = GroupExpansion(
-        unitary=bu, schmidt=dec, structure=bs, group=group, factor=factor,
-        v=v, u_rep=u_rep, w_coeffs=w_coeffs, w_ops=w_ops, side=side,
-        route=route, warnings=list(warnings))
-    exp = replace(exp, **expansion_claims(exp, tol))
-    if not exp.m_unitary:
-        exp.warnings.append(
-            "M is not unitary (deviation %.3e): the expansion uses linearly "
-            "dependent operators and the branch protocol is not certified"
-            % exp.m_deviation)
-    return exp
-
-
 def _finest_structure(bu: BipartiteUnitary, block_tol: float,
                       seed: int) -> tuple[SchmidtDecomposition, BlockStructure]:
     """Schmidt terms and finest classified block structure of one orientation."""
@@ -316,51 +300,47 @@ def _finest_structure(bu: BipartiteUnitary, block_tol: float,
     return dec, classify_equivalence(bs, grams, tol=block_tol)
 
 
-def _compile_side(bu: BipartiteUnitary, dec: SchmidtDecomposition,
-                  bs: BlockStructure, side: str, tol: float, block_tol: float,
-                  index: CatalogIndex, allow_projective: bool):
-    warnings: list[str] = []
-    for cand in search_group(bs, bu.dim_a, index, allow_projective,
-                             warning_sink=warnings):
-        merged = cand.structure
-        try:
-            v = construct_V(dec.a_ops, merged, tol=block_tol)
-            u_rep = assemble_U(cand.group, cand.factor, cand.irreps, merged,
-                               cand.assignment)
-            w_coeffs, w_ops = compute_W(v, dec.a_ops, u_rep, dec.b_ops, merged,
-                                        cand.irreps, cand.assignment, tol=tol)
-            exp = _finish(bu, dec, merged, cand.group, cand.factor, v, u_rep,
-                          w_coeffs, w_ops, side, cand.route, warnings, tol)
-        except (SingularInputError, InconsistencyError, AssignmentError) as exc:
-            _merge_warnings(warnings, "order-%d candidate %s rejected: %s"
-                            % (cand.group.order, cand.group.name, exc))
-            continue
-        if exp.residual <= max(block_tol, 1e-8):
-            return exp, warnings
-        _merge_warnings(warnings, "order-%d candidate %s left residual %.3e"
-                        % (cand.group.order, cand.group.name, exp.residual))
-    return None, warnings
+def _side_stream(label: str, bs: BlockStructure, d: int, index: CatalogIndex,
+                 allow_projective: bool, warnings: list):
+    """((order, is fallback, side), candidate) pairs of one side, cheapest
+    first: the search's candidates, then the fallback at order d², left
+    None until a compile reaches it."""
+    for cand in search_group(bs, d, index, allow_projective, warning_sink=warnings):
+        yield (cand.order, False, label), cand
+    yield (d * d, True, label), None
 
 
-def _fallback_expansion(bu: BipartiteUnitary, dec: SchmidtDecomposition,
-                        side: str, tol: float, warnings) -> GroupExpansion:
-    """Shift-and-phase expansion over C_d x C_d with V = I.
-
-    The shift/clock operators form an orthogonal operator basis, so the W
-    coefficients are plain trace overlaps Tr(P_f^dagger A_j) / d.
-    """
-    d = bu.dim_a
-    group, factor, rep = pauli_projective_rep(d)
-    bs = trivial_structure([d])
-    w_coeffs = np.einsum("fxy,jxy->jf", np.conj(rep.matrices),
-                         np.asarray(dec.a_ops, dtype=complex)) / d
-    w_ops = np.einsum("jf,jab->fab", w_coeffs,
-                      np.asarray(dec.b_ops, dtype=complex))
-    exp = _finish(bu, dec, bs, group, factor, np.eye(d, dtype=complex), rep,
-                  w_coeffs, w_ops, side, "fallback", warnings, tol)
-    exp.warnings.append(
-        "no admissible group found within the search bound; fell back to the "
-        "generalized shift-and-phase expansion at the teleportation cost")
+def _build(cand: SearchCandidate, bu: BipartiteUnitary, dec: SchmidtDecomposition,
+           side: str, warnings, tol: float, block_tol: float) -> GroupExpansion:
+    """The expansion a candidate assembles, with its claims and warnings. The
+    fallback keeps V = I: the shift/clock operators form an orthogonal operator
+    basis, so its W coefficients are the trace overlaps Tr(P_f^dagger A_j) / d."""
+    if cand.route == "fallback":
+        v, u_rep = np.eye(bu.dim_a, dtype=complex), cand.irreps[0]
+        w_coeffs = np.einsum("fxy,jxy->jf", np.conj(u_rep.matrices),
+                             np.asarray(dec.a_ops, dtype=complex)) / bu.dim_a
+        w_ops = np.einsum("jf,jab->fab", w_coeffs, np.asarray(dec.b_ops, dtype=complex))
+    else:
+        v = construct_V(dec.a_ops, cand.structure, tol=block_tol)
+        u_rep = assemble_U(cand.group, cand.factor, cand.irreps, cand.structure,
+                           cand.assignment)
+        w_coeffs, w_ops = compute_W(v, dec.a_ops, u_rep, dec.b_ops, cand.structure,
+                                    cand.irreps, cand.assignment, tol=tol)
+    exp = GroupExpansion(
+        unitary=bu, schmidt=dec, structure=cand.structure, group=cand.group,
+        factor=cand.factor, v=v, u_rep=u_rep, w_coeffs=w_coeffs, w_ops=w_ops,
+        side=side, route=cand.route)
+    exp = replace(exp, **expansion_claims(exp, tol))
+    _merge_warnings(exp.warnings, *warnings)
+    if not exp.m_unitary:
+        exp.warnings.append(
+            "M is not unitary (deviation %.3e): the expansion uses linearly "
+            "dependent operators and the branch protocol is not certified"
+            % exp.m_deviation)
+    if exp.fallback:
+        exp.warnings.append(
+            "no admissible group found within the search bound; fell back to the "
+            "generalized shift-and-phase expansion at the teleportation cost")
     return exp
 
 
@@ -369,19 +349,21 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
                     allow_projective: bool = True, catalog=None) -> GroupExpansion:
     """Find the cheapest verified group expansion of a bipartite unitary.
 
-    Tries the requested side or both (side in {"A", "B", "both"}); B-side
-    compilation swaps the tensor factors first. Candidates are consumed in
-    ascending group order, so the first verified expansion is minimal
-    relative to the catalog. When every candidate is exhausted on both
-    sides, the generalized shift-and-phase fallback on the smaller factor is
-    returned with its warning flag set; compile_unitary itself never fails
-    on a valid unitary. The finest block structures of both orientations,
-    computed at block tolerance min(10*tol, BLOCK_TOL), are summarized in
-    the result's blocks. catalog is a list of groups or catalog_recipe
-    entries, by default catalog_recipe(), the built-in catalog up to order
-    32. Each call builds one CatalogIndex of it, shared by both sides, which
-    builds the groups of an order the first time the search reaches it; no
-    call depends on an earlier one.
+    Searches the requested side or both (side in {"A", "B", "both"}); B-side
+    compilation swaps the tensor factors first. Each side offers its search
+    candidates in ascending group order, then its generalized shift-and-phase
+    fallback over C_d x C_d at order d², d its own dimension. One stream
+    merges them by (order, is fallback, side); the first candidate that
+    assembles and reproduces the gate is the result, and no costlier one is
+    assembled. So the cost is minimal relative to the catalog and never above
+    the teleportation cost 2 log2 min(dA, dB), and compile_unitary never
+    fails on a valid unitary. A fallback carries every searched side's
+    warnings. The finest block structures of both orientations, computed at
+    block tolerance min(10*tol, BLOCK_TOL), are summarized in the result's
+    blocks. catalog is a list of groups or catalog_recipe entries, by default
+    catalog_recipe(), the built-in catalog up to order 32; each call builds
+    one CatalogIndex of it, shared by both sides, which builds the groups of
+    an order when the search first reaches it.
     """
     if side not in ("A", "B", "both"):
         raise ValidationError("side must be A, B, or both")
@@ -390,26 +372,29 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
     oriented = {"A": u, "B": u.swapped()}
     finest = {label: _finest_structure(bu, block_tol, seed)
               for label, bu in oriented.items()}
-    results = []
-    pending: list[str] = []
-    for label in (["A", "B"] if side == "both" else [side]):
-        dec, bs = finest[label]
-        exp, warns = _compile_side(oriented[label], dec, bs, label, tol,
-                                   block_tol, index, allow_projective)
-        _merge_warnings(pending, *warns)
-        if exp is not None:
-            results.append(exp)
-    if results:
-        best = min(results, key=lambda e: (e.cost_ebits, e.side))
+    warnings = {label: [] for label in (["A", "B"] if side == "both" else [side])}
+    streams = [_side_stream(label, finest[label][1], oriented[label].dim_a, index,
+                            allow_projective, sink) for label, sink in warnings.items()]
+    for (_, fallback, label), cand in heapq.merge(*streams, key=lambda item: item[0]):
+        bu, dec = oriented[label], finest[label][0]
+        if fallback:
+            group, _, rep = pauli_projective_rep(bu.dim_a)
+            cand = SearchCandidate(group, [rep], [0], trivial_structure([bu.dim_a]), "fallback")
+        inherited = itertools.chain(*warnings.values()) if fallback else warnings[label]
+        try:
+            exp = _build(cand, bu, dec, label, inherited, tol, block_tol)
+        except (SingularInputError, InconsistencyError, AssignmentError) as exc:
+            _merge_warnings(warnings[label], "order-%d candidate %s rejected: %s"
+                            % (cand.order, cand.group.name, exc))
+            continue
+        if exp.residual <= max(block_tol, 1e-8):
+            break
+        _merge_warnings(warnings[label], "order-%d candidate %s left residual %.3e"
+                        % (cand.order, cand.group.name, exp.residual))
     else:
-        if side == "both":
-            label = "B" if u.dim_b < u.dim_a else "A"
-        else:
-            label = side
-        best = _fallback_expansion(oriented[label], finest[label][0], label,
-                                   tol, pending)
-    best.blocks = {label: {"sizes": list(bs.block_sizes),
-                           "classes": [list(c.members) for c in bs.classes],
-                           "classDims": bs.class_dims()}
-                   for label, (_, bs) in finest.items()}
-    return best
+        raise InconsistencyError("not even the fallback expansion reproduces the gate")
+    exp.blocks = {label: {"sizes": list(bs.block_sizes),
+                          "classes": [list(c.members) for c in bs.classes],
+                          "classDims": bs.class_dims()}
+                  for label, (_, bs) in finest.items()}
+    return exp

@@ -9,7 +9,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError, malformed
+from .errors import DimensionError, ValidationError, json_int, malformed
 
 PHASE_TOL = 1e-9
 
@@ -150,12 +150,14 @@ class FiniteGroup:
     @classmethod
     @malformed("group record")
     def from_dict(cls, data: dict) -> "FiniteGroup":
-        order, flat = int(data["order"]), data["table"]
+        order, flat = json_int(data["order"], "order"), data["table"]
+        if not isinstance(data["name"], str):
+            raise ValidationError(f"group name must be a string, not {data['name']!r}")
         if len(flat) != order * order:
             raise ValidationError(
                 f"table length {len(flat)} does not match order {order} squared")
         g = cls(data["name"], np.reshape(flat, (order, order)))
-        if "identity" in data and int(data["identity"]) != g.identity:
+        if "identity" in data and json_int(data["identity"], "identity") != g.identity:
             raise ValidationError("declared identity does not match the table")
         return g
 

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from ._linalg import dagger, frobenius, unitarity_deviation
-from .errors import ValidationError, malformed
+from .errors import ValidationError, json_int, malformed
 from .expansion import GroupExpansion, expansion_claims
 from .groups import FactorSystem, FiniteGroup
 from .representations import Representation
@@ -86,9 +86,9 @@ def parse_matrix_payload(data: dict, dims: tuple[int, int] | None = None) -> Bip
     if dims is not None:
         d_a, d_b = dims
     elif "dimA" in data and "dimB" in data:
-        d_a, d_b = int(data["dimA"]), int(data["dimB"])
+        d_a, d_b = json_int(data["dimA"], "dimA"), json_int(data["dimB"], "dimB")
     elif "dims" in data:
-        d_a, d_b = (int(x) for x in data["dims"])
+        d_a, d_b = (json_int(x, "dims") for x in data["dims"])
     else:
         raise ValidationError(
             "matrix file needs explicit dimensions (dimA/dimB or dims); the "
@@ -106,7 +106,7 @@ def parse_state_payload(data: dict) -> np.ndarray:
     if "vector" not in data:
         raise ValidationError("state file needs a 'vector' field")
     vec = decode_matrix(data["vector"], (None,))
-    if "dim" in data and int(data["dim"]) != vec.size:
+    if "dim" in data and json_int(data["dim"], "dim") != vec.size:
         raise ValidationError("state length disagrees with its declared dim")
     return vec
 
@@ -216,7 +216,7 @@ def expansion_from_report(report: dict) -> GroupExpansion:
     if not isinstance(report, dict) or report.get("format") != REPORT_FORMAT:
         raise ValidationError("not a compilation report")
     inp, grp, exp_data = report["input"], report["group"], report["expansion"]
-    d_a, d_b = int(inp["dimA"]), int(inp["dimB"])
+    d_a, d_b = json_int(inp["dimA"], "dimA"), json_int(inp["dimB"], "dimB")
     original = BipartiteUnitary(decode_matrix(inp["matrix"], (d_a * d_b,) * 2), d_a, d_b)
     side = exp_data["side"]
     if side not in ("A", "B"):

@@ -188,9 +188,9 @@ def search_group(structure: BlockStructure, d_a: int, index: CatalogIndex,
     participate once the order reaches their dimension-square sum. Any class
     of dimension 1 forces an ordinary representation for that plan, and a
     non-abelian extension is filled only if its irreps at z cover the classes.
-    The caller is responsible for the generalized-Pauli fallback once the
-    iterator is exhausted; warning_sink, when given, collects the catalog-gap
-    warnings, including those found after the last yield.
+    Orders run up to d_a², the order of the generalized-Pauli fallback that
+    compile_unitary ranks after them; warning_sink, when given, collects the
+    catalog-gap warnings, including those found after the last yield.
     """
     finest = [[b] for b in range(len(structure.block_sizes))]
     n_start = _plan_cost(structure, finest)

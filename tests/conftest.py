@@ -33,6 +33,22 @@ def orthogonality_defect(irreps: list[Representation]) -> float:
     return worst
 
 
+def haar_block_gate(d_a: int, parts: list[int], seed: int) -> BipartiteUnitary:
+    """W_1 + W_2 + ... block diagonal along B = C^p_1 + C^p_2 + ...: each W_i
+    is a Haar unitary on C^d_a (x) C^p_i, drawn in turn from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    d_b = sum(parts)
+    u = np.zeros((d_a, d_b, d_a, d_b), dtype=complex)
+    start = 0
+    for p in parts:
+        x = rng.normal(size=(d_a * p,) * 2) + 1j * rng.normal(size=(d_a * p,) * 2)
+        q, r = np.linalg.qr(x)
+        w = q * (np.diag(r) / np.abs(np.diag(r)))
+        u[:, start:start + p, :, start:start + p] = w.reshape(d_a, p, d_a, p)
+        start += p
+    return BipartiteUnitary(u.reshape(d_a * d_b, -1), d_a, d_b)
+
+
 def operator_basis_expansion(u: BipartiteUnitary, side: str = "b") -> tuple[list, list]:
     """Expand the gate over a fixed shift/clock operator basis on one side.
 

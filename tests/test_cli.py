@@ -1,8 +1,12 @@
 """Command line behavior: exit codes, stable output, file round trips."""
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from conftest import haar_block_gate
 
 from nlgc.cli import main
 from nlgc.groups import FiniteGroup, cyclic, dihedral, save_group_file
@@ -109,6 +113,18 @@ def test_fallback_compilation_exits_three(generic_file, capsys):
     assert rep["costs"]["costEbits"] == 2.0
 
 
+def test_a_cheaper_fallback_exits_three_and_verifies(tmp_path, capsys):
+    # side B finds S4 at 4.585 ebits; side A's shift/clock fallback costs 4
+    gate = write_gate(tmp_path / "w2w3.json", haar_block_gate(4, [2, 3], seed=7).matrix, 4, 5)
+    out = tmp_path / "report.json"
+    assert main(["compile", gate, "--out", str(out)]) == 3
+    rep = json.loads(out.read_text())
+    assert rep["group"]["name"] == "C4xC4" and rep["expansion"]["side"] == "A"
+    assert rep["costs"] == {"baselineEbits": 4.0, "costEbits": 4.0, "savingsEbits": 0.0}
+    assert main(["verify", str(out)]) == 0
+    capsys.readouterr()
+
+
 def test_projective_route_keeps_exit_zero(generic_file, capsys):
     code = main(["compile", generic_file])
     rep = json.loads(capsys.readouterr().out)
@@ -168,8 +184,8 @@ def _gate_text(**fields):
     return json.dumps({"dimA": 2, "dimB": 2, "matrix": _cnot_rows(), **fields})
 
 
-def _group_text(table, order=2):
-    return json.dumps({"name": "G", "order": order, "table": table})
+def _group_text(table, order=2, **fields):
+    return json.dumps({"name": "G", "order": order, "table": table, **fields})
 
 
 def _huge_dim_a(text):
@@ -182,7 +198,8 @@ def _report_with_table_entry(rep):
     return json.dumps(rep)
 
 
-# command, and the bad file's contents made from a fresh CNOT report
+# command ({report} names the fresh CNOT report), and the bad file's
+# contents made from that report
 MALFORMED_FILES = {
     "ragged gate rows, compile": ("compile", lambda rep: _gate_text(matrix=_ragged_rows())),
     "ragged gate rows, simulate": ("simulate", lambda rep: _gate_text(matrix=_ragged_rows())),
@@ -191,8 +208,19 @@ MALFORMED_FILES = {
     "dimA text, schmidt": ("schmidt", lambda rep: _gate_text(dimA="two")),
     "dimA 1e400 in a gate": ("compile", lambda rep: _huge_dim_a(_gate_text())),
     "dimA 1e400 in a report": ("verify", lambda rep: _huge_dim_a(json.dumps(rep))),
+    "dimA float in a gate": ("compile", lambda rep: _gate_text(dimA=2.9)),
+    "dimA true in a gate": ("compile", lambda rep: _gate_text(dimA=True, dimB=4)),
+    "dims float in a gate": ("schmidt", lambda rep: json.dumps(
+        {"dims": [2.0, 2], "matrix": _cnot_rows()})),
+    "dimA float in a report": ("verify", lambda rep: json.dumps(
+        {**rep, "input": {**rep["input"], "dimA": 2.0}})),
+    "state dim float": ("simulate {report} --state", lambda rep: json.dumps(
+        {"dim": 4.0, "vector": [1.0, 0.0, 0.0, 0.0]})),
     "gate not UTF-8": ("compile", lambda rep: b"\xff" + _gate_text().encode()),
     "group order text": ("groups load", lambda rep: _group_text([0, 1, 1, 0], order="x")),
+    "group order float": ("groups load", lambda rep: _group_text([0, 1, 1, 0], order=2.0)),
+    "group identity false": ("groups load", lambda rep: _group_text([0, 1, 1, 0],
+                                                                    identity=False)),
     "group table entry text": ("groups load", lambda rep: _group_text([0, 1, 1, "a"])),
     "group table entry float": ("groups load", lambda rep: _group_text([0, 1, 1, 0.9])),
     "group file not JSON": ("groups load", lambda rep: "not json"),
@@ -210,9 +238,32 @@ def test_malformed_files_exit_two_with_one_error_line(command, make, cnot_file, 
     bad = tmp_path / "bad.json"
     bad.write_bytes(content if isinstance(content, bytes) else content.encode())
     capsys.readouterr()
-    assert main([*command.split(), str(bad)]) == 2
+    assert main([*command.format(report=out).split(), str(bad)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+def _cli_process(*args):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "nlgc.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_huge_entries_print_only_the_error_line(cnot_file, tmp_path):
+    # numpy warns on the overflow before the checks reject the NaN it makes;
+    # pytest captures such warnings in process, so this runs the CLI itself
+    rows = _cnot_rows()
+    rows[0][0] = [1e308, 0.0]
+    gate = tmp_path / "huge.json"
+    gate.write_text(json.dumps({"dimA": 2, "dimB": 2, "matrix": rows}))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"dim": 4, "vector": [1e308, 0, 1e308, 0]}))
+    for args in (["compile", str(gate)], ["simulate", cnot_file, "--state", str(state)]):
+        proc = _cli_process(*args)
+        assert proc.returncode == 2, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:"), \
+            proc.stderr
 
 
 BAD_OPTIONS = {
@@ -420,6 +471,20 @@ def test_groups_load_registers_into_catalog_dir(tmp_path, capsys, monkeypatch):
     assert main(["groups", "load", str(raw)]) == 0
     assert (catdir / "C9.json").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["../evil", "", ".", "..", "sub/evil", ["evil"], 7])
+def test_groups_load_rejects_names_that_are_not_file_names(name, tmp_path, capsys,
+                                                           monkeypatch):
+    raw = tmp_path / "evil.json"
+    raw.write_text(json.dumps({**cyclic(2).to_dict(), "name": name}))
+    before = raw.read_text()
+    monkeypatch.setenv("NLGC_CATALOG_DIR", str(tmp_path / "catalog"))
+    assert main(["groups", "load", str(raw)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert [p.name for p in tmp_path.iterdir()] == ["evil.json"]
+    assert raw.read_text() == before
 
 
 def test_catalog_dir_feeds_the_search(tmp_path, capsys, monkeypatch):

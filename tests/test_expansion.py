@@ -1,8 +1,10 @@
 """Compilation pipeline: V construction, W extraction, classification."""
 import numpy as np
 import pytest
+from conftest import haar_block_gate
 
-from nlgc.errors import SingularInputError
+import nlgc.expansion
+from nlgc.errors import InconsistencyError, SingularInputError
 from nlgc.expansion import (classify, compile_unitary, construct_V,
                             synthesize_group_gate)
 from nlgc.groups import FiniteGroup, cyclic, symmetric
@@ -276,3 +278,49 @@ def test_every_compile_builds_its_own_catalog_index(group_builds):
     group_builds.clear()
     compile_unitary(BipartiteUnitary(CNOT, 2, 2))
     assert first and group_builds == first
+
+
+def test_a_cheaper_fallback_beats_a_costlier_group():
+    # side B's blocks [2, 3] fit S4 (order 24); side A's fallback has order 16
+    bu = haar_block_gate(4, [2, 3], seed=7)
+    assert compile_unitary(bu, side="B").group.name == "S4"
+    exp = compile_unitary(bu)
+    assert (exp.fallback, exp.side, exp.group.name) == (True, "A", "C4xC4")
+    assert exp.cost_ebits == exp.baseline_ebits == 4.0
+    assert exp.residual < 1e-9
+    assert exp.warnings[-1].endswith("at the teleportation cost")
+
+
+MIXED_DIMENSIONS = {
+    **{f"haar {d_a}x{d_b}": (lambda d_a=d_a, d_b=d_b: BipartiteUnitary(
+        random_unitary(d_a * d_b, np.random.default_rng(10 * d_a + d_b)), d_a, d_b))
+       for d_a, d_b in [(2, 3), (3, 2), (3, 4), (4, 3), (2, 5), (3, 5)]},
+    "W2+W3 4x5": lambda: haar_block_gate(4, [2, 3], seed=7),
+    "W1+W2 3x3": lambda: haar_block_gate(3, [1, 2], seed=3),
+}
+
+
+@pytest.mark.parametrize("make", MIXED_DIMENSIONS.values(), ids=MIXED_DIMENSIONS.keys())
+def test_cost_never_exceeds_the_teleportation_cost(make):
+    exp = compile_unitary(make())
+    assert exp.cost_ebits <= exp.baseline_ebits + 1e-12
+    assert exp.residual < 1e-8
+
+
+def test_cnot_assembles_exactly_one_candidate(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return construct_V(*args, **kwargs)
+    monkeypatch.setattr(nlgc.expansion, "construct_V", counting)
+    assert compile_unitary(BipartiteUnitary(CNOT, 2, 2), side="both").group.name == "C2"
+    assert len(calls) == 1
+
+
+def test_compile_raises_when_not_even_the_fallback_reproduces_the_gate(monkeypatch):
+    claims = nlgc.expansion.expansion_claims
+    monkeypatch.setattr(nlgc.expansion, "expansion_claims",
+                        lambda exp, tol: {**claims(exp, tol), "residual": 1.0})
+    with pytest.raises(InconsistencyError, match="not even the fallback"):
+        compile_unitary(BipartiteUnitary(CNOT, 2, 2))
