@@ -121,6 +121,8 @@ def cmd_compile(args) -> int:
             "maxOrder": args.max_order, "projectiveAllowed": args.projective}
     report = build_report(exp, trace, meta=meta, original=bu)
     _write_text(canonical_json(report), args.out)
+    if not trace.deterministic:
+        return EXIT_UNCERTIFIED
     return EXIT_FALLBACK if exp.fallback else EXIT_OK
 
 

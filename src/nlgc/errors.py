@@ -46,3 +46,10 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ValidationError(f"{what} must be an integer, not {value!r}")
     return value
+
+
+def json_number(value, what: str) -> float:
+    """A float field of an input file: an int or a float; a bool or text raises ValidationError."""
+    if type(value) not in (int, float):
+        raise ValidationError(f"{what} must be a number, not {value!r}")
+    return float(value)

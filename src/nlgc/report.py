@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from ._linalg import dagger, frobenius, unitarity_deviation
-from .errors import ValidationError, json_int, malformed
+from .errors import ValidationError, json_int, json_number, malformed
 from .expansion import GroupExpansion, expansion_claims
 from .groups import FactorSystem, FiniteGroup
 from .representations import Representation
@@ -28,10 +28,10 @@ def _round_sig(x: float) -> float:
     return 0.0 if out == 0.0 else out
 
 
-def encode_matrix(m) -> list:
-    """A complex array as nested [re, im] pairs; canonical_json rounds them."""
+def encode_matrix(m) -> np.ndarray:
+    """A complex array as a float array of [re, im] pairs; canonical_json rounds it."""
     m = np.asarray(m, dtype=complex)
-    return np.stack([m.real, m.imag], -1).tolist()
+    return np.stack([m.real, m.imag], -1)
 
 
 def decode_matrix(rows, shape: tuple) -> np.ndarray:
@@ -43,7 +43,7 @@ def decode_matrix(rows, shape: tuple) -> np.ndarray:
     except ValueError as exc:       # ragged, or numbers mixed with pairs
         raise ValidationError(
             "matrix is ragged or mixes numbers with [re, im] pairs") from exc
-    if a.dtype.kind not in "biuf":
+    if a.dtype.kind not in "iuf":
         raise ValidationError("matrix entries must be numbers or [re, im] pairs")
     if a.ndim == len(shape) + 1 and a.shape[-1] == 2:
         a = a.astype(float).view(complex)[..., 0]
@@ -52,26 +52,40 @@ def decode_matrix(rows, shape: tuple) -> np.ndarray:
     return a.astype(complex)
 
 
-def _canonical(obj):
-    if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return _round_sig(float(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [_round_sig(obj.real), _round_sig(obj.imag)]
+def _layout(shape: tuple, level: int) -> str:
+    """json.dumps(indent=2)'s layout of an array at this level, a %r per entry."""
+    if not shape or shape[0] == 0:
+        return "[]" if shape else "%r"
+    pad = "\n" + "  " * (level + 1)
+    return f"[{pad}{(',' + pad).join([_layout(shape[1:], level + 1)] * shape[0])}\n{'  ' * level}]"
+
+
+def _dump(obj, level: int) -> str:
     if isinstance(obj, np.ndarray):
-        return _canonical(obj.tolist())
-    return obj
+        if obj.dtype.kind == "f" and np.all(np.isfinite(obj)):   # _round_sig on all entries
+            text = "%.12g " * obj.size % tuple(obj.ravel().tolist())
+            rounded = np.array(text.split(), dtype=float) + 0.0
+            return _layout(obj.shape, level) % tuple(rounded.tolist())
+        obj = obj.tolist()
+    if isinstance(obj, (complex, np.complexfloating)):
+        obj = [obj.real, obj.imag]
+    if isinstance(obj, dict):
+        keyed = {str(k): v for k, v in obj.items()}
+        items = [f"{json.dumps(k)}: {_dump(keyed[k], level + 1)}" for k in sorted(keyed)]
+    elif isinstance(obj, (list, tuple)):
+        items = [_dump(v, level + 1) for v in obj]
+    elif isinstance(obj, (float, np.floating)):
+        return json.dumps(_round_sig(float(obj)))
+    else:           # a bool, an int, a str or None
+        return json.dumps(obj.item() if isinstance(obj, np.generic) else obj)
+    pad = "\n" + "  " * (level + 1)
+    body = pad + ("," + pad).join(items) + "\n" + "  " * level if items else ""
+    return ("{%s}" if isinstance(obj, dict) else "[%s]") % body
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_canonical(obj), sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2), str keys, floats to 12 digits."""
+    return _dump(obj, 0) + "\n"
 
 
 def matrix_payload(bu: BipartiteUnitary) -> dict:
@@ -187,8 +201,8 @@ def build_report(exp: GroupExpansion, trace=None, meta: dict | None = None,
             "route": exp.route,
             "fallback": exp.fallback,
             "v": encode_matrix(exp.v),
-            "uOps": [encode_matrix(m) for m in exp.u_rep.matrices],
-            "wOps": [encode_matrix(m) for m in exp.w_ops],
+            "uOps": encode_matrix(exp.u_rep.matrices),
+            "wOps": encode_matrix(exp.w_ops),
             "wCoeffs": encode_matrix(exp.w_coeffs),
             "structure": _structure_payload(exp.structure),
             "residual": float(exp.residual),
@@ -238,11 +252,11 @@ def expansion_from_report(report: dict) -> GroupExpansion:
         group=group, factor=factor, v=decode_matrix(exp_data["v"], (d_a, d_a)),
         u_rep=u_rep, w_ops=decode_matrix(exp_data["wOps"], (n, d_b, d_b)), side=side,
         w_coeffs=decode_matrix(exp_data["wCoeffs"], (None, None)),
-        cost_ebits=float(report["costs"]["costEbits"]),
-        baseline_ebits=float(report["costs"]["baselineEbits"]),
-        residual=float(exp_data["residual"]),
+        cost_ebits=json_number(report["costs"]["costEbits"], "costEbits"),
+        baseline_ebits=json_number(report["costs"]["baselineEbits"], "baselineEbits"),
+        residual=json_number(exp_data["residual"], "residual"),
         m_unitary=bool(report["mStatus"]["unitary"]),
-        m_deviation=float(report["mStatus"]["deviation"]),
+        m_deviation=json_number(report["mStatus"]["deviation"], "mStatus.deviation"),
         route=exp_data["route"],
         classification=report["classification"]["label"],
         warnings=list(report.get("warnings", [])),
@@ -310,8 +324,8 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     """
     checks: dict[str, bool] = {}
     exp = expansion_from_report(report)
-    stored_dev = float(report["input"]["unitarityDeviation"])
-    stored_norm = float(report["input"]["frobeniusNorm"])
+    stored_dev = json_number(report["input"]["unitarityDeviation"], "unitarityDeviation")
+    stored_norm = json_number(report["input"]["frobeniusNorm"], "frobeniusNorm")
     stored_rank = int(report["schmidt"]["rank"])
     checks["fallbackFlag"] = report["expansion"]["fallback"] is exp.fallback
     checks["blocks"] = _blocks_consistent(exp.blocks, {

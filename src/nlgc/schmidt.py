@@ -79,8 +79,7 @@ def _phase_fix(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lex_key(b: np.ndarray) -> tuple:
-    flat = b.reshape(-1)
-    return tuple(x for entry in flat for x in (round(entry.real, 9), round(entry.imag, 9)))
+    return tuple(np.round(b.reshape(-1).view(float), 9).tolist())
 
 
 def schmidt_decompose(u: BipartiteUnitary) -> SchmidtDecomposition:

@@ -125,6 +125,18 @@ def test_a_cheaper_fallback_exits_three_and_verifies(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_an_uncertified_protocol_exits_four(tmp_path, capsys):
+    # side B alone finds S4 for the 4x5 gate above, but its M is not unitary
+    gate = write_gate(tmp_path / "w2w3.json", haar_block_gate(4, [2, 3], seed=7).matrix, 4, 5)
+    out = tmp_path / "report.json"
+    assert main(["compile", gate, "--side", "B", "--out", str(out)]) == 4
+    rep = json.loads(out.read_text())
+    assert rep["group"]["name"] == "S4" and not rep["expansion"]["fallback"]
+    assert rep["mStatus"]["unitary"] is False and rep["protocol"]["deterministic"] is False
+    assert main(["simulate", str(out)]) == 4
+    capsys.readouterr()
+
+
 def test_projective_route_keeps_exit_zero(generic_file, capsys):
     code = main(["compile", generic_file])
     rep = json.loads(capsys.readouterr().out)
@@ -193,6 +205,10 @@ def _huge_dim_a(text):
     return text.replace('"dimA": 2', '"dimA": 1e400')     # a float that parses as inf
 
 
+def _report_with_costs(rep, **costs):
+    return json.dumps({**rep, "costs": {**rep["costs"], **costs}})
+
+
 def _report_with_table_entry(rep):
     rep["group"]["table"][0][0] = 0.4      # int() would truncate it to 0, the identity
     return json.dumps(rep)
@@ -204,6 +220,8 @@ MALFORMED_FILES = {
     "ragged gate rows, compile": ("compile", lambda rep: _gate_text(matrix=_ragged_rows())),
     "ragged gate rows, simulate": ("simulate", lambda rep: _gate_text(matrix=_ragged_rows())),
     "gate mixing numbers and pairs": ("compile", lambda rep: _gate_text(matrix=_mixed_rows())),
+    "gate of booleans": ("compile", lambda rep: _gate_text(
+        matrix=[[bool(x) for x in row] for row in CNOT.real])),
     "dimA text, compile": ("compile", lambda rep: _gate_text(dimA="two")),
     "dimA text, schmidt": ("schmidt", lambda rep: _gate_text(dimA="two")),
     "dimA 1e400 in a gate": ("compile", lambda rep: _huge_dim_a(_gate_text())),
@@ -225,6 +243,13 @@ MALFORMED_FILES = {
     "group table entry float": ("groups load", lambda rep: _group_text([0, 1, 1, 0.9])),
     "group file not JSON": ("groups load", lambda rep: "not json"),
     "report table entry float": ("verify", _report_with_table_entry),
+    "costEbits text in a report": ("verify", lambda rep: _report_with_costs(rep, costEbits="1")),
+    "baselineEbits true in a report": ("verify", lambda rep: _report_with_costs(
+        rep, baselineEbits=True)),
+    "residual text in a report": ("simulate", lambda rep: json.dumps(
+        {**rep, "expansion": {**rep["expansion"], "residual": "0"}})),
+    "unitarityDeviation text in a report": ("verify", lambda rep: json.dumps(
+        {**rep, "input": {**rep["input"], "unitarityDeviation": "0"}})),
 }
 
 
@@ -330,7 +355,7 @@ def _report(gate_file, tmp_path, *flags):
 
 def _verify(rep, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(rep))
+    bad.write_text(canonical_json(rep))     # tampers may hold encode_matrix arrays
     code = main(["verify", str(bad)])
     captured = capsys.readouterr()
     return code, captured.out, captured.err

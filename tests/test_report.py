@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nlgc.errors import ValidationError
 from nlgc.expansion import compile_unitary
@@ -53,6 +55,81 @@ def test_canonical_json_is_stable_and_sorted():
     assert a.index('"a"') < a.index('"b"')
     # twelve significant digits, not more
     assert "0.333333333333" in a
+
+
+def _round_sig(x: float) -> float:
+    out = float("%.12g" % x)
+    return 0.0 if out == 0.0 else out
+
+
+def _canonical(obj):
+    """The writer canonical_json replaced: round every float, then json.dumps."""
+    if isinstance(obj, dict):
+        return {str(k): _canonical(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_canonical(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return _round_sig(float(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [_round_sig(obj.real), _round_sig(obj.imag)]
+    if isinstance(obj, np.ndarray):
+        return _canonical(obj.tolist())
+    return obj
+
+
+def reference_json(obj) -> str:
+    return json.dumps(_canonical(obj), sort_keys=True, indent=2) + "\n"
+
+
+# zeros, integral values, subnormals, the magnitudes where %.12g and repr
+# spell a float differently, and non-finite values
+EDGE_VALUES = [0.0, -0.0, 1.0, -7.0, 1e10, 99999999999.99, 5e-324, 2.2e-308, 1e-301,
+               1e-300, 1e-5, 9.99999999999995e-5, 1e11, 999999999999.5, 123456789012345.0,
+               1e16, -1e16, float("nan"), float("inf"), float("-inf")]
+EDGE_FLOATS = st.sampled_from(EDGE_VALUES)
+FLOATS = st.floats(width=64) | st.floats(-1e11, 1e11) | EDGE_FLOATS
+ARRAYS = hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3),
+                    elements=FLOATS)
+SCALARS = (st.none() | st.booleans() | st.integers() | FLOATS | st.complex_numbers() | st.text()
+           | st.booleans().map(np.bool_) | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+           | FLOATS.map(np.float64) | st.complex_numbers().map(np.complex128))
+DOCUMENTS = st.recursive(
+    SCALARS | ARRAYS,
+    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=3) | st.integers(-3, 3), inner,
+                                     max_size=3)),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(DOCUMENTS)
+def test_canonical_json_writes_what_json_dumps_wrote(doc):
+    assert canonical_json(doc) == reference_json(doc)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=3, max_side=4),
+                  elements=st.floats(-1e11, 1e11, exclude_max=True, exclude_min=True)))
+def test_float_arrays_in_range_are_written_as_before(a):
+    doc = {"x": {"m": a, "pairs": encode_matrix(a + 1j * a[::-1])}, "n": [a, 0.5]}
+    assert canonical_json(doc) == reference_json(doc)
+
+
+def test_canonical_json_indents_complex_scalars_and_keeps_edge_spellings():
+    doc = {"z": np.complex128(1 - 0j), "e": [], "d": {}, "s": "\u00e9",
+           "a": np.array([5e-324, -0.0, 1e16, float("nan")])}
+    text = canonical_json(doc)
+    assert text == reference_json(doc)
+    assert '"z": [\n    1.0,\n    0.0\n  ]' in text
+    for spelling in ("5e-324", "1e+16", "NaN", "\\u00e9", '"e": []', '"d": {}'):
+        assert spelling in text, spelling
+    for edge in EDGE_VALUES:
+        for a in (np.array(edge), np.array([[0.5, edge], [-2.0, 3.0]])):
+            assert canonical_json(a) == reference_json(a), edge
 
 
 def test_reports_are_byte_identical_across_runs():

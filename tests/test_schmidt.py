@@ -2,7 +2,10 @@
 import numpy as np
 import pytest
 
+from nlgc import schmidt
 from nlgc.errors import DimensionError, ValidationError
+from nlgc.groups import builtin_catalog
+from nlgc.protocol import build_M
 from nlgc.schmidt import BipartiteUnitary, schmidt_decompose
 
 CNOT = np.array([[1, 0, 0, 0],
@@ -96,6 +99,37 @@ def test_decomposition_is_deterministic_under_degeneracy():
     two = schmidt_decompose(BipartiteUnitary(SWAP, 2, 2))
     for a1, a2 in zip(one.a_ops, two.a_ops):
         np.testing.assert_array_equal(a1, a2)
+
+
+def _per_entry_lex_key(b):
+    """The tie key schmidt_decompose used before it rounded all entries at once."""
+    flat = b.reshape(-1)
+    return tuple(x for entry in flat for x in (round(entry.real, 9), round(entry.imag, 9)))
+
+
+def controlled_group_gate(group, rng):
+    """sum_f R(f) (x) |f><f| over the regular representation R, dressed by a
+    local unitary on each side: all |G| Schmidt coefficients are tied."""
+    n = group.order
+    m = build_M(group, None, np.array([np.diag(e) for e in np.eye(n)], dtype=complex))
+    return BipartiteUnitary(np.kron(random_unitary(n, rng), random_unitary(n, rng)) @ m, n, n)
+
+
+@pytest.mark.parametrize("name", ["Q8", "S3", "C3xC3"])
+def test_tied_terms_keep_the_order_of_the_per_entry_key(name, monkeypatch):
+    group = next(g for g in builtin_catalog(12) if g.name == name)
+    rng = np.random.default_rng(5)
+    for bu in (controlled_group_gate(group, rng), controlled_group_gate(group, rng).swapped()):
+        dec = schmidt_decompose(bu)
+        assert np.ptp(dec.coefficients) <= 1e-12 * dec.coefficients[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(schmidt, "_lex_key", _per_entry_lex_key)
+            before = schmidt_decompose(bu)
+        np.testing.assert_array_equal(dec.coefficients, before.coefficients)
+        for b, b_before in zip(dec.b_ops, before.b_ops):
+            np.testing.assert_array_equal(b, b_before)
+        for a, a_before in zip(dec.a_ops, before.a_ops):
+            np.testing.assert_array_equal(a, a_before)
 
 
 def test_rejects_bad_inputs():
