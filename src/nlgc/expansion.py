@@ -29,7 +29,7 @@ from .sbd import (BLOCK_TOL, BlockStructure, classify_equivalence, finest_sbd,
                   gram_set)
 from .schmidt import BipartiteUnitary, SchmidtDecomposition, schmidt_decompose
 from .search import (CatalogIndex, SearchCandidate, _merge_warnings,
-                     search_group, trivial_structure)
+                     search_floor, search_group, trivial_structure)
 
 NUM_TOL = 1e-9
 
@@ -303,8 +303,9 @@ def _finest_structure(bu: BipartiteUnitary, block_tol: float,
 def _side_stream(label: str, bs: BlockStructure, d: int, index: CatalogIndex,
                  allow_projective: bool, warnings: list):
     """((order, is fallback, side), candidate) pairs of one side, cheapest
-    first: the search's candidates, then the fallback at order d², left
-    None until a compile reaches it."""
+    first: a start marker at the side's floor, then the search's candidates,
+    then the fallback at order d²; the marker and the fallback carry None."""
+    yield (search_floor(bs), False, label), None
     for cand in search_group(bs, d, index, allow_projective, warning_sink=warnings):
         yield (cand.order, False, label), cand
     yield (d * d, True, label), None
@@ -353,17 +354,17 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
     compilation swaps the tensor factors first. Each side offers its search
     candidates in ascending group order, then its generalized shift-and-phase
     fallback over C_d x C_d at order d², d its own dimension. One stream
-    merges them by (order, is fallback, side); the first candidate that
-    assembles and reproduces the gate is the result, and no costlier one is
-    assembled. So the cost is minimal relative to the catalog and never above
-    the teleportation cost 2 log2 min(dA, dB), and compile_unitary never
-    fails on a valid unitary. A fallback carries every searched side's
-    warnings. The finest block structures of both orientations, computed at
-    block tolerance min(10*tol, BLOCK_TOL), are summarized in the result's
-    blocks. catalog is a list of groups or catalog_recipe entries, by default
-    catalog_recipe(), the built-in catalog up to order 32; each call builds
-    one CatalogIndex of it, shared by both sides, which builds the groups of
-    an order when the search first reaches it.
+    merges them by (order, is fallback, side) and starts a side's search when
+    it reaches the side's search_floor; the first candidate that assembles
+    and reproduces the gate is the result. So the cost is minimal relative to
+    the catalog and never above the teleportation cost 2 log2 min(dA, dB),
+    and compile_unitary never fails on a valid unitary. A fallback carries
+    the warnings of every side, searched or not. The finest block structures
+    of both orientations, at block tolerance min(10*tol, BLOCK_TOL), are
+    summarized in the result's blocks. catalog is a list of groups or
+    catalog_recipe entries, by default catalog_recipe(), the built-in catalog
+    up to order 32; each call builds one CatalogIndex of it, shared by both
+    sides, which builds the groups of an order when the search first reaches it.
     """
     if side not in ("A", "B", "both"):
         raise ValidationError("side must be A, B, or both")
@@ -375,9 +376,15 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
     warnings = {label: [] for label in (["A", "B"] if side == "both" else [side])}
     streams = [_side_stream(label, finest[label][1], oriented[label].dim_a, index,
                             allow_projective, sink) for label, sink in warnings.items()]
-    for (_, fallback, label), cand in heapq.merge(*streams, key=lambda item: item[0]):
+    for (order, fallback, label), cand in heapq.merge(*streams, key=lambda item: item[0]):
+        if cand is None and not fallback:
+            continue    # a start marker: the merge runs that side's search from here
         bu, dec = oriented[label], finest[label][0]
         if fallback:
+            for other in warnings:  # a side not searched yet adds its first step's warnings
+                if search_floor(finest[other][1]) > order:
+                    next(search_group(finest[other][1], oriented[other].dim_a, index,
+                                      allow_projective, warnings[other]), None)
             group, _, rep = pauli_projective_rep(bu.dim_a)
             cand = SearchCandidate(group, [rep], [0], trivial_structure([bu.dim_a]), "fallback")
         inherited = itertools.chain(*warnings.values()) if fallback else warnings[label]

@@ -148,8 +148,9 @@ def simulate_protocol(expansion, psi: np.ndarray, f_matrix: np.ndarray | None = 
     outcomes: list[tuple[int, int]] = []
     probs = np.zeros(n * n)
     fids = np.zeros(n * n)
+    validate_unbiased(f_matrix)
     for h in range(n):
-        z = np.diag(measurement_phase_correction(h, f_matrix))
+        z = 1.0 / (np.sqrt(n) * np.conj(f_matrix[h]))     # the diagonal of Z(h)
         # unnormalized post-measurement state on b (x) A (x) B, phases undone
         # by Z(h); squared norms of its pieces are joint outcome probabilities
         amp = np.conj(f_matrix[h])[:, None, None] * controlled / np.sqrt(n)

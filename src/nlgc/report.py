@@ -317,10 +317,10 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     Rebuilds the expansion, recomputes its claims with expansion_claims (the
     residual, the M unitarity status, the cost accounting and the
     classification label), and compares each against the stored values. V
-    must be unitary, the W coefficients must rebuild wOps from the Schmidt
-    terms, the fallback flag must match the route, the block summaries
-    must be consistent with the input dimensions, and the stored structure
-    must block-diagonalize V†A_j; the blocks themselves are not recomputed.
+    and M must be unitary, the W coefficients must rebuild wOps from the
+    Schmidt terms, the fallback flag must match the route, the block
+    summaries must be consistent with the input dimensions, and the stored
+    structure must block-diagonalize V†A_j; the blocks are not recomputed.
     """
     checks: dict[str, bool] = {}
     exp = expansion_from_report(report)
@@ -344,6 +344,7 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     checks["residual"] = bool(claims["residual"] <= max(1e-8, exp.residual + 1e-9))
     checks["mStatus"] = bool(claims["m_unitary"] == exp.m_unitary
                              and abs(claims["m_deviation"] - exp.m_deviation) <= 1e-6)
+    checks["certified"] = bool(claims["m_unitary"])
     checks["costs"] = bool(abs(claims["cost_ebits"] - exp.cost_ebits) <= 1e-9
                            and abs(claims["baseline_ebits"] - exp.baseline_ebits) <= 1e-9)
     checks["classification"] = claims["classification"] == exp.classification

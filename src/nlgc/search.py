@@ -77,6 +77,11 @@ def _plan_cost(structure: BlockStructure, plan: list[list[int]]) -> int:
     return total
 
 
+def search_floor(structure: BlockStructure) -> int:
+    """Σ (class dim)², the finest plan's cost: no candidate has a smaller order."""
+    return sum(d * d for d in structure.class_dims())
+
+
 def merge_plans(structure: BlockStructure) -> list[tuple[int, list[list[int]]]]:
     """(cost, plan) pairs sorted by cost then by fineness.
 
@@ -188,12 +193,12 @@ def search_group(structure: BlockStructure, d_a: int, index: CatalogIndex,
     participate once the order reaches their dimension-square sum. Any class
     of dimension 1 forces an ordinary representation for that plan, and a
     non-abelian extension is filled only if its irreps at z cover the classes.
-    Orders run up to d_a², the order of the generalized-Pauli fallback that
-    compile_unitary ranks after them; warning_sink, when given, collects the
-    catalog-gap warnings, including those found after the last yield.
+    Orders run from search_floor(structure) to d_a², the fallback's order,
+    which compile_unitary ranks after them; warning_sink, when given, collects
+    the catalog-gap warnings, including those found after the last yield.
     """
     finest = [[b] for b in range(len(structure.block_sizes))]
-    n_start = _plan_cost(structure, finest)
+    n_start = search_floor(structure)
     plans = [(n_start, finest)]     # any merge costs strictly more
     warnings: list[str] = warning_sink if warning_sink is not None else []
     seen_projective = set()
@@ -211,7 +216,8 @@ def search_group(structure: BlockStructure, d_a: int, index: CatalogIndex,
             if any(n % d for d in required):
                 continue
 
-            for idx, g in index.groups(n):
+            # every group also has the trivial irrep: dims >= 2 fit only above n0
+            for idx, g in index.groups(n) if min(required) == 1 or n0 < n else ():
                 if g.is_abelian and max(required) > 1:
                     continue        # every irrep of an abelian group is 1-dim
                 irreps = index.irreps(idx)

@@ -135,6 +135,11 @@ def test_an_uncertified_protocol_exits_four(tmp_path, capsys):
     assert rep["mStatus"]["unitary"] is False and rep["protocol"]["deterministic"] is False
     assert main(["simulate", str(out)]) == 4
     capsys.readouterr()
+    # the report is consistent with itself, but its protocol is not certified
+    assert main(["verify", str(out)]) == 4
+    printed = capsys.readouterr().out
+    assert "mStatus: ok" in printed and "certified: FAIL" in printed
+    assert printed.count("FAIL") == 1
 
 
 def test_projective_route_keeps_exit_zero(generic_file, capsys):
@@ -405,7 +410,7 @@ def test_tampered_w_coefficients_fail_verification(gate_fixture, request, tmp_pa
 
 
 def _set_blocks(label, **fields):
-    return lambda blocks: blocks[label].update(fields)
+    return lambda report: report["blocks"][label].update(fields)
 
 
 # CNOT has sizes [1, 1], classes [[0], [1]] and classDims [1, 1] on both sides
@@ -416,14 +421,16 @@ BLOCK_TAMPERS = {
     "block in two classes": _set_blocks("A", classes=[[0, 1], [1]]),
     "block in no class": _set_blocks("B", classes=[[0]], classDims=[1]),
     "class dims off": _set_blocks("B", sizes=[1, 1], classDims=[2, 1]),
-    "orientation missing": lambda blocks: blocks.pop("B"),
+    "orientation missing": lambda report: report["blocks"].pop("B"),
+    "class names block 7": _set_blocks("A", classes=[[0], [1, 7]]),
+    "blocks is a list": lambda report: report.update(blocks=list(report["blocks"].values())),
 }
 
 
 @pytest.mark.parametrize("tamper", BLOCK_TAMPERS.values(), ids=BLOCK_TAMPERS.keys())
 def test_inconsistent_blocks_fail_verification(tamper, cnot_file, tmp_path, capsys):
     rep = _report(cnot_file, tmp_path)
-    tamper(rep["blocks"])
+    tamper(rep)
     code, out, _ = _verify(rep, tmp_path, capsys)
     assert code == 4
     assert "blocks: FAIL" in out
@@ -451,6 +458,7 @@ STRUCTURE_TAMPERS = {
     "basis change moved": _shift_basis_entry,
     "basis change still unitary but mixes the blocks": _rotate_basis,
     "blocks merged": lambda structure: structure.update(sizes=[2]),
+    "class names block 7": lambda structure: structure["classes"][-1]["members"].append(7),
 }
 
 

@@ -9,7 +9,7 @@ from nlgc.expansion import (classify, compile_unitary, construct_V,
                             synthesize_group_gate)
 from nlgc.groups import FiniteGroup, cyclic, symmetric
 from nlgc.schmidt import BipartiteUnitary, schmidt_decompose
-from nlgc.search import trivial_structure
+from nlgc.search import search_group, trivial_structure
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
@@ -289,6 +289,42 @@ def test_a_cheaper_fallback_beats_a_costlier_group():
     assert exp.cost_ebits == exp.baseline_ebits == 4.0
     assert exp.residual < 1e-9
     assert exp.warnings[-1].endswith("at the teleportation cost")
+
+
+def test_a_side_that_cannot_beat_the_result_is_never_searched(monkeypatch, group_builds):
+    # side A wins at order 2 (CNOT) or 4 (Haar 2x3), below side B's floor
+    # (2 for CNOT, where side A's C2 ranks first; 9 for Haar 2x3, whose first
+    # search step would fill Heis3, of order 27)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search_group(*args, **kwargs)
+    monkeypatch.setattr(nlgc.expansion, "search_group", counting)
+    haar = random_unitary(6, np.random.default_rng(23))
+    for bu, order in [(BipartiteUnitary(CNOT, 2, 2), 2), (BipartiteUnitary(haar, 2, 3), 4)]:
+        calls.clear()
+        exp = compile_unitary(bu, side="both")
+        assert (exp.side, exp.group.order) == ("A", order)
+        assert len(calls) == 1
+    assert 27 not in group_builds
+
+
+def test_a_fallback_carries_the_first_search_step_of_an_unsearched_side():
+    # Haar 4x5 and 5x4 fall back on the d = 4 side at order 16 before the
+    # stream reaches the other side's floor, 25; that side's first search step
+    # still contributes its catalog-gap warnings
+    gaps = {16: ["catalog has no group of order %d for central extensions over order 16" % o
+                 for o in (64, 128, 256)],
+            25: ["catalog has no group of order %d for central extensions over order 25" % o
+                 for o in (125, 625)]}
+    fell_back = ("no admissible group found within the search bound; fell back to the "
+                 "generalized shift-and-phase expansion at the teleportation cost")
+    rng = np.random.default_rng(1)
+    for d_a, d_b, side, first, second in [(4, 5, "A", 16, 25), (5, 4, "B", 25, 16)]:
+        exp = compile_unitary(BipartiteUnitary(random_unitary(d_a * d_b, rng), d_a, d_b))
+        assert (exp.fallback, exp.side, exp.group.name) == (True, side, "C4xC4")
+        assert exp.warnings == gaps[first] + gaps[second] + [fell_back]
 
 
 MIXED_DIMENSIONS = {

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import nlgc.protocol
 from nlgc.errors import ValidationError
 from nlgc.expansion import compile_unitary
 from nlgc.groups import cyclic, direct_product
@@ -133,6 +134,19 @@ def test_biased_measurement_basis_is_rejected():
     psi = random_states(4, 1, seed=3)[0]
     with pytest.raises(ValidationError):
         simulate_protocol(exp, psi, f_matrix=np.eye(2, dtype=complex))
+
+
+def test_a_simulation_validates_its_measurement_basis_once(monkeypatch):
+    calls = []
+
+    def counting(f_matrix):
+        calls.append(f_matrix)
+        validate_unbiased(f_matrix)
+    monkeypatch.setattr(nlgc.protocol, "validate_unbiased", counting)
+    exp = compile_unitary(BipartiteUnitary(SWAP, 2, 2))
+    trace = simulate_protocol(exp, random_states(4, 1, seed=4)[0])
+    assert exp.group.order == 4 and trace.deterministic
+    assert len(calls) == 1
 
 
 def test_protocol_covers_every_compiled_gate_class():

@@ -1,10 +1,12 @@
 """Group search ordering, merge plans, and candidate integrity."""
 import functools
+import math
 
 import numpy as np
 import pytest
 
 from nlgc.groups import builtin_catalog, catalog_recipe, cyclic
+from nlgc.representations import irreps_of
 from nlgc.sbd import BlockStructure, EquivalenceClass, merge_blocks
 from nlgc.search import (CatalogIndex, SearchCandidate, _assign, _merge_warnings,
                          merge_plans, search_group, set_partitions,
@@ -17,6 +19,28 @@ def test_set_partitions_of_three_items():
     canon = {tuple(tuple(sorted(p)) for p in sorted(pp, key=min)) for pp in parts}
     assert ((0,), (1,), (2,)) in canon
     assert ((0, 1, 2),) in canon
+
+
+def _square_sums(total, smallest=2):
+    """Every non-decreasing list of dims >= smallest whose squares sum to total."""
+    if total == 0:
+        return [[]]
+    return [[d] + rest for d in range(smallest, math.isqrt(total) + 1)
+            for rest in _square_sums(total - d * d, d)]
+
+
+def test_no_group_has_irreps_of_dims_two_and_up_whose_squares_sum_to_its_order():
+    # the trivial irrep takes one of the order's squares, so search_group
+    # skips the ordinary groups of such an order
+    checked = 0
+    for g in builtin_catalog(16):
+        if g.is_abelian:
+            continue
+        irreps = irreps_of(g)
+        for dims in _square_sums(g.order):
+            assert _assign(dims, irreps) is None
+            checked += 1
+    assert checked >= 8     # Q8, D4, A4, D6, and D8 and Pauli16 twice
 
 
 def test_merge_plans_cost_ordering():
