@@ -75,9 +75,10 @@ class GroupExpansion:
         return self.baseline_ebits - self.cost_ebits
 
     def reconstruct(self) -> np.ndarray:
-        mats = self.u_rep.matrices
-        return sum(np.kron(self.v @ mats[f], self.w_ops[f])
-                   for f in range(self.group.order))
+        """sum_f [V U(f)] (x) W(f), the Kronecker products broadcast over f."""
+        vu, w = self.v @ self.u_rep.matrices, self.w_ops
+        terms = vu[:, :, None, :, None] * w[:, None, :, None, :]
+        return np.add.reduce(terms, axis=0).reshape(vu.shape[1] * w.shape[1], -1)
 
 
 def construct_V(a_ops, bs: BlockStructure, tol: float = BLOCK_TOL) -> np.ndarray:
@@ -89,16 +90,16 @@ def construct_V(a_ops, bs: BlockStructure, tol: float = BLOCK_TOL) -> np.ndarray
     same equivalence class are then rotated so their content matches the
     class representative through the stored intertwiner.
     """
-    a_ops = [np.asarray(a, dtype=complex) for a in a_ops]
+    a_ops = np.asarray(a_ops, dtype=complex)
     s = bs.basis_change
     slices = bs.block_slices()
     parts = []
     for sl in slices:
-        cols = np.hstack([op @ s[:, sl] for op in a_ops])
+        cols = (a_ops @ s[:, sl]).transpose(1, 0, 2).reshape(len(s), -1)
         parts.append(gram_schmidt(cols, expected_rank=sl.stop - sl.start))
 
     v_raw = np.hstack(parts)
-    d_ops = [dagger(v_raw) @ op @ s for op in a_ops]
+    d_ops = dagger(v_raw) @ a_ops @ s
     for cls in bs.classes:
         rs = slices[cls.representative]
         for m in cls.members:
@@ -106,9 +107,8 @@ def construct_V(a_ops, bs: BlockStructure, tol: float = BLOCK_TOL) -> np.ndarray
                 continue
             t = cls.intertwiners[m]
             ms = slices[m]
-            acc = np.zeros((t.shape[0], t.shape[0]), dtype=complex)
-            for dk in d_ops:
-                acc += dk[ms, ms] @ dagger(t @ dk[rs, rs] @ dagger(t))
+            aligned = t @ d_ops[:, rs, rs] @ dagger(t)
+            acc = np.add.reduce(d_ops[:, ms, ms] @ aligned.conj().transpose(0, 2, 1), axis=0)
             parts[m] = parts[m] @ polar_unitary(acc)
 
     v = np.hstack(parts) @ dagger(s)
@@ -162,8 +162,8 @@ def compute_W(v: np.ndarray, a_ops, u_rep: Representation, b_ops,
     group = u_rep.group
     n = group.order
     slices = bs.block_slices()
-    a_ops = [np.asarray(a, dtype=complex) for a in a_ops]
-    x = [bs.transformed(dagger(v) @ op) for op in a_ops]
+    a_ops = np.asarray(a_ops, dtype=complex)
+    x = bs.transformed(dagger(v) @ a_ops)
     w_coeffs = np.zeros((len(a_ops), n), dtype=complex)
     for ci, cls in enumerate(bs.classes):
         mats = irreps[assignment[ci]].matrices
@@ -199,12 +199,14 @@ def classify(exp: GroupExpansion, tol: float = NUM_TOL) -> tuple[str, dict]:
     u_mats = exp.u_rep.matrices
     n = u_mats.shape[0]
     d_a = u_mats.shape[1]
+    # one row of pairs (f, g > f) at a time, so a non-abelian group stops early
     commute = all(
-        frobenius(u_mats[f] @ u_mats[g] - u_mats[g] @ u_mats[f]) <= 1e3 * tol * d_a
-        for f in range(n) for g in range(f + 1, n))
+        np.all(np.linalg.norm(u_mats[f] @ u_mats[f + 1:] - u_mats[f + 1:] @ u_mats[f],
+                              axis=(1, 2)) <= 1e3 * tol * d_a)
+        for f in range(n - 1))
     if commute:
         s = exp.structure.basis_change
-        d_diag = np.array([exp.structure.transformed(u) for u in u_mats])
+        d_diag = exp.structure.transformed(u_mats)
         chars = np.einsum("fii->if", d_diag)        # per column, over f
         groups: list[list[int]] = []
         reps: list[np.ndarray] = []
@@ -229,22 +231,17 @@ def classify(exp: GroupExpansion, tol: float = NUM_TOL) -> tuple[str, dict]:
     grams = np.einsum("fba,fbc->fac", np.conj(w), w)
     scales = np.einsum("faa->f", grams).real / d_b
     if np.min(scales) > tol:
-        dev = max(frobenius(grams[f] - scales[f] * np.eye(d_b)) for f in range(n))
+        dev = np.max(np.linalg.norm(grams - scales[:, None, None] * np.eye(d_b), axis=(1, 2)))
         if dev <= 1e3 * tol * max(1.0, float(np.max(scales)) * d_b):
             wt = w / np.sqrt(scales)[:, None, None]
             # the expansion gauge hides a fixed local unitary inside every
             # W(f); anchoring at the identity element mods it out before the
             # closure test
             anchored = np.einsum("ba,fbc->fac", np.conj(wt[exp.group.identity]), wt)
-            mu_b = np.zeros((n, n), dtype=complex)
-            closure = 0.0
-            table = exp.group.table
-            for f in range(n):
-                for g in range(n):
-                    prod = anchored[f] @ anchored[g]
-                    target = anchored[table[f, g]]
-                    mu_b[f, g] = np.trace(dagger(target) @ prod) / d_b
-                    closure = max(closure, frobenius(prod - mu_b[f, g] * target))
+            prod = anchored[:, None] @ anchored           # [f, g] = W'(f) W'(g)
+            target = anchored[exp.group.table]            # [f, g] = W'(fg)
+            mu_b = np.trace(target.conj().swapaxes(2, 3) @ prod, axis1=2, axis2=3) / d_b
+            closure = np.max(np.linalg.norm(prod - mu_b[:, :, None, None] * target, axis=(2, 3)))
             if closure <= 1e3 * tol * d_b and np.max(np.abs(np.abs(mu_b) - 1.0)) <= 1e-6:
                 return DOUBLE, {"wFactorPhases": mu_b,
                                 "wNorms": np.sqrt(scales)}
@@ -333,11 +330,6 @@ def _build(cand: SearchCandidate, bu: BipartiteUnitary, dec: SchmidtDecompositio
         side=side, route=cand.route)
     exp = replace(exp, **expansion_claims(exp, tol))
     _merge_warnings(exp.warnings, *warnings)
-    if not exp.m_unitary:
-        exp.warnings.append(
-            "M is not unitary (deviation %.3e): the expansion uses linearly "
-            "dependent operators and the branch protocol is not certified"
-            % exp.m_deviation)
     if exp.fallback:
         exp.warnings.append(
             "no admissible group found within the search bound; fell back to the "
@@ -355,8 +347,9 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
     candidates in ascending group order, then its generalized shift-and-phase
     fallback over C_d x C_d at order d², d its own dimension. One stream
     merges them by (order, is fallback, side) and starts a side's search when
-    it reaches the side's search_floor; the first candidate that assembles
-    and reproduces the gate is the result. So the cost is minimal relative to
+    it reaches the side's search_floor; the first candidate that assembles,
+    reproduces the gate and has a unitary M, so that its branch protocol is
+    certified, is the result. So the cost is minimal relative to
     the catalog and never above the teleportation cost 2 log2 min(dA, dB),
     and compile_unitary never fails on a valid unitary. A fallback carries
     the warnings of every side, searched or not. The finest block structures
@@ -394,12 +387,18 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
             _merge_warnings(warnings[label], "order-%d candidate %s rejected: %s"
                             % (cand.order, cand.group.name, exc))
             continue
-        if exp.residual <= max(block_tol, 1e-8):
+        if not exp.residual <= max(block_tol, 1e-8):
+            _merge_warnings(warnings[label], "order-%d candidate %s left residual %.3e"
+                            % (cand.order, cand.group.name, exp.residual))
+        elif not exp.m_unitary:
+            _merge_warnings(warnings[label], "order-%d candidate %s rejected: M is not "
+                            "unitary (deviation %.3e)" % (cand.order, cand.group.name,
+                                                          exp.m_deviation))
+        else:
             break
-        _merge_warnings(warnings[label], "order-%d candidate %s left residual %.3e"
-                        % (cand.order, cand.group.name, exp.residual))
     else:
-        raise InconsistencyError("not even the fallback expansion reproduces the gate")
+        raise InconsistencyError("not even the fallback expansion reproduces the gate "
+                                 "with a unitary M")
     exp.blocks = {label: {"sizes": list(bs.block_sizes),
                           "classes": [list(c.members) for c in bs.classes],
                           "classDims": bs.class_dims()}

@@ -142,8 +142,8 @@ def simulate_protocol(expansion, psi: np.ndarray, f_matrix: np.ndarray | None = 
         "linearly dependent operators, so branch outcomes are not certified" % m_dev]
 
     u_mats = expansion.u_rep.matrices
-    corrections = np.array([expansion.v @ dagger(u_mats[g]) for g in range(n)])
-    controlled = np.array([u_mats[f] @ psi0 for f in range(n)])  # (n, dA, dB)
+    corrections = expansion.v @ u_mats.conj().transpose(0, 2, 1)   # V U(g)†
+    controlled = u_mats @ psi0                                      # (n, dA, dB)
 
     outcomes: list[tuple[int, int]] = []
     probs = np.zeros(n * n)

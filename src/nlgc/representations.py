@@ -95,7 +95,7 @@ def irreps_of(group: FiniteGroup, factor: FactorSystem | None = None,
     factor = factor or FactorSystem.trivial(group.order)
     reg = regular_representation(group, factor)
     gens = group.generating_set() or [group.identity]
-    gen_mats = [reg.matrices[g] for g in gens]
+    gen_mats = reg.matrices[gens]
     bs = finest_sbd(gen_mats, tol=REP_TOL, seed=seed,
                     commutant=left_translation_ops(group, factor))
     bs = classify_equivalence(bs, gen_mats, tol=REP_TOL)

@@ -51,29 +51,37 @@ class BlockStructure:
         return out
 
     def transformed(self, m: np.ndarray) -> np.ndarray:
+        """S† m S, for one matrix or a (k, d, d) stack."""
         s = self.basis_change
         return dagger(s) @ m @ s
 
     def off_block_mass(self, mats) -> float:
-        """Largest magnitude found outside the blocks, over all matrices."""
+        """Largest magnitude outside the blocks, over a list or stack of matrices."""
         mask = np.ones((self.dim, self.dim), dtype=bool)
         for sl in self.block_slices():
             mask[sl, sl] = False
-        worst = 0.0
-        for m in mats:
-            t = self.transformed(m)
-            if mask.any():
-                worst = max(worst, float(np.max(np.abs(t[mask]))))
-        return worst
+        return float(np.max(np.abs(self.transformed(_as_stack(mats))[:, mask]), initial=0.0))
 
     def class_dims(self) -> list[int]:
         """One block size per equivalence class, in class order."""
         return [self.block_sizes[c.representative] for c in self.classes]
 
 
-def gram_set(dec) -> list[np.ndarray]:
-    """All products A_j† A_k of the Schmidt A side, row major in (j, k)."""
-    return [dagger(aj) @ ak for aj in dec.a_ops for ak in dec.a_ops]
+def _as_stack(mats) -> np.ndarray:
+    """A list or (k, d, d) stack of square matrices of one size, as a stack."""
+    try:
+        stack = np.asarray(mats)
+    except ValueError:      # a ragged list
+        stack = None
+    if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise DimensionError("all matrices must be square of equal size")
+    return stack
+
+
+def gram_set(dec) -> np.ndarray:
+    """All products A_j† A_k of the Schmidt A side: an (r², d, d) stack, row major in (j, k)."""
+    a = _as_stack(dec.a_ops)
+    return (a.conj().transpose(0, 2, 1)[:, None] @ a).reshape(-1, *a.shape[1:])
 
 
 def _sylvester_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -88,25 +96,21 @@ def _sylvester_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def commutant_basis(mats) -> list[np.ndarray]:
-    """Basis of all X commuting with every matrix of a set and its adjoints,
-    solved over an orthonormal basis of their span: k <= d² matrices."""
-    d = mats[0].shape[0]
-    rank, vh = svd_rank(np.stack(list(mats) + [dagger(m) for m in mats]).reshape(-1, d * d))
+    """Basis of all X commuting with every matrix of a set (list or stack) and its
+    adjoints, solved over an orthonormal basis of their span: k <= d² matrices."""
+    mats = _as_stack(mats)
+    d = mats.shape[1]
+    rank, vh = svd_rank(np.concatenate([mats, mats.conj().transpose(0, 2, 1)]).reshape(-1, d * d))
     span = vh[:rank].reshape(rank, d, d)
     basis = null_space(_sylvester_rows(span, span))
     return list(basis.T.reshape(-1, d, d))
 
 
 def _component_structure(mats, x, tol):
-    """One splitting pass: eigenbasis of x + x† for a commutant element x."""
+    """One splitting pass over a stack: eigenbasis of x + x† for a commutant element x."""
     _, basis = np.linalg.eigh(x + dagger(x))
-
-    d = basis.shape[0]
-    adjacency = np.zeros((d, d), dtype=bool)
-    for m in mats:
-        t = np.abs(dagger(basis) @ m @ basis)
-        adjacency |= t > tol
-        adjacency |= t.T > tol
+    big = np.abs(dagger(basis) @ mats @ basis) > tol
+    adjacency = np.any(big | big.transpose(0, 2, 1), axis=0)
     np.fill_diagonal(adjacency, True)
     comps = connected_components(adjacency)
     comps.sort(key=lambda c: (len(c), c[0]))
@@ -115,7 +119,7 @@ def _component_structure(mats, x, tol):
 
 def finest_sbd(mats, tol: float = BLOCK_TOL, seed: int = 0,
                commutant=None) -> BlockStructure:
-    """Finest common block diagonalization of a matrix set.
+    """Finest common block diagonalization of a matrix set, a list or a stack.
 
     Gauge-fixed as by Maehara & Murota: project a seeded Hermitian H0 onto the
     commutant of the set and its adjoints (commutant may pass an orthogonal
@@ -125,10 +129,8 @@ def finest_sbd(mats, tol: float = BLOCK_TOL, seed: int = 0,
     depends on the commutant basis. A second seeded projection must give
     the same block sizes, otherwise the split is declared unstable.
     """
-    d = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (d, d):
-            raise DimensionError("all matrices must be square of equal size")
+    mats = _as_stack(mats)
+    d = mats.shape[1]
     if commutant is None:
         commutant = commutant_basis(mats)
     rng = np.random.default_rng(seed)
@@ -155,20 +157,20 @@ def finest_sbd(mats, tol: float = BLOCK_TOL, seed: int = 0,
         at += n * count
     bs = BlockStructure(s / leading_phase(s.T), [len(c) for c in comps_a])
     worst = bs.off_block_mass(mats)
-    if worst > tol:
+    if not worst <= tol:
         raise NondeterminismError(
             f"off-block residue {worst:.3e} exceeds tol after splitting")
     return bs
 
 
 def _intertwiner(rep_blocks, mem_blocks, tol):
-    """Unitary T with T R_rep T† = R_member for every listed block, or None."""
-    n = rep_blocks[0].shape[0]
+    """Unitary T with T R_rep T† = R_member for all blocks of two (k, n, n) stacks, or None."""
+    n = rep_blocks.shape[1]
     # Unitary conjugation keeps traces: traces further apart than n * tol fail the check below.
-    if any(abs(np.trace(rb) - np.trace(mb)) > n * tol + 1e-10 * (1 + np.max(np.abs(rb)))
-           for rb, mb in zip(rep_blocks, mem_blocks)):
+    gap = np.abs(np.trace(rep_blocks, axis1=1, axis2=2) - np.trace(mem_blocks, axis1=1, axis2=2))
+    if np.any(gap > n * tol + 1e-10 * (1 + np.max(np.abs(rep_blocks), axis=(1, 2)))):
         return None
-    ns = null_space(_sylvester_rows(np.stack(mem_blocks), np.stack(rep_blocks)))
+    ns = null_space(_sylvester_rows(mem_blocks, rep_blocks))
     if ns.shape[1] == 0:
         return None
     t = ns[:, 0].reshape(n, n)
@@ -179,9 +181,7 @@ def _intertwiner(rep_blocks, mem_blocks, tol):
     if np.linalg.norm(dagger(t) @ t - np.eye(n)) > 1e-6:
         return None
     t = polar_unitary(t)
-    worst = max(np.max(np.abs(t @ rb @ dagger(t) - mb))
-                for rb, mb in zip(rep_blocks, mem_blocks))
-    if worst > tol:
+    if not np.max(np.abs(t @ rep_blocks @ dagger(t) - mem_blocks)) <= tol:
         return None
     return t / leading_phase(t.reshape(1, -1))[0]
 
@@ -191,12 +191,12 @@ def classify_equivalence(bs: BlockStructure, mats, tol: float = BLOCK_TOL) -> Bl
 
     Fills bs.classes. Each class stores, per member, the unitary mapping the
     representative block content onto the member block content simultaneously
-    for every matrix in the set. Blocks are reordered class by class, by size,
-    larger classes first, so class lists do not depend on the seeded split.
+    for every matrix in the set (list or stack). Blocks are reordered class by
+    class, by size, larger classes first, so class lists do not depend on the seeded split.
     """
     slices = bs.block_slices()
-    rotated = [bs.transformed(m) for m in mats]
-    per_block = [[r[sl, sl] for r in rotated] for sl in slices]
+    rotated = bs.transformed(_as_stack(mats))
+    per_block = [rotated[:, sl, sl] for sl in slices]
     classes: list[EquivalenceClass] = []
     for alpha in range(len(slices)):
         for cls in classes:

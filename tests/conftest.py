@@ -3,8 +3,10 @@
 import numpy as np
 
 from nlgc._linalg import weyl_operator_basis
+from nlgc.expansion import NUM_TOL, _build, _finest_structure, compile_unitary
 from nlgc.representations import Representation
 from nlgc.schmidt import BipartiteUnitary
+from nlgc.search import CatalogIndex, search_group
 
 
 def orthogonality_defect(irreps: list[Representation]) -> float:
@@ -47,6 +49,20 @@ def haar_block_gate(d_a: int, parts: list[int], seed: int) -> BipartiteUnitary:
         u[:, start:start + p, :, start:start + p] = w.reshape(d_a, p, d_a, p)
         start += p
     return BipartiteUnitary(u.reshape(d_a * d_b, -1), d_a, d_b)
+
+
+def uncertified_s4_expansion():
+    """Side B's search candidates for the 4x5 gate W2 + W3 of haar_block_gate,
+    and the expansion the first one, S4, assembles: it reproduces the gate,
+    but its M is not unitary, so compile_unitary rejects it. The expansion
+    carries the blocks summary of the compiled gate, as a compile result does."""
+    gate = haar_block_gate(4, [2, 3], seed=7)
+    bu = gate.swapped()
+    dec, bs = _finest_structure(bu, 10 * NUM_TOL, seed=0)
+    cands = list(search_group(bs, bu.dim_a, CatalogIndex(), warning_sink=[]))
+    exp = _build(cands[0], bu, dec, "B", [], NUM_TOL, 10 * NUM_TOL)
+    exp.blocks = compile_unitary(gate, side="B").blocks
+    return cands, exp
 
 
 def operator_basis_expansion(u: BipartiteUnitary, side: str = "b") -> tuple[list, list]:

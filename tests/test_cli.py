@@ -6,8 +6,9 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import haar_block_gate
+from conftest import haar_block_gate, uncertified_s4_expansion
 
+import nlgc.cli
 from nlgc.cli import main
 from nlgc.groups import FiniteGroup, cyclic, dihedral, save_group_file
 from nlgc.report import (canonical_json, decode_matrix, encode_matrix,
@@ -125,11 +126,29 @@ def test_a_cheaper_fallback_exits_three_and_verifies(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_an_uncertified_protocol_exits_four(tmp_path, capsys):
-    # side B alone finds S4 for the 4x5 gate above, but its M is not unitary
+def test_side_b_alone_skips_the_uncertified_group(tmp_path, capsys):
+    # side B's search finds S4 for the 4x5 gate above, but its M is not
+    # unitary; side B's own fallback, C5xC5 at log2 25 ebits, is certified
+    gate = write_gate(tmp_path / "w2w3.json", haar_block_gate(4, [2, 3], seed=7).matrix, 4, 5)
+    out = tmp_path / "report.json"
+    assert main(["compile", gate, "--side", "B", "--out", str(out)]) == 3
+    rep = json.loads(out.read_text())
+    assert rep["group"]["name"] == "C5xC5" and rep["expansion"]["fallback"]
+    assert rep["costs"]["costEbits"] == round(float(np.log2(25)), 11)
+    assert rep["mStatus"]["unitary"] is True and rep["protocol"]["deterministic"] is True
+    assert main(["verify", str(out)]) == 0
+    capsys.readouterr()
+
+
+def test_an_uncertified_protocol_exits_four(tmp_path, capsys, monkeypatch):
+    # compile writes whatever expansion it gets: here the S4 expansion that
+    # side B's search candidate assembles for the 4x5 gate, whose M is not unitary
+    _, s4 = uncertified_s4_expansion()
+    monkeypatch.setattr(nlgc.cli, "_compile_from_args", lambda args, bu: s4)
     gate = write_gate(tmp_path / "w2w3.json", haar_block_gate(4, [2, 3], seed=7).matrix, 4, 5)
     out = tmp_path / "report.json"
     assert main(["compile", gate, "--side", "B", "--out", str(out)]) == 4
+    monkeypatch.undo()
     rep = json.loads(out.read_text())
     assert rep["group"]["name"] == "S4" and not rep["expansion"]["fallback"]
     assert rep["mStatus"]["unitary"] is False and rep["protocol"]["deterministic"] is False

@@ -1,13 +1,16 @@
 """Compilation pipeline: V construction, W extraction, classification."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from conftest import haar_block_gate
+from conftest import haar_block_gate, uncertified_s4_expansion
 
 import nlgc.expansion
 from nlgc.errors import InconsistencyError, SingularInputError
-from nlgc.expansion import (classify, compile_unitary, construct_V,
+from nlgc.expansion import (DOUBLE, GroupExpansion, classify, compile_unitary, construct_V,
                             synthesize_group_gate)
-from nlgc.groups import FiniteGroup, cyclic, symmetric
+from nlgc.groups import FiniteGroup, alternating, cyclic, dihedral, symmetric
+from nlgc.representations import irreps_of, regular_representation
 from nlgc.schmidt import BipartiteUnitary, schmidt_decompose
 from nlgc.search import search_group, trivial_structure
 
@@ -283,12 +286,26 @@ def test_every_compile_builds_its_own_catalog_index(group_builds):
 def test_a_cheaper_fallback_beats_a_costlier_group():
     # side B's blocks [2, 3] fit S4 (order 24); side A's fallback has order 16
     bu = haar_block_gate(4, [2, 3], seed=7)
-    assert compile_unitary(bu, side="B").group.name == "S4"
+    cands, _ = uncertified_s4_expansion()
+    assert [c.group.name for c in cands] == ["S4"]
     exp = compile_unitary(bu)
     assert (exp.fallback, exp.side, exp.group.name) == (True, "A", "C4xC4")
     assert exp.cost_ebits == exp.baseline_ebits == 4.0
     assert exp.residual < 1e-9
     assert exp.warnings[-1].endswith("at the teleportation cost")
+
+
+def test_a_candidate_whose_M_is_not_unitary_is_rejected():
+    # side B's only search candidate, S4, reproduces the 4x5 gate W2 + W3 but
+    # its M is not unitary; side B alone falls back to C5xC5, which is certified
+    _, s4 = uncertified_s4_expansion()
+    assert s4.group.name == "S4" and s4.residual < 1e-9 and not s4.m_unitary
+    exp = compile_unitary(haar_block_gate(4, [2, 3], seed=7), side="B")
+    assert (exp.fallback, exp.side, exp.group.name) == (True, "B", "C5xC5")
+    assert exp.m_unitary and exp.residual < 1e-9
+    assert exp.cost_ebits == np.log2(25)
+    assert ("order-24 candidate S4 rejected: M is not unitary (deviation %.3e)"
+            % s4.m_deviation) in exp.warnings
 
 
 def test_a_side_that_cannot_beat_the_result_is_never_searched(monkeypatch, group_builds):
@@ -360,3 +377,53 @@ def test_compile_raises_when_not_even_the_fallback_reproduces_the_gate(monkeypat
                         lambda exp, tol: {**claims(exp, tol), "residual": 1.0})
     with pytest.raises(InconsistencyError, match="not even the fallback"):
         compile_unitary(BipartiteUnitary(CNOT, 2, 2))
+
+
+# reconstruct and classify work on stacks with the arithmetic of the loops
+# they replaced; each test keeps that loop as its reference and compares bytes
+
+@pytest.mark.parametrize("d_a", [2, 3, 8, 12])
+def test_reconstruct_equals_the_kron_sum_bytewise(d_a):
+    rng = np.random.default_rng(120 + d_a)
+    n, d_b = 6, 3
+    mats = rng.normal(size=(n, d_a, d_a)) + 1j * rng.normal(size=(n, d_a, d_a))
+    exp = SimpleNamespace(
+        v=random_unitary(d_a, rng), group=SimpleNamespace(order=n),
+        u_rep=SimpleNamespace(matrices=mats),
+        w_ops=rng.normal(size=(n, d_b, d_b)) + 1j * rng.normal(size=(n, d_b, d_b)))
+    expected = sum(np.kron(exp.v @ mats[f], exp.w_ops[f]) for f in range(n))
+    assert GroupExpansion.reconstruct(exp).tobytes() == expected.tobytes()
+
+
+def _w_rep(group, dim):
+    return next(r.matrices for r in irreps_of(group) if r.dim == dim)
+
+
+@pytest.mark.parametrize("group, w_mats", [
+    (symmetric(3), lambda g: _w_rep(g, 2)),
+    (alternating(4), lambda g: _w_rep(g, 3)),
+    (dihedral(4), lambda g: regular_representation(g).matrices),
+    (alternating(4), lambda g: regular_representation(g).matrices)],
+    ids=["d=2", "d=3", "d=8", "d=12"])
+def test_w_factor_phases_equal_the_pairwise_loop_bytewise(group, w_mats):
+    # W(f) = c_f e^{i theta_f} X R(f) over a unitary rep R of a non-abelian
+    # group: a double-unitary expansion whose factor phases are e^{i(...)}
+    rng = np.random.default_rng(130 + group.order)
+    n = group.order
+    r = w_mats(group)
+    d_b = r.shape[1]
+    w = (rng.uniform(0.5, 2.0, n) * np.exp(2j * np.pi * rng.random(n)))[:, None, None] \
+        * (random_unitary(d_b, rng) @ r)
+    exp = SimpleNamespace(group=group, w_ops=w,
+                          u_rep=SimpleNamespace(matrices=regular_representation(group).matrices))
+    kind, details = classify(exp)
+    assert kind == DOUBLE
+    grams = np.einsum("fba,fbc->fac", np.conj(w), w)
+    wt = w / np.sqrt(np.einsum("faa->f", grams).real / d_b)[:, None, None]
+    anchored = np.einsum("ba,fbc->fac", np.conj(wt[group.identity]), wt)
+    expected = np.zeros((n, n), dtype=complex)
+    for f in range(n):
+        for g in range(n):
+            target = anchored[group.table[f, g]]
+            expected[f, g] = np.trace(target.conj().T @ (anchored[f] @ anchored[g])) / d_b
+    assert details["wFactorPhases"].tobytes() == expected.tobytes()

@@ -3,9 +3,11 @@ import numpy as np
 import pytest
 
 from nlgc import sbd
+from nlgc._linalg import connected_components
+from nlgc.errors import DimensionError
 from nlgc.expansion import synthesize_group_gate
 from nlgc.groups import alternating
-from nlgc.sbd import (BlockStructure, classify_equivalence, commutant_basis,
+from nlgc.sbd import (BLOCK_TOL, BlockStructure, classify_equivalence, commutant_basis,
                       finest_sbd, gram_set, merge_blocks)
 from nlgc.schmidt import BipartiteUnitary, schmidt_decompose
 
@@ -250,3 +252,90 @@ def test_intertwiner_rows_equal_the_kron_stack_bytewise(n):
     rows = sbd._sylvester_rows(mems, reps)
     assert rows.shape == expected.shape
     assert rows.tobytes() == expected.tobytes()
+
+
+# The stacked forms below keep the arithmetic of the per-matrix loops they
+# replaced; each test keeps that loop as its reference and compares bytes.
+STACK_DIMS = [2, 3, 8, 12]
+
+
+def two_block_family(d, rng):
+    """Three matrices with hidden blocks of sizes 1 (d // 2 copies) and d - d // 2."""
+    return scrambled_family([(1, d // 2), (d - d // 2, 1)], rng)[0]
+
+
+@pytest.mark.parametrize("d", STACK_DIMS)
+def test_gram_set_equals_the_per_pair_products_bytewise(d):
+    dec = schmidt_decompose(BipartiteUnitary(random_unitary(2 * d, np.random.default_rng(70 + d)),
+                                             d, 2))
+    expected = np.stack([aj.conj().T @ ak for aj in dec.a_ops for ak in dec.a_ops])
+    grams = gram_set(dec)
+    assert grams.shape == (len(dec) ** 2, d, d)
+    assert grams.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("d", STACK_DIMS)
+def test_off_block_mass_equals_the_per_matrix_maximum_bytewise(d):
+    rng = np.random.default_rng(80 + d)
+    s = random_unitary(d, rng)
+    mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(4)]
+    bs = BlockStructure(s, [d // 2, d - d // 2])
+    mask = np.ones((d, d), dtype=bool)
+    for sl in bs.block_slices():
+        mask[sl, sl] = False
+    expected = 0.0
+    for m in mats:
+        expected = max(expected, float(np.max(np.abs((s.conj().T @ m @ s)[mask]))))
+    assert bs.off_block_mass(mats).hex() == expected.hex()
+    assert BlockStructure(s, [d]).off_block_mass(mats) == 0.0
+
+
+@pytest.mark.parametrize("d", STACK_DIMS)
+def test_component_adjacency_equals_the_per_matrix_loop_bytewise(d, monkeypatch):
+    rng = np.random.default_rng(90 + d)
+    mats = np.stack(two_block_family(d, rng))
+    k = np.stack(commutant_basis(mats))
+    x = np.einsum("k,kij->ij", rng.normal(size=len(k)), k)
+    _, basis = np.linalg.eigh(x + x.conj().T)
+    seen = []
+    monkeypatch.setattr(sbd, "connected_components",
+                        lambda adj: seen.append(adj.copy()) or connected_components(adj))
+    for tol in (BLOCK_TOL, float(np.median(np.abs(basis.conj().T @ mats[0] @ basis)))):
+        expected = np.zeros((d, d), dtype=bool)
+        for m in mats:
+            t = np.abs(basis.conj().T @ m @ basis)
+            expected |= t > tol
+            expected |= t.T > tol
+        np.fill_diagonal(expected, True)
+        seen.clear()
+        out, _ = sbd._component_structure(mats, x, tol)
+        assert out.tobytes() == basis.tobytes()
+        assert seen[0].tobytes() == expected.tobytes()
+
+
+def test_sbd_takes_a_list_or_a_stack():
+    fam, _ = scrambled_family([(1, 2), (2, 2)], np.random.default_rng(110))
+    stack = np.stack(fam)
+    assert (np.stack(commutant_basis(fam)).tobytes()
+            == np.stack(commutant_basis(stack)).tobytes())
+    from_list = classify_equivalence(finest_sbd(fam, seed=1), fam)
+    from_stack = classify_equivalence(finest_sbd(stack, seed=1), stack)
+    assert from_list.basis_change.tobytes() == from_stack.basis_change.tobytes()
+    assert from_list.block_sizes == from_stack.block_sizes == [1, 1, 2, 2]
+    assert ([c.members for c in from_list.classes]
+            == [c.members for c in from_stack.classes] == [[0, 1], [2, 3]])
+    for c, c_stack in zip(from_list.classes, from_stack.classes):
+        for m in c.members:
+            assert c.intertwiners[m].tobytes() == c_stack.intertwiners[m].tobytes()
+    assert from_list.off_block_mass(fam) == from_list.off_block_mass(stack)
+
+
+@pytest.mark.parametrize("mats", [[np.eye(2), np.eye(3)], [np.eye(2), np.ones((2, 3))],
+                                  np.zeros((2, 2, 3)), np.eye(2), []],
+                         ids=["ragged", "ragged-rows", "non-square", "one-matrix", "empty"])
+def test_a_ragged_list_or_a_non_square_stack_is_rejected(mats):
+    bs = BlockStructure(np.eye(2, dtype=complex), [1, 1])
+    for call in (finest_sbd, commutant_basis, lambda m: classify_equivalence(bs, m),
+                 bs.off_block_mass):
+        with pytest.raises(DimensionError, match="^all matrices must be square of equal size$"):
+            call(mats)
