@@ -331,9 +331,13 @@ def _build(cand: SearchCandidate, bu: BipartiteUnitary, dec: SchmidtDecompositio
     exp = replace(exp, **expansion_claims(exp, tol))
     _merge_warnings(exp.warnings, *warnings)
     if exp.fallback:
+        cost = "the teleportation cost"
+        if cand.order > min(bu.dim_a, bu.dim_b) ** 2:     # a one-sided fallback
+            cost = "%.3f ebits, above the teleportation cost of %.3f" % (
+                exp.cost_ebits, exp.baseline_ebits)
         exp.warnings.append(
             "no admissible group found within the search bound; fell back to the "
-            "generalized shift-and-phase expansion at the teleportation cost")
+            "generalized shift-and-phase expansion at " + cost)
     return exp
 
 
@@ -349,15 +353,16 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
     merges them by (order, is fallback, side) and starts a side's search when
     it reaches the side's search_floor; the first candidate that assembles,
     reproduces the gate and has a unitary M, so that its branch protocol is
-    certified, is the result. So the cost is minimal relative to
-    the catalog and never above the teleportation cost 2 log2 min(dA, dB),
-    and compile_unitary never fails on a valid unitary. A fallback carries
-    the warnings of every side, searched or not. The finest block structures
-    of both orientations, at block tolerance min(10*tol, BLOCK_TOL), are
-    summarized in the result's blocks. catalog is a list of groups or
-    catalog_recipe entries, by default catalog_recipe(), the built-in catalog
-    up to order 32; each call builds one CatalogIndex of it, shared by both
-    sides, which builds the groups of an order when the search first reaches it.
+    certified, is the result. So the cost is minimal relative to the
+    catalog, with side="both" never above the teleportation cost
+    2 log2 min(dA, dB), and compile_unitary never fails on a valid unitary.
+    A fallback carries the warnings of every side, searched or not. The
+    finest block structures of both orientations, at block tolerance
+    min(10*tol, BLOCK_TOL), are summarized in the result's blocks. catalog
+    is a list of groups or catalog_recipe entries, by default
+    catalog_recipe(), the built-in catalog up to order 32; each call builds
+    one CatalogIndex of it, shared by both sides, which builds the groups of
+    an order when the search first reaches it.
     """
     if side not in ("A", "B", "both"):
         raise ValidationError("side must be A, B, or both")

@@ -438,7 +438,7 @@ def builtin_catalog(max_order: int = 32, extra=None) -> list[FiniteGroup]:
 
 
 def load_group_file(path) -> FiniteGroup:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, malformed("group file"):
         data = json.load(fh)
     return FiniteGroup.from_dict(data)
 

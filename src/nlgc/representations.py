@@ -56,16 +56,14 @@ def regular_representation(group: FiniteGroup, factor: FactorSystem | None = Non
     """Permutation-with-phases representation R(f)[g, gf] = mu(g, f)."""
     n = group.order
     factor = factor or FactorSystem.trivial(n)
-    mu = factor.phases
     mats = np.zeros((n, n, n), dtype=complex)
-    rows = np.arange(n)
-    for f in range(n):
-        mats[f, rows, group.table[rows, f]] = mu[rows, f]
+    f, g = np.indices((n, n))
+    mats[f, g, group.table[g, f]] = factor.phases[g, f]
     return Representation(group, factor, mats)
 
 
-def left_translation_ops(group: FiniteGroup, factor: FactorSystem | None = None) -> list[np.ndarray]:
-    """Analytic basis of the commutant of the regular representation.
+def left_translation_ops(group: FiniteGroup, factor: FactorSystem | None = None) -> np.ndarray:
+    """Analytic basis of the commutant of the regular representation, stacked.
 
     The phased left translations L(h)[hg, g] = conj(mu(h, g)) commute with
     every R(f) and span the full commutant (their count matches its
@@ -73,14 +71,10 @@ def left_translation_ops(group: FiniteGroup, factor: FactorSystem | None = None)
     """
     n = group.order
     factor = factor or FactorSystem.trivial(n)
-    mu = factor.phases
-    out = []
-    cols = np.arange(n)
-    for h in range(n):
-        l = np.zeros((n, n), dtype=complex)
-        l[group.table[h, cols], cols] = mu[h, cols].conj()
-        out.append(l)
-    return out
+    ops = np.zeros((n, n, n), dtype=complex)
+    h, g = np.indices((n, n))
+    ops[h, group.table[h, g], g] = factor.phases.conj()
+    return ops
 
 
 def irreps_of(group: FiniteGroup, factor: FactorSystem | None = None,
@@ -127,13 +121,9 @@ def irrep_dimensions(group: FiniteGroup, factor: FactorSystem | None = None) -> 
 
 def factor_phases_of(matrices: np.ndarray, group: FiniteGroup) -> np.ndarray:
     """Read the factor system off a projective representation's products."""
-    n = group.order
-    d = matrices.shape[1]
-    mu = np.zeros((n, n), dtype=complex)
-    for f in range(n):
-        prods = np.einsum("ij,gjk->gik", matrices[f], matrices)
-        targets = matrices[group.table[f]]
-        mu[f, :] = np.einsum("gji,gjk->g", targets.conj(), prods) / d
+    products = np.einsum("fij,gjk->fgik", matrices, matrices)
+    targets = matrices[group.table]
+    mu = np.einsum("fgji,fgjk->fg", targets.conj(), products) / matrices.shape[1]
     if not np.max(np.abs(np.abs(mu) - 1.0)) <= REP_TOL:     # fails closed on NaN
         raise ValidationError("matrix set is not projective up to phases")
     return mu

@@ -306,6 +306,9 @@ def test_a_candidate_whose_M_is_not_unitary_is_rejected():
     assert exp.cost_ebits == np.log2(25)
     assert ("order-24 candidate S4 rejected: M is not unitary (deviation %.3e)"
             % s4.m_deviation) in exp.warnings
+    # a one-sided fallback above the teleportation cost says what it costs
+    assert exp.warnings[-1].endswith(
+        "expansion at 4.644 ebits, above the teleportation cost of 4.000")
 
 
 def test_a_side_that_cannot_beat_the_result_is_never_searched(monkeypatch, group_builds):

@@ -228,6 +228,15 @@ def test_group_file_rejects_bad_records(tmp_path):
         load_group_file(path)
 
 
+@pytest.mark.parametrize("text", ['{"name": "x", "order": 2,', "not json", "\udcff"],
+                         ids=["truncated", "not-json", "not-utf8"])
+def test_group_file_that_is_not_json_raises_a_validation_error(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(ValidationError, match="^malformed group file: "):
+        load_group_file(path)
+
+
 @pytest.mark.parametrize("where", ["everywhere", "one entry"])
 def test_nan_factor_system_fails_validation(where):
     group = direct_product(cyclic(2), cyclic(2))

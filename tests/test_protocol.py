@@ -4,10 +4,9 @@ import pytest
 
 import nlgc.protocol
 from nlgc.errors import ValidationError
-from nlgc.expansion import compile_unitary
-from nlgc.groups import cyclic, direct_product
-from nlgc.protocol import (build_M, check_M_unitary, fourier_basis,
-                           measurement_phase_correction, random_states,
+from nlgc.expansion import compile_unitary, synthesize_group_gate
+from nlgc.groups import FactorSystem, alternating, cyclic, direct_product
+from nlgc.protocol import (build_M, check_M_unitary, fourier_basis, random_states,
                            simulate_protocol, validate_unbiased)
 from nlgc.representations import pauli_projective_rep, regular_representation
 from nlgc.schmidt import BipartiteUnitary
@@ -47,14 +46,6 @@ def test_fourier_basis_is_unbiased_and_rejects_biased_matrices():
         validate_unbiased(fourier_basis(n))
     with pytest.raises(ValidationError):
         validate_unbiased(np.eye(3, dtype=complex))
-
-
-def test_measurement_phase_correction_oracle_for_two_elements():
-    f = fourier_basis(2)
-    z0 = measurement_phase_correction(0, f)
-    z1 = measurement_phase_correction(1, f)
-    np.testing.assert_allclose(z0, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(z1, np.diag([1.0, -1.0]), atol=1e-12)
 
 
 def test_build_M_blocks_and_unitarity_for_cnot():
@@ -200,8 +191,10 @@ def test_nan_w_operator_makes_M_inconsistent():
 
 
 def _reference_M(group, factor, w_ops):
-    """M and build_M's translation-block check, written block by block."""
+    """M through the dense regular representation, and whether each of its
+    blocks equals mu(g, g^-1 f) W(g^-1 f), checked block by block."""
     n, d = group.order, w_ops.shape[1]
+    factor = factor or FactorSystem.trivial(n)
     m = np.einsum("fgh,fjk->gjhk", regular_representation(group, factor).matrices,
                   w_ops).reshape(n * d, n * d)
     ok = True
@@ -215,11 +208,16 @@ def _reference_M(group, factor, w_ops):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("bad", [None, np.nan, np.inf], ids=["finite", "nan", "inf"])
-def test_build_M_checks_every_projective_translation_block(bad):
-    group, fs, _ = pauli_projective_rep(3)
+@pytest.mark.parametrize("ordinary, bad", [
+    (False, None), (False, np.nan), (False, np.inf),
+    (True, None), (True, np.nan), (True, np.inf)],
+    ids=["finite", "nan", "inf", "ordinary-finite", "ordinary-nan", "ordinary-inf"])
+def test_build_M_checks_every_projective_translation_block(ordinary, bad):
+    # the ordinary case is A4 with factor None, as synthesize_group_gate builds it
+    group, fs = (alternating(4), None) if ordinary else pauli_projective_rep(3)[:2]
+    n = group.order
     rng = np.random.default_rng(2)
-    w = rng.normal(size=(9, 2, 2)) + 1j * rng.normal(size=(9, 2, 2))
+    w = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
     if bad is not None:
         w[4, 1, 0] = bad
     m, ok = _reference_M(group, fs, w)
@@ -241,3 +239,70 @@ def test_fallback_expansion_protocol_is_deterministic():
     trace = simulate_protocol(exp, psi)
     assert trace.deterministic
     assert trace.ebits == 2.0
+
+
+def _haar(dim, seed):
+    x = np.random.default_rng(seed).normal(size=(dim, dim, 2)) @ [1, 1j]
+    q, r = np.linalg.qr(x)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _branch_loop(exp, psi, f_matrix):
+    """Probabilities and fidelities of every (h, g) branch, one h at a time:
+    the loop simulate_protocol ran before its branch pass was batched."""
+    n = exp.group.order
+    d_a, d_b = exp.unitary.dim_a, exp.unitary.dim_b
+    target = exp.unitary.matrix @ psi
+    m = build_M(exp.group, exp.factor, exp.w_ops)
+    u_mats = exp.u_rep.matrices
+    corrections = exp.v @ u_mats.conj().transpose(0, 2, 1)
+    controlled = u_mats @ psi.reshape(d_a, d_b)
+    probs, fids = np.zeros(n * n), np.zeros(n * n)
+    for h in range(n):
+        z = 1.0 / (np.sqrt(n) * np.conj(f_matrix[h]))
+        amp = np.conj(f_matrix[h])[:, None, None] * controlled / np.sqrt(n)
+        amp = z[:, None, None] * amp
+        stacked = amp.transpose(0, 2, 1).reshape(n * d_b, d_a)
+        evolved = (m @ stacked).reshape(n, d_b, d_a)
+        for g in range(n):
+            branch = evolved[g]
+            p = float(np.vdot(branch, branch).real)
+            probs[h * n + g] = p
+            if p > 1e-24:
+                final = (corrections[g] @ branch.T) / np.sqrt(p)
+                fids[h * n + g] = abs(np.vdot(target, final.reshape(d_a * d_b)))
+    return probs, fids
+
+
+W3 = np.exp(2j * np.pi / 3)
+BRANCH_GATES = {
+    "cnot": (lambda: BipartiteUnitary(CNOT, 2, 2), "C2"),
+    "swap": (lambda: BipartiteUnitary(SWAP, 2, 2), "C2xC2"),
+    "qutrit-cp": (lambda: BipartiteUnitary(
+        np.diag([W3 ** (i * j) for i in range(3) for j in range(3)]), 3, 3), "C3"),
+    "haar3x3": (lambda: BipartiteUnitary(_haar(9, 6), 3, 3), "C3xC3"),
+    "haar4x4": (lambda: BipartiteUnitary(_haar(16, 4), 4, 4), "C4xC4"),
+    "synth-A4": (lambda: synthesize_group_gate(alternating(4), seed=1), "A4"),
+    "custom-basis": (lambda: BipartiteUnitary(_haar(9, 6), 3, 3), "C3xC3"),
+}
+
+
+@pytest.mark.parametrize("name", list(BRANCH_GATES))
+def test_batched_branch_pass_equals_the_per_h_loop_bitwise(name):
+    make, group_name = BRANCH_GATES[name]
+    exp = compile_unitary(make())
+    n = exp.group.order
+    assert exp.group.name == group_name
+    f_matrix, given = fourier_basis(n), None
+    if name == "custom-basis":
+        # unbiased but not Fourier: random phases on rows and columns
+        rng = np.random.default_rng(8)
+        f_matrix = given = (np.exp(2j * np.pi * rng.random(n))[:, None] * f_matrix
+                            * np.exp(2j * np.pi * rng.random(n)))
+    for psi in random_states(exp.unitary.dim_a * exp.unitary.dim_b, 4, seed=5):
+        trace = simulate_protocol(exp, psi, f_matrix=given)
+        probs, fids = _branch_loop(exp, psi, f_matrix)
+        assert trace.branch_outcomes == [(h, g) for h in range(n) for g in range(n)]
+        assert trace.branch_probabilities.tobytes() == probs.tobytes()
+        assert trace.branch_fidelities.tobytes() == fids.tobytes()
+        assert trace.deterministic

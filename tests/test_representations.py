@@ -4,11 +4,13 @@ import pytest
 from conftest import orthogonality_defect
 
 from nlgc.errors import ValidationError
-from nlgc.groups import (FactorSystem, builtin_catalog, cyclic, dihedral,
-                         direct_product, heisenberg, quaternion, symmetric)
+from nlgc.groups import (FactorSystem, alternating, builtin_catalog, cyclic,
+                         dihedral, direct_product, heisenberg, quaternion,
+                         symmetric)
 from nlgc.representations import (Representation, factor_phases_of,
                                   gauge_normalize, irrep_dimensions,
-                                  irreps_of, pauli_projective_rep,
+                                  irreps_of, left_translation_ops,
+                                  pauli_projective_rep,
                                   projective_irreps_from_extension,
                                   regular_representation)
 
@@ -107,6 +109,50 @@ def test_factor_phases_read_back_from_matrices():
     group, fs, rep = pauli_projective_rep(2)
     mu = factor_phases_of(rep.matrices, group)
     np.testing.assert_allclose(mu, fs.phases, atol=1e-10)
+
+
+def _factor_phases_loop(matrices, group):
+    """factor_phases_of as it read before the (f, g) stack: one row f at a time."""
+    n, d = group.order, matrices.shape[1]
+    mu = np.zeros((n, n), dtype=complex)
+    for f in range(n):
+        prods = np.einsum("ij,gjk->gik", matrices[f], matrices)
+        mu[f, :] = np.einsum("gji,gjk->g", matrices[group.table[f]].conj(), prods) / d
+    return mu
+
+
+@pytest.mark.parametrize("case", ["pauli-2", "pauli-3", "pauli-5", "A4-3dim", "Heis3-quotient"])
+def test_factor_phases_equal_the_row_loop_bytewise(case):
+    if case.startswith("pauli"):
+        group, _, rep = pauli_projective_rep(int(case[-1]))
+    elif case == "A4-3dim":
+        rep = max(irreps_of(alternating(4)), key=lambda r: r.dim)
+        group = rep.group
+    else:
+        l = heisenberg(3)
+        z = [x for x in l.center() if l.element_order(x) == 3][0]
+        _, (rep,) = projective_irreps_from_extension(irreps_of(l), z)
+        group = rep.group
+    rng = np.random.default_rng(3)
+    # a random gauge makes every phase a generic complex number
+    mats = rep.matrices * np.exp(2j * np.pi * rng.random(group.order))[:, None, None]
+    mats[group.identity] = rep.matrices[group.identity]
+    assert factor_phases_of(mats, group).tobytes() == _factor_phases_loop(mats, group).tobytes()
+
+
+@pytest.mark.parametrize("case", ["A4", "projective-Pauli3"])
+def test_left_translations_commute_with_the_regular_representation(case):
+    if case == "A4":
+        group, fs = alternating(4), None
+    else:
+        group, fs, _ = pauli_projective_rep(3)
+    n = group.order
+    r = regular_representation(group, fs).matrices
+    l = left_translation_ops(group, fs)
+    assert l.shape == (n, n, n)
+    assert np.max(np.abs(l[:, None] @ r[None] - r[None] @ l[:, None])) <= 1e-12
+    # n linearly independent operators: the commutant of R has dimension n
+    assert np.linalg.matrix_rank(l.reshape(n, -1)) == n
 
 
 def test_gauge_normalize_fixes_inverse_pairs():
