@@ -95,14 +95,10 @@ def connected_components(adjacency: np.ndarray) -> list[list[int]]:
     return comps
 
 
-def weyl_operator_basis(dim: int) -> list[np.ndarray]:
-    """Shift/clock operator basis: dim**2 matrices X^a Z^b, Tr(P†P') = dim δ."""
+def weyl_operator_basis(dim: int) -> np.ndarray:
+    """Shift/clock operator basis: a (dim², dim, dim) stack of X^a Z^b, Tr(P†P') = dim δ."""
     omega = np.exp(2j * np.pi / dim)
     shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
     clock = np.diag(omega ** np.arange(dim))
-    ops = []
-    for a in range(dim):
-        for b in range(dim):
-            ops.append(np.linalg.matrix_power(shift, a)
-                       @ np.linalg.matrix_power(clock, b))
-    return ops
+    return np.array([np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+                     for a in range(dim) for b in range(dim)])

@@ -160,17 +160,12 @@ def cmd_simulate(args) -> int:
                      f"minFidelity={_fmt(summary['minFidelity'])} "
                      f"probabilitySum={_fmt(summary['probabilitySum'])} "
                      f"deterministic={'yes' if trace.deterministic else 'NO'}")
-        for (h, g), p, fid in zip(trace.branch_outcomes,
-                                  trace.branch_probabilities,
-                                  trace.branch_fidelities):
-            lines.append(f"  h={h} g={g} p={_fmt(p)} fidelity={_fmt(fid)}")
-        for w in trace.warnings:
-            lines.append(f"  warning: {w}")
-        results.append({"state": idx, "summary": summary,
-                        "branches": [[int(h), int(g), float(p), float(f)]
-                                     for (h, g), p, f in zip(trace.branch_outcomes,
-                                                             trace.branch_probabilities,
-                                                             trace.branch_fidelities)],
+        branches = [[int(h), int(g), float(p), float(f)]
+                    for (h, g), p, f in zip(trace.branch_outcomes, trace.branch_probabilities,
+                                            trace.branch_fidelities)]
+        lines += [f"  h={h} g={g} p={_fmt(p)} fidelity={_fmt(f)}" for h, g, p, f in branches]
+        lines += [f"  warning: {w}" for w in trace.warnings]
+        results.append({"state": idx, "summary": summary, "branches": branches,
                         "warnings": list(trace.warnings)})
     lines.append(f"ebits={_fmt(exp.cost_ebits)} cbits={_fmt(2 * exp.cost_ebits)} "
                  f"group={exp.group.name} order={exp.group.order}")

@@ -40,13 +40,13 @@ GENERAL = "general"
 
 @dataclass
 class GroupExpansion:
-    """A verified expansion of one bipartite unitary over a finite group."""
+    """A verified expansion of one bipartite unitary over a finite group.
 
-    unitary: BipartiteUnitary
+    The gate is schmidt.unitary, and the group and its factor system are
+    those of u_rep; the properties unitary, group and factor return them."""
+
     schmidt: SchmidtDecomposition
     structure: BlockStructure
-    group: FiniteGroup
-    factor: FactorSystem
     v: np.ndarray
     u_rep: Representation
     w_coeffs: np.ndarray           # (schmidt rank, |G|)
@@ -65,6 +65,18 @@ class GroupExpansion:
     # finest classified block structure of each orientation, keyed "A" | "B":
     # {"sizes", "classes", "classDims"}
     blocks: dict = field(default_factory=dict)
+
+    @property
+    def unitary(self) -> BipartiteUnitary:
+        return self.schmidt.unitary
+
+    @property
+    def group(self) -> FiniteGroup:
+        return self.u_rep.group
+
+    @property
+    def factor(self) -> FactorSystem:
+        return self.u_rep.factor
 
     @property
     def fallback(self) -> bool:
@@ -119,9 +131,9 @@ def construct_V(a_ops, bs: BlockStructure, tol: float = BLOCK_TOL) -> np.ndarray
     return v
 
 
-def assemble_U(group: FiniteGroup, factor: FactorSystem | None, irreps,
-               bs: BlockStructure, assignment) -> Representation:
-    """Block diagonal representation with one irrep copy per block.
+def assemble_U(irreps, bs: BlockStructure, assignment) -> Representation:
+    """Block diagonal representation with one irrep copy per block, of the
+    group and factor system that the irreps carry.
 
     Block content for a class member is T U(f) T† with the member's stored
     intertwiner, so equivalent blocks carry identical operator content in
@@ -129,9 +141,9 @@ def assemble_U(group: FiniteGroup, factor: FactorSystem | None, irreps,
     """
     slices = bs.block_slices()
     s = bs.basis_change
-    n = group.order
+    group, factor = irreps[0].group, irreps[0].factor
     d = s.shape[0]
-    mats = np.zeros((n, d, d), dtype=complex)
+    mats = np.zeros((group.order, d, d), dtype=complex)
     for ci, cls in enumerate(bs.classes):
         rep_mats = irreps[assignment[ci]].matrices
         for m in cls.members:
@@ -148,8 +160,7 @@ def assemble_U(group: FiniteGroup, factor: FactorSystem | None, irreps,
     return rep
 
 
-def compute_W(v: np.ndarray, a_ops, u_rep: Representation, b_ops,
-              bs: BlockStructure, irreps, assignment,
+def compute_W(v: np.ndarray, a_ops, b_ops, bs: BlockStructure, irreps, assignment,
               tol: float = NUM_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Solve for the W side of the expansion by irrep orthogonality.
 
@@ -159,7 +170,7 @@ def compute_W(v: np.ndarray, a_ops, u_rep: Representation, b_ops,
     are implicitly zero. Every assigned block must be reproduced by the
     resulting coefficients, otherwise the assignment is inconsistent.
     """
-    group = u_rep.group
+    group = irreps[0].group
     n = group.order
     slices = bs.block_slices()
     a_ops = np.asarray(a_ops, dtype=complex)
@@ -218,13 +229,11 @@ def classify(exp: GroupExpansion, tol: float = NUM_TOL) -> tuple[str, dict]:
             else:
                 groups.append([col])
                 reps.append(chars[col])
-        projectors, targets = [], []
-        for cols, chi in zip(groups, reps):
-            pi = np.zeros((d_a, d_a), dtype=complex)
-            pi[cols, cols] = 1.0
-            projectors.append(s @ pi @ dagger(s))
-            targets.append(np.einsum("f,fab->ab", chi, exp.w_ops))
-        return CONTROLLED, {"projectors": projectors, "targets": targets}
+        pis = np.zeros((len(groups), d_a, d_a), dtype=complex)
+        for k, cols in enumerate(groups):
+            pis[k, cols, cols] = 1.0
+        return CONTROLLED, {"projectors": s @ pis @ dagger(s),
+                            "targets": np.einsum("kf,fab->kab", np.array(reps), exp.w_ops)}
 
     w = exp.w_ops
     d_b = w.shape[1]
@@ -308,31 +317,28 @@ def _side_stream(label: str, bs: BlockStructure, d: int, index: CatalogIndex,
     yield (d * d, True, label), None
 
 
-def _build(cand: SearchCandidate, bu: BipartiteUnitary, dec: SchmidtDecomposition,
-           side: str, warnings, tol: float, block_tol: float) -> GroupExpansion:
+def _build(cand: SearchCandidate, dec: SchmidtDecomposition, side: str, warnings,
+           tol: float, block_tol: float) -> GroupExpansion:
     """The expansion a candidate assembles, with its claims and warnings. The
     fallback keeps V = I: the shift/clock operators form an orthogonal operator
     basis, so its W coefficients are the trace overlaps Tr(P_f^dagger A_j) / d."""
+    d_a = dec.unitary.dim_a
     if cand.route == "fallback":
-        v, u_rep = np.eye(bu.dim_a, dtype=complex), cand.irreps[0]
-        w_coeffs = np.einsum("fxy,jxy->jf", np.conj(u_rep.matrices),
-                             np.asarray(dec.a_ops, dtype=complex)) / bu.dim_a
-        w_ops = np.einsum("jf,jab->fab", w_coeffs, np.asarray(dec.b_ops, dtype=complex))
+        v, u_rep = np.eye(d_a, dtype=complex), cand.irreps[0]
+        w_coeffs = np.einsum("fxy,jxy->jf", np.conj(u_rep.matrices), dec.a_ops) / d_a
+        w_ops = np.einsum("jf,jab->fab", w_coeffs, dec.b_ops)
     else:
         v = construct_V(dec.a_ops, cand.structure, tol=block_tol)
-        u_rep = assemble_U(cand.group, cand.factor, cand.irreps, cand.structure,
-                           cand.assignment)
-        w_coeffs, w_ops = compute_W(v, dec.a_ops, u_rep, dec.b_ops, cand.structure,
+        u_rep = assemble_U(cand.irreps, cand.structure, cand.assignment)
+        w_coeffs, w_ops = compute_W(v, dec.a_ops, dec.b_ops, cand.structure,
                                     cand.irreps, cand.assignment, tol=tol)
-    exp = GroupExpansion(
-        unitary=bu, schmidt=dec, structure=cand.structure, group=cand.group,
-        factor=cand.factor, v=v, u_rep=u_rep, w_coeffs=w_coeffs, w_ops=w_ops,
-        side=side, route=cand.route)
+    exp = GroupExpansion(schmidt=dec, structure=cand.structure, v=v, u_rep=u_rep,
+                         w_coeffs=w_coeffs, w_ops=w_ops, side=side, route=cand.route)
     exp = replace(exp, **expansion_claims(exp, tol))
     _merge_warnings(exp.warnings, *warnings)
     if exp.fallback:
         cost = "the teleportation cost"
-        if cand.order > min(bu.dim_a, bu.dim_b) ** 2:     # a one-sided fallback
+        if cand.order > min(d_a, dec.unitary.dim_b) ** 2:     # a one-sided fallback
             cost = "%.3f ebits, above the teleportation cost of %.3f" % (
                 exp.cost_ebits, exp.baseline_ebits)
         exp.warnings.append(
@@ -377,17 +383,18 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
     for (order, fallback, label), cand in heapq.merge(*streams, key=lambda item: item[0]):
         if cand is None and not fallback:
             continue    # a start marker: the merge runs that side's search from here
-        bu, dec = oriented[label], finest[label][0]
+        dec = finest[label][0]
         if fallback:
             for other in warnings:  # a side not searched yet adds its first step's warnings
                 if search_floor(finest[other][1]) > order:
                     next(search_group(finest[other][1], oriented[other].dim_a, index,
                                       allow_projective, warnings[other]), None)
-            group, _, rep = pauli_projective_rep(bu.dim_a)
-            cand = SearchCandidate(group, [rep], [0], trivial_structure([bu.dim_a]), "fallback")
+            d_a = dec.unitary.dim_a
+            group, _, rep = pauli_projective_rep(d_a)
+            cand = SearchCandidate(group, [rep], [0], trivial_structure([d_a]), "fallback")
         inherited = itertools.chain(*warnings.values()) if fallback else warnings[label]
         try:
-            exp = _build(cand, bu, dec, label, inherited, tol, block_tol)
+            exp = _build(cand, dec, label, inherited, tol, block_tol)
         except (SingularInputError, InconsistencyError, AssignmentError) as exc:
             _merge_warnings(warnings[label], "order-%d candidate %s rejected: %s"
                             % (cand.order, cand.group.name, exc))

@@ -162,13 +162,8 @@ def build_report(exp: GroupExpansion, trace=None, meta: dict | None = None,
     if original is None:
         original = exp.unitary if exp.side == "A" else exp.unitary.swapped()
     u = original.matrix
-    classification = {"label": exp.classification}
-    if "projectors" in exp.details:
-        classification["projectors"] = [encode_matrix(p) for p in exp.details["projectors"]]
-        classification["targets"] = [encode_matrix(t) for t in exp.details["targets"]]
-    if "wFactorPhases" in exp.details:
-        classification["wFactorPhases"] = encode_matrix(exp.details["wFactorPhases"])
-        classification["wNorms"] = encode_matrix(exp.details["wNorms"])
+    classification = {"label": exp.classification,
+                      **{key: encode_matrix(w) for key, w in exp.details.items()}}
     factor = exp.factor
     trivial = factor is None or factor.is_trivial
     report = {
@@ -225,7 +220,9 @@ def build_report(exp: GroupExpansion, trace=None, meta: dict | None = None,
 def expansion_from_report(report: dict) -> GroupExpansion:
     """Rebuild a working expansion from its serialized report.
 
-    A missing or mis-shaped field raises ValidationError.
+    The classification witnesses become its details, each decoded with the
+    rank it is stored with. A missing or mis-shaped field raises
+    ValidationError.
     """
     if not isinstance(report, dict) or report.get("format") != REPORT_FORMAT:
         raise ValidationError("not a compilation report")
@@ -237,20 +234,23 @@ def expansion_from_report(report: dict) -> GroupExpansion:
         raise ValidationError("malformed report: side must be A or B")
     bu = original if side == "A" else original.swapped()
     group = FiniteGroup(grp["name"], grp["table"])
+    if (json_int(grp["order"], "order"), json_int(grp["identity"], "identity")) != (
+            group.order, group.identity):
+        raise ValidationError("declared group order or identity does not match the table")
     n, d_a, d_b = group.order, bu.dim_a, bu.dim_b
     if grp["projective"]:
         factor = FactorSystem(decode_matrix(grp["factorPhases"], (n, n)),
-                              int(grp["factorRootOrder"]))
+                              json_int(grp["factorRootOrder"], "factorRootOrder"))
         factor.validate(group)
     else:
         factor = FactorSystem.trivial(n)
     u_rep = Representation(group, factor, decode_matrix(exp_data["uOps"], (n, d_a, d_a)))
     u_rep.validate()
     return GroupExpansion(
-        unitary=bu, schmidt=schmidt_decompose(bu),
+        schmidt=schmidt_decompose(bu),
         structure=_structure_from_payload(exp_data["structure"], d_a),
-        group=group, factor=factor, v=decode_matrix(exp_data["v"], (d_a, d_a)),
-        u_rep=u_rep, w_ops=decode_matrix(exp_data["wOps"], (n, d_b, d_b)), side=side,
+        v=decode_matrix(exp_data["v"], (d_a, d_a)), u_rep=u_rep,
+        w_ops=decode_matrix(exp_data["wOps"], (n, d_b, d_b)), side=side,
         w_coeffs=decode_matrix(exp_data["wCoeffs"], (None, None)),
         cost_ebits=json_number(report["costs"]["costEbits"], "costEbits"),
         baseline_ebits=json_number(report["costs"]["baselineEbits"], "baselineEbits"),
@@ -259,6 +259,8 @@ def expansion_from_report(report: dict) -> GroupExpansion:
         m_deviation=json_number(report["mStatus"]["deviation"], "mStatus.deviation"),
         route=exp_data["route"],
         classification=report["classification"]["label"],
+        details={key: decode_matrix(w, (None,) * (np.ndim(w) - 1))
+                 for key, w in report["classification"].items() if key != "label"},
         warnings=list(report.get("warnings", [])),
         blocks=report["blocks"])
 
@@ -291,7 +293,7 @@ def _structure_consistent(exp: GroupExpansion) -> bool:
     return bool(unitarity_deviation(bs.basis_change) <= 1e-8
                 and _partition_consistent(bs.block_sizes, [c.members for c in bs.classes],
                                           exp.unitary.dim_a)
-                and bs.off_block_mass([dagger(exp.v) @ a for a in exp.schmidt.a_ops]) <= 1e-6)
+                and bs.off_block_mass(dagger(exp.v) @ exp.schmidt.a_ops) <= 1e-6)
 
 
 def _w_coeffs_consistent(exp: GroupExpansion) -> bool:
@@ -299,15 +301,20 @@ def _w_coeffs_consistent(exp: GroupExpansion) -> bool:
     Rounding that unitary fixes B only up to a unitary mixing of equal-coefficient terms,
     so each such group compares the Gram matrices of its coefficient rows, which it keeps."""
     dec, c = exp.schmidt, exp.w_coeffs
-    b = np.array(dec.b_ops).reshape(len(dec), -1)
+    b = dec.b_ops.reshape(len(dec), -1)
     w = exp.w_ops.reshape(len(exp.w_ops), -1)
     p = b.conj() @ w.T          # coordinates of wOps in the orthonormal B_j
     outside = np.linalg.norm(w.T - b.T @ p)
     if c.shape != p.shape or not outside <= 1e-6 * max(1.0, np.linalg.norm(w)):
         return False
-    s = np.asarray(dec.coefficients)
+    s = dec.coefficients
     groups = np.split(np.arange(len(s)), np.flatnonzero(np.diff(s) < -1e-6 * s[0]) + 1)
     return all(np.max(np.abs(dagger(c[g]) @ c[g] - dagger(p[g]) @ p[g])) <= 1e-6 for g in groups)
+
+
+def _close(stored: np.ndarray, claimed: np.ndarray) -> bool:
+    """A stored array has the recomputed one's shape and entries within 1e-6; NaN fails."""
+    return stored.shape == claimed.shape and bool(np.all(np.abs(stored - claimed) <= 1e-6))
 
 
 @malformed("report")
@@ -315,18 +322,22 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     """Re-check a report's claims from its own embedded data.
 
     Rebuilds the expansion, recomputes its claims with expansion_claims (the
-    residual, the M unitarity status, the cost accounting and the
-    classification label), and compares each against the stored values. V
-    and M must be unitary, the W coefficients must rebuild wOps from the
-    Schmidt terms, the fallback flag must match the route, the block
-    summaries must be consistent with the input dimensions, and the stored
-    structure must block-diagonalize V†A_j; the blocks are not recomputed.
+    residual, the M unitarity status, the cost accounting with the savings,
+    and the classification label with its witness data), and compares each
+    against the stored values, as it does the Schmidt rank and coefficients
+    of the report's own unitary. V and M must be unitary, the W coefficients
+    must rebuild wOps from the Schmidt terms, the fallback flag must match
+    the route, the block summaries must be consistent with the input
+    dimensions, and the stored structure must block-diagonalize V†A_j; the
+    blocks are not recomputed. A group order or identity that disagrees with
+    the table raises ValidationError.
     """
     checks: dict[str, bool] = {}
     exp = expansion_from_report(report)
     stored_dev = json_number(report["input"]["unitarityDeviation"], "unitarityDeviation")
     stored_norm = json_number(report["input"]["frobeniusNorm"], "frobeniusNorm")
-    stored_rank = int(report["schmidt"]["rank"])
+    stored_rank = json_int(report["schmidt"]["rank"], "schmidt.rank")
+    stored_savings = json_number(report["costs"]["savingsEbits"], "savingsEbits")
     checks["fallbackFlag"] = report["expansion"]["fallback"] is exp.fallback
     checks["blocks"] = _blocks_consistent(exp.blocks, {
         "A": int(report["input"]["dimA"]), "B": int(report["input"]["dimB"])})
@@ -346,8 +357,14 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
                              and abs(claims["m_deviation"] - exp.m_deviation) <= 1e-6)
     checks["certified"] = bool(claims["m_unitary"])
     checks["costs"] = bool(abs(claims["cost_ebits"] - exp.cost_ebits) <= 1e-9
-                           and abs(claims["baseline_ebits"] - exp.baseline_ebits) <= 1e-9)
-    checks["classification"] = claims["classification"] == exp.classification
+                           and abs(claims["baseline_ebits"] - exp.baseline_ebits) <= 1e-9
+                           and abs(claims["baseline_ebits"] - claims["cost_ebits"]
+                                   - stored_savings) <= 1e-9)
+    checks["classification"] = bool(
+        claims["classification"] == exp.classification
+        and exp.details.keys() == claims["details"].keys()
+        and all(_close(exp.details[k], w) for k, w in claims["details"].items()))
 
-    checks["schmidtRank"] = bool(len(exp.schmidt) == stored_rank)
+    checks["schmidtRank"] = bool(len(exp.schmidt) == stored_rank and _close(
+        decode_matrix(report["schmidt"]["coefficients"], (None,)), exp.schmidt.coefficients))
     return all(checks.values()), checks

@@ -206,8 +206,7 @@ def pauli_projective_rep(dim: int):
     from ._linalg import weyl_operator_basis
     from .groups import direct_product, cyclic
     group = direct_product(cyclic(dim), cyclic(dim))
-    raw = np.stack(weyl_operator_basis(dim))
-    fixed, fs = gauge_normalize([raw], group)
+    fixed, fs = gauge_normalize([weyl_operator_basis(dim)], group)
     rep = Representation(group, fs, fixed[0])
     rep.validate()
     return group, fs, rep

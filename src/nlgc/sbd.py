@@ -80,7 +80,7 @@ def _as_stack(mats) -> np.ndarray:
 
 def gram_set(dec) -> np.ndarray:
     """All products A_j† A_k of the Schmidt A side: an (r², d, d) stack, row major in (j, k)."""
-    a = _as_stack(dec.a_ops)
+    a = dec.a_ops
     return (a.conj().transpose(0, 2, 1)[:, None] @ a).reshape(-1, *a.shape[1:])
 
 
@@ -95,15 +95,15 @@ def _sylvester_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return rows.reshape(f * n * n, n * n)
 
 
-def commutant_basis(mats) -> list[np.ndarray]:
+def commutant_basis(mats) -> np.ndarray:
     """Basis of all X commuting with every matrix of a set (list or stack) and its
-    adjoints, solved over an orthonormal basis of their span: k <= d² matrices."""
+    adjoints, solved over an orthonormal basis of their span: a (k, d, d) stack, k <= d²."""
     mats = _as_stack(mats)
     d = mats.shape[1]
     rank, vh = svd_rank(np.concatenate([mats, mats.conj().transpose(0, 2, 1)]).reshape(-1, d * d))
     span = vh[:rank].reshape(rank, d, d)
     basis = null_space(_sylvester_rows(span, span))
-    return list(basis.T.reshape(-1, d, d))
+    return basis.T.reshape(-1, d, d)
 
 
 def _component_structure(mats, x, tol):
@@ -123,21 +123,20 @@ def finest_sbd(mats, tol: float = BLOCK_TOL, seed: int = 0,
 
     Gauge-fixed as by Maehara & Murota: project a seeded Hermitian H0 onto the
     commutant of the set and its adjoints (commutant may pass an orthogonal
-    basis of it), eigendecompose, and read the blocks off the support graph
-    of the transformed set, same-size blocks in eigenvalue order. Block Q
-    gets the phase-fixed eigenvectors of Q†H1Q for a seeded H1, so nothing
-    depends on the commutant basis. A second seeded projection must give
-    the same block sizes, otherwise the split is declared unstable.
+    basis of it, a list or a stack), eigendecompose, and read the blocks off
+    the support graph of the transformed set, same-size blocks in eigenvalue
+    order. Block Q gets the phase-fixed eigenvectors of Q†H1Q for a seeded
+    H1, so nothing depends on the commutant basis. A second seeded
+    projection must give the same block sizes, otherwise the split is
+    declared unstable.
     """
     mats = _as_stack(mats)
     d = mats.shape[1]
-    if commutant is None:
-        commutant = commutant_basis(mats)
+    k = commutant_basis(mats) if commutant is None else np.asarray(commutant)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
     h = x + x.conj().transpose(0, 2, 1)
     # orthogonal projections of H0 and its second draw: the same for any basis k
-    k = np.stack(commutant)
     coeffs = np.einsum("kij,hij->hk", k.conj(), h[:2]) / np.einsum("kij,kij->k", k.conj(), k).real
     x0, x0_again = np.einsum("hk,kij->hij", coeffs, k)
     basis_a, comps_a = _component_structure(mats, x0, tol)

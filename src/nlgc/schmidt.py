@@ -6,11 +6,11 @@ into the A_j. The number of terms is the operator Schmidt rank.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import dagger, leading_phase, unitarity_deviation
+from ._linalg import leading_phase, unitarity_deviation
 from .errors import DimensionError, ValidationError
 
 UNITARITY_TOL = 1e-8
@@ -54,28 +54,22 @@ class SchmidtDecomposition:
 
     unitary: BipartiteUnitary
     coefficients: np.ndarray          # positive reals, descending
-    a_ops: list = field(default_factory=list)   # dA x dA, weight s_j folded in
-    b_ops: list = field(default_factory=list)   # dB x dB, orthonormal set
+    a_ops: np.ndarray                 # (r, dA, dA), weight s_j folded in
+    b_ops: np.ndarray                 # (r, dB, dB), orthonormal set
 
     def __len__(self) -> int:
         return len(self.coefficients)
 
     def reconstruct(self) -> np.ndarray:
-        total = np.zeros_like(self.unitary.matrix)
-        for a, b in zip(self.a_ops, self.b_ops):
-            total += np.kron(a, b)
-        return total
+        """sum_j A_j (x) B_j, the Kronecker products broadcast over j."""
+        a, b = self.a_ops, self.b_ops
+        terms = a[:, :, None, :, None] * b[:, None, :, None, :]
+        return np.add.reduce(terms, axis=0).reshape(self.unitary.dim, -1)
 
 
 def _realign(matrix: np.ndarray, da: int, db: int) -> np.ndarray:
     # index pairing (a1 b1),(a2 b2) -> (a1 a2),(b1 b2)
     return matrix.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
-
-
-def _phase_fix(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate the pair so the first significant entry of b is positive real."""
-    phase = leading_phase(b.reshape(1, -1))[0]
-    return a * phase, b / phase
 
 
 def _lex_key(b: np.ndarray) -> tuple:
@@ -85,38 +79,24 @@ def _lex_key(b: np.ndarray) -> tuple:
 def schmidt_decompose(u: BipartiteUnitary) -> SchmidtDecomposition:
     """Operator Schmidt decomposition via realignment and SVD.
 
-    Singular values below RANK_CUTOFF * s_max are discarded. Ordering is by
-    descending coefficient; coefficient ties are broken by lexicographic
-    comparison of the flattened B entries so output is deterministic.
+    Singular values below RANK_CUTOFF * s_max are discarded. Each pair is
+    rotated so that the first significant entry of B_j is positive real.
+    Ordering is by descending coefficient; a run of coefficients within
+    1e-12 * max(s_max, 1) of its first member is a tie, broken by
+    lexicographic comparison of the flattened B entries rounded to 9
+    digits, so output is deterministic.
     """
     da, db = u.dim_a, u.dim_b
-    r = _realign(u.matrix, da, db)
-    left, vals, right = np.linalg.svd(r, full_matrices=False)
+    left, vals, right = np.linalg.svd(_realign(u.matrix, da, db), full_matrices=False)
     keep = vals > RANK_CUTOFF * vals[0]
-    vals = vals[keep]
-    left = left[:, keep]
-    right = right[keep, :]
+    vals, left, right = vals[keep], left[:, keep], right[keep, :]
+    phase = leading_phase(right)
+    a_ops = vals[:, None, None] * left.T.reshape(-1, da, da) * phase[:, None, None]
+    b_ops = right.reshape(-1, db, db) / phase[:, None, None]
 
-    terms = []
-    for j, s in enumerate(vals):
-        a = s * left[:, j].reshape(da, da)
-        b = right[j, :].reshape(db, db)
-        a, b = _phase_fix(a, b)
-        terms.append((float(s), a, b))
-
-    # stable order: descending s, ties resolved by the B entries
-    order = list(range(len(terms)))
-    groups: list[list[int]] = []
-    for i in order:
-        if groups and abs(terms[groups[-1][0]][0] - terms[i][0]) <= 1e-12 * max(terms[0][0], 1.0):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    final: list[int] = []
-    for g in groups:
-        final.extend(sorted(g, key=lambda i: _lex_key(terms[i][2])))
-
-    coeffs = np.array([terms[i][0] for i in final])
-    a_ops = [terms[i][1] for i in final]
-    b_ops = [terms[i][2] for i in final]
-    return SchmidtDecomposition(u, coeffs, a_ops, b_ops)
+    tie = 1e-12 * max(vals[0], 1.0)
+    lead = [0]          # the first term of each term's run of tied coefficients
+    for s in vals[1:]:
+        lead.append(lead[-1] if abs(vals[lead[-1]] - s) <= tie else len(lead))
+    order = sorted(range(len(vals)), key=lambda i: (lead[i], _lex_key(b_ops[i])))
+    return SchmidtDecomposition(u, vals[order], a_ops[order], b_ops[order])

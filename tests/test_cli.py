@@ -274,6 +274,14 @@ MALFORMED_FILES = {
         {**rep, "expansion": {**rep["expansion"], "residual": "0"}})),
     "unitarityDeviation text in a report": ("verify", lambda rep: json.dumps(
         {**rep, "input": {**rep["input"], "unitarityDeviation": "0"}})),
+    "schmidt rank float in a report": ("verify", lambda rep: json.dumps(
+        {**rep, "schmidt": {**rep["schmidt"], "rank": 2.9}})),
+    "schmidt rank text in a report": ("verify", lambda rep: json.dumps(
+        {**rep, "schmidt": {**rep["schmidt"], "rank": "2"}})),
+    "group order off the table in a report": ("verify", lambda rep: json.dumps(
+        {**rep, "group": {**rep["group"], "order": 3}})),
+    "group identity off the table in a report": ("simulate", lambda rep: json.dumps(
+        {**rep, "group": {**rep["group"], "identity": 1}})),
 }
 
 
@@ -493,6 +501,33 @@ def test_tampered_structure_fails_verification(tamper, tmp_path, capsys):
     code, out, _ = _verify(rep, tmp_path, capsys)
     assert code == 4
     assert "structure: FAIL" in out
+
+
+def _scaled(section, key, factor):
+    def tamper(rep):
+        rep[section][key] = factor * np.asarray(rep[section][key])
+    return tamper
+
+
+# a stored claim of the CNOT report, and the one check that must fail on it
+CLAIM_TAMPERS = {
+    "coefficients x3": (_scaled("schmidt", "coefficients", 3), "schmidtRank"),
+    "savingsEbits 9": (lambda rep: rep["costs"].update(savingsEbits=9), "costs"),
+    "targets x2": (_scaled("classification", "targets", 2), "classification"),
+    "projectors x0": (_scaled("classification", "projectors", 0), "classification"),
+    "one projector dropped": (lambda rep: rep["classification"]["projectors"].pop(),
+                              "classification"),
+}
+
+
+@pytest.mark.parametrize("tamper, check", CLAIM_TAMPERS.values(), ids=CLAIM_TAMPERS.keys())
+def test_tampered_claims_fail_verification(tamper, check, cnot_file, tmp_path, capsys):
+    rep = _report(cnot_file, tmp_path)
+    assert rep["classification"]["label"] == "controlled-unitary"
+    tamper(rep)
+    code, out, _ = _verify(rep, tmp_path, capsys)
+    assert code == 4
+    assert [line for line in out.splitlines() if "FAIL" in line] == [f"{check}: FAIL"]
 
 
 def test_schmidt_prints_rank_and_coefficients(cnot_file, capsys):

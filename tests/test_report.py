@@ -1,5 +1,6 @@
 """Report serialization: stable bytes, faithful round trips, re-verification."""
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nlgc.errors import ValidationError
-from nlgc.expansion import compile_unitary
+from nlgc.expansion import GroupExpansion, compile_unitary
 from nlgc.protocol import random_states, simulate_protocol
 from nlgc.report import (build_report, canonical_json, decode_matrix,
                          encode_matrix, expansion_from_report,
@@ -27,6 +28,12 @@ def cnot_report(seed=0):
     exp = compile_unitary(bu, seed=seed)
     trace = simulate_protocol(exp, random_states(4, 1, seed=seed)[0])
     return build_report(exp, trace, meta={"seed": seed}, original=bu)
+
+
+def parsed_report(gate):
+    """The report of a two-qubit gate, as a reader parses it."""
+    bu = BipartiteUnitary(gate, 2, 2)
+    return json.loads(canonical_json(build_report(compile_unitary(bu), original=bu)))
 
 
 def test_matrix_codec_round_trip():
@@ -164,6 +171,28 @@ def test_rebuilt_expansion_simulates_like_the_original():
                                    sorted(t2.branch_probabilities), atol=1e-8)
 
 
+def _haar(dim, seed):
+    x = np.random.default_rng(seed).normal(size=(dim, dim, 2)) @ [1, 1j]
+    q, r = np.linalg.qr(x)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("bu, route", [(BipartiteUnitary(SWAP, 2, 2), "projective"),
+                                       (BipartiteUnitary(_haar(16, 4), 4, 4), "fallback")],
+                         ids=["swap", "haar4x4"])
+def test_each_expansion_fact_is_read_from_its_carrier(bu, route):
+    # the gate lives on the Schmidt decomposition, the group and its factor
+    # system on U: a compiled and a report-loaded expansion store none again
+    exp = compile_unitary(bu)
+    back = expansion_from_report(json.loads(canonical_json(build_report(exp))))
+    assert not {"unitary", "group", "factor"} & {f.name for f in fields(GroupExpansion)}
+    for e in (exp, back):
+        assert e.route == route
+        assert e.unitary is e.schmidt.unitary
+        assert e.group is e.u_rep.group
+        assert e.factor is e.u_rep.factor
+
+
 def test_factor_root_order_is_the_order_of_the_phases():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
@@ -176,9 +205,29 @@ def test_factor_root_order_is_the_order_of_the_phases():
     assert ok, checks
 
 
+@pytest.mark.parametrize("loosen", [lambda r: r + 0.9, str], ids=["float", "text"])
+def test_a_root_order_that_is_not_an_integer_is_rejected(loosen):
+    # int() read 4.9 and "4" as the root order 4 of SWAP's factor phases
+    rep = parsed_report(SWAP)
+    assert rep["group"]["factorRootOrder"] == 4 and verify_report(rep)[0]
+    rep["group"]["factorRootOrder"] = loosen(4)
+    with pytest.raises(ValidationError, match="factorRootOrder must be an integer"):
+        verify_report(rep)
+
+
 def test_blocks_survive_a_report_round_trip():
     rep = json.loads(canonical_json(cnot_report()))
     assert build_report(expansion_from_report(rep))["blocks"] == rep["blocks"]
+
+
+@pytest.mark.parametrize("gate", [CNOT, SWAP], ids=["controlled", "double"])
+def test_a_report_written_from_a_loaded_report_keeps_its_witnesses(gate):
+    rep = parsed_report(gate)
+    again = json.loads(canonical_json(build_report(expansion_from_report(rep))))
+    assert len(rep["classification"]) == 3
+    assert again["classification"] == rep["classification"]
+    ok, checks = verify_report(again)
+    assert ok, checks
 
 
 def test_report_contains_the_advertised_sections():
@@ -216,6 +265,18 @@ def test_verify_catches_wrong_classification():
     ok, checks = verify_report(rep)
     assert not ok
     assert not checks["classification"]
+
+
+def test_verify_compares_the_double_unitary_witnesses():
+    rep = parsed_report(SWAP)
+    assert rep["classification"]["label"] == "double-unitary"
+    assert verify_report(rep)[0]
+    for key in ("wFactorPhases", "wNorms"):
+        bad = json.loads(json.dumps(rep))
+        bad["classification"][key] = 2 * np.asarray(rep["classification"][key])
+        ok, checks = verify_report(bad)
+        assert not ok and not checks["classification"], key
+        assert [k for k, passed in checks.items() if not passed] == ["classification"]
 
 
 def test_matrix_payload_needs_dimensions():

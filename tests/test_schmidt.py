@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 
 from nlgc import schmidt
+from nlgc._linalg import leading_phase
 from nlgc.errors import DimensionError, ValidationError
-from nlgc.groups import builtin_catalog
+from nlgc.expansion import synthesize_group_gate
+from nlgc.groups import alternating, builtin_catalog
 from nlgc.protocol import build_M
 from nlgc.schmidt import BipartiteUnitary, schmidt_decompose
 
@@ -130,6 +132,56 @@ def test_tied_terms_keep_the_order_of_the_per_entry_key(name, monkeypatch):
             np.testing.assert_array_equal(b, b_before)
         for a, a_before in zip(dec.a_ops, before.a_ops):
             np.testing.assert_array_equal(a, a_before)
+
+
+def _phase_fix(a, b):
+    """Rotate the pair so the first significant entry of b is positive real."""
+    phase = leading_phase(b.reshape(1, -1))[0]
+    return a * phase, b / phase
+
+
+def _per_term_decompose(u):
+    """schmidt_decompose as it ran before the terms were stacked: one pair at a
+    time, phase-fixed on its own, then sorted by tie runs of coefficients."""
+    da, db = u.dim_a, u.dim_b
+    left, vals, right = np.linalg.svd(schmidt._realign(u.matrix, da, db), full_matrices=False)
+    keep = vals > schmidt.RANK_CUTOFF * vals[0]
+    vals, left, right = vals[keep], left[:, keep], right[keep, :]
+    terms = []
+    for j, s in enumerate(vals):
+        a, b = _phase_fix(s * left[:, j].reshape(da, da), right[j, :].reshape(db, db))
+        terms.append((float(s), a, b))
+    groups = []
+    for i in range(len(terms)):
+        if groups and abs(terms[groups[-1][0]][0] - terms[i][0]) <= 1e-12 * max(terms[0][0], 1.0):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    final = [i for g in groups for i in sorted(g, key=lambda i: schmidt._lex_key(terms[i][2]))]
+    return [np.array([terms[i][k] for i in final]) for k in range(3)]
+
+
+STACK_CASES = {
+    "cnot": lambda: BipartiteUnitary(CNOT, 2, 2),
+    "swap": lambda: BipartiteUnitary(SWAP, 2, 2),
+    "qutrit-cp": lambda: BipartiteUnitary(
+        np.diag([np.exp(2j * np.pi * i * j / 3) for i in range(3) for j in range(3)]), 3, 3),
+    "haar3x3": lambda: BipartiteUnitary(random_unitary(9, np.random.default_rng(6)), 3, 3),
+    "haar2x3": lambda: BipartiteUnitary(random_unitary(6, np.random.default_rng(2)), 2, 3),
+    "synth-A4": lambda: synthesize_group_gate(alternating(4), seed=0),
+}
+
+
+@pytest.mark.parametrize("case", STACK_CASES.values(), ids=STACK_CASES.keys())
+def test_stacked_decomposition_equals_the_per_term_loop_bitwise(case):
+    bu = case()
+    dec = schmidt_decompose(bu)
+    coefficients, a_ops, b_ops = _per_term_decompose(bu)
+    assert dec.a_ops.shape == (len(dec), bu.dim_a, bu.dim_a)
+    assert dec.b_ops.shape == (len(dec), bu.dim_b, bu.dim_b)
+    assert dec.coefficients.tobytes() == coefficients.tobytes()
+    assert dec.a_ops.tobytes() == a_ops.tobytes()
+    assert dec.b_ops.tobytes() == b_ops.tobytes()
 
 
 def test_rejects_bad_inputs():
