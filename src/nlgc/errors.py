@@ -48,6 +48,13 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_bool(value, what: str) -> bool:
+    """A boolean field of an input file: a number or text raises ValidationError."""
+    if type(value) is not bool:
+        raise ValidationError(f"{what} must be true or false, not {value!r}")
+    return value
+
+
 def json_number(value, what: str) -> float:
     """A float field of an input file: an int or a float; a bool or text raises ValidationError."""
     if type(value) not in (int, float):

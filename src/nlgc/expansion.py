@@ -25,8 +25,7 @@ from .errors import (AssignmentError, InconsistencyError, SingularInputError,
 from .groups import FactorSystem, FiniteGroup
 from .protocol import build_M, check_M_unitary
 from .representations import Representation, pauli_projective_rep
-from .sbd import (BLOCK_TOL, BlockStructure, classify_equivalence, finest_sbd,
-                  gram_set)
+from .sbd import BLOCK_TOL, BlockStructure, finest_sbd, gram_set
 from .schmidt import BipartiteUnitary, SchmidtDecomposition, schmidt_decompose
 from .search import (CatalogIndex, SearchCandidate, _merge_warnings,
                      search_floor, search_group, trivial_structure)
@@ -160,9 +159,10 @@ def assemble_U(irreps, bs: BlockStructure, assignment) -> Representation:
     return rep
 
 
-def compute_W(v: np.ndarray, a_ops, b_ops, bs: BlockStructure, irreps, assignment,
-              tol: float = NUM_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Solve for the W side of the expansion by irrep orthogonality.
+def compute_W(v: np.ndarray, a_ops, bs: BlockStructure, irreps, assignment,
+              tol: float = NUM_TOL) -> np.ndarray:
+    """Solve for the W coefficients of the expansion by irrep orthogonality:
+    a (Schmidt rank, |G|) array, W(g) = sum_j coefficient[j, g] B_j.
 
     The coefficient of B_j on element g collects one trace per assigned
     irrep, weighted d/|G|; repeated equivalent blocks contribute through
@@ -193,9 +193,7 @@ def compute_W(v: np.ndarray, a_ops, b_ops, bs: BlockStructure, irreps, assignmen
                 raise InconsistencyError(
                     "coefficients fail to rebuild the block of class %d for "
                     "operator %d" % (ci, j))
-
-    w_ops = np.einsum("jf,jab->fab", w_coeffs, np.asarray(b_ops, dtype=complex))
-    return w_coeffs, w_ops
+    return w_coeffs
 
 
 def classify(exp: GroupExpansion, tol: float = NUM_TOL) -> tuple[str, dict]:
@@ -269,10 +267,11 @@ def synthesize_group_gate(group: FiniteGroup, seed: int = 0) -> BipartiteUnitary
     d_b = max(2, math.isqrt(n - 1) + 1)
     rng = np.random.default_rng(seed)
     w0 = rng.normal(size=(n, d_b, d_b)) + 1j * rng.normal(size=(n, d_b, d_b))
-    m = polar_unitary(build_M(group, None, w0))
+    trivial = FactorSystem.trivial(n)
+    m = polar_unitary(build_M(group, trivial, w0))
     e = group.identity
     w = np.array([m[e * d_b:(e + 1) * d_b, f * d_b:(f + 1) * d_b] for f in range(n)])
-    if frobenius(build_M(group, None, w) - m) > 1e-9 * n * d_b:
+    if frobenius(build_M(group, trivial, w) - m) > 1e-9 * n * d_b:
         raise InconsistencyError(
             "polar factor left the translation algebra; the random draw was "
             "too close to singular")
@@ -301,9 +300,7 @@ def _finest_structure(bu: BipartiteUnitary, block_tol: float,
                       seed: int) -> tuple[SchmidtDecomposition, BlockStructure]:
     """Schmidt terms and finest classified block structure of one orientation."""
     dec = schmidt_decompose(bu)
-    grams = gram_set(dec)
-    bs = finest_sbd(grams, tol=block_tol, seed=seed)
-    return dec, classify_equivalence(bs, grams, tol=block_tol)
+    return dec, finest_sbd(gram_set(dec), tol=block_tol, seed=seed)
 
 
 def _side_stream(label: str, bs: BlockStructure, d: int, index: CatalogIndex,
@@ -326,12 +323,11 @@ def _build(cand: SearchCandidate, dec: SchmidtDecomposition, side: str, warnings
     if cand.route == "fallback":
         v, u_rep = np.eye(d_a, dtype=complex), cand.irreps[0]
         w_coeffs = np.einsum("fxy,jxy->jf", np.conj(u_rep.matrices), dec.a_ops) / d_a
-        w_ops = np.einsum("jf,jab->fab", w_coeffs, dec.b_ops)
     else:
         v = construct_V(dec.a_ops, cand.structure, tol=block_tol)
         u_rep = assemble_U(cand.irreps, cand.structure, cand.assignment)
-        w_coeffs, w_ops = compute_W(v, dec.a_ops, dec.b_ops, cand.structure,
-                                    cand.irreps, cand.assignment, tol=tol)
+        w_coeffs = compute_W(v, dec.a_ops, cand.structure, cand.irreps, cand.assignment, tol=tol)
+    w_ops = np.einsum("jf,jab->fab", w_coeffs, dec.b_ops)
     exp = GroupExpansion(schmidt=dec, structure=cand.structure, v=v, u_rep=u_rep,
                          w_coeffs=w_coeffs, w_ops=w_ops, side=side, route=cand.route)
     exp = replace(exp, **expansion_claims(exp, tol))
@@ -374,11 +370,10 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
         raise ValidationError("side must be A, B, or both")
     block_tol = min(10 * tol, BLOCK_TOL)
     index = CatalogIndex(catalog, seed)
-    oriented = {"A": u, "B": u.swapped()}
     finest = {label: _finest_structure(bu, block_tol, seed)
-              for label, bu in oriented.items()}
+              for label, bu in (("A", u), ("B", u.swapped()))}
     warnings = {label: [] for label in (["A", "B"] if side == "both" else [side])}
-    streams = [_side_stream(label, finest[label][1], oriented[label].dim_a, index,
+    streams = [_side_stream(label, finest[label][1], finest[label][0].unitary.dim_a, index,
                             allow_projective, sink) for label, sink in warnings.items()]
     for (order, fallback, label), cand in heapq.merge(*streams, key=lambda item: item[0]):
         if cand is None and not fallback:
@@ -387,8 +382,8 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
         if fallback:
             for other in warnings:  # a side not searched yet adds its first step's warnings
                 if search_floor(finest[other][1]) > order:
-                    next(search_group(finest[other][1], oriented[other].dim_a, index,
-                                      allow_projective, warnings[other]), None)
+                    next(search_group(finest[other][1], finest[other][0].unitary.dim_a,
+                                      index, allow_projective, warnings[other]), None)
             d_a = dec.unitary.dim_a
             group, _, rep = pauli_projective_rep(d_a)
             cand = SearchCandidate(group, [rep], [0], trivial_structure([d_a]), "fallback")
@@ -399,7 +394,7 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
             _merge_warnings(warnings[label], "order-%d candidate %s rejected: %s"
                             % (cand.order, cand.group.name, exc))
             continue
-        if not exp.residual <= max(block_tol, 1e-8):
+        if not exp.residual <= 1e-8:
             _merge_warnings(warnings[label], "order-%d candidate %s left residual %.3e"
                             % (cand.order, cand.group.name, exp.residual))
         elif not exp.m_unitary:

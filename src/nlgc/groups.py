@@ -31,6 +31,8 @@ class FiniteGroup:
     inverses: np.ndarray = field(init=False, default=None)
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValidationError(f"group name must be a string, not {self.name!r}")
         if np.asarray(self.table).dtype.kind not in "iu":
             raise ValidationError("table entries must be integer element indices")
         self.table = table = np.array(self.table, dtype=int)
@@ -151,8 +153,6 @@ class FiniteGroup:
     @malformed("group record")
     def from_dict(cls, data: dict) -> "FiniteGroup":
         order, flat = json_int(data["order"], "order"), data["table"]
-        if not isinstance(data["name"], str):
-            raise ValidationError(f"group name must be a string, not {data['name']!r}")
         if len(flat) != order * order:
             raise ValidationError(
                 f"table length {len(flat)} does not match order {order} squared")

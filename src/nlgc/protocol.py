@@ -47,7 +47,7 @@ class ProtocolTrace:
         }
 
 
-def build_M(group: FiniteGroup, factor: FactorSystem | None, w_ops: np.ndarray) -> np.ndarray:
+def build_M(group: FiniteGroup, factor: FactorSystem, w_ops: np.ndarray) -> np.ndarray:
     """M = sum_f R(f) (x) W(f) on b (x) B, R the regular representation.
 
     R(f) translates |g> to mu(g, f)|gf>, so the (g, f) block of M is
@@ -58,9 +58,8 @@ def build_M(group: FiniteGroup, factor: FactorSystem | None, w_ops: np.ndarray) 
     n = group.order
     if w_ops.shape[0] != n:
         raise ValidationError("need one W operator per group element")
-    phases = (factor or FactorSystem.trivial(n)).phases
     k = group.table[group.inverses]                      # k[g, f] = g^-1 f
-    m = np.einsum("gf,gfjk->gjfk", phases[np.arange(n)[:, None], k], w_ops[k]).reshape(
+    m = np.einsum("gf,gfjk->gjfk", factor.phases[np.arange(n)[:, None], k], w_ops[k]).reshape(
         n * w_ops.shape[1], n * w_ops.shape[2])
     if not np.all(np.isfinite(m)):
         raise ValidationError("translation blocks of M are inconsistent")

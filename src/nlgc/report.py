@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from ._linalg import dagger, frobenius, unitarity_deviation
-from .errors import ValidationError, json_int, json_number, malformed
+from .errors import ValidationError, json_bool, json_int, json_number, malformed
 from .expansion import GroupExpansion, expansion_claims
 from .groups import FactorSystem, FiniteGroup
 from .representations import Representation
@@ -165,7 +165,7 @@ def build_report(exp: GroupExpansion, trace=None, meta: dict | None = None,
     classification = {"label": exp.classification,
                       **{key: encode_matrix(w) for key, w in exp.details.items()}}
     factor = exp.factor
-    trivial = factor is None or factor.is_trivial
+    trivial = factor.is_trivial
     report = {
         "format": REPORT_FORMAT,
         "version": REPORT_VERSION,
@@ -238,7 +238,7 @@ def expansion_from_report(report: dict) -> GroupExpansion:
             group.order, group.identity):
         raise ValidationError("declared group order or identity does not match the table")
     n, d_a, d_b = group.order, bu.dim_a, bu.dim_b
-    if grp["projective"]:
+    if json_bool(grp["projective"], "group.projective"):
         factor = FactorSystem(decode_matrix(grp["factorPhases"], (n, n)),
                               json_int(grp["factorRootOrder"], "factorRootOrder"))
         factor.validate(group)
@@ -255,7 +255,7 @@ def expansion_from_report(report: dict) -> GroupExpansion:
         cost_ebits=json_number(report["costs"]["costEbits"], "costEbits"),
         baseline_ebits=json_number(report["costs"]["baselineEbits"], "baselineEbits"),
         residual=json_number(exp_data["residual"], "residual"),
-        m_unitary=bool(report["mStatus"]["unitary"]),
+        m_unitary=json_bool(report["mStatus"]["unitary"], "mStatus.unitary"),
         m_deviation=json_number(report["mStatus"]["deviation"], "mStatus.deviation"),
         route=exp_data["route"],
         classification=report["classification"]["label"],
@@ -327,10 +327,12 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     against the stored values, as it does the Schmidt rank and coefficients
     of the report's own unitary. V and M must be unitary, the W coefficients
     must rebuild wOps from the Schmidt terms, the fallback flag must match
-    the route, the block summaries must be consistent with the input
+    the route, which is projective, fallback or, on a group that is not
+    projective, ordinary, the block summaries must be consistent with the input
     dimensions, and the stored structure must block-diagonalize V†A_j; the
     blocks are not recomputed. A group order or identity that disagrees with
-    the table raises ValidationError.
+    the table, a group name that is not a string, or mStatus.unitary or
+    group.projective that is not a boolean raises ValidationError.
     """
     checks: dict[str, bool] = {}
     exp = expansion_from_report(report)
@@ -338,7 +340,9 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     stored_norm = json_number(report["input"]["frobeniusNorm"], "frobeniusNorm")
     stored_rank = json_int(report["schmidt"]["rank"], "schmidt.rank")
     stored_savings = json_number(report["costs"]["savingsEbits"], "savingsEbits")
-    checks["fallbackFlag"] = report["expansion"]["fallback"] is exp.fallback
+    route_ok = exp.route in ("projective", "fallback") or (
+        exp.route == "ordinary" and not report["group"]["projective"])
+    checks["fallbackFlag"] = bool(report["expansion"]["fallback"] is exp.fallback and route_ok)
     checks["blocks"] = _blocks_consistent(exp.blocks, {
         "A": int(report["input"]["dimA"]), "B": int(report["input"]["dimB"])})
     checks["structure"] = _structure_consistent(exp)

@@ -1,8 +1,8 @@
 """Unitary representations of finite groups, ordinary and projective.
 
-Irreps are extracted numerically by block diagonalizing the (possibly
-phase-twisted) regular representation. Projective irreps for a given
-factor system are obtained from ordinary irreps of a central extension.
+Ordinary irreps are extracted numerically by block diagonalizing the
+regular representation. Projective irreps come from the ordinary irreps of
+a central extension, or are the shift/clock operators of C_d x C_d.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from ._linalg import dagger
 from .errors import InconsistencyError, ValidationError
 from .groups import (FactorSystem, FiniteGroup, detect_root_order,
                      quotient_by_central_cyclic)
-from .sbd import classify_equivalence, finest_sbd
+from .sbd import finest_sbd
 
 REP_TOL = 1e-8      # block tolerance of the irrep split, unit modulus of read-off phases
 
@@ -52,53 +52,47 @@ class Representation:
             raise ValidationError("representation matrices must be unitary")
 
 
-def regular_representation(group: FiniteGroup, factor: FactorSystem | None = None) -> Representation:
-    """Permutation-with-phases representation R(f)[g, gf] = mu(g, f)."""
+def regular_representation(group: FiniteGroup) -> Representation:
+    """Translation representation R(f)|g> = |gf>."""
     n = group.order
-    factor = factor or FactorSystem.trivial(n)
     mats = np.zeros((n, n, n), dtype=complex)
     f, g = np.indices((n, n))
-    mats[f, g, group.table[g, f]] = factor.phases[g, f]
-    return Representation(group, factor, mats)
+    mats[f, g, group.table[g, f]] = 1.0
+    return Representation(group, FactorSystem.trivial(n), mats)
 
 
-def left_translation_ops(group: FiniteGroup, factor: FactorSystem | None = None) -> np.ndarray:
+def left_translation_ops(group: FiniteGroup) -> np.ndarray:
     """Analytic basis of the commutant of the regular representation, stacked.
 
-    The phased left translations L(h)[hg, g] = conj(mu(h, g)) commute with
-    every R(f) and span the full commutant (their count matches its
-    dimension), so downstream splitting can skip the null space solve.
+    The left translations L(h)[hg, g] = 1 commute with every R(f) and span
+    the full commutant (their count matches its dimension), so downstream
+    splitting can skip the null space solve.
     """
     n = group.order
-    factor = factor or FactorSystem.trivial(n)
     ops = np.zeros((n, n, n), dtype=complex)
     h, g = np.indices((n, n))
-    ops[h, group.table[h, g], g] = factor.phases.conj()
+    ops[h, group.table[h, g], g] = 1.0
     return ops
 
 
-def irreps_of(group: FiniteGroup, factor: FactorSystem | None = None,
-              seed: int = 0) -> list[Representation]:
-    """All inequivalent irreps carrying the given factor system.
+def irreps_of(group: FiniteGroup, seed: int = 0) -> list[Representation]:
+    """All inequivalent ordinary irreps of a group.
 
-    Splits the twisted regular representation restricted to a generating
-    set, classifies the resulting blocks, and keeps one representative per
-    class evaluated on every group element. The squared dimensions always
-    sum to the group order.
+    Splits the regular representation restricted to a generating set,
+    classifies the resulting blocks, and keeps one representative per class
+    evaluated on every group element. The squared dimensions sum to the
+    group order and the count matches the conjugacy classes.
     """
-    factor = factor or FactorSystem.trivial(group.order)
-    reg = regular_representation(group, factor)
+    reg = regular_representation(group)
     gens = group.generating_set() or [group.identity]
     gen_mats = reg.matrices[gens]
-    bs = finest_sbd(gen_mats, tol=REP_TOL, seed=seed,
-                    commutant=left_translation_ops(group, factor))
-    bs = classify_equivalence(bs, gen_mats, tol=REP_TOL)
+    bs = finest_sbd(gen_mats, tol=REP_TOL, seed=seed, commutant=left_translation_ops(group))
 
     slices = bs.block_slices()
     irreps = []
     for cls in bs.classes:
         s = bs.basis_change[:, slices[cls.representative]]
-        irreps.append(Representation(group, factor, np.einsum(
+        irreps.append(Representation(group, reg.factor, np.einsum(
             "ij,fjk,kl->fil", dagger(s), reg.matrices, s)))
 
     total = sum(r.dim ** 2 for r in irreps)
@@ -107,16 +101,16 @@ def irreps_of(group: FiniteGroup, factor: FactorSystem | None = None,
             f"irrep dimensions square-sum to {total}, expected {group.order}")
     for r in irreps:
         r.validate(tol=1e-7)
-    if factor.is_trivial and len(irreps) != len(group.conjugacy_classes()):
+    if len(irreps) != len(group.conjugacy_classes()):
         raise InconsistencyError("irrep count does not match conjugacy classes")
     return irreps
 
 
-def irrep_dimensions(group: FiniteGroup, factor: FactorSystem | None = None) -> list[int]:
-    """Dimensions of all irreps; abelian groups with trivial twist shortcut to ones."""
-    if (factor is None or factor.is_trivial) and group.is_abelian:
+def irrep_dimensions(group: FiniteGroup) -> list[int]:
+    """Dimensions of all irreps; abelian groups shortcut to ones."""
+    if group.is_abelian:
         return [1] * group.order
-    return sorted(r.dim for r in irreps_of(group, factor))
+    return sorted(r.dim for r in irreps_of(group))
 
 
 def factor_phases_of(matrices: np.ndarray, group: FiniteGroup) -> np.ndarray:
@@ -134,23 +128,15 @@ def gauge_normalize(matrices_list: list[np.ndarray],
     """Rescale a family of same-factor projective reps to the standard gauge.
 
     After rescaling, mu is 1 whenever either argument is the identity or the
-    arguments are mutual inverses, which makes U(f^-1) = U(f)† exactly. All
-    inputs must share one factor system; the common rescaling keeps it shared.
+    arguments are mutual inverses, which makes U(f^-1) = U(f)† exactly. The
+    factor system is read off the first input, whose U(e) must be I; all
+    inputs must share it, which the callers check.
     """
-    n = group.order
-    e = group.identity
-    d0 = matrices_list[0].shape[1]
-    alpha = np.trace(matrices_list[0][e]) / d0
-    if not abs(alpha - 1.0) <= REP_TOL:
-        # U(e) is only a phase times the identity; absorb that phase first
-        matrices_list = [m.copy() for m in matrices_list]
-        for m in matrices_list:
-            m[e] = m[e] / alpha
     mu = factor_phases_of(matrices_list[0], group)
-    c = np.ones(n, dtype=complex)
-    for f in range(n):
+    c = np.ones(group.order, dtype=complex)
+    for f in range(group.order):
         g = group.inv(f)
-        if f == e:
+        if f == group.identity:
             continue
         if f == g:
             c[f] = np.exp(-0.5j * np.angle(mu[f, f]))
@@ -161,10 +147,6 @@ def gauge_normalize(matrices_list: list[np.ndarray],
     new_mu = factor_phases_of(new_list[0], group)
     fs = FactorSystem(new_mu, root_order=detect_root_order(new_mu))
     fs.validate(group)
-    for mats in new_list[1:]:
-        check = factor_phases_of(mats, group)
-        if not np.max(np.abs(check - new_mu)) <= 1e-6:
-            raise InconsistencyError("representations do not share one factor system")
     return new_list, fs
 
 
@@ -172,7 +154,7 @@ def central_irreps(irreps: list[Representation], z: int) -> list[Representation]
     """The irreps, in order, representing a central z of order r as omega_r times the identity."""
     omega = np.exp(2j * np.pi / irreps[0].group.element_order(z))
     return [ir for ir in irreps
-            if np.allclose(ir.matrices[z], omega * np.eye(ir.dim), atol=1e-8)]
+            if np.max(np.abs(ir.matrices[z] - omega * np.eye(ir.dim))) <= 1e-8]
 
 
 def projective_irreps_from_extension(irreps: list[Representation], z: int):

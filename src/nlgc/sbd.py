@@ -37,7 +37,7 @@ class BlockStructure:
 
     basis_change: np.ndarray          # columns ordered block by block
     block_sizes: list                 # sizes in block order
-    classes: list = field(default_factory=list)   # EquivalenceClass list, set by classify
+    classes: list = field(default_factory=list)   # EquivalenceClass list, empty until classified
 
     @property
     def dim(self) -> int:
@@ -128,7 +128,7 @@ def finest_sbd(mats, tol: float = BLOCK_TOL, seed: int = 0,
     order. Block Q gets the phase-fixed eigenvectors of Q†H1Q for a seeded
     H1, so nothing depends on the commutant basis. A second seeded
     projection must give the same block sizes, otherwise the split is
-    declared unstable.
+    declared unstable. The blocks are then classified at the same tol.
     """
     mats = _as_stack(mats)
     d = mats.shape[1]
@@ -159,7 +159,7 @@ def finest_sbd(mats, tol: float = BLOCK_TOL, seed: int = 0,
     if not worst <= tol:
         raise NondeterminismError(
             f"off-block residue {worst:.3e} exceeds tol after splitting")
-    return bs
+    return classify_equivalence(bs, mats, tol)
 
 
 def _intertwiner(rep_blocks, mem_blocks, tol):
@@ -186,12 +186,13 @@ def _intertwiner(rep_blocks, mem_blocks, tol):
 
 
 def classify_equivalence(bs: BlockStructure, mats, tol: float = BLOCK_TOL) -> BlockStructure:
-    """Group blocks into classes equivalent under one unitary conjugation.
+    """The structure of bs with its blocks grouped into classes equivalent
+    under one unitary conjugation; bs itself is left unchanged.
 
-    Fills bs.classes. Each class stores, per member, the unitary mapping the
-    representative block content onto the member block content simultaneously
-    for every matrix in the set (list or stack). Blocks are reordered class by
-    class, by size, larger classes first, so class lists do not depend on the seeded split.
+    Each class stores, per member, the unitary mapping the representative
+    block content onto the member block content simultaneously for every
+    matrix in the set (list or stack). Blocks are reordered class by class,
+    by size, larger classes first, so class lists do not depend on the seeded split.
     """
     slices = bs.block_slices()
     rotated = bs.transformed(_as_stack(mats))
@@ -213,11 +214,11 @@ def classify_equivalence(bs: BlockStructure, mats, tol: float = BLOCK_TOL) -> Bl
     classes.sort(key=lambda c: (bs.block_sizes[c.representative], -len(c.members)))
     order = [m for c in classes for m in c.members]
     pos = {m: k for k, m in enumerate(order)}
-    bs.basis_change = bs.basis_change[:, np.r_[tuple(slices[m] for m in order)]]
-    bs.block_sizes = [bs.block_sizes[m] for m in order]
-    bs.classes = [EquivalenceClass([pos[m] for m in c.members],
-                                   {pos[m]: t for m, t in c.intertwiners.items()}) for c in classes]
-    return bs
+    return BlockStructure(
+        bs.basis_change[:, np.r_[tuple(slices[m] for m in order)]],
+        [bs.block_sizes[m] for m in order],
+        [EquivalenceClass([pos[m] for m in c.members],
+                          {pos[m]: t for m, t in c.intertwiners.items()}) for c in classes])
 
 
 def merge_blocks(bs: BlockStructure, partition: list[list[int]]) -> BlockStructure:

@@ -413,6 +413,35 @@ def test_forged_fallback_flag_fails_verification(flags, generic_file, tmp_path, 
     assert "blocks: ok" in out
 
 
+# a field that no longer says what the rest of the report does, with the
+# exit code and the one FAIL check or error message verify must give
+MISLABELS = {
+    "mStatus.unitary text": ("cnot", ("mStatus", "unitary", "false"), 2,
+                             "mStatus.unitary must be true or false"),
+    "mStatus.unitary 1": ("cnot", ("mStatus", "unitary", 1), 2,
+                          "mStatus.unitary must be true or false"),
+    "projective route ordinary": ("swap", ("expansion", "route", "ordinary"), 4, "fallbackFlag"),
+    "route banana": ("cnot", ("expansion", "route", "banana"), 4, "fallbackFlag"),
+    "group name 7": ("cnot", ("group", "name", 7), 2, "group name must be a string"),
+    "group.projective text": ("cnot", ("group", "projective", "false"), 2,
+                              "group.projective must be true or false"),
+}
+
+
+@pytest.mark.parametrize("gate, field, code, what", MISLABELS.values(), ids=MISLABELS.keys())
+def test_mislabelled_fields_fail_verification(gate, field, code, what, tmp_path, capsys):
+    matrix = CNOT if gate == "cnot" else np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+    rep = _report(write_gate(tmp_path / "gate.json", matrix, 2, 2), tmp_path)
+    section, key, value = field
+    rep[section][key] = value
+    got, out, err = _verify(rep, tmp_path, capsys)
+    assert got == code
+    if code == 4:
+        assert [line for line in out.splitlines() if "FAIL" in line] == [f"{what}: FAIL"]
+    else:
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and what in err, err
+
+
 def test_non_unitary_v_fails_verification(generic_file, tmp_path, capsys):
     rep = _report(generic_file, tmp_path)
     v = decode_matrix(rep["expansion"]["v"], (None, None))

@@ -18,6 +18,16 @@ CNOT = np.array([[1, 0, 0, 0],
 SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
+def twisted_regular(group, factor):
+    """R(f)[g, gf] = mu(g, f): the regular representation twisted by a factor
+    system, the dense reference that build_M forms without."""
+    n = group.order
+    mats = np.zeros((n, n, n), dtype=complex)
+    f, g = np.indices((n, n))
+    mats[f, g, group.table[g, f]] = factor.phases[g, f]
+    return mats
+
+
 def test_shift_representation_of_c2_is_identity_and_flip():
     shifts = regular_representation(cyclic(2)).matrices
     np.testing.assert_allclose(shifts[0], np.eye(2), atol=1e-12)
@@ -26,7 +36,7 @@ def test_shift_representation_of_c2_is_identity_and_flip():
 
 def test_shift_representation_satisfies_the_twisted_product_rule():
     group, fs, _ = pauli_projective_rep(2)
-    shifts = regular_representation(group, fs).matrices
+    shifts = twisted_regular(group, fs)
     n = group.order
     for f in range(n):
         for g in range(n):
@@ -37,7 +47,7 @@ def test_shift_representation_satisfies_the_twisted_product_rule():
 
 def test_shift_representation_is_unitary_for_any_factor():
     group, fs, _ = pauli_projective_rep(3)
-    for s in regular_representation(group, fs).matrices:
+    for s in twisted_regular(group, fs):
         np.testing.assert_allclose(s.conj().T @ s, np.eye(9), atol=1e-10)
 
 
@@ -65,7 +75,7 @@ def test_build_M_blocks_and_unitarity_for_cnot():
 def test_all_zero_w_set_gives_a_singular_M():
     group = cyclic(3)
     w = np.zeros((3, 2, 2), dtype=complex)
-    m = build_M(group, None, w)
+    m = build_M(group, FactorSystem.trivial(3), w)
     ok, dev = check_M_unitary(m)
     assert not ok
     assert dev > 1.0
@@ -194,9 +204,7 @@ def _reference_M(group, factor, w_ops):
     """M through the dense regular representation, and whether each of its
     blocks equals mu(g, g^-1 f) W(g^-1 f), checked block by block."""
     n, d = group.order, w_ops.shape[1]
-    factor = factor or FactorSystem.trivial(n)
-    m = np.einsum("fgh,fjk->gjhk", regular_representation(group, factor).matrices,
-                  w_ops).reshape(n * d, n * d)
+    m = np.einsum("fgh,fjk->gjhk", twisted_regular(group, factor), w_ops).reshape(n * d, n * d)
     ok = True
     for g in range(n):
         for f in range(n):
@@ -213,8 +221,9 @@ def _reference_M(group, factor, w_ops):
     (True, None), (True, np.nan), (True, np.inf)],
     ids=["finite", "nan", "inf", "ordinary-finite", "ordinary-nan", "ordinary-inf"])
 def test_build_M_checks_every_projective_translation_block(ordinary, bad):
-    # the ordinary case is A4 with factor None, as synthesize_group_gate builds it
-    group, fs = (alternating(4), None) if ordinary else pauli_projective_rep(3)[:2]
+    # the ordinary case is A4 with the trivial factor, as synthesize_group_gate builds it
+    group, fs = ((alternating(4), FactorSystem.trivial(12)) if ordinary
+                 else pauli_projective_rep(3)[:2])
     n = group.order
     rng = np.random.default_rng(2)
     w = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))

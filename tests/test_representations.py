@@ -7,7 +7,7 @@ from nlgc.errors import ValidationError
 from nlgc.groups import (FactorSystem, alternating, builtin_catalog, cyclic,
                          dihedral, direct_product, heisenberg, quaternion,
                          symmetric)
-from nlgc.representations import (Representation, factor_phases_of,
+from nlgc.representations import (Representation, central_irreps, factor_phases_of,
                                   gauge_normalize, irrep_dimensions,
                                   irreps_of, left_translation_ops,
                                   pauli_projective_rep,
@@ -140,15 +140,12 @@ def test_factor_phases_equal_the_row_loop_bytewise(case):
     assert factor_phases_of(mats, group).tobytes() == _factor_phases_loop(mats, group).tobytes()
 
 
-@pytest.mark.parametrize("case", ["A4", "projective-Pauli3"])
+@pytest.mark.parametrize("case", ["A4"])
 def test_left_translations_commute_with_the_regular_representation(case):
-    if case == "A4":
-        group, fs = alternating(4), None
-    else:
-        group, fs, _ = pauli_projective_rep(3)
+    group = alternating(4)
     n = group.order
-    r = regular_representation(group, fs).matrices
-    l = left_translation_ops(group, fs)
+    r = regular_representation(group).matrices
+    l = left_translation_ops(group)
     assert l.shape == (n, n, n)
     assert np.max(np.abs(l[:, None] @ r[None] - r[None] @ l[:, None])) <= 1e-12
     # n linearly independent operators: the commutant of R has dimension n
@@ -170,9 +167,13 @@ def test_gauge_normalize_fixes_inverse_pairs():
 
 
 def test_twisted_dimension_sum_rule():
-    # with the Pauli factor system on C2xC2 the unique irrep has dim 2
-    group, fs, _ = pauli_projective_rep(2)
-    dims = irrep_dimensions(group, fs)
+    # D4 over its central z: the Pauli factor system on C2xC2, whose unique
+    # projective irrep has dim 2
+    l = dihedral(4)
+    z = next(x for x in l.center() if x != l.identity)
+    group, irreps = projective_irreps_from_extension(irreps_of(l), z)
+    assert not irreps[0].factor.is_trivial
+    dims = [r.dim for r in irreps]
     assert dims == [2]
     assert sum(d * d for d in dims) == group.order
 
@@ -184,6 +185,26 @@ def test_heisenberg_extension_gives_qutrit_projective_irrep():
     quotient, picked = projective_irreps_from_extension(irreps_of(l), candidates[0])
     assert quotient.order == 9
     assert sorted(p.dim for p in picked) == [3]
+
+
+def test_gauge_normalize_rejects_a_phase_on_the_identity():
+    group, _, rep = pauli_projective_rep(3)
+    matrices = rep.matrices.copy()
+    matrices[group.identity] *= np.exp(0.3j)
+    with pytest.raises(ValidationError, match="must be 1 on the identity"):
+        gauge_normalize([matrices], group)
+
+
+def test_central_irreps_compare_with_an_absolute_tolerance():
+    # D4's 2-dim irrep represents its central z as -I; 5e-6 on the diagonal
+    # is inside allclose's default rtol of 1e-5 but far outside 1e-8
+    l = dihedral(4)
+    z = next(x for x in l.center() if x != l.identity)
+    rep = next(r for r in irreps_of(l) if r.dim == 2)
+    assert len(central_irreps([rep], z)) == 1
+    drifted = rep.matrices.copy()
+    drifted[z] += 5e-6 * np.eye(2)
+    assert central_irreps([Representation(l, rep.factor, drifted)], z) == []
 
 
 @pytest.mark.parametrize("where", ["identity", "other element"])

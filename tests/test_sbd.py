@@ -10,6 +10,7 @@ from nlgc.groups import alternating
 from nlgc.sbd import (BLOCK_TOL, BlockStructure, classify_equivalence, commutant_basis,
                       finest_sbd, gram_set, merge_blocks)
 from nlgc.schmidt import BipartiteUnitary, schmidt_decompose
+from nlgc.search import search_floor
 
 
 def random_unitary(dim, rng):
@@ -63,16 +64,33 @@ def test_repeated_content_found_equivalent():
     rng = np.random.default_rng(1)
     fam, _ = scrambled_family([(2, 2), (1, 1)], rng)
     bs = finest_sbd(fam, seed=2)
-    bs = classify_equivalence(bs, fam)
     assert sorted(bs.class_dims()) == [1, 2]
     sizes = sorted(len(c.members) for c in bs.classes)
     assert sizes == [1, 2]
 
 
+def test_finest_sbd_returns_the_classified_structure():
+    rng = np.random.default_rng(3)
+    fam, _ = scrambled_family([(1, 2), (2, 1), (3, 2)], rng)
+    bs = finest_sbd(fam, seed=0)
+    assert [c.members for c in bs.classes] == [[0, 1], [2], [3, 4]]
+    assert search_floor(bs) == sum(d * d for d in bs.class_dims()) == 1 + 4 + 9
+
+
+def test_classify_equivalence_leaves_its_argument_unchanged():
+    # the hidden basis of the family, blocks in the order it was built
+    fam, s = scrambled_family([(2, 2), (1, 1)], np.random.default_rng(1))
+    bs = BlockStructure(s, [2, 2, 1])
+    classified = classify_equivalence(bs, fam)
+    assert bs.basis_change is s and bs.block_sizes == [2, 2, 1] and bs.classes == []
+    assert classified.block_sizes == [1, 2, 2]
+    assert [c.members for c in classified.classes] == [[0], [1, 2]]
+
+
 def test_intertwiners_map_representative_onto_members():
     rng = np.random.default_rng(5)
     fam, _ = scrambled_family([(2, 3)], rng)
-    bs = classify_equivalence(finest_sbd(fam, seed=0), fam)
+    bs = finest_sbd(fam, seed=0)
     cls = bs.classes[0]
     rep = cls.representative
     sl = bs.block_slices()
@@ -111,7 +129,7 @@ def test_class_lists_do_not_depend_on_the_seed():
     rng = np.random.default_rng(29)
     fam, _ = scrambled_family([(1, 1), (1, 2), (2, 1), (2, 2)], rng)
     for seed in range(6):
-        bs = classify_equivalence(finest_sbd(fam, seed=seed), fam)
+        bs = finest_sbd(fam, seed=seed)
         assert bs.block_sizes == [1, 1, 1, 2, 2, 2]
         assert [c.members for c in bs.classes] == [[0, 1], [2], [3, 4], [5]]
         assert bs.off_block_mass(fam) < 1e-9
@@ -153,7 +171,6 @@ def test_merge_blocks_fuses_and_reorders():
     rng = np.random.default_rng(25)
     fam, _ = scrambled_family([(1, 1), (1, 1), (2, 1)], rng)
     bs = finest_sbd(fam, seed=6)
-    bs = classify_equivalence(bs, fam)
     order = np.argsort([sl.start for sl in bs.block_slices()])
     merged = merge_blocks(bs, [[int(order[0]), int(order[1])], [int(order[2])]])
     assert sorted(merged.block_sizes) == [2, 2]
@@ -225,12 +242,12 @@ def test_finest_sbd_does_not_depend_on_the_commutant_basis(name):
     # agrees to rounding, not bit for bit.
     grams = schmidt_grams(name)
     basis = np.stack(commutant_basis(grams))
-    ref = classify_equivalence(finest_sbd(grams, seed=2, commutant=list(basis)), grams)
+    ref = finest_sbd(grams, seed=2, commutant=list(basis))
     rng = np.random.default_rng(7)
     for _ in range(3):
         mix = random_unitary(len(basis), rng)
         mixed = list(np.einsum("ij,jab->iab", mix, basis))
-        bs = classify_equivalence(finest_sbd(grams, seed=2, commutant=mixed), grams)
+        bs = finest_sbd(grams, seed=2, commutant=mixed)
         assert bs.block_sizes == ref.block_sizes
         assert [c.members for c in bs.classes] == [c.members for c in ref.classes]
         assert np.max(np.abs(bs.basis_change - ref.basis_change)) <= 1e-12
@@ -318,8 +335,8 @@ def test_sbd_takes_a_list_or_a_stack():
     stack = np.stack(fam)
     assert (np.stack(commutant_basis(fam)).tobytes()
             == np.stack(commutant_basis(stack)).tobytes())
-    from_list = classify_equivalence(finest_sbd(fam, seed=1), fam)
-    from_stack = classify_equivalence(finest_sbd(stack, seed=1), stack)
+    from_list = finest_sbd(fam, seed=1)
+    from_stack = finest_sbd(stack, seed=1)
     assert from_list.basis_change.tobytes() == from_stack.basis_change.tobytes()
     assert from_list.block_sizes == from_stack.block_sizes == [1, 1, 2, 2]
     assert ([c.members for c in from_list.classes]

@@ -6,7 +6,7 @@ from nlgc import schmidt
 from nlgc._linalg import leading_phase
 from nlgc.errors import DimensionError, ValidationError
 from nlgc.expansion import synthesize_group_gate
-from nlgc.groups import alternating, builtin_catalog
+from nlgc.groups import FactorSystem, alternating, builtin_catalog
 from nlgc.protocol import build_M
 from nlgc.schmidt import BipartiteUnitary, schmidt_decompose
 
@@ -113,7 +113,8 @@ def controlled_group_gate(group, rng):
     """sum_f R(f) (x) |f><f| over the regular representation R, dressed by a
     local unitary on each side: all |G| Schmidt coefficients are tied."""
     n = group.order
-    m = build_M(group, None, np.array([np.diag(e) for e in np.eye(n)], dtype=complex))
+    m = build_M(group, FactorSystem.trivial(n),
+                np.array([np.diag(e) for e in np.eye(n)], dtype=complex))
     return BipartiteUnitary(np.kron(random_unitary(n, rng), random_unitary(n, rng)) @ m, n, n)
 
 
