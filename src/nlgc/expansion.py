@@ -270,7 +270,7 @@ def synthesize_group_gate(group: FiniteGroup, seed: int = 0) -> BipartiteUnitary
     trivial = FactorSystem.trivial(n)
     m = polar_unitary(build_M(group, trivial, w0))
     e = group.identity
-    w = np.array([m[e * d_b:(e + 1) * d_b, f * d_b:(f + 1) * d_b] for f in range(n)])
+    w = m[e * d_b:(e + 1) * d_b].reshape(d_b, n, d_b).swapaxes(0, 1)
     if frobenius(build_M(group, trivial, w) - m) > 1e-9 * n * d_b:
         raise InconsistencyError(
             "polar factor left the translation algebra; the random draw was "
@@ -385,8 +385,8 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
                     next(search_group(finest[other][1], finest[other][0].unitary.dim_a,
                                       index, allow_projective, warnings[other]), None)
             d_a = dec.unitary.dim_a
-            group, _, rep = pauli_projective_rep(d_a)
-            cand = SearchCandidate(group, [rep], [0], trivial_structure([d_a]), "fallback")
+            rep = pauli_projective_rep(d_a)
+            cand = SearchCandidate(rep.group, [rep], [0], trivial_structure([d_a]), "fallback")
         inherited = itertools.chain(*warnings.values()) if fallback else warnings[label]
         try:
             exp = _build(cand, dec, label, inherited, tol, block_tol)

@@ -138,16 +138,27 @@ def _structure_payload(bs: BlockStructure) -> dict:
     }
 
 
+def _block_index(key: str) -> int:
+    """An intertwiner key: the decimal text of a block index, as _structure_payload writes it."""
+    if str(int(key)) != key:
+        raise ValidationError(f"intertwiner key must be a block index, not {key!r}")
+    return int(key)
+
+
+def _ints(values, what: str) -> list[int]:
+    return [json_int(v, what) for v in values]
+
+
 def _structure_from_payload(data: dict, d_a: int) -> BlockStructure:
     classes = [
         EquivalenceClass(
-            members=list(c["members"]),
-            intertwiners={int(k): decode_matrix(v, (None, None))
+            members=_ints(c["members"], "expansion.structure members"),
+            intertwiners={_block_index(k): decode_matrix(v, (None, None))
                           for k, v in c["intertwiners"].items()})
         for c in data["classes"]
     ]
     return BlockStructure(decode_matrix(data["basisChange"], (d_a, d_a)),
-                          [int(s) for s in data["sizes"]], classes)
+                          _ints(data["sizes"], "expansion.structure.sizes"), classes)
 
 
 def build_report(exp: GroupExpansion, trace=None, meta: dict | None = None,
@@ -266,34 +277,53 @@ def expansion_from_report(report: dict) -> GroupExpansion:
 
 
 def _partition_consistent(sizes, classes, d_a: int) -> bool:
-    """The block sizes are positive and split d_a, and the classes (lists of
-    block indices) partition the blocks."""
+    """The block sizes are positive and split d_a, and the classes (non-empty
+    lists of block indices) partition the blocks."""
     members = sorted(m for c in classes for m in c)
-    return min(sizes) >= 1 and sum(sizes) == d_a and members == list(range(len(sizes)))
+    return (min(sizes) >= 1 and sum(sizes) == d_a and all(classes)
+            and members == list(range(len(sizes))))
 
 
 def _blocks_consistent(blocks: dict, dims: dict) -> bool:
     """Each orientation's summary partitions its d_A into blocks and classes
-    and gives each class the size of its representative, the first member."""
+    and gives each class the size of its representative, the first member.
+    An entry that is not an integer raises ValidationError."""
     for label, d_a in dims.items():
         if label not in blocks:
             return False
-        sizes, classes = blocks[label]["sizes"], blocks[label]["classes"]
+        what = f"blocks.{label}"
+        sizes = _ints(blocks[label]["sizes"], f"{what}.sizes")
+        classes = [_ints(c, f"{what}.classes") for c in blocks[label]["classes"]]
         if (not _partition_consistent(sizes, classes, d_a)
-                or blocks[label]["classDims"] != [sizes[c[0]] for c in classes]):
+                or _ints(blocks[label]["classDims"], f"{what}.classDims")
+                != [sizes[c[0]] for c in classes]):
             return False
     return True
 
 
 def _structure_consistent(exp: GroupExpansion) -> bool:
     """The stored basis change S is unitary, its sizes and classes partition
-    d_A, and S†(V†A_j)S is block diagonal over the Schmidt terms A_j of the
-    report's own unitary."""
-    bs = exp.structure
-    return bool(unitarity_deviation(bs.basis_change) <= 1e-8
-                and _partition_consistent(bs.block_sizes, [c.members for c in bs.classes],
-                                          exp.unitary.dim_a)
-                and bs.off_block_mass(dagger(exp.v) @ exp.schmidt.a_ops) <= 1e-6)
+    d_A, and X_j = S†(V†A_j)S is block diagonal over the Schmidt terms A_j of
+    the report's own unitary. Each class stores one unitary T per member, and
+    no other, with T X_rep T† = X_member on the blocks of every X_j; the
+    relation is linear in A_j, so a mixing of tied Schmidt terms keeps it."""
+    bs, va = exp.structure, dagger(exp.v) @ exp.schmidt.a_ops
+    if not (unitarity_deviation(bs.basis_change) <= 1e-8
+            and _partition_consistent(bs.block_sizes, [c.members for c in bs.classes],
+                                      exp.unitary.dim_a)
+            and bs.off_block_mass(va) <= 1e-6):
+        return False
+    x, slices = bs.transformed(va), bs.block_slices()
+    for cls in bs.classes:
+        if sorted(cls.intertwiners) != sorted(cls.members):
+            return False
+        rep = x[:, slices[cls.representative], slices[cls.representative]]
+        for m, t in cls.intertwiners.items():
+            if not (t.shape == rep.shape[1:] == (bs.block_sizes[m],) * 2
+                    and unitarity_deviation(t) <= 1e-8
+                    and np.max(np.abs(t @ rep @ dagger(t) - x[:, slices[m], slices[m]])) <= 1e-6):
+                return False
+    return True
 
 
 def _w_coeffs_consistent(exp: GroupExpansion) -> bool:
@@ -329,10 +359,12 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     must rebuild wOps from the Schmidt terms, the fallback flag must match
     the route, which is projective, fallback or, on a group that is not
     projective, ordinary, the block summaries must be consistent with the input
-    dimensions, and the stored structure must block-diagonalize V†A_j; the
-    blocks are not recomputed. A group order or identity that disagrees with
-    the table, a group name that is not a string, or mStatus.unitary or
-    group.projective that is not a boolean raises ValidationError.
+    dimensions, and the stored structure must block-diagonalize V†A_j with
+    one unitary intertwiner per class member; the blocks are not recomputed.
+    A group order or identity that disagrees with the table, a group name
+    that is not a string, mStatus.unitary or group.projective that is not a
+    boolean, or a block size, class member, class dimension or intertwiner
+    key that is not an integer raises ValidationError.
     """
     checks: dict[str, bool] = {}
     exp = expansion_from_report(report)

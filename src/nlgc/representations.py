@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import dagger
 from .errors import InconsistencyError, ValidationError
 from .groups import (FactorSystem, FiniteGroup, detect_root_order,
                      quotient_by_central_cyclic)
@@ -52,48 +51,29 @@ class Representation:
             raise ValidationError("representation matrices must be unitary")
 
 
-def regular_representation(group: FiniteGroup) -> Representation:
-    """Translation representation R(f)|g> = |gf>."""
-    n = group.order
-    mats = np.zeros((n, n, n), dtype=complex)
-    f, g = np.indices((n, n))
-    mats[f, g, group.table[g, f]] = 1.0
-    return Representation(group, FactorSystem.trivial(n), mats)
-
-
-def left_translation_ops(group: FiniteGroup) -> np.ndarray:
-    """Analytic basis of the commutant of the regular representation, stacked.
-
-    The left translations L(h)[hg, g] = 1 commute with every R(f) and span
-    the full commutant (their count matches its dimension), so downstream
-    splitting can skip the null space solve.
-    """
-    n = group.order
-    ops = np.zeros((n, n, n), dtype=complex)
-    h, g = np.indices((n, n))
-    ops[h, group.table[h, g], g] = 1.0
-    return ops
-
-
 def irreps_of(group: FiniteGroup, seed: int = 0) -> list[Representation]:
     """All inequivalent ordinary irreps of a group.
 
-    Splits the regular representation restricted to a generating set,
-    classifies the resulting blocks, and keeps one representative per class
-    evaluated on every group element. The squared dimensions sum to the
-    group order and the count matches the conjugacy classes.
+    Splits the regular representation R(f)|g> = |gf> restricted to a
+    generating set, with the left translations L(h)|g> = |hg> as the basis
+    of its commutant, classifies the resulting blocks, and keeps one
+    representative S per class evaluated on every group element as
+    (S†R(f)S)[i, l] = sum_g conj S[g, i] S[gf, l]. All of these are read off
+    the group table. The squared dimensions sum to the group order and the
+    count matches the conjugacy classes.
     """
-    reg = regular_representation(group)
+    table = group.table
+    eye = np.eye(group.order, dtype=complex)
     gens = group.generating_set() or [group.identity]
-    gen_mats = reg.matrices[gens]
-    bs = finest_sbd(gen_mats, tol=REP_TOL, seed=seed, commutant=left_translation_ops(group))
+    bs = finest_sbd(eye[table[:, gens].T], tol=REP_TOL, seed=seed,
+                    commutant=eye[:, table].transpose(1, 0, 2))
 
-    slices = bs.block_slices()
+    slices, trivial = bs.block_slices(), FactorSystem.trivial(group.order)
     irreps = []
     for cls in bs.classes:
         s = bs.basis_change[:, slices[cls.representative]]
-        irreps.append(Representation(group, reg.factor, np.einsum(
-            "ij,fjk,kl->fil", dagger(s), reg.matrices, s)))
+        mats = np.einsum("gi,fgl->fil", s.conj(), s[table.T])
+        irreps.append(Representation(group, trivial, mats))
 
     total = sum(r.dim ** 2 for r in irreps)
     if total != group.order:
@@ -133,16 +113,11 @@ def gauge_normalize(matrices_list: list[np.ndarray],
     inputs must share it, which the callers check.
     """
     mu = factor_phases_of(matrices_list[0], group)
-    c = np.ones(group.order, dtype=complex)
-    for f in range(group.order):
-        g = group.inv(f)
-        if f == group.identity:
-            continue
-        if f == g:
-            c[f] = np.exp(-0.5j * np.angle(mu[f, f]))
-        elif f < g:
-            c[f] = 1.0
-            c[g] = 1.0 / mu[f, g]
+    f, inv = np.arange(group.order), group.inverses
+    # of each pair f < f^-1, U(f) is kept and U(f^-1) scaled by 1/mu(f, f^-1)
+    c = np.where(inv < f, 1.0 / mu[inv, f], 1.0 + 0j)
+    c = np.where(inv == f, np.exp(-0.5j * np.angle(mu[f, f])), c)
+    c[group.identity] = 1.0
     new_list = [mats * c[:, None, None] for mats in matrices_list]
     new_mu = factor_phases_of(new_list[0], group)
     fs = FactorSystem(new_mu, root_order=detect_root_order(new_mu))
@@ -179,11 +154,10 @@ def projective_irreps_from_extension(irreps: list[Representation], z: int):
     return quotient, out
 
 
-def pauli_projective_rep(dim: int):
+def pauli_projective_rep(dim: int) -> Representation:
     """Shift/clock projective representation of C_dim x C_dim, standard gauge.
 
-    Returns (group, factor system, Representation). For dim = 2 these are
-    the qubit Pauli operators up to signs.
+    For dim = 2 these are the qubit Pauli operators up to signs.
     """
     from ._linalg import weyl_operator_basis
     from .groups import direct_product, cyclic
@@ -191,4 +165,4 @@ def pauli_projective_rep(dim: int):
     fixed, fs = gauge_normalize([weyl_operator_basis(dim)], group)
     rep = Representation(group, fs, fixed[0])
     rep.validate()
-    return group, fs, rep
+    return rep

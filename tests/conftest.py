@@ -35,6 +35,27 @@ def orthogonality_defect(irreps: list[Representation]) -> float:
     return worst
 
 
+def dense_regular(group, factor=None) -> np.ndarray:
+    """R(f)[g, gf] = mu(g, f) as a dense (n, n, n) stack: the regular
+    representation, twisted by factor when one is given. nlgc reads every
+    translation off the group table; this is the bitwise reference."""
+    n = group.order
+    mats = np.zeros((n, n, n), dtype=complex)
+    f, g = np.indices((n, n))
+    mats[f, g, group.table[g, f]] = 1.0 if factor is None else factor.phases[g, f]
+    return mats
+
+
+def dense_left_translations(group) -> np.ndarray:
+    """L(h)[hg, g] = 1 as a dense (n, n, n) stack: the left translations, which
+    span the commutant of the regular representation."""
+    n = group.order
+    ops = np.zeros((n, n, n), dtype=complex)
+    h, g = np.indices((n, n))
+    ops[h, group.table[h, g], g] = 1.0
+    return ops
+
+
 def haar_block_gate(d_a: int, parts: list[int], seed: int) -> BipartiteUnitary:
     """W_1 + W_2 + ... block diagonal along B = C^p_1 + C^p_2 + ...: each W_i
     is a Haar unitary on C^d_a (x) C^p_i, drawn in turn from default_rng(seed)."""

@@ -10,7 +10,8 @@ from conftest import haar_block_gate, uncertified_s4_expansion
 
 import nlgc.cli
 from nlgc.cli import main
-from nlgc.groups import FiniteGroup, cyclic, dihedral, save_group_file
+from nlgc.expansion import synthesize_group_gate
+from nlgc.groups import FiniteGroup, cyclic, dihedral, save_group_file, symmetric
 from nlgc.report import (canonical_json, decode_matrix, encode_matrix,
                          matrix_payload, state_payload)
 from nlgc.schmidt import BipartiteUnitary
@@ -238,6 +239,21 @@ def _report_with_table_entry(rep):
     return json.dumps(rep)
 
 
+def _report_with(rep, value, *path):
+    """The report with the field at path set to value, as JSON text."""
+    target = rep
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(rep)
+
+
+def _report_with_spaced_key(rep):
+    intertwiners = rep["expansion"]["structure"]["classes"][0]["intertwiners"]
+    return _report_with(rep, {" 0": intertwiners["0"]},
+                        "expansion", "structure", "classes", 0, "intertwiners")
+
+
 # command ({report} names the fresh CNOT report), and the bad file's
 # contents made from that report
 MALFORMED_FILES = {
@@ -282,6 +298,17 @@ MALFORMED_FILES = {
         {**rep, "group": {**rep["group"], "order": 3}})),
     "group identity off the table in a report": ("simulate", lambda rep: json.dumps(
         {**rep, "group": {**rep["group"], "identity": 1}})),
+    "structure sizes float in a report": ("verify", lambda rep: _report_with(
+        rep, [1, 1.7], "expansion", "structure", "sizes")),
+    "structure sizes true in a report": ("verify", lambda rep: _report_with(
+        rep, [True, 1], "expansion", "structure", "sizes")),
+    "structure members float in a report": ("verify", lambda rep: _report_with(
+        rep, [0.0], "expansion", "structure", "classes", 0, "members")),
+    "intertwiner key with a space in a report": ("verify", _report_with_spaced_key),
+    "blocks sizes float in a report": ("verify", lambda rep: _report_with(
+        rep, [1.0, 1], "blocks", "A", "sizes")),
+    "blocks classDims float in a report": ("verify", lambda rep: _report_with(
+        rep, [1.0, 1], "blocks", "A", "classDims")),
 }
 
 
@@ -480,6 +507,7 @@ BLOCK_TAMPERS = {
     "orientation missing": lambda report: report["blocks"].pop("B"),
     "class names block 7": _set_blocks("A", classes=[[0], [1, 7]]),
     "blocks is a list": lambda report: report.update(blocks=list(report["blocks"].values())),
+    "empty class": _set_blocks("A", classes=[[0, 1], []], classDims=[1, 1]),
 }
 
 
@@ -510,11 +538,19 @@ def _rotate_basis(structure):
     structure["basisChange"] = encode_matrix(s @ np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
 
+def _scale_intertwiners(structure):
+    for cls in structure["classes"]:
+        cls["intertwiners"] = {k: 7 * np.asarray(t) for k, t in cls["intertwiners"].items()}
+
+
 STRUCTURE_TAMPERS = {
     "basis change moved": _shift_basis_entry,
     "basis change still unitary but mixes the blocks": _rotate_basis,
     "blocks merged": lambda structure: structure.update(sizes=[2]),
     "class names block 7": lambda structure: structure["classes"][-1]["members"].append(7),
+    "intertwiners x7": _scale_intertwiners,
+    "empty class": lambda structure: structure["classes"].append(
+        {"members": [], "intertwiners": {}}),
 }
 
 
@@ -530,6 +566,40 @@ def test_tampered_structure_fails_verification(tamper, tmp_path, capsys):
     code, out, _ = _verify(rep, tmp_path, capsys)
     assert code == 4
     assert "structure: FAIL" in out
+
+
+def _set_intertwiner(member, t):
+    def tamper(structure):
+        structure["classes"][-1]["intertwiners"][str(member)] = encode_matrix(t)
+    return tamper
+
+
+# S3's synthesized gate has blocks [1, 1, 2, 2] in classes [[0], [1], [2, 3]]
+CLASS_TAMPERS = {
+    "intertwiners x7": _scale_intertwiners,
+    "classes merged into one with no intertwiners": lambda structure: structure.update(
+        classes=[{"members": [0, 1, 2, 3], "intertwiners": {}}]),
+    "a member's intertwiner dropped": lambda structure: structure["classes"][-1][
+        "intertwiners"].pop("3"),
+    "an intertwiner for a block of another class": _set_intertwiner(0, np.eye(1)),
+    "a unitary that does not intertwine": _set_intertwiner(3, np.eye(2)),
+    "an intertwiner of the wrong size": _set_intertwiner(3, np.eye(3)),
+}
+
+
+@pytest.mark.parametrize("tamper", CLASS_TAMPERS.values(), ids=CLASS_TAMPERS.keys())
+def test_tampered_classes_fail_verification(tamper, tmp_path, capsys):
+    bu = synthesize_group_gate(symmetric(3), seed=0)
+    rep = _report(write_gate(tmp_path / "s3.json", bu.matrix, bu.dim_a, bu.dim_b), tmp_path)
+    structure = rep["expansion"]["structure"]
+    assert rep["group"]["name"] == "S3" and structure["sizes"] == [1, 1, 2, 2]
+    assert [c["members"] for c in structure["classes"]] == [[0], [1], [2, 3]]
+    code, out, _ = _verify(rep, tmp_path, capsys)
+    assert code == 0 and "structure: ok" in out
+    tamper(structure)
+    code, out, _ = _verify(rep, tmp_path, capsys)
+    assert code == 4
+    assert [line for line in out.splitlines() if "FAIL" in line] == ["structure: FAIL"]
 
 
 def _scaled(section, key, factor):

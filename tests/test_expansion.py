@@ -3,15 +3,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import haar_block_gate, uncertified_s4_expansion
+from conftest import dense_regular, haar_block_gate, uncertified_s4_expansion
 
 import nlgc.expansion
 from nlgc.errors import InconsistencyError, SingularInputError
 from nlgc.expansion import (DOUBLE, GroupExpansion, classify, compile_unitary, construct_V,
                             synthesize_group_gate)
 from nlgc.groups import FiniteGroup, alternating, cyclic, dihedral, symmetric
-from nlgc.representations import irreps_of, regular_representation
-from nlgc.schmidt import BipartiteUnitary, schmidt_decompose
+from nlgc.representations import irreps_of
+from nlgc.schmidt import BipartiteUnitary
 from nlgc.search import search_group, trivial_structure
 
 CNOT = np.array([[1, 0, 0, 0],
@@ -405,8 +405,8 @@ def _w_rep(group, dim):
 @pytest.mark.parametrize("group, w_mats", [
     (symmetric(3), lambda g: _w_rep(g, 2)),
     (alternating(4), lambda g: _w_rep(g, 3)),
-    (dihedral(4), lambda g: regular_representation(g).matrices),
-    (alternating(4), lambda g: regular_representation(g).matrices)],
+    (dihedral(4), dense_regular),
+    (alternating(4), dense_regular)],
     ids=["d=2", "d=3", "d=8", "d=12"])
 def test_w_factor_phases_equal_the_pairwise_loop_bytewise(group, w_mats):
     # W(f) = c_f e^{i theta_f} X R(f) over a unitary rep R of a non-abelian
@@ -418,7 +418,7 @@ def test_w_factor_phases_equal_the_pairwise_loop_bytewise(group, w_mats):
     w = (rng.uniform(0.5, 2.0, n) * np.exp(2j * np.pi * rng.random(n)))[:, None, None] \
         * (random_unitary(d_b, rng) @ r)
     exp = SimpleNamespace(group=group, w_ops=w,
-                          u_rep=SimpleNamespace(matrices=regular_representation(group).matrices))
+                          u_rep=SimpleNamespace(matrices=dense_regular(group)))
     kind, details = classify(exp)
     assert kind == DOUBLE
     grams = np.einsum("fba,fbc->fac", np.conj(w), w)

@@ -1,14 +1,15 @@
 """Branch-by-branch protocol simulation and its building blocks."""
 import numpy as np
 import pytest
+from conftest import dense_regular
 
 import nlgc.protocol
 from nlgc.errors import ValidationError
 from nlgc.expansion import compile_unitary, synthesize_group_gate
-from nlgc.groups import FactorSystem, alternating, cyclic, direct_product
+from nlgc.groups import FactorSystem, alternating, cyclic
 from nlgc.protocol import (build_M, check_M_unitary, fourier_basis, random_states,
                            simulate_protocol, validate_unbiased)
-from nlgc.representations import pauli_projective_rep, regular_representation
+from nlgc.representations import pauli_projective_rep
 from nlgc.schmidt import BipartiteUnitary
 
 CNOT = np.array([[1, 0, 0, 0],
@@ -18,25 +19,16 @@ CNOT = np.array([[1, 0, 0, 0],
 SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
-def twisted_regular(group, factor):
-    """R(f)[g, gf] = mu(g, f): the regular representation twisted by a factor
-    system, the dense reference that build_M forms without."""
-    n = group.order
-    mats = np.zeros((n, n, n), dtype=complex)
-    f, g = np.indices((n, n))
-    mats[f, g, group.table[g, f]] = factor.phases[g, f]
-    return mats
-
-
 def test_shift_representation_of_c2_is_identity_and_flip():
-    shifts = regular_representation(cyclic(2)).matrices
+    shifts = dense_regular(cyclic(2))
     np.testing.assert_allclose(shifts[0], np.eye(2), atol=1e-12)
     np.testing.assert_allclose(shifts[1], np.array([[0, 1], [1, 0]]), atol=1e-12)
 
 
 def test_shift_representation_satisfies_the_twisted_product_rule():
-    group, fs, _ = pauli_projective_rep(2)
-    shifts = twisted_regular(group, fs)
+    rep = pauli_projective_rep(2)
+    group, fs = rep.group, rep.factor
+    shifts = dense_regular(group, fs)
     n = group.order
     for f in range(n):
         for g in range(n):
@@ -46,8 +38,8 @@ def test_shift_representation_satisfies_the_twisted_product_rule():
 
 
 def test_shift_representation_is_unitary_for_any_factor():
-    group, fs, _ = pauli_projective_rep(3)
-    for s in twisted_regular(group, fs):
+    rep = pauli_projective_rep(3)
+    for s in dense_regular(rep.group, rep.factor):
         np.testing.assert_allclose(s.conj().T @ s, np.eye(9), atol=1e-10)
 
 
@@ -204,7 +196,7 @@ def _reference_M(group, factor, w_ops):
     """M through the dense regular representation, and whether each of its
     blocks equals mu(g, g^-1 f) W(g^-1 f), checked block by block."""
     n, d = group.order, w_ops.shape[1]
-    m = np.einsum("fgh,fjk->gjhk", twisted_regular(group, factor), w_ops).reshape(n * d, n * d)
+    m = np.einsum("fgh,fjk->gjhk", dense_regular(group, factor), w_ops).reshape(n * d, n * d)
     ok = True
     for g in range(n):
         for f in range(n):
@@ -222,8 +214,11 @@ def _reference_M(group, factor, w_ops):
     ids=["finite", "nan", "inf", "ordinary-finite", "ordinary-nan", "ordinary-inf"])
 def test_build_M_checks_every_projective_translation_block(ordinary, bad):
     # the ordinary case is A4 with the trivial factor, as synthesize_group_gate builds it
-    group, fs = ((alternating(4), FactorSystem.trivial(12)) if ordinary
-                 else pauli_projective_rep(3)[:2])
+    if ordinary:
+        group, fs = alternating(4), FactorSystem.trivial(12)
+    else:
+        rep = pauli_projective_rep(3)
+        group, fs = rep.group, rep.factor
     n = group.order
     rng = np.random.default_rng(2)
     w = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))

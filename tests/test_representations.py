@@ -1,18 +1,19 @@
 """Irrep extraction, orthogonality, and projective representation gauges."""
 import numpy as np
 import pytest
-from conftest import orthogonality_defect
+from conftest import dense_left_translations, dense_regular, orthogonality_defect
 
+from nlgc._linalg import dagger, weyl_operator_basis
 from nlgc.errors import ValidationError
 from nlgc.groups import (FactorSystem, alternating, builtin_catalog, cyclic,
-                         dihedral, direct_product, heisenberg, quaternion,
-                         symmetric)
-from nlgc.representations import (Representation, central_irreps, factor_phases_of,
-                                  gauge_normalize, irrep_dimensions,
-                                  irreps_of, left_translation_ops,
+                         dihedral, heisenberg, quaternion,
+                         quotient_by_central_cyclic, symmetric)
+from nlgc.representations import (REP_TOL, Representation, central_irreps,
+                                  factor_phases_of, gauge_normalize,
+                                  irrep_dimensions, irreps_of,
                                   pauli_projective_rep,
-                                  projective_irreps_from_extension,
-                                  regular_representation)
+                                  projective_irreps_from_extension)
+from nlgc.sbd import finest_sbd
 
 
 def commutant_dim(mats):
@@ -53,7 +54,7 @@ def test_character_of_identity_is_the_dimension():
 
 def test_regular_representation_multiplies_correctly():
     g = dihedral(3)
-    reg = regular_representation(g)
+    reg = Representation(g, FactorSystem.trivial(g.order), dense_regular(g))
     reg.validate()
     assert reg.dim == g.order
     # characters: |G| at the identity, 0 elsewhere
@@ -63,7 +64,8 @@ def test_regular_representation_multiplies_correctly():
 
 
 def test_pauli_rep_is_the_qubit_pauli_family():
-    group, fs, rep = pauli_projective_rep(2)
+    rep = pauli_projective_rep(2)
+    group, fs = rep.group, rep.factor
     rep.validate()
     assert group.order == 4
     fs.validate(group)
@@ -79,9 +81,9 @@ def test_pauli_rep_is_the_qubit_pauli_family():
 
 
 def test_pauli_rep_qutrit_weyl_relations():
-    group, fs, rep = pauli_projective_rep(3)
+    rep = pauli_projective_rep(3)
     rep.validate()
-    assert group.order == 9
+    assert rep.group.order == 9
     assert rep.dim == 3
     assert commutant_dim(list(rep.matrices)) == 1
     # complete operator basis: Tr(P_f^dag P_g) = 3 delta_fg
@@ -106,9 +108,9 @@ def test_projective_irreps_from_d4_over_its_center():
 
 
 def test_factor_phases_read_back_from_matrices():
-    group, fs, rep = pauli_projective_rep(2)
-    mu = factor_phases_of(rep.matrices, group)
-    np.testing.assert_allclose(mu, fs.phases, atol=1e-10)
+    rep = pauli_projective_rep(2)
+    mu = factor_phases_of(rep.matrices, rep.group)
+    np.testing.assert_allclose(mu, rep.factor.phases, atol=1e-10)
 
 
 def _factor_phases_loop(matrices, group):
@@ -124,7 +126,8 @@ def _factor_phases_loop(matrices, group):
 @pytest.mark.parametrize("case", ["pauli-2", "pauli-3", "pauli-5", "A4-3dim", "Heis3-quotient"])
 def test_factor_phases_equal_the_row_loop_bytewise(case):
     if case.startswith("pauli"):
-        group, _, rep = pauli_projective_rep(int(case[-1]))
+        rep = pauli_projective_rep(int(case[-1]))
+        group = rep.group
     elif case == "A4-3dim":
         rep = max(irreps_of(alternating(4)), key=lambda r: r.dim)
         group = rep.group
@@ -144,8 +147,8 @@ def test_factor_phases_equal_the_row_loop_bytewise(case):
 def test_left_translations_commute_with_the_regular_representation(case):
     group = alternating(4)
     n = group.order
-    r = regular_representation(group).matrices
-    l = left_translation_ops(group)
+    r = dense_regular(group)
+    l = dense_left_translations(group)
     assert l.shape == (n, n, n)
     assert np.max(np.abs(l[:, None] @ r[None] - r[None] @ l[:, None])) <= 1e-12
     # n linearly independent operators: the commutant of R has dimension n
@@ -153,7 +156,8 @@ def test_left_translations_commute_with_the_regular_representation(case):
 
 
 def test_gauge_normalize_fixes_inverse_pairs():
-    group, fs, rep = pauli_projective_rep(2)
+    rep = pauli_projective_rep(2)
+    group = rep.group
     rng = np.random.default_rng(0)
     # scramble the gauge with random phases, keep the identity clean
     phases = np.exp(2j * np.pi * rng.random(4))
@@ -188,7 +192,8 @@ def test_heisenberg_extension_gives_qutrit_projective_irrep():
 
 
 def test_gauge_normalize_rejects_a_phase_on_the_identity():
-    group, _, rep = pauli_projective_rep(3)
+    rep = pauli_projective_rep(3)
+    group = rep.group
     matrices = rep.matrices.copy()
     matrices[group.identity] *= np.exp(0.3j)
     with pytest.raises(ValidationError, match="must be 1 on the identity"):
@@ -209,7 +214,8 @@ def test_central_irreps_compare_with_an_absolute_tolerance():
 
 @pytest.mark.parametrize("where", ["identity", "other element"])
 def test_nan_matrices_have_no_factor_system(where):
-    group, _, rep = pauli_projective_rep(2)
+    rep = pauli_projective_rep(2)
+    group = rep.group
     matrices = rep.matrices.copy()
     matrices[0 if where == "identity" else 2, 1, 0] = np.nan
     with pytest.raises(ValidationError):
@@ -219,15 +225,16 @@ def test_nan_matrices_have_no_factor_system(where):
 
 
 def test_representation_validate_rejects_wrong_factor():
-    group, fs, rep = pauli_projective_rep(2)
+    rep = pauli_projective_rep(2)
     with pytest.raises(ValidationError):
-        Representation(group, FactorSystem.trivial(group.order), rep.matrices).validate()
+        Representation(rep.group, FactorSystem.trivial(rep.group.order),
+                       rep.matrices).validate()
 
 
 @pytest.mark.parametrize("where", ["matrices", "one matrix entry", "factor phases"])
 def test_nan_representation_fails_validation(where):
-    group, fs, rep = pauli_projective_rep(2)
-    matrices, phases = rep.matrices.copy(), fs.phases.copy()
+    rep = pauli_projective_rep(2)
+    matrices, phases = rep.matrices.copy(), rep.factor.phases.copy()
     if where == "matrices":
         matrices[:] = np.nan
     elif where == "one matrix entry":
@@ -235,4 +242,76 @@ def test_nan_representation_fails_validation(where):
     else:
         phases[1, 3] = np.nan
     with pytest.raises(ValidationError):
-        Representation(group, FactorSystem(phases), matrices).validate()
+        Representation(rep.group, FactorSystem(phases), matrices).validate()
+
+
+def _dense_irreps(group, seed):
+    """irreps_of's matrices as the dense regular representation gives them:
+    split R on the generators with the left translations as the commutant,
+    then evaluate S†R(f)S with R dense."""
+    r = dense_regular(group)
+    gens = group.generating_set() or [group.identity]
+    bs = finest_sbd(r[gens], tol=REP_TOL, seed=seed, commutant=dense_left_translations(group))
+    slices = bs.block_slices()
+    return [np.einsum("ij,fjk,kl->fil", dagger(s), r, s)
+            for s in (bs.basis_change[:, slices[c.representative]] for c in bs.classes)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 5])
+def test_irreps_equal_the_dense_regular_reference_bitwise(seed):
+    for group in builtin_catalog():
+        dense = _dense_irreps(group, seed)
+        irreps = irreps_of(group, seed=seed)
+        assert len(irreps) == len(dense), group.name
+        for rep, ref in zip(irreps, dense):
+            assert rep.matrices.tobytes() == ref.tobytes(), group.name
+
+
+def _gauge_loop(matrices_list, group):
+    """gauge_normalize as an element-by-element loop over inverse pairs."""
+    mu = factor_phases_of(matrices_list[0], group)
+    c = np.ones(group.order, dtype=complex)
+    for f in range(group.order):
+        g = group.inv(f)
+        if f == group.identity:
+            continue
+        if f == g:
+            c[f] = np.exp(-0.5j * np.angle(mu[f, f]))
+        elif f < g:
+            c[f] = 1.0
+            c[g] = 1.0 / mu[f, g]
+    new_list = [mats * c[:, None, None] for mats in matrices_list]
+    return new_list, factor_phases_of(new_list[0], group)
+
+
+def _extension_inputs():
+    """Every (extension, central z) pair of the catalog, as the central irreps
+    of z on the coset lifts: what gauge_normalize gets from the extensions."""
+    for l in builtin_catalog():
+        if l.is_abelian:
+            continue
+        irreps = irreps_of(l)
+        for z in l.center():
+            if z != l.identity:
+                quotient, lift, _, _ = quotient_by_central_cyclic(l, z)
+                yield (f"{l.name}/{z}", quotient,
+                       [ir.matrices[lift] for ir in central_irreps(irreps, z)])
+
+
+def test_gauge_normalize_equals_the_element_loop_bitwise():
+    cases = list(_extension_inputs())
+    assert len(cases) == 13
+    for name, group, picked in cases:
+        gauged, fs = gauge_normalize(picked, group)
+        looped, mu = _gauge_loop(picked, group)
+        assert fs.phases.tobytes() == mu.tobytes(), name
+        for m, ref in zip(gauged, looped, strict=True):
+            assert m.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_pauli_rep_equals_the_element_loop_bitwise(d):
+    rep = pauli_projective_rep(d)
+    looped, mu = _gauge_loop([weyl_operator_basis(d)], rep.group)
+    assert rep.matrices.tobytes() == looped[0].tobytes()
+    assert rep.factor.phases.tobytes() == mu.tobytes()

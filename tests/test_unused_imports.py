@@ -1,0 +1,35 @@
+"""No module of the package, its tests or its demos imports a name it does not use."""
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+MODULES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement that no expression of the module
+    reads and that __all__ does not list; __future__ imports are exempt."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {elt.value for node in ast.walk(tree)
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for elt in node.value.elts}
+    return sorted(imported - used - exported)
+
+
+def test_the_scan_finds_an_unused_import():
+    source = "import os\nimport nlgc.cli\nfrom x import (a, b as c)\nprint(nlgc, a)\n"
+    assert unused_imports(source) == ["c", "os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
