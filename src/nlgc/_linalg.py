@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularInputError
+from .errors import SingularInputError, ValidationError
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -21,7 +21,21 @@ def unitarity_deviation(m: np.ndarray) -> float:
 
 
 def svd_rank(a: np.ndarray, full: bool = False) -> tuple[int, np.ndarray]:
-    """Numerical rank of a and its right singular vectors (rows of vh)."""
+    """Numerical rank of a and its right singular vectors (rows of vh).
+
+    An (m, n) input with a non-finite entry raises ValidationError. From
+    m >= ⌊17n/9⌋ rows (zgesdd's crossover MNTHR1; dgesdd's, ⌊11n/6⌋, is
+    lower) the economy SVD is taken of the n × n R of a = QR: LAPACK itself
+    factors a that way above the crossover and bidiagonalizes R, so s and vh
+    keep every bit, while Q and the m × n left factor are never formed.
+    Below 1024 entries the extra QR call costs more than that saves, so
+    small systems take the direct SVD, which is exact on either side.
+    """
+    if not np.isfinite(a).all():
+        raise ValidationError("cannot take the SVD of a matrix with a NaN or Inf entry")
+    m, n = a.shape
+    if not full and m >= n * 17 // 9 and m * n >= 1024:
+        a = np.linalg.qr(a, mode="r")
     _, s, vh = np.linalg.svd(a, full_matrices=full)
     return int(np.sum(s > 1e-9 * max(1.0, s[0] if s.size else 0.0))), vh
 

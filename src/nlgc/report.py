@@ -16,7 +16,7 @@ from .errors import ValidationError, json_bool, json_int, json_number, malformed
 from .expansion import GroupExpansion, expansion_claims
 from .groups import FactorSystem, FiniteGroup
 from .representations import Representation
-from .sbd import BlockStructure, EquivalenceClass
+from .sbd import BLOCK_TOL, BlockStructure, EquivalenceClass, _intertwiner
 from .schmidt import BipartiteUnitary, schmidt_decompose
 
 REPORT_FORMAT = "nlgc-report"
@@ -306,7 +306,8 @@ def _structure_consistent(exp: GroupExpansion) -> bool:
     d_A, and X_j = S†(V†A_j)S is block diagonal over the Schmidt terms A_j of
     the report's own unitary. Each class stores one unitary T per member, and
     no other, with T X_rep T† = X_member on the blocks of every X_j; the
-    relation is linear in A_j, so a mixing of tied Schmidt terms keeps it."""
+    relation is linear in A_j, so a mixing of tied Schmidt terms keeps it.
+    No unitary may map the representative of one class onto that of another."""
     bs, va = exp.structure, dagger(exp.v) @ exp.schmidt.a_ops
     if not (unitarity_deviation(bs.basis_change) <= 1e-8
             and _partition_consistent(bs.block_sizes, [c.members for c in bs.classes],
@@ -314,16 +315,17 @@ def _structure_consistent(exp: GroupExpansion) -> bool:
             and bs.off_block_mass(va) <= 1e-6):
         return False
     x, slices = bs.transformed(va), bs.block_slices()
-    for cls in bs.classes:
+    reps = [x[:, slices[c.representative], slices[c.representative]] for c in bs.classes]
+    for cls, rep in zip(bs.classes, reps):
         if sorted(cls.intertwiners) != sorted(cls.members):
             return False
-        rep = x[:, slices[cls.representative], slices[cls.representative]]
         for m, t in cls.intertwiners.items():
             if not (t.shape == rep.shape[1:] == (bs.block_sizes[m],) * 2
                     and unitarity_deviation(t) <= 1e-8
                     and np.max(np.abs(t @ rep @ dagger(t) - x[:, slices[m], slices[m]])) <= 1e-6):
                 return False
-    return True
+    return all(_intertwiner(a, b, BLOCK_TOL) is None
+               for i, a in enumerate(reps) for b in reps[i + 1:] if a.shape == b.shape)
 
 
 def _w_coeffs_consistent(exp: GroupExpansion) -> bool:
@@ -360,7 +362,8 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     the route, which is projective, fallback or, on a group that is not
     projective, ordinary, the block summaries must be consistent with the input
     dimensions, and the stored structure must block-diagonalize V†A_j with
-    one unitary intertwiner per class member; the blocks are not recomputed.
+    one unitary intertwiner per class member and none between two classes;
+    the blocks are not recomputed.
     A group order or identity that disagrees with the table, a group name
     that is not a string, mStatus.unitary or group.projective that is not a
     boolean, or a block size, class member, class dimension or intertwiner

@@ -574,6 +574,13 @@ def _set_intertwiner(member, t):
     return tamper
 
 
+def _split_last_class(structure):
+    # blocks 2 and 3 carry one irrep, so two classes for them claim two
+    last = structure["classes"].pop()
+    structure["classes"] += [{"members": [m], "intertwiners": {str(m): encode_matrix(np.eye(2))}}
+                             for m in last["members"]]
+
+
 # S3's synthesized gate has blocks [1, 1, 2, 2] in classes [[0], [1], [2, 3]]
 CLASS_TAMPERS = {
     "intertwiners x7": _scale_intertwiners,
@@ -584,6 +591,7 @@ CLASS_TAMPERS = {
     "an intertwiner for a block of another class": _set_intertwiner(0, np.eye(1)),
     "a unitary that does not intertwine": _set_intertwiner(3, np.eye(2)),
     "an intertwiner of the wrong size": _set_intertwiner(3, np.eye(3)),
+    "an equivalent class split in two": _split_last_class,
 }
 
 

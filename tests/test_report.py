@@ -8,13 +8,15 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nlgc.errors import ValidationError
-from nlgc.expansion import GroupExpansion, compile_unitary
+from nlgc.expansion import GroupExpansion, compile_unitary, synthesize_group_gate
+from nlgc.groups import alternating
 from nlgc.protocol import random_states, simulate_protocol
 from nlgc.report import (build_report, canonical_json, decode_matrix,
                          encode_matrix, expansion_from_report,
                          matrix_payload, parse_matrix_payload,
                          parse_state_payload, state_payload, verify_report)
 from nlgc.schmidt import BipartiteUnitary
+from test_golden_reports import canonical_report, gate
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
@@ -299,3 +301,12 @@ def test_state_payload_round_trip_checks_dim():
 def test_non_reports_are_rejected():
     with pytest.raises(ValidationError):
         expansion_from_report({"format": "something-else"})
+
+
+@pytest.mark.parametrize("name", ["cnot", "swap", "qutrit-cp", "haar3x3", "haar4x4", "synth-A4"])
+def test_golden_reports_keep_their_classes_inequivalent(name):
+    # verify asks that no unitary maps one class representative onto another:
+    # the golden gates and A4's three 1-dim irreps pass it
+    bu = synthesize_group_gate(alternating(4), seed=3) if name == "synth-A4" else gate(name)
+    ok, checks = verify_report(json.loads(canonical_report(bu)))
+    assert ok and checks["structure"], checks

@@ -196,7 +196,9 @@ def kron_stack_commutant(mats):
     eye = np.eye(d)
     system = np.vstack([np.kron(m, eye) - np.kron(eye, m.T)
                         for m in list(mats) + [m.conj().T for m in mats]])
-    _, s, vh = np.linalg.svd(system, full_matrices=system.shape[0] < system.shape[1])
+    # 2·len(mats)·d² rows: past LAPACK's QR crossover, so the SVD of R has
+    # the stack's own singular values and vh, bit for bit, without its U
+    _, s, vh = np.linalg.svd(np.linalg.qr(system, mode="r"), full_matrices=False)
     return vh[int(np.sum(s > 1e-9 * max(1.0, s[0]))):].conj().T
 
 
