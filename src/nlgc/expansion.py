@@ -123,7 +123,7 @@ def construct_V(a_ops, bs: BlockStructure, tol: float = BLOCK_TOL) -> np.ndarray
             parts[m] = parts[m] @ polar_unitary(acc)
 
     v = np.hstack(parts) @ dagger(s)
-    if frobenius(dagger(v) @ v - np.eye(v.shape[0])) > 100 * tol:
+    if not frobenius(dagger(v) @ v - np.eye(v.shape[0])) <= 100 * tol:
         raise SingularInputError(
             "block column spaces overlap; the operator set does not carry "
             "the claimed block structure")
@@ -176,23 +176,29 @@ def compute_W(v: np.ndarray, a_ops, bs: BlockStructure, irreps, assignment,
     a_ops = np.asarray(a_ops, dtype=complex)
     x = bs.transformed(dagger(v) @ a_ops)
     w_coeffs = np.zeros((len(a_ops), n), dtype=complex)
+    # each class's irrep and representative blocks, zero-padded to one size
+    d_max = max(bs.block_sizes)
+    carried = np.zeros((len(bs.classes), n, d_max, d_max), dtype=complex)
+    blocks = np.zeros((len(bs.classes), len(x), d_max, d_max), dtype=complex)
     for ci, cls in enumerate(bs.classes):
         mats = irreps[assignment[ci]].matrices
         inv_mats = mats[group.inverses]
         rs = slices[cls.representative]
         d_lam = mats.shape[1]
+        size = rs.stop - rs.start
+        carried[ci, :, :d_lam, :d_lam] = mats
+        blocks[ci, :, :size, :size] = x[:, rs, rs]
         for j, xj in enumerate(x):
             w_coeffs[j] += (d_lam / n) * np.einsum("gab,ba->g", inv_mats, xj[rs, rs])
 
-    for ci, cls in enumerate(bs.classes):
-        mats = irreps[assignment[ci]].matrices
-        rs = slices[cls.representative]
-        for j, xj in enumerate(x):
-            recon = np.einsum("g,gab->ab", w_coeffs[j], mats)
-            if frobenius(recon - xj[rs, rs]) > tol * max(1.0, frobenius(xj[rs, rs])):
-                raise InconsistencyError(
-                    "coefficients fail to rebuild the block of class %d for "
-                    "operator %d" % (ci, j))
+    # every (class, operator) block rebuilt at once; padding adds 0 to both norms
+    errors = np.linalg.norm(np.einsum("jg,cgab->cjab", w_coeffs, carried) - blocks, axis=(2, 3))
+    failed = ~(errors <= tol * np.maximum(1.0, np.linalg.norm(blocks, axis=(2, 3))))
+    if failed.any():
+        ci, j = np.argwhere(failed)[0]
+        raise InconsistencyError(
+            "coefficients fail to rebuild the block of class %d for "
+            "operator %d" % (ci, j))
     return w_coeffs
 
 
@@ -271,7 +277,7 @@ def synthesize_group_gate(group: FiniteGroup, seed: int = 0) -> BipartiteUnitary
     m = polar_unitary(build_M(group, trivial, w0))
     e = group.identity
     w = m[e * d_b:(e + 1) * d_b].reshape(d_b, n, d_b).swapaxes(0, 1)
-    if frobenius(build_M(group, trivial, w) - m) > 1e-9 * n * d_b:
+    if not frobenius(build_M(group, trivial, w) - m) <= 1e-9 * n * d_b:
         raise InconsistencyError(
             "polar factor left the translation algebra; the random draw was "
             "too close to singular")

@@ -53,20 +53,38 @@ def decode_matrix(rows, shape: tuple) -> np.ndarray:
 
 
 def _layout(shape: tuple, level: int) -> str:
-    """json.dumps(indent=2)'s layout of an array at this level, a %r per entry."""
+    """json.dumps(indent=2)'s layout of an array at this level, a %s per entry."""
     if not shape or shape[0] == 0:
-        return "[]" if shape else "%r"
+        return "[]" if shape else "%s"
     pad = "\n" + "  " * (level + 1)
     return f"[{pad}{(',' + pad).join([_layout(shape[1:], level + 1)] * shape[0])}\n{'  ' * level}]"
 
 
 def _dump(obj, level: int) -> str:
+    # An integer array fills the layout with str(x), a finite float array
+    # with repr(_round_sig(x)). When every nonzero |x| lies in [1e-300, 1e11)
+    # the %.12g token is that text once .0 is appended to a token with no
+    # '.' or 'e' (adding 0.0 first writes -0.0 as 0.0): 12 digits is below
+    # DBL_DIG = 15, so the shortest round-trip string of float(token) has
+    # the token's digits, and %g and repr both write decimal exponents
+    # -4..11 in fixed notation. Below 1e-300 subnormals lose digits, and
+    # from 1e11 a value can round to 1e12, which %g writes in scientific
+    # notation and repr not before 1e16; such an array parses its tokens
+    # back and writes their repr.
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and np.all(np.isfinite(obj)):   # _round_sig on all entries
-            text = "%.12g " * obj.size % tuple(obj.ravel().tolist())
-            rounded = np.array(text.split(), dtype=float) + 0.0
-            return _layout(obj.shape, level) % tuple(rounded.tolist())
+        if obj.dtype.kind in "iu":
+            return _layout(obj.shape, level) % tuple(obj.ravel().tolist())
+        if obj.dtype.kind == "f" and np.all(np.isfinite(obj)):
+            text = "%.12g " * obj.size % tuple((obj.ravel() + 0.0).tolist())
+            mag = np.abs(obj)
+            if np.all((mag == 0) | (mag >= 1e-300) & (mag < 1e11)):
+                tokens = [t if "." in t or "e" in t else t + ".0" for t in text.split()]
+            else:
+                tokens = [float(t) for t in text.split()]
+            return _layout(obj.shape, level) % tuple(tokens)
         obj = obj.tolist()
+    if type(obj) is int:
+        return str(obj)
     if isinstance(obj, (complex, np.complexfloating)):
         obj = [obj.real, obj.imag]
     if isinstance(obj, dict):
@@ -76,7 +94,7 @@ def _dump(obj, level: int) -> str:
         items = [_dump(v, level + 1) for v in obj]
     elif isinstance(obj, (float, np.floating)):
         return json.dumps(_round_sig(float(obj)))
-    else:           # a bool, an int, a str or None
+    else:           # a bool, a numpy integer, a str or None
         return json.dumps(obj.item() if isinstance(obj, np.generic) else obj)
     pad = "\n" + "  " * (level + 1)
     body = pad + ("," + pad).join(items) + "\n" + "  " * level if items else ""
@@ -197,7 +215,7 @@ def build_report(exp: GroupExpansion, trace=None, meta: dict | None = None,
             "name": exp.group.name,
             "order": exp.group.order,
             "identity": int(exp.group.identity),
-            "table": [[int(x) for x in row] for row in exp.group.table],
+            "table": exp.group.table.copy(),
             "projective": not trivial,
             "factorRootOrder": 1 if trivial else int(factor.root_order),
             "factorPhases": None if trivial else encode_matrix(factor.phases),

@@ -7,12 +7,13 @@ import sys
 import numpy as np
 import pytest
 from conftest import haar_block_gate, uncertified_s4_expansion
+from test_report import reference_json
 
 import nlgc.cli
 from nlgc.cli import main
 from nlgc.expansion import synthesize_group_gate
 from nlgc.groups import FiniteGroup, cyclic, dihedral, save_group_file, symmetric
-from nlgc.report import (canonical_json, decode_matrix, encode_matrix,
+from nlgc.report import (build_report, canonical_json, decode_matrix, encode_matrix,
                          matrix_payload, state_payload)
 from nlgc.schmidt import BipartiteUnitary
 
@@ -51,6 +52,22 @@ def test_compile_writes_a_valid_report(cnot_file, tmp_path, capsys):
     assert rep["group"]["name"] == "C2"
     assert rep["costs"]["costEbits"] == 1.0
     assert rep["protocol"]["deterministic"] is True
+
+
+def test_compile_writes_what_json_dumps_wrote(cnot_file, tmp_path, monkeypatch):
+    # meta holds an int, a float, a bool and a str scalar; the group table an int array
+    built = []
+
+    def capturing(*args, **kwargs):
+        built.append(build_report(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(nlgc.cli, "build_report", capturing)
+    out = tmp_path / "report.json"
+    assert main(["compile", cnot_file, "--out", str(out), "--seed", "3"]) == 0
+    (report,) = built
+    assert {type(v) for v in report["meta"].values()} == {int, float, bool, str}
+    assert out.read_text() == reference_json(report)
 
 
 def test_compile_stdout_is_byte_stable(cnot_file, capsys):

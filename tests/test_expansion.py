@@ -7,8 +7,8 @@ from conftest import dense_regular, haar_block_gate, uncertified_s4_expansion
 
 import nlgc.expansion
 from nlgc.errors import InconsistencyError, SingularInputError
-from nlgc.expansion import (DOUBLE, GroupExpansion, classify, compile_unitary, construct_V,
-                            synthesize_group_gate)
+from nlgc.expansion import (DOUBLE, GroupExpansion, classify, compile_unitary, compute_W,
+                            construct_V, synthesize_group_gate)
 from nlgc.groups import FiniteGroup, alternating, cyclic, dihedral, symmetric
 from nlgc.representations import irreps_of
 from nlgc.schmidt import BipartiteUnitary
@@ -62,6 +62,43 @@ def test_construct_v_rejects_rank_deficient_blocks():
     a_ops = [np.sqrt(2) * np.diag([1.0, 0.0]).astype(complex)]
     with pytest.raises(SingularInputError):
         construct_V(a_ops, trivial_structure([1, 1]))
+
+
+def test_construct_v_fails_closed_on_a_nan(monkeypatch):
+    # gram_schmidt drops a NaN column and the polar SVD raises on one, so
+    # no argument carries a NaN to the unitarity check: a patched helper does
+    monkeypatch.setattr(nlgc.expansion, "gram_schmidt",
+                        lambda cols, expected_rank: np.full((len(cols), expected_rank), np.nan))
+    a_ops = [np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)]
+    with pytest.raises(SingularInputError, match="overlap"):
+        construct_V(a_ops, trivial_structure([1, 1]))
+
+
+# X_0 = diag(1, 0), X_1 = diag(1, 1) on two 1x1 classes of C2
+C2_A_OPS = np.array([np.diag([1.0, 0.0]), np.eye(2)], dtype=complex)
+
+
+def test_compute_w_rebuilds_every_block_of_a_consistent_assignment():
+    irreps = irreps_of(cyclic(2))
+    coeffs = compute_W(np.eye(2, dtype=complex), C2_A_OPS, trivial_structure([1, 1]),
+                       irreps, [0, 1])
+    rebuilt = [np.einsum("jg,g->j", coeffs, irreps[k].matrices[:, 0, 0]) for k in (0, 1)]
+    np.testing.assert_allclose(np.array(rebuilt).T, [[1, 0], [1, 1]], atol=1e-12)
+
+
+def test_compute_w_fails_closed_on_a_nan_in_v():
+    v = np.eye(2, dtype=complex)
+    v[1, 0] = np.nan
+    with pytest.raises(InconsistencyError, match="class 0 for operator 0"):
+        compute_W(v, C2_A_OPS, trivial_structure([1, 1]), irreps_of(cyclic(2)), [0, 1])
+
+
+def test_compute_w_names_the_first_failure_class_by_class():
+    # one irrep for both classes rebuilds X_j[0] + X_j[1] on each block: class
+    # 0 fails for operator 1 only, class 1 for both; the class comes first
+    with pytest.raises(InconsistencyError, match="class 0 for operator 1$"):
+        compute_W(np.eye(2, dtype=complex), C2_A_OPS, trivial_structure([1, 1]),
+                  irreps_of(cyclic(2)), [0, 0])
 
 
 def test_cnot_expansion_in_full():
@@ -243,6 +280,15 @@ def test_synthesized_gates_recompile_to_their_group():
         assert exp.group.order <= group.order
         assert exp.residual < 1e-8
         assert exp.m_unitary
+
+
+def test_synthesize_group_gate_fails_closed_on_a_nan(monkeypatch):
+    # build_M rejects a NaN W(f), so the NaN sits outside the identity block
+    # row that W is read from; no seed draws one, so a patched helper does
+    monkeypatch.setattr(nlgc.expansion, "polar_unitary",
+                        lambda m: np.vstack([m[:-1], np.full((1, len(m)), np.nan)]))
+    with pytest.raises(InconsistencyError, match="translation algebra"):
+        synthesize_group_gate(cyclic(3), seed=1)
 
 
 def test_classify_runs_on_rebuilt_expansions():

@@ -16,7 +16,7 @@ from nlgc.report import (build_report, canonical_json, decode_matrix,
                          matrix_payload, parse_matrix_payload,
                          parse_state_payload, state_payload, verify_report)
 from nlgc.schmidt import BipartiteUnitary
-from test_golden_reports import canonical_report, gate
+from test_golden_reports import GATES, canonical_report, gate
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
@@ -95,10 +95,13 @@ def reference_json(obj) -> str:
 
 
 # zeros, integral values, subnormals, the magnitudes where %.12g and repr
-# spell a float differently, and non-finite values
+# spell a float differently, the bounds of the single-conversion range
+# [1e-300, 1e11) on either side, and non-finite values
 EDGE_VALUES = [0.0, -0.0, 1.0, -7.0, 1e10, 99999999999.99, 5e-324, 2.2e-308, 1e-301,
-               1e-300, 1e-5, 9.99999999999995e-5, 1e11, 999999999999.5, 123456789012345.0,
-               1e16, -1e16, float("nan"), float("inf"), float("-inf")]
+               1e-300, float(np.nextafter(1e-300, 0)), 1e-5, 9.99999999999995e-5,
+               float(np.nextafter(1e11, 0)), 0.99999999999995, 1e11, 123456789012.0,
+               999999999999.5, 123456789012345.0, 1e16, -1e16,
+               float("nan"), float("inf"), float("-inf")]
 EDGE_FLOATS = st.sampled_from(EDGE_VALUES)
 FLOATS = st.floats(width=64) | st.floats(-1e11, 1e11) | EDGE_FLOATS
 ARRAYS = hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3),
@@ -137,8 +140,45 @@ def test_canonical_json_indents_complex_scalars_and_keeps_edge_spellings():
     for spelling in ("5e-324", "1e+16", "NaN", "\\u00e9", '"e": []', '"d": {}'):
         assert spelling in text, spelling
     for edge in EDGE_VALUES:
-        for a in (np.array(edge), np.array([[0.5, edge], [-2.0, 3.0]])):
+        for a in (np.array(edge), np.array([[0.5, edge], [-2.0, 3.0]]),
+                  np.array([edge, -0.0, 2.5e-7])):
             assert canonical_json(a) == reference_json(a), edge
+    assert canonical_json(np.array([-0.0, 3.0, -1e-5])) == "[\n  0.0,\n  3.0,\n  -1e-05\n]\n"
+
+
+@pytest.mark.parametrize("a", [
+    np.array([2 ** 63 - 1, -(2 ** 63 - 1), 0, -1], dtype=np.int64),
+    np.array([[2 ** 63, 2 ** 64 - 1], [2 ** 63 + 7, 1]], dtype=np.uint64),
+    np.array(-5, dtype=np.int64), np.array(9, dtype=np.uint8),
+    np.zeros(0, dtype=np.int64), np.zeros((2, 0, 3), dtype=np.int32),
+    np.arange(24, dtype=np.int16).reshape(2, 3, 4) - 12,
+], ids=["int64-extremes", "uint64-above-2**63", "0d-int64", "0d-uint8", "empty",
+        "empty-inner", "int16-3d"])
+def test_integer_arrays_are_written_as_json_ints(a):
+    doc = {"a": a, "nested": [a, {"b": a}], "n": 3, "flag": True}
+    assert canonical_json(doc) == reference_json(doc)
+
+
+def test_doubles_of_every_exponent_are_written_as_before():
+    # random bit patterns give every exponent equally often, subnormals included
+    bits = np.random.default_rng(21).integers(0, 2 ** 64, size=100_000, dtype=np.uint64)
+    a = bits.view(float)
+    a = a[np.isfinite(a)]
+    mag = np.abs(a)
+    in_range = a[(mag == 0) | (mag >= 1e-300) & (mag < 1e11)]
+    assert len(in_range) > len(a) // 3
+    for doc in (a, in_range, in_range[:1000].reshape(10, 5, 20), np.round(in_range, 2)):
+        assert canonical_json(doc) == reference_json(doc)
+
+
+@pytest.mark.parametrize("name", sorted(GATES))
+def test_golden_reports_are_written_as_json_dumps_wrote_them(name):
+    bu = gate(name)
+    exp = compile_unitary(bu)
+    psi = random_states(exp.unitary.dim, 1, seed=0)[0]
+    report = build_report(exp, simulate_protocol(exp, psi), meta={"seed": 0, "tol": 1e-9},
+                          original=bu)
+    assert canonical_json(report) == reference_json(report)
 
 
 def test_reports_are_byte_identical_across_runs():
