@@ -309,15 +309,19 @@ def _finest_structure(bu: BipartiteUnitary, block_tol: float,
     return dec, finest_sbd(gram_set(dec), tol=block_tol, seed=seed)
 
 
-def _side_stream(label: str, bs: BlockStructure, d: int, index: CatalogIndex,
+def _side_stream(label: str, bs: BlockStructure, index: CatalogIndex,
                  allow_projective: bool, warnings: list):
     """((order, is fallback, side), candidate) pairs of one side, cheapest
     first: a start marker at the side's floor, then the search's candidates,
-    then the fallback at order d²; the marker and the fallback carry None."""
+    then the generalized shift-and-phase fallback over C_d x C_d at order d²,
+    d = bs.dim. The fallback follows a marker of its own key, so it is built
+    only when the merge reaches it; markers carry None."""
     yield (search_floor(bs), False, label), None
-    for cand in search_group(bs, d, index, allow_projective, warning_sink=warnings):
+    for cand in search_group(bs, index, allow_projective, warning_sink=warnings):
         yield (cand.order, False, label), cand
-    yield (d * d, True, label), None
+    yield (bs.dim ** 2, True, label), None
+    yield (bs.dim ** 2, True, label), SearchCandidate(
+        [pauli_projective_rep(bs.dim)], [0], trivial_structure([bs.dim]), "fallback")
 
 
 def _build(cand: SearchCandidate, dec: SchmidtDecomposition, side: str, warnings,
@@ -379,20 +383,17 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
     finest = {label: _finest_structure(bu, block_tol, seed)
               for label, bu in (("A", u), ("B", u.swapped()))}
     warnings = {label: [] for label in (["A", "B"] if side == "both" else [side])}
-    streams = [_side_stream(label, finest[label][1], finest[label][0].unitary.dim_a, index,
-                            allow_projective, sink) for label, sink in warnings.items()]
+    streams = [_side_stream(label, finest[label][1], index, allow_projective, sink)
+               for label, sink in warnings.items()]
     for (order, fallback, label), cand in heapq.merge(*streams, key=lambda item: item[0]):
-        if cand is None and not fallback:
-            continue    # a start marker: the merge runs that side's search from here
+        if cand is None:
+            continue    # a marker: the merge runs that side's search or builds its fallback
         dec = finest[label][0]
         if fallback:
             for other in warnings:  # a side not searched yet adds its first step's warnings
                 if search_floor(finest[other][1]) > order:
-                    next(search_group(finest[other][1], finest[other][0].unitary.dim_a,
-                                      index, allow_projective, warnings[other]), None)
-            d_a = dec.unitary.dim_a
-            rep = pauli_projective_rep(d_a)
-            cand = SearchCandidate(rep.group, [rep], [0], trivial_structure([d_a]), "fallback")
+                    next(search_group(finest[other][1], index, allow_projective,
+                                      warnings[other]), None)
         inherited = itertools.chain(*warnings.values()) if fallback else warnings[label]
         try:
             exp = _build(cand, dec, label, inherited, tol, block_tol)

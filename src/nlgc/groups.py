@@ -164,21 +164,26 @@ class FiniteGroup:
 
 @dataclass
 class FactorSystem:
-    """Unit-modulus two-cocycle mu(f, g) attached to a group.
-
-    root_order r > 0 means every phase is a power of exp(2*pi*i/r);
-    0 means unconstrained.
-    """
+    """Unit-modulus two-cocycle mu(f, g) attached to a group."""
 
     phases: np.ndarray
-    root_order: int = 0
 
     def __post_init__(self):
         self.phases = np.asarray(self.phases, dtype=complex)
 
     @classmethod
     def trivial(cls, order: int) -> "FactorSystem":
-        return cls(np.ones((order, order), dtype=complex), root_order=1)
+        return cls(np.ones((order, order), dtype=complex))
+
+    @property
+    def root_order(self) -> int:
+        """Smallest r <= 256 with every phase within 1e-8 of an r-th root of
+        unity, or 0 when there is none."""
+        for r in range(1, 257):
+            n = np.mod(np.rint(np.angle(self.phases) * r / (2 * np.pi)).astype(int), r)
+            if np.max(np.abs(np.exp(2j * np.pi * n / r) - self.phases)) <= 1e-8:
+                return r
+        return 0
 
     @property
     def is_trivial(self) -> bool:
@@ -203,15 +208,6 @@ class FactorSystem:
         pairs = mu[np.arange(n), group.inverses]
         if not np.max(np.abs(pairs - 1.0)) <= PHASE_TOL:
             raise ValidationError("factor system must be 1 on inverse pairs")
-
-
-def detect_root_order(phases: np.ndarray) -> int:
-    """Smallest r <= 256 with every phase within 1e-8 of an r-th root of unity, or 0."""
-    for r in range(1, 257):
-        n = np.mod(np.rint(np.angle(phases) * r / (2 * np.pi)).astype(int), r)
-        if np.max(np.abs(np.exp(2j * np.pi * n / r) - phases)) <= 1e-8:
-            return r
-    return 0
 
 
 # ---------------------------------------------------------------- constructors

@@ -217,7 +217,7 @@ def build_report(exp: GroupExpansion, trace=None, meta: dict | None = None,
             "identity": int(exp.group.identity),
             "table": exp.group.table.copy(),
             "projective": not trivial,
-            "factorRootOrder": 1 if trivial else int(factor.root_order),
+            "factorRootOrder": 1 if trivial else factor.root_order,
             "factorPhases": None if trivial else encode_matrix(factor.phases),
         },
         "expansion": {
@@ -251,7 +251,8 @@ def expansion_from_report(report: dict) -> GroupExpansion:
 
     The classification witnesses become its details, each decoded with the
     rank it is stored with. A missing or mis-shaped field raises
-    ValidationError.
+    ValidationError, and so do group.projective, factorPhases (null unless
+    projective) and factorRootOrder when the factor phases contradict them.
     """
     if not isinstance(report, dict) or report.get("format") != REPORT_FORMAT:
         raise ValidationError("not a compilation report")
@@ -267,12 +268,17 @@ def expansion_from_report(report: dict) -> GroupExpansion:
             group.order, group.identity):
         raise ValidationError("declared group order or identity does not match the table")
     n, d_a, d_b = group.order, bu.dim_a, bu.dim_b
-    if json_bool(grp["projective"], "group.projective"):
-        factor = FactorSystem(decode_matrix(grp["factorPhases"], (n, n)),
-                              json_int(grp["factorRootOrder"], "factorRootOrder"))
+    projective = json_bool(grp["projective"], "group.projective")
+    if projective:
+        factor = FactorSystem(decode_matrix(grp["factorPhases"], (n, n)))
         factor.validate(group)
+    elif grp["factorPhases"] is not None:
+        raise ValidationError("factorPhases must be null on a group that is not projective")
     else:
         factor = FactorSystem.trivial(n)
+    if (projective, json_int(grp["factorRootOrder"], "factorRootOrder")) != (
+            not factor.is_trivial, factor.root_order):
+        raise ValidationError("group.projective or factorRootOrder contradicts the factor phases")
     u_rep = Representation(group, factor, decode_matrix(exp_data["uOps"], (n, d_a, d_a)))
     u_rep.validate()
     return GroupExpansion(
@@ -377,15 +383,17 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     against the stored values, as it does the Schmidt rank and coefficients
     of the report's own unitary. V and M must be unitary, the W coefficients
     must rebuild wOps from the Schmidt terms, the fallback flag must match
-    the route, which is projective, fallback or, on a group that is not
-    projective, ordinary, the block summaries must be consistent with the input
+    the route, which is projective, ordinary on a group that is not
+    projective, or fallback with |G| = d_A² and V = I exactly, as compiling
+    writes it, the block summaries must be consistent with the input
     dimensions, and the stored structure must block-diagonalize V†A_j with
     one unitary intertwiner per class member and none between two classes;
     the blocks are not recomputed.
-    A group order or identity that disagrees with the table, a group name
-    that is not a string, mStatus.unitary or group.projective that is not a
-    boolean, or a block size, class member, class dimension or intertwiner
-    key that is not an integer raises ValidationError.
+    A group order or identity that disagrees with the table, factor claims
+    that the factor phases contradict, a group name that is not a string,
+    mStatus.unitary or group.projective that is not a boolean, or a block
+    size, class member, class dimension or intertwiner key that is not an
+    integer raises ValidationError.
     """
     checks: dict[str, bool] = {}
     exp = expansion_from_report(report)
@@ -393,8 +401,10 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     stored_norm = json_number(report["input"]["frobeniusNorm"], "frobeniusNorm")
     stored_rank = json_int(report["schmidt"]["rank"], "schmidt.rank")
     stored_savings = json_number(report["costs"]["savingsEbits"], "savingsEbits")
-    route_ok = exp.route in ("projective", "fallback") or (
-        exp.route == "ordinary" and not report["group"]["projective"])
+    route_ok = exp.route == "projective" or (
+        exp.route == "ordinary" and exp.factor.is_trivial) or (
+        exp.route == "fallback" and exp.group.order == exp.v.size     # d_A²
+        and np.array_equal(exp.v, np.eye(len(exp.v))))
     checks["fallbackFlag"] = bool(report["expansion"]["fallback"] is exp.fallback and route_ok)
     checks["blocks"] = _blocks_consistent(exp.blocks, {
         "A": int(report["input"]["dimA"]), "B": int(report["input"]["dimB"])})

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistencyError, ValidationError
-from .groups import (FactorSystem, FiniteGroup, detect_root_order,
-                     quotient_by_central_cyclic)
+from .groups import FactorSystem, FiniteGroup, quotient_by_central_cyclic
 from .sbd import finest_sbd
 
 REP_TOL = 1e-8      # block tolerance of the irrep split, unit modulus of read-off phases
@@ -119,8 +118,7 @@ def gauge_normalize(matrices_list: list[np.ndarray],
     c = np.where(inv == f, np.exp(-0.5j * np.angle(mu[f, f])), c)
     c[group.identity] = 1.0
     new_list = [mats * c[:, None, None] for mats in matrices_list]
-    new_mu = factor_phases_of(new_list[0], group)
-    fs = FactorSystem(new_mu, root_order=detect_root_order(new_mu))
+    fs = FactorSystem(factor_phases_of(new_list[0], group))
     fs.validate(group)
     return new_list, fs
 

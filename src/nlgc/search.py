@@ -24,14 +24,18 @@ class SearchCandidate:
     """One (group, factor system, irrep assignment) proposal.
 
     assignment[i] indexes into irreps for the i-th equivalence class of
-    structure; route records how the candidate was found.
+    structure; route records how the candidate was found. The irreps carry
+    the group and its factor system.
     """
 
-    group: FiniteGroup
     irreps: list[Representation]
     assignment: list[int]
     structure: BlockStructure
-    route: str                       # "ordinary" | "projective"
+    route: str                       # "ordinary" | "projective" | "fallback"
+
+    @property
+    def group(self) -> FiniteGroup:
+        return self.irreps[0].group
 
     @property
     def factor(self):
@@ -63,30 +67,17 @@ def trivial_structure(dims: list[int]) -> BlockStructure:
     return BlockStructure(np.eye(total, dtype=complex), list(dims), classes)
 
 
-def _plan_cost(structure: BlockStructure, plan: list[list[int]]) -> int:
-    """Dimension-square sum of the classes the plan produces."""
-    sizes = structure.block_sizes
-    absorbed = {b for part in plan for b in part if len(part) > 1}
-    total = 0
-    for cls in structure.classes:
-        if any(m not in absorbed for m in cls.members):
-            total += sizes[cls.representative] ** 2
-    for part in plan:
-        if len(part) > 1:
-            total += sum(sizes[b] for b in part) ** 2
-    return total
-
-
 def search_floor(structure: BlockStructure) -> int:
     """Σ (class dim)², the finest plan's cost: no candidate has a smaller order."""
     return sum(d * d for d in structure.class_dims())
 
 
-def merge_plans(structure: BlockStructure) -> list[tuple[int, list[list[int]]]]:
-    """(cost, plan) pairs sorted by cost then by fineness.
-
-    Enumerates every partition of the block list up to MERGE_ENUMERATION_CAP
-    blocks; beyond that only the finest and the fully merged plans are kept.
+def merge_plans(structure: BlockStructure) -> list[tuple[int, list[list[int]], BlockStructure]]:
+    """(cost, plan, merge_blocks(structure, plan)) triples, each plan merged
+    once, its cost the merged structure's search_floor, sorted by cost, then
+    fineness, then parts. Enumerates every partition of the block list up to
+    MERGE_ENUMERATION_CAP blocks; beyond that only the finest and the fully
+    merged plans are kept.
     """
     n = len(structure.block_sizes)
     if n <= MERGE_ENUMERATION_CAP:
@@ -96,10 +87,11 @@ def merge_plans(structure: BlockStructure) -> list[tuple[int, list[list[int]]]]:
     keyed = []
     for plan in plans:
         parts = sorted([sorted(p) for p in plan], key=lambda p: p[0])
-        keyed.append((_plan_cost(structure, parts), -len(parts),
-                      tuple(tuple(p) for p in parts), parts))
+        merged = merge_blocks(structure, parts)
+        keyed.append((search_floor(merged), -len(parts),
+                      tuple(tuple(p) for p in parts), parts, merged))
     keyed.sort(key=lambda t: t[:3])
-    return [(cost, parts) for cost, _, _, parts in keyed]
+    return [(cost, parts, merged) for cost, _, _, parts, merged in keyed]
 
 
 def _merge_warnings(into: list[str], *messages: str) -> None:
@@ -132,12 +124,13 @@ class CatalogIndex:
     """A group catalog grouped by order in search order, with memoized irreps.
 
     catalog holds FiniteGroup objects and catalog_recipe (order, make)
-    entries, by default catalog_recipe(); a group's position is its place
-    there. The orders present are known at once; the groups of an order are
-    built, validated and sorted the first time groups(order) asks. The
-    ordinary irreps of a group, and the projective irreps of the quotient
-    of an extension l by a central z, are likewise computed on first use.
-    Nothing outlives the index: build one per compile.
+    entries, by default catalog_recipe(); a group's position there breaks
+    ties in the search order. The orders present are known at once; the
+    groups of an order are built, validated and sorted the first time
+    groups(order) asks. The ordinary irreps of a group, and the projective
+    irreps of the quotient of an extension l by a central z, are likewise
+    computed on first use, keyed by the group object. Nothing outlives the
+    index: build one per compile.
     """
 
     def __init__(self, catalog=None, seed: int = 0):
@@ -147,86 +140,83 @@ class CatalogIndex:
             order, make = _built(entry) if isinstance(entry, FiniteGroup) else entry
             self._makers.setdefault(order, []).append((idx, make))
         self.orders = frozenset(self._makers)
-        self._by_order: dict[int, list[tuple[int, FiniteGroup]]] = {}
-        self._groups: dict[int, FiniteGroup] = {}
-        self._ordinary: dict[int, list[Representation]] = {}
-        self._projective: dict[tuple[int, int], tuple] = {}
+        self._by_order: dict[int, list[FiniteGroup]] = {}
+        self._ordinary: dict[FiniteGroup, list[Representation]] = {}
+        self._projective: dict[tuple[FiniteGroup, int], tuple] = {}
 
-    def groups(self, order: int) -> list[tuple[int, FiniteGroup]]:
-        """(catalog position, group) pairs of this order in search order,
-        built on the first request; empty when the catalog has none."""
+    def groups(self, order: int) -> list[FiniteGroup]:
+        """The groups of this order in search order, built on the first
+        request; empty when the catalog has none."""
         if order not in self._by_order:
-            built = [(idx, make()) for idx, make in self._makers.get(order, [])]
-            self._groups.update(built)
-            self._by_order[order] = sorted(built, key=lambda t: _group_sort_key(*t))
+            built = sorted(((idx, make()) for idx, make in self._makers.get(order, [])),
+                           key=lambda t: _group_sort_key(*t))
+            self._by_order[order] = [g for _, g in built]
         return self._by_order[order]
 
-    def irreps(self, idx: int) -> list[Representation]:
-        """Ordinary irreps of the catalog group at position idx, once its
-        order has been built."""
-        if idx not in self._ordinary:
-            self._ordinary[idx] = irreps_of(self._groups[idx], seed=self.seed)
-        return self._ordinary[idx]
+    def irreps(self, g: FiniteGroup) -> list[Representation]:
+        """Ordinary irreps of a group."""
+        if g not in self._ordinary:
+            self._ordinary[g] = irreps_of(g, seed=self.seed)
+        return self._ordinary[g]
 
-    def projective(self, idx: int, z: int):
-        """(quotient, irreps) of l/<z>, l the catalog group at position idx,
-        in the standard gauge; the quotient is named after the first
-        isomorphic catalog group of its order."""
-        if (idx, z) not in self._projective:
-            quotient, irreps = projective_irreps_from_extension(self.irreps(idx), z)
-            for _, known in self.groups(quotient.order):
+    def projective(self, l: FiniteGroup, z: int):
+        """(quotient, irreps) of l/<z> in the standard gauge; the quotient is
+        named after the first isomorphic catalog group of its order."""
+        if (l, z) not in self._projective:
+            quotient, irreps = projective_irreps_from_extension(self.irreps(l), z)
+            for known in self.groups(quotient.order):
                 if are_isomorphic(quotient, known):
                     quotient.name = known.name
                     break
-            self._projective[idx, z] = quotient, irreps
-        return self._projective[idx, z]
+            self._projective[l, z] = quotient, irreps
+        return self._projective[l, z]
 
 
-def search_group(structure: BlockStructure, d_a: int, index: CatalogIndex,
+def search_group(structure: BlockStructure, index: CatalogIndex,
                  allow_projective: bool = True, warning_sink: list | None = None):
     """Yield SearchCandidate objects in ascending order of group order.
 
     The class dimensions of structure, the finest block structure, are the
     irrep dimensions a candidate must supply; its block-level detail drives
-    the merge plans, listed once the order passes the finest plan's cost.
-    Ordinary candidates precede projective ones at equal order; merged plans
-    participate once the order reaches their dimension-square sum. Any class
+    the merge plans, merged once when the order first passes the finest
+    plan's cost. Ordinary candidates precede projective ones at equal order;
+    merged plans participate once the order reaches their cost. Any class
     of dimension 1 forces an ordinary representation for that plan, and a
     non-abelian extension is filled only if its irreps at z cover the classes.
-    Orders run from search_floor(structure) to d_a², the fallback's order,
-    which compile_unitary ranks after them; warning_sink, when given, collects
-    the catalog-gap warnings, including those found after the last yield.
+    Orders run from search_floor(structure) to d_A², d_A = structure.dim, the
+    fallback's order, which compile_unitary ranks after them; warning_sink,
+    when given, collects the catalog-gap warnings, including those found
+    after the last yield.
     """
     finest = [[b] for b in range(len(structure.block_sizes))]
     n_start = search_floor(structure)
-    plans = [(n_start, finest)]     # any merge costs strictly more
+    plans = [(n_start, finest, merge_blocks(structure, finest))]   # any merge costs more
     warnings: list[str] = warning_sink if warning_sink is not None else []
     seen_projective = set()
-    for n in range(max(n_start, 1), d_a ** 2 + 1):
+    for n in range(max(n_start, 1), structure.dim ** 2 + 1):
         if n not in index.orders:
             _merge_warnings(warnings, f"catalog has no group of order {n}")
         if n == n_start + 1:
             plans = merge_plans(structure)
-        for n0, plan in plans:
+        for n0, plan, merged in plans:
             if n0 > n:
                 break
-            plan_key = tuple(tuple(p) for p in plan)
-            merged = merge_blocks(structure, plan)
             required = merged.class_dims()
             if any(n % d for d in required):
                 continue
 
             # every group also has the trivial irrep: dims >= 2 fit only above n0
-            for idx, g in index.groups(n) if min(required) == 1 or n0 < n else ():
+            for g in index.groups(n) if min(required) == 1 or n0 < n else ():
                 if g.is_abelian and max(required) > 1:
                     continue        # every irrep of an abelian group is 1-dim
-                irreps = index.irreps(idx)
+                irreps = index.irreps(g)
                 assignment = _assign(required, irreps)
                 if assignment is not None:
-                    yield SearchCandidate(g, irreps, assignment, merged, "ordinary")
+                    yield SearchCandidate(irreps, assignment, merged, "ordinary")
 
             if not allow_projective or min(required) < 2:
                 continue
+            plan_key = tuple(tuple(p) for p in plan)
             for r in range(2, n + 1):
                 if n % r:
                     continue
@@ -234,21 +224,20 @@ def search_group(structure: BlockStructure, d_a: int, index: CatalogIndex,
                     _merge_warnings(warnings, f"catalog has no group of order {r * n} "
                                     f"for central extensions over order {n}")
                     continue
-                for idx, l in index.groups(r * n):
+                for l in index.groups(r * n):
                     if l.is_abelian:
                         continue    # its projective irreps are all 1-dim
                     for z in l.center():
                         if l.element_order(z) != r:
                             continue
                         # the projective irreps are these central irreps, in this order
-                        assignment = _assign(required, central_irreps(index.irreps(idx), z))
+                        assignment = _assign(required, central_irreps(index.irreps(l), z))
                         if assignment is None:
                             continue
-                        quotient, irreps = index.projective(idx, z)
+                        quotient, irreps = index.projective(l, z)
                         key = (plan_key, quotient.table.tobytes(),
                                np.round(irreps[0].factor.phases, 10).tobytes())
                         if key in seen_projective:
                             continue
                         seen_projective.add(key)
-                        yield SearchCandidate(quotient, irreps, assignment,
-                                              merged, "projective")
+                        yield SearchCandidate(irreps, assignment, merged, "projective")

@@ -7,12 +7,13 @@ import sys
 import numpy as np
 import pytest
 from conftest import haar_block_gate, uncertified_s4_expansion
-from test_report import reference_json
+from test_report import SWAP, parsed_report, reference_json
 
 import nlgc.cli
 from nlgc.cli import main
 from nlgc.expansion import synthesize_group_gate
-from nlgc.groups import FiniteGroup, cyclic, dihedral, save_group_file, symmetric
+from nlgc.groups import (FiniteGroup, catalog_recipe, cyclic, dihedral, save_group_file,
+                         symmetric)
 from nlgc.report import (build_report, canonical_json, decode_matrix, encode_matrix,
                          matrix_payload, state_payload)
 from nlgc.schmidt import BipartiteUnitary
@@ -52,6 +53,38 @@ def test_compile_writes_a_valid_report(cnot_file, tmp_path, capsys):
     assert rep["group"]["name"] == "C2"
     assert rep["costs"]["costEbits"] == 1.0
     assert rep["protocol"]["deterministic"] is True
+
+
+def test_a_gate_won_by_a_merged_plan_compiles(tmp_path, capsys):
+    # side A's finest blocks [1, 2] cost 5, but S3, Q8 and D4 give no unitary
+    # M; both blocks fused into one 3-block are served by projective C3xC3 at
+    # order 9, where the fallback only ties and would exit 3
+    gate = haar_block_gate(2, [1, 2], 3).swapped()
+    out = tmp_path / "report.json"
+    assert main(["compile", write_gate(tmp_path / "gap.json", gate.matrix, 3, 2),
+                 "--side", "A", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert (rep["group"]["name"], rep["expansion"]["route"]) == ("C3xC3", "projective")
+    assert rep["expansion"]["structure"]["sizes"] == [3]
+    assert rep["blocks"]["A"]["sizes"] == [1, 2]
+
+
+def test_a_max_order_beyond_the_search_reach_builds_no_more_catalog(cnot_file, tmp_path,
+                                                                      monkeypatch):
+    # CNOT's search reaches orders 2² and extensions 2⁴: a larger bound changes
+    # nothing but meta.maxOrder
+    asked = []
+
+    def recording(max_order, extra=None):
+        asked.append(max_order)
+        return catalog_recipe(max_order, extra)
+    monkeypatch.setattr(nlgc.cli, "catalog_recipe", recording)
+    default, large = tmp_path / "default.json", tmp_path / "large.json"
+    assert main(["compile", cnot_file, "--out", str(default)]) == 0
+    assert main(["compile", cnot_file, "--max-order", "4096", "--out", str(large)]) == 0
+    assert '"maxOrder": 4096' in large.read_text()
+    assert large.read_text().replace('"maxOrder": 4096', '"maxOrder": 32') == default.read_text()
+    assert asked == [16, 16]
 
 
 def test_compile_writes_what_json_dumps_wrote(cnot_file, tmp_path, monkeypatch):
@@ -271,6 +304,20 @@ def _report_with_spaced_key(rep):
                         "expansion", "structure", "classes", 0, "intertwiners")
 
 
+def _swap_report_with_root_order(order):
+    rep = parsed_report(SWAP)
+    assert rep["group"]["factorRootOrder"] == 4
+    rep["group"]["factorRootOrder"] = order
+    return json.dumps(rep)
+
+
+def _report_made_projective(rep):
+    """The CNOT report claiming a projective route on trivial factor phases."""
+    rep["group"].update(projective=True, factorPhases=[[[1.0, 0.0]] * 2] * 2)
+    rep["expansion"]["route"] = "projective"
+    return json.dumps(rep)
+
+
 # command ({report} names the fresh CNOT report), and the bad file's
 # contents made from that report
 MALFORMED_FILES = {
@@ -326,6 +373,12 @@ MALFORMED_FILES = {
         rep, [1.0, 1], "blocks", "A", "sizes")),
     "blocks classDims float in a report": ("verify", lambda rep: _report_with(
         rep, [1.0, 1], "blocks", "A", "classDims")),
+    **{f"SWAP factorRootOrder {order} in a report": (
+        "verify", lambda rep, order=order: _swap_report_with_root_order(order))
+       for order in (5, 0, 1, 256)},
+    "projective claim on trivial factor phases": ("verify", _report_made_projective),
+    "factorPhases junk on an ordinary group": ("verify", lambda rep: _report_with(
+        rep, "junk", "group", "factorPhases")),
 }
 
 
@@ -455,6 +508,24 @@ def test_forged_fallback_flag_fails_verification(flags, generic_file, tmp_path, 
     assert code == 4
     assert "fallbackFlag: FAIL" in out
     assert "blocks: ok" in out
+
+
+def test_a_relabelled_fallback_fails_verification(cnot_file, tmp_path, capsys):
+    # flag and route agree, but a fallback is the shift-and-phase expansion
+    # over |G| = d_A² with V = I, and CNOT's expansion is over C2
+    rep = _report(cnot_file, tmp_path)
+    rep["expansion"].update(route="fallback", fallback=True)
+    code, out, _ = _verify(rep, tmp_path, capsys)
+    assert code == 4
+    assert [line for line in out.splitlines() if "FAIL" in line] == ["fallbackFlag: FAIL"]
+
+
+def test_a_compiled_fallback_verifies(tmp_path, capsys):
+    haar = haar_block_gate(4, [4], seed=4)
+    rep = _report(write_gate(tmp_path / "haar.json", haar.matrix, 4, 4), tmp_path)
+    assert (rep["expansion"]["route"], rep["group"]["order"]) == ("fallback", 16)
+    code, out, _ = _verify(rep, tmp_path, capsys)
+    assert code == 0 and "fallbackFlag: ok" in out
 
 
 # a field that no longer says what the rest of the report does, with the

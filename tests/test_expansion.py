@@ -7,12 +7,13 @@ from conftest import dense_regular, haar_block_gate, uncertified_s4_expansion
 
 import nlgc.expansion
 from nlgc.errors import InconsistencyError, SingularInputError
-from nlgc.expansion import (DOUBLE, GroupExpansion, classify, compile_unitary, compute_W,
-                            construct_V, synthesize_group_gate)
+from nlgc.expansion import (DOUBLE, NUM_TOL, GroupExpansion, _finest_structure, _side_stream,
+                            classify, compile_unitary, compute_W, construct_V,
+                            synthesize_group_gate)
 from nlgc.groups import FiniteGroup, alternating, cyclic, dihedral, symmetric
 from nlgc.representations import irreps_of
 from nlgc.schmidt import BipartiteUnitary
-from nlgc.search import search_group, trivial_structure
+from nlgc.search import CatalogIndex, search_group, trivial_structure
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
@@ -339,6 +340,20 @@ def test_a_cheaper_fallback_beats_a_costlier_group():
     assert exp.cost_ebits == exp.baseline_ebits == 4.0
     assert exp.residual < 1e-9
     assert exp.warnings[-1].endswith("at the teleportation cost")
+
+
+def test_a_side_stream_ends_with_its_fallback_candidate():
+    # the start marker, the search's candidates, then the fallback the stream
+    # builds after the marker of its own key
+    _, bs = _finest_structure(BipartiteUnitary(CNOT, 2, 2), 10 * NUM_TOL, seed=0)
+    (key, marker), *searched, (key2, marker2), (last, fallback) = _side_stream(
+        "A", bs, CatalogIndex(), True, [])
+    assert (key, marker) == ((2, False, "A"), None)
+    assert searched and all(k == (c.order, False, "A") and c.route != "fallback"
+                            for k, c in searched)
+    assert (key2, marker2) == ((4, True, "A"), None) and last == (4, True, "A")
+    assert (fallback.route, fallback.group.name, fallback.assignment) == ("fallback", "C2xC2", [0])
+    assert fallback.structure.block_sizes == [2]
 
 
 def test_a_candidate_whose_M_is_not_unitary_is_rejected():

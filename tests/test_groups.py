@@ -1,5 +1,6 @@
 """Finite group construction, isomorphism testing, catalog hygiene."""
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -247,6 +248,16 @@ def test_nan_factor_system_fails_validation(where):
         phases[1, 2] = np.nan
     with pytest.raises(ValidationError):
         FactorSystem(phases).validate(group)
+
+
+def test_the_root_order_of_a_factor_system_is_read_off_its_phases():
+    # root_order is derived, not stored: a factor system holds its phases only
+    assert [f.name for f in fields(FactorSystem)] == ["phases"]
+    assert FactorSystem.trivial(3).root_order == 1
+    w = np.exp(2j * np.pi / 3)
+    assert FactorSystem(np.array([[1, w], [w * w, 1]])).root_order == 3
+    assert FactorSystem(np.array([[1, -1j], [1j, -1]])).root_order == 4
+    assert FactorSystem(np.array([[1, np.exp(1j)], [1, 1]])).root_order == 0
 
 
 # ------------------------------------------------ reference definitions

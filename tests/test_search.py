@@ -1,15 +1,17 @@
 """Group search ordering, merge plans, and candidate integrity."""
 import functools
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import nlgc.search
 from nlgc.groups import builtin_catalog, catalog_recipe, cyclic
 from nlgc.representations import irreps_of
 from nlgc.sbd import BlockStructure, EquivalenceClass, merge_blocks
 from nlgc.search import (CatalogIndex, SearchCandidate, _assign, _merge_warnings,
-                         merge_plans, search_group, set_partitions,
+                         merge_plans, search_floor, search_group, set_partitions,
                          trivial_structure)
 
 
@@ -47,7 +49,7 @@ def test_merge_plans_cost_ordering():
     # dims {1, 2}: finest plan costs 1 + 4 = 5, full fusion costs 9
     bs = trivial_structure([1, 2])
     plans = merge_plans(bs)
-    costs = [c for c, _ in plans]
+    costs = [c for c, _, _ in plans]
     assert costs == sorted(costs)
     assert costs[0] == 5
     assert costs[-1] == 9
@@ -60,21 +62,76 @@ BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 def test_merge_plans_list_every_partition_once_in_order(n):
     sizes = [1 + k % 3 for k in range(n)]     # unequal sizes give cost ties
     plans = merge_plans(trivial_structure(sizes))
-    keys = [tuple(tuple(part) for part in plan) for _, plan in plans]
+    keys = [tuple(tuple(part) for part in plan) for _, plan, _ in plans]
     assert len(plans) == BELL[n]
     assert len(set(keys)) == len(keys)
-    for cost, plan in plans:
+    for cost, plan, _ in plans:
         assert sorted(b for part in plan for b in part) == list(range(n))
         assert all(part == sorted(part) for part in plan)
         assert [part[0] for part in plan] == sorted(part[0] for part in plan)
         # each block of a trivial structure is its own class
         assert cost == sum(sum(sizes[b] for b in part) ** 2 for part in plan)
-    order = [(cost, -len(plan), key) for (cost, plan), key in zip(plans, keys)]
+    order = [(cost, -len(plan), key) for (cost, plan, _), key in zip(plans, keys)]
     assert order == sorted(order)
 
 
+def test_merge_plans_carry_each_merged_structure_at_its_floor():
+    # two equivalent 2-blocks: a plan that fuses one of them keeps the class
+    # of the other, so the class rule of merge_blocks decides the cost
+    structure = _two_equivalent_blocks()
+    sizes = structure.block_sizes
+    plans = merge_plans(structure)
+    assert len(plans) == 5
+    for cost, plan, merged in plans:
+        fused = [part for part in plan if len(part) > 1]
+        absorbed = {b for part in fused for b in part}
+        kept = [c for c in structure.classes if any(m not in absorbed for m in c.members)]
+        assert cost == search_floor(merged) == (
+            sum(sizes[c.representative] ** 2 for c in kept)
+            + sum(sum(sizes[b] for b in part) ** 2 for part in fused))
+        assert merged.block_sizes == merge_blocks(structure, plan).block_sizes
+
+
+def test_a_search_walk_merges_each_plan_once(monkeypatch):
+    # the finest plan when the walk starts, then every plan of merge_plans
+    # once, when the order first passes the floor; no order merges again
+    structure = trivial_structure([1, 2])
+    n_plans = len(merge_plans(structure))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return merge_blocks(*args)
+    monkeypatch.setattr(nlgc.search, "merge_blocks", counting)
+    cands = list(search_group(structure, CatalogIndex()))
+    assert {c.structure.block_sizes[0] for c in cands} == {1, 3}     # both plans yield
+    assert len(calls) == n_plans + 1
+
+
+def test_a_candidate_reads_its_group_off_its_irreps():
+    assert "group" not in {f.name for f in fields(SearchCandidate)}
+    cands = list(search_group(trivial_structure([1, 2]), CatalogIndex()))
+    assert {c.route for c in cands} == {"ordinary", "projective"}
+    for cand in cands:
+        assert cand.group is cand.irreps[0].group
+        assert cand.factor is cand.irreps[0].factor
+
+
+def test_the_catalog_index_keys_its_memos_by_group():
+    index = CatalogIndex(catalog_recipe(8))
+    groups = index.groups(8)
+    assert [g.name for g in groups] == ["C8", "C2xC2xC2", "C2xC4", "Q8", "D4"]
+    for g in groups:
+        assert index.irreps(g) is index.irreps(g)
+    q8 = groups[3]
+    z = next(z for z in q8.center() if q8.element_order(z) == 2)
+    quotient, irreps = index.projective(q8, z)
+    assert index.projective(q8, z)[1] is irreps
+    assert all(ir.group is quotient for ir in irreps)
+
+
 def test_two_singlet_classes_start_at_order_two():
-    cands = list(search_group(trivial_structure([1, 1]), 2, CatalogIndex(builtin_catalog())))
+    cands = list(search_group(trivial_structure([1, 1]), CatalogIndex(builtin_catalog())))
     assert cands, "search found nothing"
     first = cands[0]
     assert first.order == 2
@@ -87,13 +144,13 @@ def test_two_singlet_classes_start_at_order_two():
 
 
 def test_single_class_dim_one_is_the_trivial_group():
-    cands = list(search_group(trivial_structure([1]), 1, CatalogIndex(builtin_catalog())))
+    cands = list(search_group(trivial_structure([1]), CatalogIndex(builtin_catalog())))
     assert cands[0].order == 1
     assert cands[0].group.name == "C1"
 
 
 def test_single_two_dim_class_needs_a_projective_rep():
-    cands = list(search_group(trivial_structure([2]), 2, CatalogIndex(builtin_catalog())))
+    cands = list(search_group(trivial_structure([2]), CatalogIndex(builtin_catalog())))
     assert cands
     first = cands[0]
     assert first.order == 4
@@ -108,7 +165,7 @@ def test_single_two_dim_class_needs_a_projective_rep():
 
 def test_ordinary_candidates_come_before_projective_at_each_order():
     seen = {}
-    for cand in search_group(trivial_structure([1, 1]), 2, CatalogIndex(builtin_catalog(8))):
+    for cand in search_group(trivial_structure([1, 1]), CatalogIndex(builtin_catalog(8))):
         seen.setdefault(cand.order, []).append(cand.route)
     for order, routes in seen.items():
         if "ordinary" in routes and "projective" in routes:
@@ -116,7 +173,7 @@ def test_ordinary_candidates_come_before_projective_at_each_order():
 
 
 def test_assignments_respect_class_dimensions():
-    for cand in search_group(trivial_structure([1, 2]), 3, CatalogIndex(builtin_catalog(12))):
+    for cand in search_group(trivial_structure([1, 2]), CatalogIndex(builtin_catalog(12))):
         dims = [cand.irreps[i].dim for i in cand.assignment]
         sizes = cand.structure.class_dims()
         assert dims == sizes
@@ -129,7 +186,7 @@ def test_merged_plans_unlock_larger_blocks():
     # projective rep at order 4; the extension group lives at order 8, so
     # the catalog bound must reach that far for the fused plan to appear
     routes = set()
-    for cand in search_group(trivial_structure([1, 1]), 2, CatalogIndex(builtin_catalog(8))):
+    for cand in search_group(trivial_structure([1, 1]), CatalogIndex(builtin_catalog(8))):
         routes.add((cand.order, len(cand.structure.classes), cand.route))
     assert (2, 2, "ordinary") in routes
     assert any(n == 4 and k == 1 and r == "projective" for n, k, r in routes)
@@ -139,7 +196,7 @@ def test_extension_scaffolding_respects_the_catalog_bound():
     # with the catalog capped at order 4 no order-8 extension exists, so the
     # fused projective candidate disappears and a warning marks the gap
     sink = []
-    cands = list(search_group(trivial_structure([1, 1]), 2, CatalogIndex(builtin_catalog(4)),
+    cands = list(search_group(trivial_structure([1, 1]), CatalogIndex(builtin_catalog(4)),
                               warning_sink=sink))
     assert all(c.route == "ordinary" for c in cands)
     assert any("order 8" in w for w in sink)
@@ -148,7 +205,7 @@ def test_extension_scaffolding_respects_the_catalog_bound():
 def test_missing_catalog_order_produces_warning():
     catalog = [cyclic(1), cyclic(2), cyclic(4)]
     sink = []
-    cands = list(search_group(trivial_structure([1, 1, 1]), 2, CatalogIndex(catalog),
+    cands = list(search_group(trivial_structure([1, 1, 1]), CatalogIndex(catalog),
                               allow_projective=False, warning_sink=sink))
     assert cands
     assert cands[0].group.name == "C4"
@@ -157,14 +214,14 @@ def test_missing_catalog_order_produces_warning():
 
 def test_search_exhausts_cleanly_when_nothing_fits():
     catalog = [cyclic(1), cyclic(2)]
-    cands = list(search_group(trivial_structure([2]), 2, CatalogIndex(catalog),
+    cands = list(search_group(trivial_structure([2]), CatalogIndex(catalog),
                               allow_projective=False))
     assert cands == []
 
 
 def test_cost_floor_matches_dimension_squares():
     # required {1, 1, 2} needs at least order 6; S3 fits exactly
-    cands = list(search_group(trivial_structure([1, 1, 2]), 4, CatalogIndex(builtin_catalog(12))))
+    cands = list(search_group(trivial_structure([1, 1, 2]), CatalogIndex(builtin_catalog(12))))
     assert cands
     assert cands[0].order == 6
     assert cands[0].group.name == "S3"
@@ -180,7 +237,7 @@ def _reference_search(structure, d_a, index, allow_projective=True, warning_sink
     for n in range(max(n_start, 1), d_a ** 2 + 1):
         if n not in index.orders:
             _merge_warnings(warnings, f"catalog has no group of order {n}")
-        for n0, plan in plans:
+        for n0, plan, _ in plans:
             if n0 > n:
                 continue
             plan_key = tuple(tuple(p) for p in plan)
@@ -188,13 +245,13 @@ def _reference_search(structure, d_a, index, allow_projective=True, warning_sink
             required = merged.class_dims()
             if any(n % d for d in required):
                 continue
-            for idx, g in index.groups(n):
+            for g in index.groups(n):
                 if g.is_abelian and max(required) > 1:
                     continue
-                irreps = index.irreps(idx)
+                irreps = index.irreps(g)
                 assignment = _assign(required, irreps)
                 if assignment is not None:
-                    yield SearchCandidate(g, irreps, assignment, merged, "ordinary")
+                    yield SearchCandidate(irreps, assignment, merged, "ordinary")
             if not allow_projective or min(required) < 2:
                 continue
             for r in range(2, n + 1):
@@ -204,11 +261,11 @@ def _reference_search(structure, d_a, index, allow_projective=True, warning_sink
                     _merge_warnings(warnings, f"catalog has no group of order {r * n} "
                                     f"for central extensions over order {n}")
                     continue
-                for idx, l in index.groups(r * n):
+                for l in index.groups(r * n):
                     for z in l.center():
                         if l.element_order(z) != r:
                             continue
-                        quotient, irreps = index.projective(idx, z)
+                        quotient, irreps = index.projective(l, z)
                         assignment = _assign(required, irreps)
                         if assignment is None:
                             continue
@@ -217,8 +274,7 @@ def _reference_search(structure, d_a, index, allow_projective=True, warning_sink
                         if key in seen_projective:
                             continue
                         seen_projective.add(key)
-                        yield SearchCandidate(quotient, irreps, assignment,
-                                              merged, "projective")
+                        yield SearchCandidate(irreps, assignment, merged, "projective")
 
 
 def _two_equivalent_blocks():
@@ -257,8 +313,7 @@ def _assert_search_matches_walk(name, setting, index):
     ref_warnings, warnings = [], []
     expected = _trace(_reference_search(structure, structure.dim, ref_index,
                                         allow_projective, ref_warnings))
-    got = _trace(search_group(structure, structure.dim, index, allow_projective,
-                              warnings))
+    got = _trace(search_group(structure, index, allow_projective, warnings))
     assert got == expected
     assert warnings == ref_warnings
 
@@ -280,8 +335,8 @@ def test_lazily_filled_index_yields_what_the_exhaustive_walk_yields(name, settin
 def test_abelian_extensions_give_only_one_dim_projective_irreps():
     index = _indexes(32)[0]
     for order in index.orders:
-        for idx, g in index.groups(order):
+        for g in index.groups(order):
             if g.is_abelian:
                 for z in g.center():
-                    _, irreps = index.projective(idx, z)
+                    _, irreps = index.projective(g, z)
                     assert [ir.dim for ir in irreps] == [1] * (order // g.element_order(z))
