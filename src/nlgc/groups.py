@@ -187,7 +187,7 @@ class FactorSystem:
 
     @property
     def is_trivial(self) -> bool:
-        return bool(np.allclose(self.phases, 1.0, atol=PHASE_TOL))
+        return bool(np.max(np.abs(self.phases - 1.0)) <= PHASE_TOL)    # False on NaN
 
     def validate(self, group: FiniteGroup):
         """Check unit modulus, the cocycle identity, and mu = 1 on the identity
@@ -360,12 +360,16 @@ def _elementary_divisors(factors) -> tuple[int, ...]:
     of cyclic groups are isomorphic exactly when these agree."""
     parts = []
     for n in factors:
-        for p in range(2, n + 1):    # smaller primes are divided out before a composite p
+        p = 2
+        while p * p <= n:    # smaller primes are divided out before a composite p
             q = 1
             while n % p == 0:
                 n, q = n // p, q * p
             if q > 1:
                 parts.append(q)
+            p += 1
+        if n > 1:            # no prime below its square root is left: n is prime
+            parts.append(n)
     return tuple(sorted(parts))
 
 

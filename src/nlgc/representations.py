@@ -12,9 +12,10 @@ import numpy as np
 
 from .errors import InconsistencyError, ValidationError
 from .groups import FactorSystem, FiniteGroup, quotient_by_central_cyclic
-from .sbd import finest_sbd
+from .sbd import _finest_split
 
 REP_TOL = 1e-8      # block tolerance of the irrep split, unit modulus of read-off phases
+CHAR_TOL = 1e-6     # equal characters; those of inequivalent irreps differ by >= sqrt(2) somewhere
 
 
 @dataclass
@@ -33,14 +34,16 @@ class Representation:
         return np.einsum("fii->f", self.matrices)
 
     def multiplication_defect(self) -> float:
-        """Largest deviation from the twisted multiplication law; NaN propagates."""
+        """Largest deviation from the twisted multiplication law, every U(f)U(g)
+        from one (|G|·d, d) @ (d, |G|·d) product; NaN propagates."""
         m = self.matrices
-        products = np.einsum("fij,gjk->fgik", m, m)
-        return float(np.max(np.abs(
-            products - self.factor.phases[:, :, None, None] * m[self.group.table])))
+        n, d, _ = m.shape
+        products = (m.reshape(n * d, d) @ m.transpose(1, 0, 2).reshape(d, n * d)).reshape(n, d, n, d)
+        targets = self.factor.phases[:, :, None, None] * m[self.group.table]
+        return float(np.max(np.abs(products - targets.transpose(0, 2, 1, 3))))
 
     def unitarity_defect(self) -> float:
-        grams = np.einsum("fji,fjk->fik", self.matrices.conj(), self.matrices)
+        grams = self.matrices.conj().transpose(0, 2, 1) @ self.matrices
         return float(np.max(np.abs(grams - np.eye(self.dim))))
 
     def validate(self, tol: float = 1e-8):
@@ -55,8 +58,12 @@ def irreps_of(group: FiniteGroup, seed: int = 0) -> list[Representation]:
 
     Splits the regular representation R(f)|g> = |gf> restricted to a
     generating set, with the left translations L(h)|g> = |hg> as the basis
-    of its commutant, classifies the resulting blocks, and keeps one
-    representative S per class evaluated on every group element as
+    of its commutant, and groups the resulting irreducible blocks by their
+    characters: blocks whose characters agree within CHAR_TOL are
+    equivalent. Classes keep the order of their first block and are sorted
+    by size, as classify_equivalence sorts them (an irrep of dimension n
+    fills n blocks, so no two classes of one size differ in length). Each
+    class's first block S is evaluated on every group element as
     (S†R(f)S)[i, l] = sum_g conj S[g, i] S[gf, l]. All of these are read off
     the group table. The squared dimensions sum to the group order and the
     count matches the conjugacy classes.
@@ -64,15 +71,22 @@ def irreps_of(group: FiniteGroup, seed: int = 0) -> list[Representation]:
     table = group.table
     eye = np.eye(group.order, dtype=complex)
     gens = group.generating_set() or [group.identity]
-    bs = finest_sbd(eye[table[:, gens].T], tol=REP_TOL, seed=seed,
-                    commutant=eye[:, table].transpose(1, 0, 2))
+    bs = _finest_split(eye[table[:, gens].T], tol=REP_TOL, seed=seed,
+                       commutant=eye[:, table].transpose(1, 0, 2))
 
-    slices, trivial = bs.block_slices(), FactorSystem.trivial(group.order)
-    irreps = []
-    for cls in bs.classes:
-        s = bs.basis_change[:, slices[cls.representative]]
-        mats = np.einsum("gi,fgl->fil", s.conj(), s[table.T])
-        irreps.append(Representation(group, trivial, mats))
+    s, slices = bs.basis_change, bs.block_slices()
+    # chars[b, f] = sum over block b's columns i of (S†R(f)S)[i, i]
+    chars = np.add.reduceat(np.einsum("gi,fgi->if", s.conj(), s[table.T]),
+                            [sl.start for sl in slices])
+    # a class is led by its first block; equal characters include the size chi(e)
+    first = np.argmax(np.max(np.abs(chars[:, None] - chars), axis=2) <= CHAR_TOL, axis=0)
+    # an irrep of dim n fills n blocks of R, so classify_equivalence's (size, -#members) is size
+    leads = sorted(np.flatnonzero(first == np.arange(len(first))), key=lambda b: bs.block_sizes[b])
+
+    trivial = FactorSystem.trivial(group.order)
+    firsts = [s[:, slices[b]] for b in leads]
+    irreps = [Representation(group, trivial, np.einsum("gi,fgl->fil", q.conj(), q[table.T]))
+              for q in firsts]
 
     total = sum(r.dim ** 2 for r in irreps)
     if total != group.order:

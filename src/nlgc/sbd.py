@@ -117,9 +117,9 @@ def _component_structure(mats, x, tol):
     return basis, comps
 
 
-def finest_sbd(mats, tol: float = BLOCK_TOL, seed: int = 0,
-               commutant=None) -> BlockStructure:
-    """Finest common block diagonalization of a matrix set, a list or a stack.
+def _finest_split(mats, tol: float = BLOCK_TOL, seed: int = 0,
+                  commutant=None) -> BlockStructure:
+    """Finest common block split of a matrix set, a list or a stack, unclassified.
 
     Gauge-fixed as by Maehara & Murota: project a seeded Hermitian H0 onto the
     commutant of the set and its adjoints (commutant may pass an orthogonal
@@ -127,8 +127,8 @@ def finest_sbd(mats, tol: float = BLOCK_TOL, seed: int = 0,
     the support graph of the transformed set, same-size blocks in eigenvalue
     order. Block Q gets the phase-fixed eigenvectors of Q†H1Q for a seeded
     H1, so nothing depends on the commutant basis. A second seeded
-    projection must give the same block sizes, otherwise the split is
-    declared unstable. The blocks are then classified at the same tol.
+    projection must give the same block sizes, and the set's mass outside
+    the blocks must be at most tol, otherwise the split is declared unstable.
     """
     mats = _as_stack(mats)
     d = mats.shape[1]
@@ -159,7 +159,14 @@ def finest_sbd(mats, tol: float = BLOCK_TOL, seed: int = 0,
     if not worst <= tol:
         raise NondeterminismError(
             f"off-block residue {worst:.3e} exceeds tol after splitting")
-    return classify_equivalence(bs, mats, tol)
+    return bs
+
+
+def finest_sbd(mats, tol: float = BLOCK_TOL, seed: int = 0,
+               commutant=None) -> BlockStructure:
+    """Finest common block diagonalization of a matrix set: the split of
+    _finest_split, its blocks then classified at the same tol."""
+    return classify_equivalence(_finest_split(mats, tol, seed, commutant), mats, tol)
 
 
 def _intertwiner(rep_blocks, mem_blocks, tol):

@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from nlgc import groups
 from nlgc.errors import ValidationError
 from nlgc.groups import (FactorSystem, FiniteGroup, alternating, are_isomorphic,
                          builtin_catalog, catalog_recipe, central_extension,
@@ -248,6 +249,35 @@ def test_nan_factor_system_fails_validation(where):
         phases[1, 2] = np.nan
     with pytest.raises(ValidationError):
         FactorSystem(phases).validate(group)
+
+
+def test_a_factor_system_is_trivial_only_within_the_phase_tolerance():
+    # allclose's default rtol of 1e-5 once let a 5e-6 drift count as trivial
+    assert FactorSystem.trivial(3).is_trivial
+    assert not FactorSystem(np.full((2, 2), np.exp(5e-6j))).is_trivial
+    phases = np.ones((2, 2), dtype=complex)
+    phases[1, 1] = np.nan
+    assert not FactorSystem(phases).is_trivial
+
+
+def _elementary_divisors_loop(factors):
+    """_elementary_divisors as it read before the square-root stop: every p up to n."""
+    parts = []
+    for n in factors:
+        for p in range(2, n + 1):
+            q = 1
+            while n % p == 0:
+                n, q = n // p, q * p
+            if q > 1:
+                parts.append(q)
+    return tuple(sorted(parts))
+
+
+def test_abelian_factors_equal_the_full_trial_division(monkeypatch):
+    fast = {n: groups._abelian_factors(n) for n in range(1, 65)}
+    monkeypatch.setattr(groups, "_elementary_divisors", _elementary_divisors_loop)
+    for n, factors in fast.items():
+        assert factors == groups._abelian_factors(n), n
 
 
 def test_the_root_order_of_a_factor_system_is_read_off_its_phases():

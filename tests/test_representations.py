@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from conftest import dense_left_translations, dense_regular, orthogonality_defect
 
+from nlgc import sbd
 from nlgc._linalg import dagger, weyl_operator_basis
 from nlgc.errors import ValidationError
 from nlgc.groups import (FactorSystem, alternating, builtin_catalog, cyclic,
@@ -265,6 +266,74 @@ def test_irreps_equal_the_dense_regular_reference_bitwise(seed):
         assert len(irreps) == len(dense), group.name
         for rep, ref in zip(irreps, dense):
             assert rep.matrices.tobytes() == ref.tobytes(), group.name
+
+
+def test_irreps_are_grouped_without_intertwiners_bitwise(monkeypatch):
+    # equal characters mean equivalent irreps: the classes, their order and
+    # their representatives are those of the intertwiner classification
+    dense = {g.name: _dense_irreps(g, 0) for g in builtin_catalog()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("irreps_of ran the intertwiner classification")
+    monkeypatch.setattr(sbd, "classify_equivalence", refuse)
+    monkeypatch.setattr(sbd, "_intertwiner", refuse)
+    for group in builtin_catalog():
+        irreps = irreps_of(group)
+        assert [r.matrices.tobytes() for r in irreps] == [
+            ref.tobytes() for ref in dense[group.name]], group.name
+
+
+def _multiplication_defect_einsum(rep):
+    m = rep.matrices
+    products = np.einsum("fij,gjk->fgik", m, m)
+    return float(np.max(np.abs(
+        products - rep.factor.phases[:, :, None, None] * m[rep.group.table])))
+
+
+def _unitarity_defect_einsum(rep):
+    grams = np.einsum("fji,fjk->fik", rep.matrices.conj(), rep.matrices)
+    return float(np.max(np.abs(grams - np.eye(rep.dim))))
+
+
+def _defect_cases():
+    """Every catalog irrep, the projective irreps of the 13 (extension, z)
+    pairs, and the shift/clock representations of dimension 2 to 4."""
+    for g in builtin_catalog():
+        irreps = irreps_of(g)
+        yield from irreps
+        for z in ([] if g.is_abelian else g.center()):
+            if z != g.identity:
+                yield from projective_irreps_from_extension(irreps, z)[1]
+    for d in range(2, 5):
+        yield pauli_projective_rep(d)
+
+
+def test_stacked_defects_equal_the_einsum_forms():
+    rng = np.random.default_rng(11)
+    for rep in _defect_cases():
+        # a 1e-3 perturbation makes both defects large enough to compare
+        noise = rng.standard_normal(rep.matrices.shape) + 1j * rng.standard_normal(rep.matrices.shape)
+        for mats in (rep.matrices, rep.matrices + 1e-3 * noise):
+            r = Representation(rep.group, rep.factor, mats)
+            assert abs(r.multiplication_defect() - _multiplication_defect_einsum(r)) <= 1e-12
+            assert abs(r.unitarity_defect() - _unitarity_defect_einsum(r)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["S3-2dim", "C5-1dim", "pauli-3"])
+def test_a_negated_matrix_breaks_the_multiplication_law(case):
+    if case == "S3-2dim":
+        rep = max(irreps_of(symmetric(3)), key=lambda r: r.dim)
+    elif case == "C5-1dim":
+        rep = irreps_of(cyclic(5))[0]
+    else:
+        rep = pauli_projective_rep(3)
+    rep.validate()
+    for f in range(rep.group.order):
+        if f != rep.group.identity:
+            matrices = rep.matrices.copy()
+            matrices[f] *= -1
+            with pytest.raises(ValidationError, match="multiplication law"):
+                Representation(rep.group, rep.factor, matrices).validate()
 
 
 def _gauge_loop(matrices_list, group):

@@ -236,6 +236,21 @@ def test_span_basis_commutant_equals_the_kron_stack_commutant(case):
     assert np.max(np.abs(projector(new) - projector(old))) <= 1e-10
 
 
+def test_finest_sbd_classifies_the_split_bitwise():
+    grams = schmidt_grams("A4")
+    split = sbd._finest_split(grams)
+    assert split.classes == []
+    ref = finest_sbd(grams)
+    bs = classify_equivalence(split, grams)
+    assert bs.basis_change.tobytes() == ref.basis_change.tobytes()
+    assert bs.block_sizes == ref.block_sizes
+    assert [c.members for c in bs.classes] == [c.members for c in ref.classes]
+    for c, c_ref in zip(bs.classes, ref.classes):
+        assert c.intertwiners.keys() == c_ref.intertwiners.keys()
+        for m, t in c.intertwiners.items():
+            assert t.tobytes() == c_ref.intertwiners[m].tobytes()
+
+
 @pytest.mark.parametrize("name", ["cnot", "haar3x3", "A4"])
 def test_finest_sbd_does_not_depend_on_the_commutant_basis(name):
     # the gauge: the split element is the projection of a seeded Hermitian
