@@ -56,6 +56,13 @@ def leading_phase(rows: np.ndarray) -> np.ndarray:
     return lead / np.abs(lead)
 
 
+def kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a[j] (x) b[j] over two stacks of square matrices, the Kronecker
+    products broadcast over j."""
+    terms = a[:, :, None, :, None] * b[:, None, :, None, :]
+    return np.add.reduce(terms, axis=0).reshape(a.shape[1] * b.shape[1], -1)
+
+
 def polar_unitary(m: np.ndarray) -> np.ndarray:
     """Unitary factor of the polar decomposition of m."""
     u, _, vh = np.linalg.svd(m)

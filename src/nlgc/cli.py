@@ -169,12 +169,13 @@ def cmd_simulate(args) -> int:
         lines += [f"  warning: {w}" for w in trace.warnings]
         results.append({"state": idx, "summary": summary, "branches": branches,
                         "warnings": list(trace.warnings)})
-    lines.append(f"ebits={_fmt(exp.cost_ebits)} cbits={_fmt(2 * exp.cost_ebits)} "
+    # priced off the simulated group, not off a report's stored costEbits
+    lines.append(f"ebits={_fmt(trace.ebits)} cbits={_fmt(trace.cbits)} "
                  f"group={exp.group.name} order={exp.group.order}")
     if args.out is not None:
         _write_text(canonical_json({"results": results,
                                     "group": exp.group.name,
-                                    "ebits": exp.cost_ebits}), args.out)
+                                    "ebits": trace.ebits}), args.out)
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK if all_ok else EXIT_UNCERTIFIED
 

@@ -19,12 +19,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._linalg import dagger, frobenius, gram_schmidt, polar_unitary
+from ._linalg import dagger, frobenius, gram_schmidt, kron_sum, polar_unitary
 from .errors import (AssignmentError, InconsistencyError, SingularInputError,
                      ValidationError)
 from .groups import FactorSystem, FiniteGroup
 from .protocol import build_M, check_M_unitary
-from .representations import Representation, pauli_projective_rep
+from .representations import Representation, character_classes, pauli_projective_rep
 from .sbd import BLOCK_TOL, BlockStructure, finest_sbd, gram_set
 from .schmidt import BipartiteUnitary, SchmidtDecomposition, schmidt_decompose
 from .search import (CatalogIndex, SearchCandidate, _merge_warnings,
@@ -52,12 +52,13 @@ class GroupExpansion:
     w_ops: np.ndarray              # (|G|, dB, dB)
     side: str                      # "A" | "B": which factor carries V U(f)
     route: str                     # "ordinary" | "projective" | "fallback"
-    # the expansion's claims about itself, as expansion_claims computes them
+    # the expansion's claims about itself, as expansion_claims computes them;
+    # left unset they fail closed, so the expansion is not certified
     cost_ebits: float = 0.0
     baseline_ebits: float = 0.0
-    residual: float = 0.0
-    m_unitary: bool = True
-    m_deviation: float = 0.0
+    residual: float = math.inf
+    m_unitary: bool = False
+    m_deviation: float = math.inf
     classification: str = GENERAL
     details: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
@@ -86,10 +87,8 @@ class GroupExpansion:
         return self.baseline_ebits - self.cost_ebits
 
     def reconstruct(self) -> np.ndarray:
-        """sum_f [V U(f)] (x) W(f), the Kronecker products broadcast over f."""
-        vu, w = self.v @ self.u_rep.matrices, self.w_ops
-        terms = vu[:, :, None, :, None] * w[:, None, :, None, :]
-        return np.add.reduce(terms, axis=0).reshape(vu.shape[1] * w.shape[1], -1)
+        """sum_f [V U(f)] (x) W(f)."""
+        return kron_sum(self.v @ self.u_rep.matrices, self.w_ops)
 
 
 def construct_V(a_ops, bs: BlockStructure, tol: float = BLOCK_TOL) -> np.ndarray:
@@ -206,10 +205,12 @@ def classify(exp: GroupExpansion, tol: float = NUM_TOL) -> tuple[str, dict]:
     """Structural class of an expansion, with its witness data.
 
     controlled-unitary: all U(f) commute; the gate becomes a sum of
-    projector-controlled unitaries sum_m [V Q_m] (x) T_m. double-unitary:
-    every W(f) is proportional to a unitary and the normalized W close under
-    multiplication up to phases, mirroring the group structure on the other
-    side. Anything else is general.
+    projector-controlled unitaries sum_m [V Q_m] (x) T_m, Q_m projecting
+    onto a class of the structure basis's columns under character_classes
+    and T_m = sum_f chi_m(f) W(f) with the characters of its first column.
+    double-unitary: every W(f) is proportional to a unitary and the
+    normalized W close under multiplication up to phases, mirroring the
+    group structure on the other side. Anything else is general.
     """
     u_mats = exp.u_rep.matrices
     n = u_mats.shape[0]
@@ -221,23 +222,12 @@ def classify(exp: GroupExpansion, tol: float = NUM_TOL) -> tuple[str, dict]:
         for f in range(n - 1))
     if commute:
         s = exp.structure.basis_change
-        d_diag = exp.structure.transformed(u_mats)
-        chars = np.einsum("fii->if", d_diag)        # per column, over f
-        groups: list[list[int]] = []
-        reps: list[np.ndarray] = []
-        for col in range(d_a):
-            for gi, r in enumerate(reps):
-                if np.max(np.abs(chars[col] - r)) <= 1e-6:
-                    groups[gi].append(col)
-                    break
-            else:
-                groups.append([col])
-                reps.append(chars[col])
-        pis = np.zeros((len(groups), d_a, d_a), dtype=complex)
-        for k, cols in enumerate(groups):
-            pis[k, cols, cols] = 1.0
+        chars = np.einsum("fii->if", exp.structure.transformed(u_mats))   # per column, over f
+        leads, label = np.unique(character_classes(chars), return_inverse=True)
+        pis = np.zeros((len(leads), d_a, d_a), dtype=complex)
+        pis[label, np.arange(d_a), np.arange(d_a)] = 1.0
         return CONTROLLED, {"projectors": s @ pis @ dagger(s),
-                            "targets": np.einsum("kf,fab->kab", np.array(reps), exp.w_ops)}
+                            "targets": np.einsum("kf,fab->kab", chars[leads], exp.w_ops)}
 
     w = exp.w_ops
     d_b = w.shape[1]

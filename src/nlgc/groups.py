@@ -21,8 +21,10 @@ class FiniteGroup:
     table[f, g] is the element index of f*g. Construction verifies closure,
     identity, inverses and associativity on a private copy of the table and
     then makes it read-only, so the invariants computed on first use and
-    kept on the instance cannot go stale. Equality and hashing are by
-    identity: isomorphism is are_isomorphic.
+    kept on the instance cannot go stale: the cached properties
+    element_orders (a read-only int array, like inverses), is_abelian,
+    center, conjugacy_classes, generating_set and signature (tuples).
+    Equality and hashing are by identity: isomorphism is are_isomorphic.
     """
 
     name: str
@@ -65,36 +67,26 @@ class FiniteGroup:
     def order(self) -> int:
         return self.table.shape[0]
 
-    def inv(self, f: int) -> int:
-        return int(self.inverses[f])
-
     @cached_property
-    def _orders(self) -> np.ndarray:
-        """Order of every element: the first k with x**k = e."""
+    def element_orders(self) -> np.ndarray:
+        """Order of every element, the first k with x**k = e: a read-only int array."""
         powers = [np.arange(self.order)]
         for _ in range(self.order - 1):
             powers.append(self.table[powers[-1], powers[0]])
-        return (np.array(powers) == self.identity).argmax(0) + 1
-
-    def element_order(self, f: int) -> int:
-        return int(self._orders[f])
-
-    def element_orders(self) -> list[int]:
-        return self._orders.tolist()
+        orders = (np.array(powers) == self.identity).argmax(0) + 1
+        orders.flags.writeable = False
+        return orders
 
     @cached_property
     def is_abelian(self) -> bool:
         return np.array_equal(self.table, self.table.T)
 
     @cached_property
-    def _center(self) -> tuple[int, ...]:
+    def center(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero((self.table == self.table.T).all(1)).tolist())
 
-    def center(self) -> list[int]:
-        return list(self._center)
-
     @cached_property
-    def _classes(self) -> tuple[tuple[int, ...], ...]:
+    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         # column x of table[table, inverses[:, None]] holds g x g^-1 for every g;
         # a class is labelled by its smallest member, so classes come in order
         # of their first element
@@ -103,9 +95,6 @@ class FiniteGroup:
         cuts = [0, *(np.flatnonzero(np.diff(label[members])) + 1).tolist(), self.order]
         members = members.tolist()
         return tuple(tuple(members[a:b]) for a, b in zip(cuts, cuts[1:]))
-
-    def conjugacy_classes(self) -> list[list[int]]:
-        return [list(c) for c in self._classes]
 
     def subgroup_closure(self, gens) -> list[int]:
         have = np.zeros(self.order, dtype=bool)
@@ -117,10 +106,11 @@ class FiniteGroup:
         return np.flatnonzero(have).tolist()
 
     @cached_property
-    def _generating_set(self) -> tuple[int, ...]:
+    def generating_set(self) -> tuple[int, ...]:
+        """Small generating set found greedily, preferring high-order elements."""
         gens: list[int] = []
         have = {self.identity}
-        for x in np.argsort(-self._orders, kind="stable").tolist():
+        for x in np.argsort(-self.element_orders, kind="stable").tolist():
             if len(have) == self.order:
                 break
             if x not in have:
@@ -128,21 +118,14 @@ class FiniteGroup:
                 have = set(self.subgroup_closure(gens))
         return tuple(gens)
 
-    def generating_set(self) -> list[int]:
-        """Small generating set found greedily, preferring high-order elements."""
-        return list(self._generating_set)
-
     @cached_property
-    def _signature(self) -> tuple:
-        return (self.order,
-                tuple(sorted(self.element_orders())),
-                self.is_abelian,
-                len(self._center),
-                tuple(sorted(len(c) for c in self._classes)))
-
     def signature(self) -> tuple:
         """Cheap isomorphism invariant."""
-        return self._signature
+        return (self.order,
+                tuple(sorted(self.element_orders.tolist())),
+                self.is_abelian,
+                len(self.center),
+                tuple(sorted(len(c) for c in self.conjugacy_classes)))
 
     def to_dict(self) -> dict:
         return {"name": self.name, "order": self.order,
@@ -223,11 +206,11 @@ def cyclic(n: int) -> FiniteGroup:
     return _cyclic_product((n,))
 
 
-def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> FiniteGroup:
+def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     na, nb = a.order, b.order
     ia, ib = np.divmod(np.arange(na * nb), nb)
     table = a.table[np.ix_(ia, ia)] * nb + b.table[np.ix_(ib, ib)]
-    return FiniteGroup(name or f"{a.name}x{b.name}", table)
+    return FiniteGroup(f"{a.name}x{b.name}", table)
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -296,9 +279,9 @@ def quotient_by_central_cyclic(l: FiniteGroup, z: int):
     fixed representative per coset (the identity coset lifts to the identity)
     and lift(f) lift(g) = z**n(f,g) lift(fg).
     """
-    if z not in l.center():
+    if z not in l.center:
         raise ValidationError("z must be central")
-    r, t = l.element_order(z), l.table
+    r, t = int(l.element_orders[z]), l.table
     powers = [l.identity]
     for _ in range(r - 1):
         powers.append(t[powers[-1], z])
@@ -319,9 +302,9 @@ def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
     """Isomorphism test by backtracking over generator images."""
     if g1.order != g2.order:
         return False
-    if g1.signature() != g2.signature():
+    if g1.signature != g2.signature:
         return False
-    gens = g1.generating_set()
+    gens = g1.generating_set
     if not gens:
         return True  # trivial group
     n, t1, t2 = g1.order, g1.table, g2.table
@@ -342,7 +325,7 @@ def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
             levels.append(tuple(np.array(col) for col in zip(*level)))
         frontier = [y for y, _, _ in level]
 
-    candidates = [np.flatnonzero(g2._orders == g1.element_order(x)).tolist() for x in gens]
+    candidates = [np.flatnonzero(g2.element_orders == g1.element_orders[x]).tolist() for x in gens]
     phi = np.empty(n, dtype=int)
     phi[g1.identity] = g2.identity
     for images in itertools.product(*candidates):

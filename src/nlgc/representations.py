@@ -53,6 +53,15 @@ class Representation:
             raise ValidationError("representation matrices must be unitary")
 
 
+def character_classes(chars: np.ndarray) -> np.ndarray:
+    """For each row of a (k, |G|) character array, the first row whose
+    characters agree with it within CHAR_TOL on every element: equal
+    characters mean equivalent representations (Serre, Linear
+    Representations of Finite Groups, §2.3), and a row leads its class
+    when it is its own first row."""
+    return np.argmax(np.max(np.abs(chars[:, None] - chars), axis=2) <= CHAR_TOL, axis=0)
+
+
 def irreps_of(group: FiniteGroup, seed: int = 0) -> list[Representation]:
     """All inequivalent ordinary irreps of a group.
 
@@ -70,7 +79,7 @@ def irreps_of(group: FiniteGroup, seed: int = 0) -> list[Representation]:
     """
     table = group.table
     eye = np.eye(group.order, dtype=complex)
-    gens = group.generating_set() or [group.identity]
+    gens = group.generating_set or (group.identity,)
     bs = _finest_split(eye[table[:, gens].T], tol=REP_TOL, seed=seed,
                        commutant=eye[:, table].transpose(1, 0, 2))
 
@@ -79,7 +88,7 @@ def irreps_of(group: FiniteGroup, seed: int = 0) -> list[Representation]:
     chars = np.add.reduceat(np.einsum("gi,fgi->if", s.conj(), s[table.T]),
                             [sl.start for sl in slices])
     # a class is led by its first block; equal characters include the size chi(e)
-    first = np.argmax(np.max(np.abs(chars[:, None] - chars), axis=2) <= CHAR_TOL, axis=0)
+    first = character_classes(chars)
     # an irrep of dim n fills n blocks of R, so classify_equivalence's (size, -#members) is size
     leads = sorted(np.flatnonzero(first == np.arange(len(first))), key=lambda b: bs.block_sizes[b])
 
@@ -94,7 +103,7 @@ def irreps_of(group: FiniteGroup, seed: int = 0) -> list[Representation]:
             f"irrep dimensions square-sum to {total}, expected {group.order}")
     for r in irreps:
         r.validate(tol=1e-7)
-    if len(irreps) != len(group.conjugacy_classes()):
+    if len(irreps) != len(group.conjugacy_classes):
         raise InconsistencyError("irrep count does not match conjugacy classes")
     return irreps
 
@@ -139,7 +148,7 @@ def gauge_normalize(matrices_list: list[np.ndarray],
 
 def central_irreps(irreps: list[Representation], z: int) -> list[Representation]:
     """The irreps, in order, representing a central z of order r as omega_r times the identity."""
-    omega = np.exp(2j * np.pi / irreps[0].group.element_order(z))
+    omega = np.exp(2j * np.pi / int(irreps[0].group.element_orders[z]))
     return [ir for ir in irreps
             if np.max(np.abs(ir.matrices[z] - omega * np.eye(ir.dim))) <= 1e-8]
 

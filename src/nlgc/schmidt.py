@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import leading_phase, unitarity_deviation
+from ._linalg import kron_sum, leading_phase, unitarity_deviation
 from .errors import DimensionError, ValidationError
 
 UNITARITY_TOL = 1e-8
@@ -61,10 +61,8 @@ class SchmidtDecomposition:
         return len(self.coefficients)
 
     def reconstruct(self) -> np.ndarray:
-        """sum_j A_j (x) B_j, the Kronecker products broadcast over j."""
-        a, b = self.a_ops, self.b_ops
-        terms = a[:, :, None, :, None] * b[:, None, :, None, :]
-        return np.add.reduce(terms, axis=0).reshape(self.unitary.dim, -1)
+        """sum_j A_j (x) B_j."""
+        return kron_sum(self.a_ops, self.b_ops)
 
 
 def _realign(matrix: np.ndarray, da: int, db: int) -> np.ndarray:

@@ -116,7 +116,7 @@ def _assign(required: list[int], irreps: list[Representation]) -> list[int] | No
 
 
 def _group_sort_key(catalog_index: int, g: FiniteGroup) -> tuple:
-    n_irreps = g.order if g.is_abelian else len(g.conjugacy_classes())
+    n_irreps = g.order if g.is_abelian else len(g.conjugacy_classes)
     return (not g.is_abelian, n_irreps, catalog_index)
 
 
@@ -227,8 +227,8 @@ def search_group(structure: BlockStructure, index: CatalogIndex,
                 for l in index.groups(r * n):
                     if l.is_abelian:
                         continue    # its projective irreps are all 1-dim
-                    for z in l.center():
-                        if l.element_order(z) != r:
+                    for z in l.center:
+                        if l.element_orders[z] != r:
                             continue
                         # the projective irreps are these central irreps, in this order
                         assignment = _assign(required, central_irreps(index.irreps(l), z))

@@ -63,7 +63,7 @@ def test_criterion_2_swap_projective_order_four():
     assert exp.group.order == 4
     assert exp.route == "projective"
     assert not exp.factor.is_trivial
-    assert sorted(exp.group.element_orders()) == [1, 2, 2, 2]  # C2 x C2
+    assert sorted(exp.group.element_orders.tolist()) == [1, 2, 2, 2]  # C2 x C2
     assert exp.cost_ebits == 2.0 == exp.baseline_ebits
     assert exp.residual <= 1e-8
 

@@ -125,6 +125,18 @@ def test_simulate_report_round_trip(cnot_file, tmp_path, capsys):
     assert "p=0.25 fidelity=1" in text
 
 
+def test_simulate_reports_the_protocol_it_ran(cnot_file, tmp_path, capsys):
+    # the cost line and the branch file price the group that was simulated,
+    # not the report's stored costEbits
+    rep = tmp_path / "tampered.json"
+    rep.write_text(_report_with_costs(_report(cnot_file, tmp_path), costEbits=0.25))
+    branches = tmp_path / "branches.json"
+    capsys.readouterr()
+    assert main(["simulate", str(rep), "--out", str(branches)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "ebits=1 cbits=2 group=C2 order=2"
+    assert json.loads(branches.read_text())["ebits"] == 1.0
+
+
 def test_simulate_matrix_compiles_on_the_fly(cnot_file, capsys):
     assert main(["simulate", cnot_file, "--random", "2", "--seed", "3"]) == 0
     text = capsys.readouterr().out

@@ -1,4 +1,6 @@
 """Compilation pipeline: V construction, W extraction, classification."""
+import json
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,11 +8,13 @@ import pytest
 from conftest import dense_regular, haar_block_gate, uncertified_s4_expansion
 
 import nlgc.expansion
+from nlgc._linalg import dagger
 from nlgc.errors import InconsistencyError, SingularInputError
-from nlgc.expansion import (DOUBLE, NUM_TOL, GroupExpansion, _finest_structure, _side_stream,
-                            classify, compile_unitary, compute_W, construct_V,
+from nlgc.expansion import (CONTROLLED, DOUBLE, NUM_TOL, GroupExpansion, _finest_structure,
+                            _side_stream, classify, compile_unitary, compute_W, construct_V,
                             synthesize_group_gate)
-from nlgc.groups import FiniteGroup, alternating, cyclic, dihedral, symmetric
+from nlgc.groups import FiniteGroup, alternating, cyclic, dihedral, direct_product, symmetric
+from nlgc.report import build_report, canonical_json
 from nlgc.representations import irreps_of
 from nlgc.schmidt import BipartiteUnitary
 from nlgc.search import CatalogIndex, search_group, trivial_structure
@@ -443,6 +447,20 @@ def test_compile_raises_when_not_even_the_fallback_reproduces_the_gate(monkeypat
         compile_unitary(BipartiteUnitary(CNOT, 2, 2))
 
 
+def test_an_expansion_without_claims_is_not_certified(monkeypatch):
+    # claims left at their defaults fail closed: compile's acceptance test
+    # rejects every candidate, and a report says M is not unitary
+    exp = compile_unitary(BipartiteUnitary(CNOT, 2, 2))
+    bare = GroupExpansion(schmidt=exp.schmidt, structure=exp.structure, v=exp.v,
+                          u_rep=exp.u_rep, w_coeffs=exp.w_coeffs, w_ops=exp.w_ops,
+                          side=exp.side, route=exp.route)
+    assert not bare.residual <= 1e-8 and not bare.m_unitary
+    assert json.loads(canonical_json(build_report(bare)))["mStatus"]["unitary"] is False
+    monkeypatch.setattr(nlgc.expansion, "expansion_claims", lambda exp, tol: {})
+    with pytest.raises(InconsistencyError, match="not even the fallback"):
+        compile_unitary(BipartiteUnitary(CNOT, 2, 2))
+
+
 # reconstruct and classify work on stacks with the arithmetic of the loops
 # they replaced; each test keeps that loop as its reference and compares bytes
 
@@ -491,3 +509,49 @@ def test_w_factor_phases_equal_the_pairwise_loop_bytewise(group, w_mats):
             target = anchored[group.table[f, g]]
             expected[f, g] = np.trace(target.conj().T @ (anchored[f] @ anchored[g])) / d_b
     assert details["wFactorPhases"].tobytes() == expected.tobytes()
+
+
+def _greedy_controlled_witnesses(exp):
+    """classify's controlled-unitary witnesses as its former greedy loop built
+    them: each column joins the first class whose leading column's characters
+    agree with its own within 1e-6."""
+    u_mats = exp.u_rep.matrices
+    d_a = u_mats.shape[1]
+    s = exp.structure.basis_change
+    chars = np.einsum("fii->if", exp.structure.transformed(u_mats))
+    groups, reps = [], []
+    for col in range(d_a):
+        for gi, r in enumerate(reps):
+            if np.max(np.abs(chars[col] - r)) <= 1e-6:
+                groups[gi].append(col)
+                break
+        else:
+            groups.append([col])
+            reps.append(chars[col])
+    pis = np.zeros((len(groups), d_a, d_a), dtype=complex)
+    for k, cols in enumerate(groups):
+        pis[k, cols, cols] = 1.0
+    return s @ pis @ dagger(s), np.einsum("kf,fab->kab", np.array(reps), exp.w_ops)
+
+
+_W3 = np.exp(2j * np.pi / 3)
+CONTROLLED_GATES = {
+    "cnot": lambda: BipartiteUnitary(CNOT, 2, 2),
+    "cz": lambda: BipartiteUnitary(np.diag([1, 1, 1, -1]), 2, 2),
+    "qutrit-cp": lambda: BipartiteUnitary(
+        np.diag([_W3 ** (i * j) for i in range(3) for j in range(3)]), 3, 3),
+    "ctrl-z-3x2": lambda: BipartiteUnitary(np.diag([1, 1, 1, -1, 1, -1]), 3, 2),
+    **{f"synth-{g.name}": partial(synthesize_group_gate, g, seed=3)
+       for g in (cyclic(2), cyclic(3), cyclic(4), cyclic(6), cyclic(8),
+                 direct_product(cyclic(2), cyclic(4)), direct_product(cyclic(3), cyclic(3)),
+                 cyclic(11))},
+}
+
+
+@pytest.mark.parametrize("make", CONTROLLED_GATES.values(), ids=CONTROLLED_GATES.keys())
+def test_controlled_witnesses_equal_the_greedy_loop_bytewise(make):
+    exp = compile_unitary(make())
+    assert exp.classification == CONTROLLED
+    projectors, targets = _greedy_controlled_witnesses(exp)
+    assert exp.details["projectors"].tobytes() == projectors.tobytes()
+    assert exp.details["targets"].tobytes() == targets.tobytes()

@@ -25,7 +25,7 @@ def test_cyclic_four_table_by_hand():
     np.testing.assert_array_equal(g.table, C4_TABLE)
     assert g.identity == 0
     assert list(g.inverses) == [0, 3, 2, 1]
-    assert g.element_order(1) == 4 and g.element_order(2) == 2
+    assert g.element_orders[1] == 4 and g.element_orders[2] == 2
 
 
 def test_group_axioms_are_enforced():
@@ -59,7 +59,7 @@ def test_table_is_frozen_but_the_callers_array_is_not():
     with pytest.raises(ValueError):
         g.inverses[1] = 1
     mine[0, 0] = 3
-    assert g.table[0, 0] == 0 and g.conjugacy_classes() == [[0], [1], [2], [3]]
+    assert g.table[0, 0] == 0 and g.conjugacy_classes == ((0,), (1,), (2,), (3,))
 
 
 def test_group_equality_is_identity_and_never_raises():
@@ -73,16 +73,16 @@ def test_symmetric_three_structure():
     g = symmetric(3)
     assert g.order == 6
     assert not g.is_abelian
-    assert len(g.center()) == 1
-    assert sorted(g.element_orders()) == [1, 2, 2, 2, 3, 3]
-    assert len(g.conjugacy_classes()) == 3
+    assert len(g.center) == 1
+    assert sorted(g.element_orders.tolist()) == [1, 2, 2, 2, 3, 3]
+    assert len(g.conjugacy_classes) == 3
 
 
 def test_quaternion_element_orders():
     g = quaternion()
     assert g.order == 8
-    assert sorted(g.element_orders()) == [1, 2, 4, 4, 4, 4, 4, 4]
-    assert len(g.center()) == 2
+    assert sorted(g.element_orders.tolist()) == [1, 2, 4, 4, 4, 4, 4, 4]
+    assert len(g.center) == 2
 
 
 def test_dihedral_and_alternating_sizes():
@@ -90,7 +90,7 @@ def test_dihedral_and_alternating_sizes():
     assert not dihedral(3).is_abelian
     a4 = alternating(4)
     assert a4.order == 12
-    assert len(a4.conjugacy_classes()) == 4
+    assert len(a4.conjugacy_classes) == 4
 
 
 def test_isomorphism_separates_same_order_groups():
@@ -117,7 +117,7 @@ def test_catalog_covers_every_order_and_has_no_duplicates():
                 continue
             if g1.is_abelian and g2.is_abelian:
                 # a finite abelian group is fixed by how many elements have each order
-                assert g1.signature() != g2.signature(), (g1.name, g2.name)
+                assert g1.signature != g2.signature, (g1.name, g2.name)
             else:
                 assert not are_isomorphic(g1, g2), (g1.name, g2.name)
 
@@ -201,7 +201,7 @@ def test_central_extension_and_quotient_round_trip():
     ext = central_extension(c2, n_table, 2)
     assert ext.order == 4
     assert are_isomorphic(ext, cyclic(4))
-    z = [x for x in ext.center() if x != ext.identity and ext.element_order(x) == 2]
+    z = [x for x in ext.center if x != ext.identity and ext.element_orders[x] == 2]
     quot, lifts, n_back, r = quotient_by_central_cyclic(ext, z[0])
     assert quot.order == 2 and r == 2
     # lift identity: lift(f) lift(g) = z^n(f,g) lift(fg)
@@ -378,12 +378,24 @@ def assert_matches_reference(g):
     e, inv = ref_identity_inverses(t)
     orders, center, classes = ref_orders(t, e), ref_center(t), ref_classes(t, inv)
     assert (g.identity, g.inverses.tolist()) == (e, inv), g.name
-    assert g.element_orders() == orders, g.name
-    assert [g.element_order(x) for x in range(g.order)] == orders, g.name
-    assert g.center() == center, g.name
-    assert g.conjugacy_classes() == classes, g.name
-    assert g.generating_set() == ref_generating_set(t, e, orders), g.name
-    assert g.signature() == ref_signature(t, orders, center, classes), g.name
+    assert g.element_orders.tolist() == orders, g.name
+    assert g.center == tuple(center), g.name
+    assert g.conjugacy_classes == tuple(map(tuple, classes)), g.name
+    assert g.generating_set == tuple(ref_generating_set(t, e, orders)), g.name
+    assert g.signature == ref_signature(t, orders, center, classes), g.name
+
+
+def test_group_invariants_are_read_only_and_match_the_table():
+    for g in builtin_catalog(32):
+        for name in ("inverses", "element_orders", "center", "conjugacy_classes",
+                     "generating_set", "signature"):
+            value = getattr(g, name)
+            assert isinstance(value, tuple) or not value.flags.writeable, (g.name, name)
+        assert g.element_orders.dtype.kind == "i"
+        assert all(isinstance(c, tuple) for c in g.conjugacy_classes), g.name
+        with pytest.raises(ValueError):
+            g.element_orders[0] = 2
+        assert_matches_reference(g)
 
 
 def test_invariants_and_quotients_match_the_reference_definitions():

@@ -14,7 +14,6 @@ from nlgc.representations import (REP_TOL, Representation, central_irreps,
                                   irrep_dimensions, irreps_of,
                                   pauli_projective_rep,
                                   projective_irreps_from_extension)
-from nlgc.sbd import finest_sbd
 
 
 def commutant_dim(mats):
@@ -94,7 +93,7 @@ def test_pauli_rep_qutrit_weyl_relations():
 
 def test_projective_irreps_from_d4_over_its_center():
     l = dihedral(4)
-    z = [x for x in l.center() if x != l.identity][0]
+    z = [x for x in l.center if x != l.identity][0]
     quotient, picked = projective_irreps_from_extension(irreps_of(l), z)
     assert quotient.order == 4
     assert sorted(p.dim for p in picked) == [2]
@@ -134,7 +133,7 @@ def test_factor_phases_equal_the_row_loop_bytewise(case):
         group = rep.group
     else:
         l = heisenberg(3)
-        z = [x for x in l.center() if l.element_order(x) == 3][0]
+        z = [x for x in l.center if l.element_orders[x] == 3][0]
         _, (rep,) = projective_irreps_from_extension(irreps_of(l), z)
         group = rep.group
     rng = np.random.default_rng(3)
@@ -167,7 +166,7 @@ def test_gauge_normalize_fixes_inverse_pairs():
     fixed, fs2 = gauge_normalize([scrambled], group)
     fs2.validate(group)
     for f in range(group.order):
-        inv = group.inv(f)
+        inv = group.inverses[f]
         np.testing.assert_allclose(fixed[0][inv], fixed[0][f].conj().T, atol=1e-9)
 
 
@@ -175,7 +174,7 @@ def test_twisted_dimension_sum_rule():
     # D4 over its central z: the Pauli factor system on C2xC2, whose unique
     # projective irrep has dim 2
     l = dihedral(4)
-    z = next(x for x in l.center() if x != l.identity)
+    z = next(x for x in l.center if x != l.identity)
     group, irreps = projective_irreps_from_extension(irreps_of(l), z)
     assert not irreps[0].factor.is_trivial
     dims = [r.dim for r in irreps]
@@ -186,7 +185,7 @@ def test_twisted_dimension_sum_rule():
 def test_heisenberg_extension_gives_qutrit_projective_irrep():
     l = heisenberg(3)
     assert l.order == 27
-    candidates = [x for x in l.center() if l.element_order(x) == 3]
+    candidates = [x for x in l.center if l.element_orders[x] == 3]
     quotient, picked = projective_irreps_from_extension(irreps_of(l), candidates[0])
     assert quotient.order == 9
     assert sorted(p.dim for p in picked) == [3]
@@ -205,7 +204,7 @@ def test_central_irreps_compare_with_an_absolute_tolerance():
     # D4's 2-dim irrep represents its central z as -I; 5e-6 on the diagonal
     # is inside allclose's default rtol of 1e-5 but far outside 1e-8
     l = dihedral(4)
-    z = next(x for x in l.center() if x != l.identity)
+    z = next(x for x in l.center if x != l.identity)
     rep = next(r for r in irreps_of(l) if r.dim == 2)
     assert len(central_irreps([rep], z)) == 1
     drifted = rep.matrices.copy()
@@ -251,8 +250,10 @@ def _dense_irreps(group, seed):
     split R on the generators with the left translations as the commutant,
     then evaluate S†R(f)S with R dense."""
     r = dense_regular(group)
-    gens = group.generating_set() or [group.identity]
-    bs = finest_sbd(r[gens], tol=REP_TOL, seed=seed, commutant=dense_left_translations(group))
+    on_gens = r[list(group.generating_set or (group.identity,))]
+    bs = sbd.classify_equivalence(
+        sbd._finest_split(on_gens, REP_TOL, seed, commutant=dense_left_translations(group)),
+        on_gens, REP_TOL)
     slices = bs.block_slices()
     return [np.einsum("ij,fjk,kl->fil", dagger(s), r, s)
             for s in (bs.basis_change[:, slices[c.representative]] for c in bs.classes)]
@@ -301,7 +302,7 @@ def _defect_cases():
     for g in builtin_catalog():
         irreps = irreps_of(g)
         yield from irreps
-        for z in ([] if g.is_abelian else g.center()):
+        for z in ([] if g.is_abelian else g.center):
             if z != g.identity:
                 yield from projective_irreps_from_extension(irreps, z)[1]
     for d in range(2, 5):
@@ -341,7 +342,7 @@ def _gauge_loop(matrices_list, group):
     mu = factor_phases_of(matrices_list[0], group)
     c = np.ones(group.order, dtype=complex)
     for f in range(group.order):
-        g = group.inv(f)
+        g = group.inverses[f]
         if f == group.identity:
             continue
         if f == g:
@@ -360,7 +361,7 @@ def _extension_inputs():
         if l.is_abelian:
             continue
         irreps = irreps_of(l)
-        for z in l.center():
+        for z in l.center:
             if z != l.identity:
                 quotient, lift, _, _ = quotient_by_central_cyclic(l, z)
                 yield (f"{l.name}/{z}", quotient,

@@ -124,7 +124,7 @@ def test_the_catalog_index_keys_its_memos_by_group():
     for g in groups:
         assert index.irreps(g) is index.irreps(g)
     q8 = groups[3]
-    z = next(z for z in q8.center() if q8.element_order(z) == 2)
+    z = next(z for z in q8.center if q8.element_orders[z] == 2)
     quotient, irreps = index.projective(q8, z)
     assert index.projective(q8, z)[1] is irreps
     assert all(ir.group is quotient for ir in irreps)
@@ -262,8 +262,8 @@ def _reference_search(structure, d_a, index, allow_projective=True, warning_sink
                                     f"for central extensions over order {n}")
                     continue
                 for l in index.groups(r * n):
-                    for z in l.center():
-                        if l.element_order(z) != r:
+                    for z in l.center:
+                        if l.element_orders[z] != r:
                             continue
                         quotient, irreps = index.projective(l, z)
                         assignment = _assign(required, irreps)
@@ -337,6 +337,6 @@ def test_abelian_extensions_give_only_one_dim_projective_irreps():
     for order in index.orders:
         for g in index.groups(order):
             if g.is_abelian:
-                for z in g.center():
+                for z in g.center:
                     _, irreps = index.projective(g, z)
-                    assert [ir.dim for ir in irreps] == [1] * (order // g.element_order(z))
+                    assert [ir.dim for ir in irreps] == [1] * (order // g.element_orders[z])
