@@ -54,8 +54,6 @@ class GroupExpansion:
     route: str                     # "ordinary" | "projective" | "fallback"
     # the expansion's claims about itself, as expansion_claims computes them;
     # left unset they fail closed, so the expansion is not certified
-    cost_ebits: float = 0.0
-    baseline_ebits: float = 0.0
     residual: float = math.inf
     m_unitary: bool = False
     m_deviation: float = math.inf
@@ -81,6 +79,16 @@ class GroupExpansion:
     @property
     def fallback(self) -> bool:
         return self.route == "fallback"
+
+    @property
+    def cost_ebits(self) -> float:
+        """log2|G|, the entanglement one run of the protocol consumes."""
+        return float(np.log2(self.group.order))
+
+    @property
+    def baseline_ebits(self) -> float:
+        """The teleportation cost 2 log2 min(dA, dB)."""
+        return float(2 * np.log2(min(self.unitary.dim_a, self.unitary.dim_b)))
 
     @property
     def savings_ebits(self) -> float:
@@ -277,16 +285,14 @@ def synthesize_group_gate(group: FiniteGroup, seed: int = 0) -> BipartiteUnitary
 def expansion_claims(exp: GroupExpansion, tol: float) -> dict:
     """What an expansion claims about itself, computed from its own data.
 
-    Keys name the GroupExpansion fields: the cost log2|G|, the teleportation
-    baseline 2 log2 min(dA, dB), the residual, the unitarity of M and its
-    deviation, and the class with its witness data. Compiling stores them;
-    verify_report compares a report's stored values against them.
+    Keys name the GroupExpansion fields: the residual, the unitarity of M and
+    its deviation, and the class with its witness data. Compiling stores
+    them; verify_report compares a report's stored values against them.
+    The costs need no claim: cost_ebits and baseline_ebits are properties.
     """
     m_unitary, m_deviation = check_M_unitary(build_M(exp.group, exp.factor, exp.w_ops))
     classification, details = classify(exp, tol=tol)
     return dict(
-        cost_ebits=float(np.log2(exp.group.order)),
-        baseline_ebits=float(2 * np.log2(min(exp.unitary.dim_a, exp.unitary.dim_b))),
         residual=float(frobenius(exp.unitary.matrix - exp.reconstruct())),
         m_unitary=m_unitary, m_deviation=m_deviation,
         classification=classification, details=details)

@@ -24,6 +24,8 @@ class FiniteGroup:
     kept on the instance cannot go stale: the cached properties
     element_orders (a read-only int array, like inverses), is_abelian,
     center, conjugacy_classes, generating_set and signature (tuples).
+    After construction only name may be assigned, and only a string;
+    assigning table, identity, inverses or an invariant raises AttributeError.
     Equality and hashing are by identity: isomorphism is are_isomorphic.
     """
 
@@ -33,8 +35,6 @@ class FiniteGroup:
     inverses: np.ndarray = field(init=False, default=None)
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ValidationError(f"group name must be a string, not {self.name!r}")
         if np.asarray(self.table).dtype.kind not in "iu":
             raise ValidationError("table entries must be integer element indices")
         self.table = table = np.array(self.table, dtype=int)
@@ -62,6 +62,14 @@ class FiniteGroup:
                 f"associativity fails at triple ({f}, {g}, {h}): "
                 f"({f}*{g})*{h} != {f}*({g}*{h})")
         table.flags.writeable = inv.flags.writeable = False
+        object.__setattr__(self, "_sealed", True)
+
+    def __setattr__(self, key, value):
+        if key == "name" and not isinstance(value, str):
+            raise ValidationError(f"group name must be a string, not {value!r}")
+        if key != "name" and "_sealed" in self.__dict__:
+            raise AttributeError(f"FiniteGroup.{key} is read-only; only name may be assigned")
+        object.__setattr__(self, key, value)
 
     @property
     def order(self) -> int:

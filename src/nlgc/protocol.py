@@ -1,8 +1,8 @@
 """Exact branch-by-branch simulation of the local gate protocol.
 
 Alice and Bob share a maximally entangled pair of |G|-level systems a, b.
-Alice applies a controlled group representation, measures a in an unbiased
-basis, and broadcasts h; Bob undoes the measurement phases with Z(h),
+Alice applies a controlled group representation, measures a in the Fourier
+basis of Z_|G|, and broadcasts h; Bob undoes the measurement phases with Z(h),
 applies the correlation unitary M on b and his system, measures b, and
 broadcasts g; Alice finishes with the correction V U(g)^dag on her system.
 Every (h, g) branch is enumerated exactly, so determinism is an assertion
@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import dagger, frobenius, unitarity_deviation
+from ._linalg import unitarity_deviation
 from .errors import ValidationError
 from .groups import FactorSystem, FiniteGroup
 
-UNBIASED_TOL = 1e-12
 M_UNITARY_TOL = 1e-8
 DETERMINISM_TOL = 1e-9
 
@@ -78,27 +77,13 @@ def fourier_basis(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
-def validate_unbiased(f_matrix: np.ndarray) -> None:
-    """Measurement bases must be unbiased relative to the standard basis."""
-    f_matrix = np.asarray(f_matrix, dtype=complex)
-    n = f_matrix.shape[0]
-    if f_matrix.shape != (n, n):
-        raise ValidationError("measurement basis matrix must be square")
-    if not frobenius(f_matrix @ dagger(f_matrix) - np.eye(n)) <= 1e-9:
-        raise ValidationError("measurement basis matrix is not unitary")
-    if not np.max(np.abs(np.abs(f_matrix) - n ** -0.5)) <= UNBIASED_TOL:
-        raise ValidationError(
-            "measurement basis is biased: entry magnitudes must all equal "
-            "1/sqrt(%d)" % n)
-
-
 def random_states(dim: int, count: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def simulate_protocol(expansion, psi: np.ndarray, f_matrix: np.ndarray | None = None) -> ProtocolTrace:
+def simulate_protocol(expansion, psi: np.ndarray) -> ProtocolTrace:
     """Run every (h, g) measurement branch of the protocol on one state.
 
     psi lives on A (x) B in the expansion's own orientation. The target is
@@ -115,16 +100,13 @@ def simulate_protocol(expansion, psi: np.ndarray, f_matrix: np.ndarray | None = 
     psi0 = psi.reshape(d_a, d_b)
     target = (expansion.unitary.matrix @ psi).reshape(d_a * d_b)
 
-    f_matrix = fourier_basis(n) if f_matrix is None else np.asarray(f_matrix)
-    if f_matrix.shape != (n, n):
-        raise ValidationError(f"measurement basis must be {n}x{n}, one row per group element")
+    f_matrix = fourier_basis(n)
     m = build_M(group, expansion.factor, expansion.w_ops)
     m_ok, m_dev = check_M_unitary(m)
     warnings = [] if m_ok else [
         "M is not unitary (deviation %.3e): the group elements act through "
         "linearly dependent operators, so branch outcomes are not certified" % m_dev]
 
-    validate_unbiased(f_matrix)
     u_mats = expansion.u_rep.matrices
     controlled = u_mats @ psi0                                      # (n, dA, dB)
     # row h of z is the diagonal of Z(h); amp[h] is the unnormalized state on

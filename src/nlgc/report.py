@@ -281,14 +281,17 @@ def expansion_from_report(report: dict) -> GroupExpansion:
         raise ValidationError("group.projective or factorRootOrder contradicts the factor phases")
     u_rep = Representation(group, factor, decode_matrix(exp_data["uOps"], (n, d_a, d_a)))
     u_rep.validate()
+    for key in ("costEbits", "baselineEbits"):     # derived, not read, yet they must be numbers
+        json_number(report["costs"][key], key)
+    warnings = report["warnings"]
+    if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
+        raise ValidationError("warnings must be a list of strings")
     return GroupExpansion(
         schmidt=schmidt_decompose(bu),
         structure=_structure_from_payload(exp_data["structure"], d_a),
         v=decode_matrix(exp_data["v"], (d_a, d_a)), u_rep=u_rep,
         w_ops=decode_matrix(exp_data["wOps"], (n, d_b, d_b)), side=side,
         w_coeffs=decode_matrix(exp_data["wCoeffs"], (None, None)),
-        cost_ebits=json_number(report["costs"]["costEbits"], "costEbits"),
-        baseline_ebits=json_number(report["costs"]["baselineEbits"], "baselineEbits"),
         residual=json_number(exp_data["residual"], "residual"),
         m_unitary=json_bool(report["mStatus"]["unitary"], "mStatus.unitary"),
         m_deviation=json_number(report["mStatus"]["deviation"], "mStatus.deviation"),
@@ -296,7 +299,7 @@ def expansion_from_report(report: dict) -> GroupExpansion:
         classification=report["classification"]["label"],
         details={key: decode_matrix(w, (None,) * (np.ndim(w) - 1))
                  for key, w in report["classification"].items() if key != "label"},
-        warnings=list(report.get("warnings", [])),
+        warnings=list(warnings),
         blocks=report["blocks"])
 
 
@@ -400,7 +403,8 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     stored_dev = json_number(report["input"]["unitarityDeviation"], "unitarityDeviation")
     stored_norm = json_number(report["input"]["frobeniusNorm"], "frobeniusNorm")
     stored_rank = json_int(report["schmidt"]["rank"], "schmidt.rank")
-    stored_savings = json_number(report["costs"]["savingsEbits"], "savingsEbits")
+    stored_costs = {key: json_number(report["costs"][key], key)
+                    for key in ("costEbits", "baselineEbits", "savingsEbits")}
     route_ok = exp.route == "projective" or (
         exp.route == "ordinary" and exp.factor.is_trivial) or (
         exp.route == "fallback" and exp.group.order == exp.v.size     # d_A²
@@ -423,10 +427,9 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     checks["mStatus"] = bool(claims["m_unitary"] == exp.m_unitary
                              and abs(claims["m_deviation"] - exp.m_deviation) <= 1e-6)
     checks["certified"] = bool(claims["m_unitary"])
-    checks["costs"] = bool(abs(claims["cost_ebits"] - exp.cost_ebits) <= 1e-9
-                           and abs(claims["baseline_ebits"] - exp.baseline_ebits) <= 1e-9
-                           and abs(claims["baseline_ebits"] - claims["cost_ebits"]
-                                   - stored_savings) <= 1e-9)
+    checks["costs"] = bool(abs(stored_costs["costEbits"] - exp.cost_ebits) <= 1e-9
+                           and abs(stored_costs["baselineEbits"] - exp.baseline_ebits) <= 1e-9
+                           and abs(stored_costs["savingsEbits"] - exp.savings_ebits) <= 1e-9)
     checks["classification"] = bool(
         claims["classification"] == exp.classification
         and exp.details.keys() == claims["details"].keys()

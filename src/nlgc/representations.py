@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import weyl_operator_basis
 from .errors import InconsistencyError, ValidationError
-from .groups import FactorSystem, FiniteGroup, quotient_by_central_cyclic
+from .groups import FactorSystem, FiniteGroup, cyclic, direct_product, quotient_by_central_cyclic
 from .sbd import _finest_split
 
 REP_TOL = 1e-8      # block tolerance of the irrep split, unit modulus of read-off phases
@@ -180,8 +181,6 @@ def pauli_projective_rep(dim: int) -> Representation:
 
     For dim = 2 these are the qubit Pauli operators up to signs.
     """
-    from ._linalg import weyl_operator_basis
-    from .groups import direct_product, cyclic
     group = direct_product(cyclic(dim), cyclic(dim))
     fixed, fs = gauge_normalize([weyl_operator_basis(dim)], group)
     rep = Representation(group, fs, fixed[0])

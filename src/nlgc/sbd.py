@@ -252,7 +252,6 @@ def merge_blocks(bs: BlockStructure, partition: list[list[int]]) -> BlockStructu
 
     new_index = {tuple(part): k for k, (_, _, part) in enumerate(sized)}
     classes = []
-    used = set()
     for cls in bs.classes:
         singles = [m for m in cls.members if (m,) in new_index]
         if not singles:
@@ -263,13 +262,9 @@ def merge_blocks(bs: BlockStructure, partition: list[list[int]]) -> BlockStructu
         members = [new_index[(m,)] for m in singles]
         inter = {new_index[(m,)]: cls.intertwiners[m] @ dagger(t_rep) for m in singles}
         classes.append(EquivalenceClass(members, inter))
-        used.update(members)
-    for _, _, part in sized:
-        k = new_index[tuple(part)]
-        if k not in used and len(part) > 1:
-            n = sum(bs.block_sizes[i] for i in part)
-            classes.append(EquivalenceClass([k], {k: np.eye(n, dtype=complex)}))
-            used.add(k)
+    for k, (size, _, part) in enumerate(sized):
+        if len(part) > 1:
+            classes.append(EquivalenceClass([k], {k: np.eye(size, dtype=complex)}))
     classes.sort(key=lambda c: c.representative)
     merged.classes = classes
     if len({m for c in classes for m in c.members}) != len(new_sizes):

@@ -362,6 +362,15 @@ MALFORMED_FILES = {
     "costEbits text in a report": ("verify", lambda rep: _report_with_costs(rep, costEbits="1")),
     "baselineEbits true in a report": ("verify", lambda rep: _report_with_costs(
         rep, baselineEbits=True)),
+    "costEbits text, simulate": ("simulate", lambda rep: _report_with_costs(rep, costEbits="1")),
+    "baselineEbits true, simulate": ("simulate", lambda rep: _report_with_costs(
+        rep, baselineEbits=True)),
+    "warnings text in a report": ("verify", lambda rep: _report_with(rep, "abc", "warnings")),
+    "warnings of numbers in a report": ("verify", lambda rep: _report_with(
+        rep, [1, 2], "warnings")),
+    "warnings an object in a report": ("verify", lambda rep: _report_with(
+        rep, {"a": "b"}, "warnings")),
+    "no warnings in a report": ("verify", lambda rep: json.dumps(_without("warnings")(rep))),
     "residual text in a report": ("simulate", lambda rep: json.dumps(
         {**rep, "expansion": {**rep["expansion"], "residual": "0"}})),
     "unitarityDeviation text in a report": ("verify", lambda rep: json.dumps(
@@ -473,6 +482,10 @@ TAMPERS = {
         **rep, "expansion": {**rep["expansion"], "wOps": [[[[1.0, 0.0]]]] * 2}},
     "table not a list": lambda rep: {**rep, "group": {**rep["group"], "table": 7}},
     "not an object": lambda rep: [rep],
+    "warnings text": lambda rep: {**rep, "warnings": "abc"},
+    "warnings of numbers": lambda rep: {**rep, "warnings": [1, 2]},
+    "warnings an object": lambda rep: {**rep, "warnings": {"a": "b"}},
+    "no warnings": _without("warnings"),
 }
 
 

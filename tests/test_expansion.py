@@ -14,7 +14,7 @@ from nlgc.expansion import (CONTROLLED, DOUBLE, NUM_TOL, GroupExpansion, _finest
                             _side_stream, classify, compile_unitary, compute_W, construct_V,
                             synthesize_group_gate)
 from nlgc.groups import FiniteGroup, alternating, cyclic, dihedral, direct_product, symmetric
-from nlgc.report import build_report, canonical_json
+from nlgc.report import build_report, canonical_json, verify_report
 from nlgc.representations import irreps_of
 from nlgc.schmidt import BipartiteUnitary
 from nlgc.search import CatalogIndex, search_group, trivial_structure
@@ -447,18 +447,29 @@ def test_compile_raises_when_not_even_the_fallback_reproduces_the_gate(monkeypat
         compile_unitary(BipartiteUnitary(CNOT, 2, 2))
 
 
+def _without_claims(exp):
+    return GroupExpansion(schmidt=exp.schmidt, structure=exp.structure, v=exp.v,
+                          u_rep=exp.u_rep, w_coeffs=exp.w_coeffs, w_ops=exp.w_ops,
+                          side=exp.side, route=exp.route)
+
+
 def test_an_expansion_without_claims_is_not_certified(monkeypatch):
     # claims left at their defaults fail closed: compile's acceptance test
     # rejects every candidate, and a report says M is not unitary
-    exp = compile_unitary(BipartiteUnitary(CNOT, 2, 2))
-    bare = GroupExpansion(schmidt=exp.schmidt, structure=exp.structure, v=exp.v,
-                          u_rep=exp.u_rep, w_coeffs=exp.w_coeffs, w_ops=exp.w_ops,
-                          side=exp.side, route=exp.route)
+    bare = _without_claims(compile_unitary(BipartiteUnitary(CNOT, 2, 2)))
     assert not bare.residual <= 1e-8 and not bare.m_unitary
     assert json.loads(canonical_json(build_report(bare)))["mStatus"]["unitary"] is False
     monkeypatch.setattr(nlgc.expansion, "expansion_claims", lambda exp, tol: {})
     with pytest.raises(InconsistencyError, match="not even the fallback"):
         compile_unitary(BipartiteUnitary(CNOT, 2, 2))
+
+
+def test_an_expansion_without_claims_still_has_its_costs():
+    # the costs are read off the group and the dimensions, never stored
+    bare = _without_claims(compile_unitary(BipartiteUnitary(CNOT, 2, 2)))
+    report = json.loads(canonical_json(build_report(bare)))
+    assert report["costs"] == {"costEbits": 1.0, "baselineEbits": 2.0, "savingsEbits": 1.0}
+    assert verify_report(report)[1]["costs"]
 
 
 # reconstruct and classify work on stacks with the arithmetic of the loops

@@ -62,6 +62,21 @@ def test_table_is_frozen_but_the_callers_array_is_not():
     assert g.table[0, 0] == 0 and g.conjugacy_classes == ((0,), (1,), (2,), (3,))
 
 
+@pytest.mark.parametrize("name", ["table", "identity", "inverses", "element_orders",
+                                  "is_abelian", "center", "conjugacy_classes",
+                                  "generating_set", "signature"])
+def test_only_the_name_of_a_group_can_be_reassigned(name):
+    g = dihedral(4)
+    value = g.table.T if name == "table" else (3 if name == "identity" else (0,))
+    with pytest.raises(AttributeError, match="read-only"):
+        setattr(g, name, value)
+    assert are_isomorphic(g, dihedral(4)) and g.signature == dihedral(4).signature
+    with pytest.raises(ValidationError, match="must be a string"):
+        g.name = 7
+    g.name = "D4alias"
+    assert g.name == "D4alias"
+
+
 def test_group_equality_is_identity_and_never_raises():
     g, twin = cyclic(4), cyclic(4)
     assert g == g and g != twin

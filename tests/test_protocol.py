@@ -3,12 +3,10 @@ import numpy as np
 import pytest
 from conftest import dense_regular
 
-import nlgc.protocol
 from nlgc.errors import ValidationError
 from nlgc.expansion import compile_unitary, synthesize_group_gate
 from nlgc.groups import FactorSystem, alternating, cyclic
-from nlgc.protocol import (build_M, check_M_unitary, fourier_basis, random_states,
-                           simulate_protocol, validate_unbiased)
+from nlgc.protocol import build_M, check_M_unitary, fourier_basis, random_states, simulate_protocol
 from nlgc.representations import pauli_projective_rep
 from nlgc.schmidt import BipartiteUnitary
 
@@ -43,11 +41,17 @@ def test_shift_representation_is_unitary_for_any_factor():
         np.testing.assert_allclose(s.conj().T @ s, np.eye(9), atol=1e-10)
 
 
+def _unbiased(f):
+    """F is unitary and every |F[h, g]| is 1/sqrt(n): a basis unbiased to the standard one."""
+    n = len(f)
+    return bool(np.linalg.norm(f @ f.conj().T - np.eye(n)) <= 1e-9
+                and np.max(np.abs(np.abs(f) - n ** -0.5)) <= 1e-12)
+
+
 def test_fourier_basis_is_unbiased_and_rejects_biased_matrices():
     for n in (2, 3, 5):
-        validate_unbiased(fourier_basis(n))
-    with pytest.raises(ValidationError):
-        validate_unbiased(np.eye(3, dtype=complex))
+        assert _unbiased(fourier_basis(n))
+    assert not _unbiased(np.eye(3, dtype=complex))
 
 
 def test_build_M_blocks_and_unitarity_for_cnot():
@@ -112,34 +116,17 @@ def test_joint_branch_distribution_uniform_when_M_unitary():
 
 
 def test_custom_unbiased_basis_still_works():
+    # the protocol is deterministic in any basis unbiased to the standard one,
+    # not only the Fourier basis simulate_protocol measures in
     exp = compile_unitary(BipartiteUnitary(CNOT, 2, 2))
     rng = np.random.default_rng(1)
     phases = np.exp(2j * np.pi * rng.random(2))
     f = np.diag(phases) @ fourier_basis(2)
+    assert _unbiased(f)
     psi = random_states(4, 1, seed=2)[0]
-    trace = simulate_protocol(exp, psi, f_matrix=f)
-    assert trace.deterministic
-    np.testing.assert_allclose(trace.branch_fidelities, 1.0, atol=1e-9)
-
-
-def test_biased_measurement_basis_is_rejected():
-    exp = compile_unitary(BipartiteUnitary(CNOT, 2, 2))
-    psi = random_states(4, 1, seed=3)[0]
-    with pytest.raises(ValidationError):
-        simulate_protocol(exp, psi, f_matrix=np.eye(2, dtype=complex))
-
-
-def test_a_simulation_validates_its_measurement_basis_once(monkeypatch):
-    calls = []
-
-    def counting(f_matrix):
-        calls.append(f_matrix)
-        validate_unbiased(f_matrix)
-    monkeypatch.setattr(nlgc.protocol, "validate_unbiased", counting)
-    exp = compile_unitary(BipartiteUnitary(SWAP, 2, 2))
-    trace = simulate_protocol(exp, random_states(4, 1, seed=4)[0])
-    assert exp.group.order == 4 and trace.deterministic
-    assert len(calls) == 1
+    probs, fids = _branch_loop(exp, psi, f)
+    np.testing.assert_allclose(probs, 1.0 / 4, atol=1e-9)
+    np.testing.assert_allclose(fids, 1.0, atol=1e-9)
 
 
 def test_protocol_covers_every_compiled_gate_class():
@@ -167,21 +154,6 @@ def test_nan_state_is_rejected():
     psi = np.array([np.nan, 1, 0, 0], dtype=complex)
     with pytest.raises(ValidationError, match="not normalized"):
         simulate_protocol(exp, psi)
-
-
-def test_nan_measurement_basis_is_rejected():
-    f = fourier_basis(3)
-    f[1, 2] = np.nan
-    with pytest.raises(ValidationError):
-        validate_unbiased(f)
-
-
-def test_measurement_basis_of_the_wrong_size_is_rejected():
-    exp = compile_unitary(BipartiteUnitary(CNOT, 2, 2))
-    assert exp.group.order == 2
-    psi = random_states(4, 1, seed=0)[0]
-    with pytest.raises(ValidationError, match="must be 2x2"):
-        simulate_protocol(exp, psi, f_matrix=fourier_basis(3))
 
 
 def test_nan_w_operator_makes_M_inconsistent():
@@ -297,15 +269,22 @@ def test_batched_branch_pass_equals_the_per_h_loop_bitwise(name):
     exp = compile_unitary(make())
     n = exp.group.order
     assert exp.group.name == group_name
-    f_matrix, given = fourier_basis(n), None
+    states = random_states(exp.unitary.dim_a * exp.unitary.dim_b, 4, seed=5)
     if name == "custom-basis":
-        # unbiased but not Fourier: random phases on rows and columns
+        # unbiased but not Fourier: random phases on rows and columns; only the
+        # reference loop measures in it, and every branch still gives the gate
         rng = np.random.default_rng(8)
-        f_matrix = given = (np.exp(2j * np.pi * rng.random(n))[:, None] * f_matrix
-                            * np.exp(2j * np.pi * rng.random(n)))
-    for psi in random_states(exp.unitary.dim_a * exp.unitary.dim_b, 4, seed=5):
-        trace = simulate_protocol(exp, psi, f_matrix=given)
-        probs, fids = _branch_loop(exp, psi, f_matrix)
+        f = (np.exp(2j * np.pi * rng.random(n))[:, None] * fourier_basis(n)
+             * np.exp(2j * np.pi * rng.random(n)))
+        assert _unbiased(f)
+        for psi in states:
+            probs, fids = _branch_loop(exp, psi, f)
+            np.testing.assert_allclose(probs, 1.0 / n ** 2, atol=1e-9)
+            np.testing.assert_allclose(fids, 1.0, atol=1e-9)
+        return
+    for psi in states:
+        trace = simulate_protocol(exp, psi)
+        probs, fids = _branch_loop(exp, psi, fourier_basis(n))
         assert trace.branch_outcomes == [(h, g) for h in range(n) for g in range(n)]
         assert trace.branch_probabilities.tobytes() == probs.tobytes()
         assert trace.branch_fidelities.tobytes() == fids.tobytes()
