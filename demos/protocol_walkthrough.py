@@ -9,7 +9,7 @@ correction. Every branch must end in the same state U|psi>.
 import numpy as np
 
 from nlgc import BipartiteUnitary, compile_unitary, simulate_protocol
-from nlgc.protocol import build_M, check_M_unitary, fourier_basis
+from nlgc.protocol import fourier_basis
 
 np.set_printoptions(precision=4, suppress=True, linewidth=120)
 
@@ -19,10 +19,10 @@ cnot = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0]], dtype=complex)
 exp = compile_unitary(BipartiteUnitary(cnot, 2, 2))
 
-m = build_M(exp.group, exp.factor, exp.w_ops)
-ok, dev = check_M_unitary(m)
-print("M is", m.shape[0], "x", m.shape[1], " unitary:", ok,
-      f"(deviation {dev:.1e})")
+# M = sum_f R(f) (x) W(f) is built once, on first read, and shared by
+# every simulation of this expansion
+print("M is", exp.m.shape[0], "x", exp.m.shape[1], " unitary:", exp.m_unitary,
+      f"(deviation {exp.m_deviation:.1e})")
 
 f = fourier_basis(exp.group.order)
 print("measurement basis F (mutually unbiased with the group basis):")

@@ -16,14 +16,15 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from ._linalg import dagger, frobenius, gram_schmidt, kron_sum, polar_unitary
+from ._linalg import dagger, frobenius, gram_schmidt, kron_sum, polar_unitary, unitarity_deviation
 from .errors import (AssignmentError, InconsistencyError, SingularInputError,
                      ValidationError)
 from .groups import FactorSystem, FiniteGroup
-from .protocol import build_M, check_M_unitary
+from .protocol import M_UNITARY_TOL, build_M
 from .representations import Representation, character_classes, pauli_projective_rep
 from .sbd import BLOCK_TOL, BlockStructure, finest_sbd, gram_set
 from .schmidt import BipartiteUnitary, SchmidtDecomposition, schmidt_decompose
@@ -37,12 +38,14 @@ DOUBLE = "double-unitary"
 GENERAL = "general"
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GroupExpansion:
-    """A verified expansion of one bipartite unitary over a finite group.
+    """An expansion of one bipartite unitary over a finite group.
 
     The gate is schmidt.unitary, and the group and its factor system are
-    those of u_rep; the properties unitary, group and factor return them."""
+    those of u_rep; the properties unitary, group and factor return them.
+    The frozen data derive the residual and M once, on first read; only the
+    classification is stored, because it depends on the tolerance."""
 
     schmidt: SchmidtDecomposition
     structure: BlockStructure
@@ -52,11 +55,6 @@ class GroupExpansion:
     w_ops: np.ndarray              # (|G|, dB, dB)
     side: str                      # "A" | "B": which factor carries V U(f)
     route: str                     # "ordinary" | "projective" | "fallback"
-    # the expansion's claims about itself, as expansion_claims computes them;
-    # left unset they fail closed, so the expansion is not certified
-    residual: float = math.inf
-    m_unitary: bool = False
-    m_deviation: float = math.inf
     classification: str = GENERAL
     details: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
@@ -93,6 +91,24 @@ class GroupExpansion:
     @property
     def savings_ebits(self) -> float:
         return self.baseline_ebits - self.cost_ebits
+
+    @cached_property
+    def residual(self) -> float:
+        """Frobenius distance of the gate from reconstruct()."""
+        return float(frobenius(self.unitary.matrix - self.reconstruct()))
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        """The correlation unitary M = sum_f R(f) (x) W(f) of the protocol."""
+        return build_M(self.group, self.factor, self.w_ops)
+
+    @cached_property
+    def m_deviation(self) -> float:
+        return unitarity_deviation(self.m)
+
+    @property
+    def m_unitary(self) -> bool:
+        return bool(self.m_deviation <= M_UNITARY_TOL)
 
     def reconstruct(self) -> np.ndarray:
         """sum_f [V U(f)] (x) W(f)."""
@@ -282,22 +298,6 @@ def synthesize_group_gate(group: FiniteGroup, seed: int = 0) -> BipartiteUnitary
     return BipartiteUnitary(m, n, d_b)
 
 
-def expansion_claims(exp: GroupExpansion, tol: float) -> dict:
-    """What an expansion claims about itself, computed from its own data.
-
-    Keys name the GroupExpansion fields: the residual, the unitarity of M and
-    its deviation, and the class with its witness data. Compiling stores
-    them; verify_report compares a report's stored values against them.
-    The costs need no claim: cost_ebits and baseline_ebits are properties.
-    """
-    m_unitary, m_deviation = check_M_unitary(build_M(exp.group, exp.factor, exp.w_ops))
-    classification, details = classify(exp, tol=tol)
-    return dict(
-        residual=float(frobenius(exp.unitary.matrix - exp.reconstruct())),
-        m_unitary=m_unitary, m_deviation=m_deviation,
-        classification=classification, details=details)
-
-
 def _finest_structure(bu: BipartiteUnitary, block_tol: float,
                       seed: int) -> tuple[SchmidtDecomposition, BlockStructure]:
     """Schmidt terms and finest classified block structure of one orientation."""
@@ -321,10 +321,11 @@ def _side_stream(label: str, bs: BlockStructure, index: CatalogIndex,
 
 
 def _build(cand: SearchCandidate, dec: SchmidtDecomposition, side: str, warnings,
-           tol: float, block_tol: float) -> GroupExpansion:
-    """The expansion a candidate assembles, with its claims and warnings. The
-    fallback keeps V = I: the shift/clock operators form an orthogonal operator
-    basis, so its W coefficients are the trace overlaps Tr(P_f^dagger A_j) / d."""
+           tol: float, block_tol: float, blocks: dict) -> GroupExpansion:
+    """The expansion a candidate assembles, classified at tol, with its warnings
+    and blocks. The fallback keeps V = I: the shift/clock operators form an
+    orthogonal operator basis, so its W coefficients are the trace overlaps
+    Tr(P_f^dagger A_j) / d."""
     d_a = dec.unitary.dim_a
     if cand.route == "fallback":
         v, u_rep = np.eye(d_a, dtype=complex), cand.irreps[0]
@@ -335,8 +336,10 @@ def _build(cand: SearchCandidate, dec: SchmidtDecomposition, side: str, warnings
         w_coeffs = compute_W(v, dec.a_ops, cand.structure, cand.irreps, cand.assignment, tol=tol)
     w_ops = np.einsum("jf,jab->fab", w_coeffs, dec.b_ops)
     exp = GroupExpansion(schmidt=dec, structure=cand.structure, v=v, u_rep=u_rep,
-                         w_coeffs=w_coeffs, w_ops=w_ops, side=side, route=cand.route)
-    exp = replace(exp, **expansion_claims(exp, tol))
+                         w_coeffs=w_coeffs, w_ops=w_ops, side=side, route=cand.route,
+                         blocks=blocks)
+    classification, details = classify(exp, tol=tol)
+    exp = replace(exp, classification=classification, details=details)
     _merge_warnings(exp.warnings, *warnings)
     if exp.fallback:
         cost = "the teleportation cost"
@@ -361,7 +364,8 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
     merges them by (order, is fallback, side) and starts a side's search when
     it reaches the side's search_floor; the first candidate that assembles,
     reproduces the gate and has a unitary M, so that its branch protocol is
-    certified, is the result. So the cost is minimal relative to the
+    certified, is the result, carrying the M its check built (a candidate
+    whose residual fails builds none). So the cost is minimal relative to the
     catalog, with side="both" never above the teleportation cost
     2 log2 min(dA, dB), and compile_unitary never fails on a valid unitary.
     A fallback carries the warnings of every side, searched or not. The
@@ -378,6 +382,9 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
     index = CatalogIndex(catalog, seed)
     finest = {label: _finest_structure(bu, block_tol, seed)
               for label, bu in (("A", u), ("B", u.swapped()))}
+    blocks = {label: {"sizes": list(bs.block_sizes), "classDims": bs.class_dims(),
+                      "classes": [list(c.members) for c in bs.classes]}
+              for label, (_, bs) in finest.items()}
     warnings = {label: [] for label in (["A", "B"] if side == "both" else [side])}
     streams = [_side_stream(label, finest[label][1], index, allow_projective, sink)
                for label, sink in warnings.items()]
@@ -392,7 +399,7 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
                                       warnings[other]), None)
         inherited = itertools.chain(*warnings.values()) if fallback else warnings[label]
         try:
-            exp = _build(cand, dec, label, inherited, tol, block_tol)
+            exp = _build(cand, dec, label, inherited, tol, block_tol, blocks)
         except (SingularInputError, InconsistencyError, AssignmentError) as exc:
             _merge_warnings(warnings[label], "order-%d candidate %s rejected: %s"
                             % (cand.order, cand.group.name, exc))
@@ -401,16 +408,11 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
             _merge_warnings(warnings[label], "order-%d candidate %s left residual %.3e"
                             % (cand.order, cand.group.name, exp.residual))
         elif not exp.m_unitary:
-            _merge_warnings(warnings[label], "order-%d candidate %s rejected: M is not "
-                            "unitary (deviation %.3e)" % (cand.order, cand.group.name,
-                                                          exp.m_deviation))
+            _merge_warnings(warnings[label], "order-%d candidate %s rejected: M is not unitary "
+                            "(deviation %.3e)" % (cand.order, cand.group.name, exp.m_deviation))
         else:
             break
     else:
         raise InconsistencyError("not even the fallback expansion reproduces the gate "
                                  "with a unitary M")
-    exp.blocks = {label: {"sizes": list(bs.block_sizes),
-                          "classes": [list(c.members) for c in bs.classes],
-                          "classDims": bs.class_dims()}
-                  for label, (_, bs) in finest.items()}
     return exp

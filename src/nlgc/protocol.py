@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import unitarity_deviation
 from .errors import ValidationError
 from .groups import FactorSystem, FiniteGroup
 
@@ -65,12 +64,6 @@ def build_M(group: FiniteGroup, factor: FactorSystem, w_ops: np.ndarray) -> np.n
     return m
 
 
-def check_M_unitary(m: np.ndarray) -> tuple[bool, float]:
-    """Frobenius deviation of M†M from the identity, with pass/fail at M_UNITARY_TOL."""
-    dev = unitarity_deviation(m)
-    return bool(dev <= M_UNITARY_TOL), dev
-
-
 def fourier_basis(n: int) -> np.ndarray:
     """F[h, k] = omega^{hk} / sqrt(n); row h is the h-th measurement vector."""
     idx = np.arange(n)
@@ -88,11 +81,12 @@ def simulate_protocol(expansion, psi: np.ndarray) -> ProtocolTrace:
 
     psi lives on A (x) B in the expansion's own orientation. The target is
     the compiled unitary applied to psi; each branch fidelity is the overlap
-    of the corrected branch output with that target. A non-unitary M cannot
-    be certified: the trace comes back flagged non-deterministic.
+    of the corrected branch output with that target. M, and whether it is
+    unitary, are the expansion's own (expansion.m, built on first read and
+    shared by every state). A non-unitary M cannot be certified: the trace
+    comes back flagged non-deterministic.
     """
-    group = expansion.group
-    n = group.order
+    n = expansion.group.order
     d_a, d_b = expansion.unitary.dim_a, expansion.unitary.dim_b
     psi = np.asarray(psi, dtype=complex).reshape(d_a * d_b)
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:      # fails closed on NaN
@@ -101,8 +95,7 @@ def simulate_protocol(expansion, psi: np.ndarray) -> ProtocolTrace:
     target = (expansion.unitary.matrix @ psi).reshape(d_a * d_b)
 
     f_matrix = fourier_basis(n)
-    m = build_M(group, expansion.factor, expansion.w_ops)
-    m_ok, m_dev = check_M_unitary(m)
+    m, m_ok, m_dev = expansion.m, expansion.m_unitary, expansion.m_deviation
     warnings = [] if m_ok else [
         "M is not unitary (deviation %.3e): the group elements act through "
         "linearly dependent operators, so branch outcomes are not certified" % m_dev]

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._linalg import dagger, frobenius, unitarity_deviation
 from .errors import ValidationError, json_bool, json_int, json_number, malformed
-from .expansion import GroupExpansion, expansion_claims
+from .expansion import GroupExpansion, classify
 from .groups import FactorSystem, FiniteGroup
 from .representations import Representation
 from .sbd import BLOCK_TOL, BlockStructure, EquivalenceClass, _intertwiner
@@ -237,18 +237,30 @@ def build_report(exp: GroupExpansion, trace=None, meta: dict | None = None,
             "savingsEbits": float(exp.savings_ebits),
         },
         "classification": classification,
-        "mStatus": {"unitary": bool(exp.m_unitary),
-                    "deviation": float(exp.m_deviation)},
+        "mStatus": {"unitary": exp.m_unitary, "deviation": exp.m_deviation},
         "protocol": None if trace is None else trace.summary(),
         "warnings": list(exp.warnings),
     }
     return report
 
 
+def _stored_derived(report: dict) -> dict:
+    """The costs, residual and M status a report stores, keyed by the GroupExpansion
+    properties that derive them; a value of the wrong JSON type raises ValidationError."""
+    costs = {"cost_ebits": "costEbits", "baseline_ebits": "baselineEbits",
+             "savings_ebits": "savingsEbits"}
+    return dict({name: json_number(report["costs"][key], key) for name, key in costs.items()},
+                residual=json_number(report["expansion"]["residual"], "residual"),
+                m_unitary=json_bool(report["mStatus"]["unitary"], "mStatus.unitary"),
+                m_deviation=json_number(report["mStatus"]["deviation"], "mStatus.deviation"))
+
+
 @malformed("report")
 def expansion_from_report(report: dict) -> GroupExpansion:
     """Rebuild a working expansion from its serialized report.
 
+    The expansion derives its residual and M from the decoded data, never
+    from the stored values, which _stored_derived only type-checks here.
     The classification witnesses become its details, each decoded with the
     rank it is stored with. A missing or mis-shaped field raises
     ValidationError, and so do group.projective, factorPhases (null unless
@@ -281,8 +293,7 @@ def expansion_from_report(report: dict) -> GroupExpansion:
         raise ValidationError("group.projective or factorRootOrder contradicts the factor phases")
     u_rep = Representation(group, factor, decode_matrix(exp_data["uOps"], (n, d_a, d_a)))
     u_rep.validate()
-    for key in ("costEbits", "baselineEbits"):     # derived, not read, yet they must be numbers
-        json_number(report["costs"][key], key)
+    _stored_derived(report)      # not read back, yet they must be numbers and booleans
     warnings = report["warnings"]
     if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
         raise ValidationError("warnings must be a list of strings")
@@ -292,9 +303,6 @@ def expansion_from_report(report: dict) -> GroupExpansion:
         v=decode_matrix(exp_data["v"], (d_a, d_a)), u_rep=u_rep,
         w_ops=decode_matrix(exp_data["wOps"], (n, d_b, d_b)), side=side,
         w_coeffs=decode_matrix(exp_data["wCoeffs"], (None, None)),
-        residual=json_number(exp_data["residual"], "residual"),
-        m_unitary=json_bool(report["mStatus"]["unitary"], "mStatus.unitary"),
-        m_deviation=json_number(report["mStatus"]["deviation"], "mStatus.deviation"),
         route=exp_data["route"],
         classification=report["classification"]["label"],
         details={key: decode_matrix(w, (None,) * (np.ndim(w) - 1))
@@ -380,18 +388,17 @@ def _close(stored: np.ndarray, claimed: np.ndarray) -> bool:
 def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     """Re-check a report's claims from its own embedded data.
 
-    Rebuilds the expansion, recomputes its claims with expansion_claims (the
-    residual, the M unitarity status, the cost accounting with the savings,
-    and the classification label with its witness data), and compares each
-    against the stored values, as it does the Schmidt rank and coefficients
-    of the report's own unitary. V and M must be unitary, the W coefficients
-    must rebuild wOps from the Schmidt terms, the fallback flag must match
-    the route, which is projective, ordinary on a group that is not
-    projective, or fallback with |G| = d_A² and V = I exactly, as compiling
-    writes it, the block summaries must be consistent with the input
-    dimensions, and the stored structure must block-diagonalize V†A_j with
-    one unitary intertwiner per class member and none between two classes;
-    the blocks are not recomputed.
+    Rebuilds the expansion, which derives its residual, M status and costs,
+    and compares each with the value _stored_derived reads off the report,
+    as it does classify's label and witness data at tol and the Schmidt rank
+    and coefficients of the report's own unitary. V and M must be unitary,
+    the W coefficients must rebuild wOps from the Schmidt terms, the
+    fallback flag must match the route, which is projective, ordinary on a
+    group that is not projective, or fallback with |G| = d_A² and V = I
+    exactly, as compiling writes it, the block summaries must be consistent
+    with the input dimensions, and the stored structure must
+    block-diagonalize V†A_j with one unitary intertwiner per class member
+    and none between two classes; the blocks are not recomputed.
     A group order or identity that disagrees with the table, factor claims
     that the factor phases contradict, a group name that is not a string,
     mStatus.unitary or group.projective that is not a boolean, or a block
@@ -400,11 +407,10 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     """
     checks: dict[str, bool] = {}
     exp = expansion_from_report(report)
+    stored = _stored_derived(report)
     stored_dev = json_number(report["input"]["unitarityDeviation"], "unitarityDeviation")
     stored_norm = json_number(report["input"]["frobeniusNorm"], "frobeniusNorm")
     stored_rank = json_int(report["schmidt"]["rank"], "schmidt.rank")
-    stored_costs = {key: json_number(report["costs"][key], key)
-                    for key in ("costEbits", "baselineEbits", "savingsEbits")}
     route_ok = exp.route == "projective" or (
         exp.route == "ordinary" and exp.factor.is_trivial) or (
         exp.route == "fallback" and exp.group.order == exp.v.size     # d_A²
@@ -422,18 +428,17 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     checks["vUnitary"] = bool(unitarity_deviation(exp.v) <= 1e-8)
     checks["wCoeffs"] = _w_coeffs_consistent(exp)
 
-    claims = expansion_claims(exp, tol)
-    checks["residual"] = bool(claims["residual"] <= max(1e-8, exp.residual + 1e-9))
-    checks["mStatus"] = bool(claims["m_unitary"] == exp.m_unitary
-                             and abs(claims["m_deviation"] - exp.m_deviation) <= 1e-6)
-    checks["certified"] = bool(claims["m_unitary"])
-    checks["costs"] = bool(abs(stored_costs["costEbits"] - exp.cost_ebits) <= 1e-9
-                           and abs(stored_costs["baselineEbits"] - exp.baseline_ebits) <= 1e-9
-                           and abs(stored_costs["savingsEbits"] - exp.savings_ebits) <= 1e-9)
+    checks["residual"] = bool(exp.residual <= max(1e-8, stored["residual"] + 1e-9))
+    checks["mStatus"] = bool(exp.m_unitary == stored["m_unitary"]
+                             and abs(exp.m_deviation - stored["m_deviation"]) <= 1e-6)
+    checks["certified"] = exp.m_unitary
+    checks["costs"] = all(abs(stored[key] - getattr(exp, key)) <= 1e-9
+                          for key in ("cost_ebits", "baseline_ebits", "savings_ebits"))
+    classification, details = classify(exp, tol)
     checks["classification"] = bool(
-        claims["classification"] == exp.classification
-        and exp.details.keys() == claims["details"].keys()
-        and all(_close(exp.details[k], w) for k, w in claims["details"].items()))
+        classification == exp.classification
+        and exp.details.keys() == details.keys()
+        and all(_close(exp.details[k], w) for k, w in details.items()))
 
     checks["schmidtRank"] = bool(len(exp.schmidt) == stored_rank and _close(
         decode_matrix(report["schmidt"]["coefficients"], (None,)), exp.schmidt.coefficients))

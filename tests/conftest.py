@@ -2,8 +2,11 @@
 `from conftest import ...`."""
 import numpy as np
 
+import nlgc.expansion
+import nlgc.protocol
 from nlgc._linalg import weyl_operator_basis
 from nlgc.expansion import NUM_TOL, _build, _finest_structure, compile_unitary
+from nlgc.protocol import build_M
 from nlgc.representations import Representation
 from nlgc.schmidt import BipartiteUnitary
 from nlgc.search import CatalogIndex, search_group
@@ -33,6 +36,19 @@ def orthogonality_defect(irreps: list[Representation]) -> float:
             else:
                 worst = max(worst, float(np.max(np.abs(sums))))
     return worst
+
+
+def counting_build_M(monkeypatch) -> list:
+    """Wrap build_M in each nlgc module that calls it, so every M built is
+    counted: the returned list gets one entry, the group order, per call."""
+    calls = []
+
+    def counting(group, factor, w_ops):
+        calls.append(group.order)
+        return build_M(group, factor, w_ops)
+    for module in (nlgc.expansion, nlgc.protocol):
+        monkeypatch.setattr(module, "build_M", counting)
+    return calls
 
 
 def dense_regular(group, factor=None) -> np.ndarray:
@@ -81,9 +97,8 @@ def uncertified_s4_expansion():
     bu = gate.swapped()
     dec, bs = _finest_structure(bu, 10 * NUM_TOL, seed=0)
     cands = list(search_group(bs, CatalogIndex(), warning_sink=[]))
-    exp = _build(cands[0], dec, "B", [], NUM_TOL, 10 * NUM_TOL)
-    exp.blocks = compile_unitary(gate, side="B").blocks
-    return cands, exp
+    blocks = compile_unitary(gate, side="B").blocks
+    return cands, _build(cands[0], dec, "B", [], NUM_TOL, 10 * NUM_TOL, blocks)
 
 
 def operator_basis_expansion(u: BipartiteUnitary, side: str = "b") -> tuple[list, list]:

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import haar_block_gate, uncertified_s4_expansion
+from conftest import counting_build_M, haar_block_gate, uncertified_s4_expansion
 from test_report import SWAP, parsed_report, reference_json
 
 import nlgc.cli
@@ -142,6 +142,19 @@ def test_simulate_matrix_compiles_on_the_fly(cnot_file, capsys):
     text = capsys.readouterr().out
     assert text.count("state ") == 2
     assert "group=C2" in text
+
+
+@pytest.mark.parametrize("source", ["gate", "report"])
+def test_simulate_builds_M_once_for_all_its_states(source, cnot_file, tmp_path, monkeypatch,
+                                                   capsys):
+    path = cnot_file
+    if source == "report":
+        path = str(tmp_path / "report.json")
+        assert main(["compile", cnot_file, "--out", path]) == 0
+    calls = counting_build_M(monkeypatch)
+    assert main(["simulate", path, "--random", "4"]) == 0
+    assert capsys.readouterr().out.count("deterministic=yes") == 4
+    assert calls == [2]
 
 
 def test_verify_accepts_fresh_and_rejects_tampered(cnot_file, tmp_path, capsys):
@@ -365,6 +378,12 @@ MALFORMED_FILES = {
     "costEbits text, simulate": ("simulate", lambda rep: _report_with_costs(rep, costEbits="1")),
     "baselineEbits true, simulate": ("simulate", lambda rep: _report_with_costs(
         rep, baselineEbits=True)),
+    "savingsEbits text, simulate": ("simulate", lambda rep: _report_with_costs(
+        rep, savingsEbits="1")),
+    "mStatus.deviation text in a report": ("verify", lambda rep: _report_with(
+        rep, "0", "mStatus", "deviation")),
+    "mStatus.deviation text, simulate": ("simulate", lambda rep: _report_with(
+        rep, "0", "mStatus", "deviation")),
     "warnings text in a report": ("verify", lambda rep: _report_with(rep, "abc", "warnings")),
     "warnings of numbers in a report": ("verify", lambda rep: _report_with(
         rep, [1, 2], "warnings")),
@@ -733,6 +752,8 @@ def _scaled(section, key, factor):
 CLAIM_TAMPERS = {
     "coefficients x3": (_scaled("schmidt", "coefficients", 3), "schmidtRank"),
     "savingsEbits 9": (lambda rep: rep["costs"].update(savingsEbits=9), "costs"),
+    "mStatus.deviation + 1": (lambda rep: rep["mStatus"].update(
+        deviation=rep["mStatus"]["deviation"] + 1), "mStatus"),
     "targets x2": (_scaled("classification", "targets", 2), "classification"),
     "projectors x0": (_scaled("classification", "projectors", 0), "classification"),
     "one projector dropped": (lambda rep: rep["classification"]["projectors"].pop(),

@@ -1,5 +1,6 @@
 """Compilation pipeline: V construction, W extraction, classification."""
 import json
+from dataclasses import FrozenInstanceError
 from functools import partial
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ from nlgc.expansion import (CONTROLLED, DOUBLE, NUM_TOL, GroupExpansion, _finest
                             _side_stream, classify, compile_unitary, compute_W, construct_V,
                             synthesize_group_gate)
 from nlgc.groups import FiniteGroup, alternating, cyclic, dihedral, direct_product, symmetric
+from nlgc.protocol import build_M
 from nlgc.report import build_report, canonical_json, verify_report
 from nlgc.representations import irreps_of
 from nlgc.schmidt import BipartiteUnitary
@@ -440,9 +442,7 @@ def test_cnot_assembles_exactly_one_candidate(monkeypatch):
 
 
 def test_compile_raises_when_not_even_the_fallback_reproduces_the_gate(monkeypatch):
-    claims = nlgc.expansion.expansion_claims
-    monkeypatch.setattr(nlgc.expansion, "expansion_claims",
-                        lambda exp, tol: {**claims(exp, tol), "residual": 1.0})
+    monkeypatch.setattr(GroupExpansion, "residual", 1.0)
     with pytest.raises(InconsistencyError, match="not even the fallback"):
         compile_unitary(BipartiteUnitary(CNOT, 2, 2))
 
@@ -453,15 +453,15 @@ def _without_claims(exp):
                           side=exp.side, route=exp.route)
 
 
-def test_an_expansion_without_claims_is_not_certified(monkeypatch):
-    # claims left at their defaults fail closed: compile's acceptance test
-    # rejects every candidate, and a report says M is not unitary
-    bare = _without_claims(compile_unitary(BipartiteUnitary(CNOT, 2, 2)))
-    assert not bare.residual <= 1e-8 and not bare.m_unitary
-    assert json.loads(canonical_json(build_report(bare)))["mStatus"]["unitary"] is False
-    monkeypatch.setattr(nlgc.expansion, "expansion_claims", lambda exp, tol: {})
-    with pytest.raises(InconsistencyError, match="not even the fallback"):
-        compile_unitary(BipartiteUnitary(CNOT, 2, 2))
+@pytest.mark.parametrize("name", ["w_ops", "residual", "blocks"])
+def test_a_compiled_expansion_is_frozen(name):
+    # its residual and M are derived once from its data, so the data cannot change
+    exp = compile_unitary(BipartiteUnitary(CNOT, 2, 2))
+    residual, m = exp.residual, exp.m
+    with pytest.raises(FrozenInstanceError):
+        setattr(exp, name, np.zeros_like(exp.w_ops))
+    assert exp.residual == residual and exp.m is m
+    np.testing.assert_array_equal(m, build_M(exp.group, exp.factor, exp.w_ops))
 
 
 def test_an_expansion_without_claims_still_has_its_costs():

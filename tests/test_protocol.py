@@ -1,12 +1,17 @@
 """Branch-by-branch protocol simulation and its building blocks."""
+import json
+
 import numpy as np
 import pytest
-from conftest import dense_regular
+from conftest import counting_build_M, dense_regular
 
+from nlgc._linalg import unitarity_deviation
 from nlgc.errors import ValidationError
 from nlgc.expansion import compile_unitary, synthesize_group_gate
 from nlgc.groups import FactorSystem, alternating, cyclic
-from nlgc.protocol import build_M, check_M_unitary, fourier_basis, random_states, simulate_protocol
+from nlgc.protocol import (M_UNITARY_TOL, build_M, fourier_basis, random_states,
+                           simulate_protocol)
+from nlgc.report import build_report, canonical_json, expansion_from_report
 from nlgc.representations import pauli_projective_rep
 from nlgc.schmidt import BipartiteUnitary
 
@@ -58,8 +63,8 @@ def test_build_M_blocks_and_unitarity_for_cnot():
     exp = compile_unitary(BipartiteUnitary(CNOT, 2, 2))
     m = build_M(exp.group, exp.factor, exp.w_ops)
     assert m.shape == (4, 4)
-    ok, dev = check_M_unitary(m)
-    assert ok and dev < 1e-9
+    np.testing.assert_array_equal(exp.m, m)
+    assert exp.m_unitary and exp.m_deviation == unitarity_deviation(m) < 1e-9
     # block (g, f) holds mu(g, g^-1 f) W(g^-1 f); trivial factor here
     t, inv = exp.group.table, exp.group.inverses
     for g in range(2):
@@ -72,9 +77,23 @@ def test_all_zero_w_set_gives_a_singular_M():
     group = cyclic(3)
     w = np.zeros((3, 2, 2), dtype=complex)
     m = build_M(group, FactorSystem.trivial(3), w)
-    ok, dev = check_M_unitary(m)
-    assert not ok
+    dev = unitarity_deviation(m)
+    assert not dev <= M_UNITARY_TOL
     assert dev > 1.0
+
+
+def test_compile_simulate_and_report_build_M_once(monkeypatch):
+    calls = counting_build_M(monkeypatch)
+    exp = compile_unitary(BipartiteUnitary(CNOT, 2, 2))
+    for psi in random_states(4, 4, seed=1):
+        assert simulate_protocol(exp, psi).deterministic
+    report = json.loads(canonical_json(build_report(exp)))
+    assert calls == [2]
+    # a report-loaded expansion builds its own M and never reads the stored status
+    report["mStatus"] = {"unitary": False, "deviation": 5.0}
+    loaded = expansion_from_report(report)
+    assert loaded.m_unitary and loaded.m_deviation < 1e-9 and calls == [2, 2]
+    np.testing.assert_allclose(loaded.m, exp.m, atol=1e-9)
 
 
 def test_cnot_protocol_on_plus_zero_has_four_uniform_branches():
