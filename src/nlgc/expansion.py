@@ -25,10 +25,10 @@ from .errors import (AssignmentError, InconsistencyError, SingularInputError,
                      ValidationError)
 from .groups import FactorSystem, FiniteGroup
 from .protocol import M_UNITARY_TOL, build_M
-from .representations import Representation, character_classes, pauli_projective_rep
+from .representations import Representation, character_classes
 from .sbd import BLOCK_TOL, BlockStructure, finest_sbd, gram_set
 from .schmidt import BipartiteUnitary, SchmidtDecomposition, schmidt_decompose
-from .search import (CatalogIndex, SearchCandidate, _merge_warnings,
+from .search import (CatalogIndex, SearchCandidate, _merge_warnings, builtin_index,
                      search_floor, search_group, trivial_structure)
 
 NUM_TOL = 1e-9
@@ -45,7 +45,10 @@ class GroupExpansion:
     The gate is schmidt.unitary, and the group and its factor system are
     those of u_rep; the properties unitary, group and factor return them.
     The frozen data derive the residual and M once, on first read; only the
-    classification is stored, because it depends on the tolerance."""
+    classification is stored, because it depends on the tolerance. The
+    arrays v, w_coeffs, w_ops, u_rep.matrices, those of the structure and
+    those in details are made read-only at construction, so a cached fact
+    cannot go stale through a write either."""
 
     schmidt: SchmidtDecomposition
     structure: BlockStructure
@@ -61,6 +64,12 @@ class GroupExpansion:
     # finest classified block structure of each orientation, keyed "A" | "B":
     # {"sizes", "classes", "classDims"}
     blocks: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for a in (self.v, self.w_coeffs, self.w_ops, self.structure.basis_change,
+                  *(t for c in self.structure.classes for t in c.intertwiners.values()),
+                  *self.details.values()):
+            a.flags.writeable = False
 
     @property
     def unitary(self) -> BipartiteUnitary:
@@ -317,7 +326,7 @@ def _side_stream(label: str, bs: BlockStructure, index: CatalogIndex,
         yield (cand.order, False, label), cand
     yield (bs.dim ** 2, True, label), None
     yield (bs.dim ** 2, True, label), SearchCandidate(
-        [pauli_projective_rep(bs.dim)], [0], trivial_structure([bs.dim]), "fallback")
+        (index.fallback(bs.dim),), [0], trivial_structure([bs.dim]), "fallback")
 
 
 def _build(cand: SearchCandidate, dec: SchmidtDecomposition, side: str, warnings,
@@ -371,15 +380,18 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
     A fallback carries the warnings of every side, searched or not. The
     finest block structures of both orientations, at block tolerance
     min(10*tol, BLOCK_TOL), are summarized in the result's blocks. catalog
-    is a list of groups or catalog_recipe entries, by default
-    catalog_recipe(), the built-in catalog up to order 32; each call builds
-    one CatalogIndex of it, shared by both sides, which builds the groups of
-    an order when the search first reaches it.
+    is a list of groups or catalog_recipe entries; the call builds one
+    CatalogIndex of it, shared by both sides, which builds the groups of an
+    order when the search first reaches it. Without one, the call searches
+    builtin_index(seed), the process-wide index of catalog_recipe(), the
+    built-in catalog up to order 32: a compile builds only the groups and
+    irreps that no earlier compile at this seed has built, and its result
+    is the same as from a fresh index.
     """
     if side not in ("A", "B", "both"):
         raise ValidationError("side must be A, B, or both")
     block_tol = min(10 * tol, BLOCK_TOL)
-    index = CatalogIndex(catalog, seed)
+    index = builtin_index(seed) if catalog is None else CatalogIndex(catalog, seed)
     finest = {label: _finest_structure(bu, block_tol, seed)
               for label, bu in (("A", u), ("B", u.swapped()))}
     blocks = {label: {"sizes": list(bs.block_sizes), "classDims": bs.class_dims(),

@@ -25,7 +25,8 @@ class FiniteGroup:
     element_orders (a read-only int array, like inverses), is_abelian,
     center, conjugacy_classes, generating_set and signature (tuples).
     After construction only name may be assigned, and only a string;
-    assigning table, identity, inverses or an invariant raises AttributeError.
+    assigning table, identity, inverses or an invariant raises AttributeError,
+    and so does assigning name once freeze_name() has run.
     Equality and hashing are by identity: isomorphism is are_isomorphic.
     """
 
@@ -67,9 +68,18 @@ class FiniteGroup:
     def __setattr__(self, key, value):
         if key == "name" and not isinstance(value, str):
             raise ValidationError(f"group name must be a string, not {value!r}")
+        if "_name_frozen" in self.__dict__:
+            raise AttributeError(f"FiniteGroup.{key} is read-only; a catalog index holds this group")
         if key != "name" and "_sealed" in self.__dict__:
             raise AttributeError(f"FiniteGroup.{key} is read-only; only name may be assigned")
         object.__setattr__(self, key, value)
+
+    def freeze_name(self) -> "FiniteGroup":
+        """Make name read-only too, as every attribute already is; returns the
+        group. A catalog index freezes the groups it holds, so a result that
+        hands one out cannot rename it for a later compile."""
+        object.__setattr__(self, "_name_frozen", True)
+        return self
 
     @property
     def order(self) -> int:
@@ -153,14 +163,17 @@ class FiniteGroup:
         return g
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorSystem:
-    """Unit-modulus two-cocycle mu(f, g) attached to a group."""
+    """Unit-modulus two-cocycle mu(f, g) attached to a group; phases is
+    made read-only at construction, and no attribute can be assigned."""
 
     phases: np.ndarray
 
     def __post_init__(self):
-        self.phases = np.asarray(self.phases, dtype=complex)
+        phases = np.asarray(self.phases, dtype=complex)
+        phases.flags.writeable = False
+        object.__setattr__(self, "phases", phases)
 
     @classmethod
     def trivial(cls, order: int) -> "FactorSystem":

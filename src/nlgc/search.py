@@ -13,7 +13,7 @@ import numpy as np
 
 from .groups import FiniteGroup, _built, are_isomorphic, catalog_recipe
 from .representations import (Representation, central_irreps, irreps_of,
-                              projective_irreps_from_extension)
+                              pauli_projective_rep, projective_irreps_from_extension)
 from .sbd import BlockStructure, EquivalenceClass, merge_blocks
 
 MERGE_ENUMERATION_CAP = 8
@@ -25,10 +25,11 @@ class SearchCandidate:
 
     assignment[i] indexes into irreps for the i-th equivalence class of
     structure; route records how the candidate was found. The irreps carry
-    the group and its factor system.
+    the group and its factor system; they are those the catalog index
+    holds, shared with every later search of that index.
     """
 
-    irreps: list[Representation]
+    irreps: tuple[Representation, ...]
     assignment: list[int]
     structure: BlockStructure
     route: str                       # "ordinary" | "projective" | "fallback"
@@ -127,10 +128,17 @@ class CatalogIndex:
     entries, by default catalog_recipe(); a group's position there breaks
     ties in the search order. The orders present are known at once; the
     groups of an order are built, validated and sorted the first time
-    groups(order) asks. The ordinary irreps of a group, and the projective
-    irreps of the quotient of an extension l by a central z, are likewise
-    computed on first use, keyed by the group object. Nothing outlives the
-    index: build one per compile.
+    groups(order) asks. The ordinary irreps of a group, the projective
+    irreps of the quotient of an extension l by a central z, and the
+    shift/clock representation of the fallback are likewise computed on
+    first use, keyed by the group object or the dimension.
+
+    What the index hands out can be shared by any number of searches: every
+    group it holds has its name frozen, irrep lists are tuples, and the
+    matrices and factor phases of a Representation are read-only. An entry
+    is stored only once it is fully built, by one setdefault, so searches
+    running at once may build an entry twice but all read the first stored.
+    builtin_index(seed) is the process-wide index of the built-in catalog.
     """
 
     def __init__(self, catalog=None, seed: int = 0):
@@ -140,23 +148,24 @@ class CatalogIndex:
             order, make = _built(entry) if isinstance(entry, FiniteGroup) else entry
             self._makers.setdefault(order, []).append((idx, make))
         self.orders = frozenset(self._makers)
-        self._by_order: dict[int, list[FiniteGroup]] = {}
-        self._ordinary: dict[FiniteGroup, list[Representation]] = {}
+        self._by_order: dict[int, tuple[FiniteGroup, ...]] = {}
+        self._ordinary: dict[FiniteGroup, tuple[Representation, ...]] = {}
         self._projective: dict[tuple[FiniteGroup, int], tuple] = {}
+        self._fallback: dict[int, Representation] = {}
 
-    def groups(self, order: int) -> list[FiniteGroup]:
+    def groups(self, order: int) -> tuple[FiniteGroup, ...]:
         """The groups of this order in search order, built on the first
         request; empty when the catalog has none."""
         if order not in self._by_order:
             built = sorted(((idx, make()) for idx, make in self._makers.get(order, [])),
                            key=lambda t: _group_sort_key(*t))
-            self._by_order[order] = [g for _, g in built]
+            self._by_order.setdefault(order, tuple(g.freeze_name() for _, g in built))
         return self._by_order[order]
 
-    def irreps(self, g: FiniteGroup) -> list[Representation]:
+    def irreps(self, g: FiniteGroup) -> tuple[Representation, ...]:
         """Ordinary irreps of a group."""
         if g not in self._ordinary:
-            self._ordinary[g] = irreps_of(g, seed=self.seed)
+            self._ordinary.setdefault(g.freeze_name(), tuple(irreps_of(g, seed=self.seed)))
         return self._ordinary[g]
 
     def projective(self, l: FiniteGroup, z: int):
@@ -168,8 +177,32 @@ class CatalogIndex:
                 if are_isomorphic(quotient, known):
                     quotient.name = known.name
                     break
-            self._projective[l, z] = quotient, irreps
+            self._projective.setdefault((l, z), (quotient.freeze_name(), tuple(irreps)))
         return self._projective[l, z]
+
+    def fallback(self, dim: int) -> Representation:
+        """The shift/clock representation of C_dim x C_dim, pauli_projective_rep(dim)."""
+        if dim not in self._fallback:
+            rep = pauli_projective_rep(dim)
+            rep.group.freeze_name()
+            self._fallback.setdefault(dim, rep)
+        return self._fallback[dim]
+
+
+_builtin: CatalogIndex | None = None      # the one slot of builtin_index
+
+
+def builtin_index(seed: int) -> CatalogIndex:
+    """The process-wide CatalogIndex of the built-in catalog, catalog_recipe(),
+    at this seed: created on first use, so importing nlgc builds nothing, and
+    shared by every compile_unitary call without an explicit catalog. It has
+    one slot, so a request at another seed replaces it with a fresh index;
+    a search that holds the old one keeps it."""
+    global _builtin
+    index = _builtin
+    if index is None or index.seed != seed:
+        index = _builtin = CatalogIndex(seed=seed)
+    return index
 
 
 def search_group(structure: BlockStructure, index: CatalogIndex,

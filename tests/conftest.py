@@ -1,15 +1,25 @@
 """Test-only helpers shared by several test files: import them with
 `from conftest import ...`."""
 import numpy as np
+import pytest
 
 import nlgc.expansion
 import nlgc.protocol
+import nlgc.search
 from nlgc._linalg import weyl_operator_basis
 from nlgc.expansion import NUM_TOL, _build, _finest_structure, compile_unitary
 from nlgc.protocol import build_M
 from nlgc.representations import Representation
 from nlgc.schmidt import BipartiteUnitary
 from nlgc.search import CatalogIndex, search_group
+
+
+@pytest.fixture
+def fresh_builtin_index(monkeypatch):
+    """An empty slot for search.builtin_index, so that the test's first
+    compile without a catalog builds a fresh index; the index of the
+    process comes back after the test."""
+    monkeypatch.setattr(nlgc.search, "_builtin", None)
 
 
 def orthogonality_defect(irreps: list[Representation]) -> float:

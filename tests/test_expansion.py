@@ -1,5 +1,7 @@
 """Compilation pipeline: V construction, W extraction, classification."""
 import json
+import sys
+import threading
 from dataclasses import FrozenInstanceError
 from functools import partial
 from types import SimpleNamespace
@@ -9,12 +11,14 @@ import pytest
 from conftest import dense_regular, haar_block_gate, uncertified_s4_expansion
 
 import nlgc.expansion
+import nlgc.search
 from nlgc._linalg import dagger
 from nlgc.errors import InconsistencyError, SingularInputError
 from nlgc.expansion import (CONTROLLED, DOUBLE, NUM_TOL, GroupExpansion, _finest_structure,
                             _side_stream, classify, compile_unitary, compute_W, construct_V,
                             synthesize_group_gate)
-from nlgc.groups import FiniteGroup, alternating, cyclic, dihedral, direct_product, symmetric
+from nlgc.groups import (FiniteGroup, alternating, catalog_recipe, cyclic, dihedral,
+                         direct_product, symmetric)
 from nlgc.protocol import build_M
 from nlgc.report import build_report, canonical_json, verify_report
 from nlgc.representations import irreps_of
@@ -318,7 +322,7 @@ def group_builds(monkeypatch):
     return built
 
 
-def test_a_compile_builds_only_the_catalog_orders_it_reaches(group_builds):
+def test_a_compile_builds_only_the_catalog_orders_it_reaches(fresh_builtin_index, group_builds):
     assert compile_unitary(BipartiteUnitary(CNOT, 2, 2)).group.order == 2
     assert group_builds and max(group_builds) == 2
     group_builds.clear()
@@ -328,12 +332,104 @@ def test_a_compile_builds_only_the_catalog_orders_it_reaches(group_builds):
     assert set(group_builds) == {4, 8}
 
 
-def test_every_compile_builds_its_own_catalog_index(group_builds):
-    compile_unitary(BipartiteUnitary(CNOT, 2, 2))
-    first = list(group_builds)
+@pytest.fixture
+def irreps_calls(monkeypatch):
+    """Orders of the groups whose irreps the search computes while the test runs."""
+    calls = []
+    irreps = nlgc.search.irreps_of
+
+    def counting(group, seed):
+        calls.append(group.order)
+        return irreps(group, seed=seed)
+    monkeypatch.setattr(nlgc.search, "irreps_of", counting)
+    return calls
+
+
+def test_a_repeat_compile_builds_no_group_and_no_irreps(fresh_builtin_index, group_builds,
+                                                       irreps_calls):
+    # CNOT, SWAP (projective) and a Haar 4x4 gate, which takes the fallback
+    gates = [BipartiteUnitary(CNOT, 2, 2), BipartiteUnitary(SWAP, 2, 2),
+             BipartiteUnitary(random_unitary(16, np.random.default_rng(4)), 4, 4)]
+    first = [compile_unitary(bu) for bu in gates]
+    assert group_builds and irreps_calls and first[-1].fallback
     group_builds.clear()
-    compile_unitary(BipartiteUnitary(CNOT, 2, 2))
-    assert first and group_builds == first
+    irreps_calls.clear()
+    again = [compile_unitary(bu) for bu in gates]
+    assert group_builds == [] and irreps_calls == []
+    assert [e.group for e in again] == [e.group for e in first]
+    # a compile at another seed replaces the one slot; an explicit catalog
+    # builds its own index and leaves the slot alone
+    compile_unitary(gates[0], seed=5)
+    assert group_builds and nlgc.search._builtin.seed == 5
+    group_builds.clear()
+    compile_unitary(gates[0], catalog=catalog_recipe(4))
+    assert group_builds
+    assert nlgc.search._builtin.seed == 5
+
+
+def test_compiles_in_threads_share_the_index_and_keep_their_reports(fresh_builtin_index):
+    w = np.exp(2j * np.pi / 3)
+    gates = [BipartiteUnitary(CNOT, 2, 2), BipartiteUnitary(SWAP, 2, 2),
+             BipartiteUnitary(np.diag([w ** (i * j) for i in range(3) for j in range(3)]), 3, 3),
+             BipartiteUnitary(random_unitary(9, np.random.default_rng(6)), 3, 3)]
+    # each reference compile builds an index of its own
+    serial = [canonical_json(build_report(compile_unitary(bu, catalog=catalog_recipe())))
+              for bu in gates]
+    index = nlgc.search.builtin_index(0)     # empty, filled by all threads at once
+    results = [[None] * len(gates) for _ in range(6)]
+
+    def work(k):
+        for i in np.roll(np.arange(len(gates)), k):
+            results[k][i] = compile_unitary(gates[i])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert nlgc.search._builtin is index
+    for i, reference in enumerate(serial):
+        assert {canonical_json(build_report(r[i])) for r in results} == {reference}
+        # every thread reads the entry stored first, whichever thread built it
+        assert len({id(r[i].group) for r in results}) == 1
+
+
+def test_a_result_cannot_rename_or_write_what_a_later_compile_reads(fresh_builtin_index):
+    swap = BipartiteUnitary(SWAP, 2, 2)
+    exp = compile_unitary(swap)
+    before = canonical_json(build_report(exp))
+    with pytest.raises(AttributeError, match="read-only"):
+        exp.group.name = "Renamed"
+    with pytest.raises(FrozenInstanceError):
+        exp.u_rep.matrices = np.zeros_like(exp.u_rep.matrices)
+    with pytest.raises(FrozenInstanceError):
+        exp.factor.phases = np.ones_like(exp.factor.phases)
+    for array in (exp.u_rep.matrices, exp.factor.phases):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    _, bs = _finest_structure(swap, 10 * NUM_TOL, seed=0)
+    cand = next(c for c in search_group(bs, nlgc.search.builtin_index(0))
+                if c.group.name == exp.group.name)
+    assert cand.group is exp.group and cand.factor is exp.factor
+    with pytest.raises(AttributeError, match="read-only"):
+        cand.group.name = "Renamed"
+    with pytest.raises(ValueError, match="read-only"):
+        cand.irreps[0].matrices[0] = 0
+    with pytest.raises(TypeError):
+        cand.irreps[0] = cand.irreps[-1]
+    cand.irreps = ()          # the candidate's own field, not the index's tuple
+    fallback = compile_unitary(BipartiteUnitary(random_unitary(16, np.random.default_rng(4)),
+                                                4, 4))
+    with pytest.raises(AttributeError, match="read-only"):
+        fallback.group.name = "Renamed"
+    with pytest.raises(ValueError, match="read-only"):
+        fallback.u_rep.matrices[1] = 0
+    assert canonical_json(build_report(compile_unitary(swap))) == before
 
 
 def test_a_cheaper_fallback_beats_a_costlier_group():
@@ -462,6 +558,25 @@ def test_a_compiled_expansion_is_frozen(name):
         setattr(exp, name, np.zeros_like(exp.w_ops))
     assert exp.residual == residual and exp.m is m
     np.testing.assert_array_equal(m, build_M(exp.group, exp.factor, exp.w_ops))
+
+
+@pytest.mark.parametrize("gate", ["cnot", "swap"])
+def test_a_compiled_expansion_rejects_writes_to_its_arrays(gate):
+    # CNOT is controlled (projectors, targets), SWAP double-unitary (wFactorPhases, wNorms)
+    exp = compile_unitary(BipartiteUnitary(CNOT if gate == "cnot" else SWAP, 2, 2))
+    assert exp.m_unitary and exp.residual < 1e-12
+    cls = exp.structure.classes[0]
+    arrays = {"v": exp.v, "w_coeffs": exp.w_coeffs, "w_ops": exp.w_ops,
+              "u_rep.matrices": exp.u_rep.matrices,
+              "structure.basis_change": exp.structure.basis_change,
+              "intertwiner": cls.intertwiners[cls.representative], **exp.details}
+    assert len(exp.details) == 2
+    for name, array in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+            pytest.fail(f"{name} accepted a write")
+    assert exp.m_unitary and exp.residual < 1e-12
+    np.testing.assert_array_equal(exp.m, build_M(exp.group, exp.factor, exp.w_ops))
 
 
 def test_an_expansion_without_claims_still_has_its_costs():

@@ -29,7 +29,7 @@ import pytest
 from nlgc import (BipartiteUnitary, build_report, canonical_json,
                   compile_unitary, random_states, simulate_protocol)
 from nlgc.expansion import synthesize_group_gate
-from nlgc.groups import alternating, builtin_catalog
+from nlgc.groups import alternating, builtin_catalog, catalog_recipe
 
 
 def haar_unitary(dim, seed):
@@ -85,6 +85,31 @@ def test_earlier_compiles_leave_later_reports_unchanged():
     explicit = canonical_report(cnot, catalog=builtin_catalog(32))
     assert first == again == explicit
     assert sha256(first) == GOLDEN_SHA256["cnot"]
+
+
+def _history_gates():
+    """The golden gates and Haar gates from 2x2 to 4x4."""
+    gates = {name: gate(name) for name in sorted(GATES)}
+    for d_a, d_b in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4)):
+        gates[f"haar{d_a}x{d_b}"] = BipartiteUnitary(haar_unitary(d_a * d_b, 11), d_a, d_b)
+    return gates
+
+
+def test_reports_do_not_depend_on_what_the_shared_index_holds(fresh_builtin_index):
+    """compile_unitary without a catalog searches one process-wide index per
+    seed: a fresh index, one filled by earlier compiles, and one rebuilt
+    after a compile at another seed took its slot give the same bytes."""
+    gates = _history_gates()
+    fresh = {name: canonical_report(bu) for name, bu in gates.items()}
+    assert sha256(fresh["cnot"]) == GOLDEN_SHA256["cnot"]
+    assert {name: canonical_report(bu) for name, bu in reversed(gates.items())} == fresh
+    at_five = {name: canonical_report(bu, seed=5) for name, bu in gates.items()}
+    assert {name: canonical_report(bu) for name, bu in gates.items()} == fresh
+    assert {name: canonical_report(bu, seed=5) for name, bu in gates.items()} == at_five
+    # an explicit catalog builds an index of its own for the call
+    for seed, reports in ((0, fresh), (5, at_five)):
+        assert {name: canonical_report(bu, seed=seed, catalog=catalog_recipe())
+                for name, bu in gates.items()} == reports
 
 
 @pytest.mark.parametrize("name", [*sorted(GATES), "haar2x3", "synth-A4"])

@@ -9,7 +9,8 @@ from nlgc.errors import ValidationError
 from nlgc.groups import (FactorSystem, alternating, builtin_catalog, cyclic,
                          dihedral, heisenberg, quaternion,
                          quotient_by_central_cyclic, symmetric)
-from nlgc.representations import (REP_TOL, Representation, central_irreps,
+from nlgc.representations import (REP_TOL, Representation, _defects, _validate_all,
+                                  central_irreps,
                                   factor_phases_of, gauge_normalize,
                                   irrep_dimensions, irreps_of,
                                   pauli_projective_rep,
@@ -296,6 +297,53 @@ def _unitarity_defect_einsum(rep):
     return float(np.max(np.abs(grams - np.eye(rep.dim))))
 
 
+def _validate_each(reps, tol):
+    """_validate_all as irreps_of ran it before stacking: each representation
+    on its own, the multiplication law before unitarity."""
+    for r in reps:
+        if not _multiplication_defect_einsum(r) <= tol:
+            raise ValidationError("matrices violate the twisted multiplication law")
+        if not _unitarity_defect_einsum(r) <= tol:
+            raise ValidationError("representation matrices must be unitary")
+
+
+def _validation_outcome(check, reps, tol):
+    try:
+        check(reps, tol)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", ["S4", "Q8", "C6", "D4/z"])
+def test_stacked_validation_equals_validating_each(case):
+    if case == "D4/z":
+        l = dihedral(4)
+        reps = projective_irreps_from_extension(
+            irreps_of(l), next(z for z in l.center if z != l.identity))[1]
+    else:
+        reps = irreps_of({"S4": symmetric(4), "Q8": quaternion(), "C6": cyclic(6)}[case])
+    group, factor = reps[0].group, reps[0].factor
+    variants = [list(reps)]
+    for i, rep in enumerate(reps):
+        d = rep.dim
+        negated, nan = rep.matrices.copy(), rep.matrices.copy()
+        negated[-1] *= -1
+        nan[-1, 0, d - 1] = np.nan
+        # a non-unitary similarity keeps the multiplication law; a 1-dim one scales
+        s = np.eye(d) + 0.5 * np.eye(d, k=1) if d > 1 else 2 * np.eye(1)
+        similar = s @ rep.matrices @ np.linalg.inv(s)
+        for broken in (negated, nan, similar if d > 1 else 2 * rep.matrices):
+            variants.append(reps[:i] + [Representation(group, factor, broken)] + reps[i + 1:])
+    # two broken sets: the later one's failure must not mask the earlier one's
+    variants.append([variants[-1][-1]] + variants[1][1:-1] + [variants[1][0]])
+    outcomes = [_validation_outcome(_validate_each, v, 1e-7) for v in variants]
+    assert [_validation_outcome(_validate_all, v, 1e-7) for v in variants] == outcomes
+    assert None in outcomes and "matrices violate the twisted multiplication law" in outcomes
+    if case != "C6":
+        assert "representation matrices must be unitary" in outcomes
+
+
 def _defect_cases():
     """Every catalog irrep, the projective irreps of the 13 (extension, z)
     pairs, and the shift/clock representations of dimension 2 to 4."""
@@ -316,8 +364,9 @@ def test_stacked_defects_equal_the_einsum_forms():
         noise = rng.standard_normal(rep.matrices.shape) + 1j * rng.standard_normal(rep.matrices.shape)
         for mats in (rep.matrices, rep.matrices + 1e-3 * noise):
             r = Representation(rep.group, rep.factor, mats)
-            assert abs(r.multiplication_defect() - _multiplication_defect_einsum(r)) <= 1e-12
-            assert abs(r.unitarity_defect() - _unitarity_defect_einsum(r)) <= 1e-12
+            mult, unit = _defects(r.group, r.factor, r.matrices[None])
+            assert abs(mult[0] - _multiplication_defect_einsum(r)) <= 1e-12
+            assert abs(unit[0] - _unitarity_defect_einsum(r)) <= 1e-12
 
 
 @pytest.mark.parametrize("case", ["S3-2dim", "C5-1dim", "pauli-3"])
