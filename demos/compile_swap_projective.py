@@ -24,7 +24,7 @@ ext = pauli_sixteen()
 print("central extension:", ext.name, "order", ext.order)
 for rep in irreps_of(ext):
     if rep.dim == 2:
-        chars = [c for c in rep.characters() if abs(c) > 1e-9]
+        chars = [c for c in np.einsum("fii->f", rep.matrices) if abs(c) > 1e-9]
         print("  2-dim irrep nonzero characters:",
               [complex(round(c.real, 6), round(c.imag, 6)) for c in chars])
 

@@ -1,9 +1,29 @@
 """Dense linear algebra helpers shared across the package."""
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import numpy as np
 
 from .errors import SingularInputError, ValidationError
+
+
+def read_only(value):
+    """value with its arrays made read-only, its lists tuples and its dicts
+    read-only mappings; a read-only mapping is returned as it is, so one can be shared."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (list, tuple)):
+        return tuple(map(read_only, value))
+    elif isinstance(value, dict):
+        return MappingProxyType({k: read_only(v) for k, v in value.items()})
+    return value
+
+
+def freeze(obj, **fields) -> None:
+    """Set fields of a frozen dataclass in its __post_init__, each made read_only."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, read_only(value))
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

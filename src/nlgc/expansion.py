@@ -15,12 +15,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from ._linalg import dagger, frobenius, gram_schmidt, kron_sum, polar_unitary, unitarity_deviation
+from ._linalg import (dagger, freeze, frobenius, gram_schmidt, kron_sum, polar_unitary,
+                      read_only, unitarity_deviation)
 from .errors import (AssignmentError, InconsistencyError, SingularInputError,
                      ValidationError)
 from .groups import FactorSystem, FiniteGroup
@@ -45,10 +47,10 @@ class GroupExpansion:
     The gate is schmidt.unitary, and the group and its factor system are
     those of u_rep; the properties unitary, group and factor return them.
     The frozen data derive the residual and M once, on first read; only the
-    classification is stored, because it depends on the tolerance. The
-    arrays v, w_coeffs, w_ops, u_rep.matrices, those of the structure and
-    those in details are made read-only at construction, so a cached fact
-    cannot go stale through a write either."""
+    classification is stored, because it depends on the tolerance. Like
+    every value it holds, it is frozen and seals its own fields with freeze
+    (arrays read-only, lists tuples, dicts read-only mappings), so a cached
+    fact cannot go stale through a write either."""
 
     schmidt: SchmidtDecomposition
     structure: BlockStructure
@@ -59,17 +61,15 @@ class GroupExpansion:
     side: str                      # "A" | "B": which factor carries V U(f)
     route: str                     # "ordinary" | "projective" | "fallback"
     classification: str = GENERAL
-    details: dict = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+    details: Mapping = field(default_factory=dict)
+    warnings: tuple[str, ...] = ()
     # finest classified block structure of each orientation, keyed "A" | "B":
-    # {"sizes", "classes", "classDims"}
-    blocks: dict = field(default_factory=dict)
+    # {"sizes", "classes", "classDims"}, shared by the candidates of a compile
+    blocks: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        for a in (self.v, self.w_coeffs, self.w_ops, self.structure.basis_change,
-                  *(t for c in self.structure.classes for t in c.intertwiners.values()),
-                  *self.details.values()):
-            a.flags.writeable = False
+        freeze(self, v=self.v, w_coeffs=self.w_coeffs, w_ops=self.w_ops, details=self.details,
+               warnings=self.warnings, blocks=self.blocks)
 
     @property
     def unitary(self) -> BipartiteUnitary:
@@ -108,8 +108,8 @@ class GroupExpansion:
 
     @cached_property
     def m(self) -> np.ndarray:
-        """The correlation unitary M = sum_f R(f) (x) W(f) of the protocol."""
-        return build_M(self.group, self.factor, self.w_ops)
+        """The correlation unitary M = sum_f R(f) (x) W(f) of the protocol, read-only."""
+        return read_only(build_M(self.group, self.factor, self.w_ops))
 
     @cached_property
     def m_deviation(self) -> float:
@@ -326,7 +326,7 @@ def _side_stream(label: str, bs: BlockStructure, index: CatalogIndex,
         yield (cand.order, False, label), cand
     yield (bs.dim ** 2, True, label), None
     yield (bs.dim ** 2, True, label), SearchCandidate(
-        (index.fallback(bs.dim),), [0], trivial_structure([bs.dim]), "fallback")
+        (index.fallback(bs.dim),), (0,), trivial_structure([bs.dim]), "fallback")
 
 
 def _build(cand: SearchCandidate, dec: SchmidtDecomposition, side: str, warnings,
@@ -348,17 +348,15 @@ def _build(cand: SearchCandidate, dec: SchmidtDecomposition, side: str, warnings
                          w_coeffs=w_coeffs, w_ops=w_ops, side=side, route=cand.route,
                          blocks=blocks)
     classification, details = classify(exp, tol=tol)
-    exp = replace(exp, classification=classification, details=details)
-    _merge_warnings(exp.warnings, *warnings)
+    own = list(dict.fromkeys(warnings))
     if exp.fallback:
         cost = "the teleportation cost"
         if cand.order > min(d_a, dec.unitary.dim_b) ** 2:     # a one-sided fallback
             cost = "%.3f ebits, above the teleportation cost of %.3f" % (
                 exp.cost_ebits, exp.baseline_ebits)
-        exp.warnings.append(
-            "no admissible group found within the search bound; fell back to the "
-            "generalized shift-and-phase expansion at " + cost)
-    return exp
+        own.append("no admissible group found within the search bound; fell back to the "
+                   "generalized shift-and-phase expansion at " + cost)
+    return replace(exp, classification=classification, details=details, warnings=own)
 
 
 def compile_unitary(u: BipartiteUnitary, side: str = "both",
@@ -394,9 +392,9 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
     index = builtin_index(seed) if catalog is None else CatalogIndex(catalog, seed)
     finest = {label: _finest_structure(bu, block_tol, seed)
               for label, bu in (("A", u), ("B", u.swapped()))}
-    blocks = {label: {"sizes": list(bs.block_sizes), "classDims": bs.class_dims(),
-                      "classes": [list(c.members) for c in bs.classes]}
-              for label, (_, bs) in finest.items()}
+    blocks = read_only({label: {"sizes": bs.block_sizes, "classDims": bs.class_dims(),
+                                "classes": [c.members for c in bs.classes]}
+                        for label, (_, bs) in finest.items()})
     warnings = {label: [] for label in (["A", "B"] if side == "both" else [side])}
     streams = [_side_stream(label, finest[label][1], index, allow_projective, sink)
                for label, sink in warnings.items()]

@@ -9,24 +9,25 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from ._linalg import freeze
 from .errors import DimensionError, ValidationError, json_int, malformed
 
 PHASE_TOL = 1e-9
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """Group given by its full multiplication table.
 
-    table[f, g] is the element index of f*g. Construction verifies closure,
-    identity, inverses and associativity on a private copy of the table and
-    then makes it read-only, so the invariants computed on first use and
-    kept on the instance cannot go stale: the cached properties
-    element_orders (a read-only int array, like inverses), is_abelian,
-    center, conjugacy_classes, generating_set and signature (tuples).
-    After construction only name may be assigned, and only a string;
-    assigning table, identity, inverses or an invariant raises AttributeError,
-    and so does assigning name once freeze_name() has run.
+    table[f, g] is the element index of f*g. Construction checks that name
+    is a string, then verifies closure, identity, inverses and associativity
+    on a private copy of the table and makes it read-only, so the invariants
+    computed on first use and kept on the instance cannot go stale: the
+    cached properties element_orders (a read-only int array, like inverses),
+    is_abelian, center, conjugacy_classes, generating_set and signature
+    (tuples). Like every value a compile shares, it is a frozen dataclass:
+    assigning any attribute raises FrozenInstanceError, and a group under
+    another name is dataclasses.replace(g, name=...).
     Equality and hashing are by identity: isomorphism is are_isomorphic.
     """
 
@@ -36,9 +37,11 @@ class FiniteGroup:
     inverses: np.ndarray = field(init=False, default=None)
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValidationError(f"group name must be a string, not {self.name!r}")
         if np.asarray(self.table).dtype.kind not in "iu":
             raise ValidationError("table entries must be integer element indices")
-        self.table = table = np.array(self.table, dtype=int)
+        table = np.array(self.table, dtype=int)
         n = table.shape[0]
         if table.shape != (n, n):
             raise ValidationError("multiplication table must be square")
@@ -48,13 +51,12 @@ class FiniteGroup:
         ident = np.flatnonzero((table == idx).all(1) & (table == idx[:, None]).all(0))
         if len(ident) != 1:
             raise ValidationError("table has no unique identity element")
-        self.identity = e = int(ident[0])
+        e = int(ident[0])
         hits = table == e
         inv = hits.argmax(1)
         bad = (hits.sum(1) != 1) | (table[inv, idx] != e)
         if bad.any():
             raise ValidationError(f"element {int(bad.argmax())} has no two-sided inverse")
-        self.inverses = inv
         lhs = table[table, :]     # (f*g)*h
         rhs = table[:, table]     # f*(g*h)
         if not np.array_equal(lhs, rhs):
@@ -62,24 +64,7 @@ class FiniteGroup:
             raise ValidationError(
                 f"associativity fails at triple ({f}, {g}, {h}): "
                 f"({f}*{g})*{h} != {f}*({g}*{h})")
-        table.flags.writeable = inv.flags.writeable = False
-        object.__setattr__(self, "_sealed", True)
-
-    def __setattr__(self, key, value):
-        if key == "name" and not isinstance(value, str):
-            raise ValidationError(f"group name must be a string, not {value!r}")
-        if "_name_frozen" in self.__dict__:
-            raise AttributeError(f"FiniteGroup.{key} is read-only; a catalog index holds this group")
-        if key != "name" and "_sealed" in self.__dict__:
-            raise AttributeError(f"FiniteGroup.{key} is read-only; only name may be assigned")
-        object.__setattr__(self, key, value)
-
-    def freeze_name(self) -> "FiniteGroup":
-        """Make name read-only too, as every attribute already is; returns the
-        group. A catalog index freezes the groups it holds, so a result that
-        hands one out cannot rename it for a later compile."""
-        object.__setattr__(self, "_name_frozen", True)
-        return self
+        freeze(self, table=table, identity=e, inverses=inv)
 
     @property
     def order(self) -> int:
@@ -171,9 +156,7 @@ class FactorSystem:
     phases: np.ndarray
 
     def __post_init__(self):
-        phases = np.asarray(self.phases, dtype=complex)
-        phases.flags.writeable = False
-        object.__setattr__(self, "phases", phases)
+        freeze(self, phases=np.asarray(self.phases, dtype=complex))
 
     @classmethod
     def trivial(cls, order: int) -> "FactorSystem":

@@ -210,7 +210,7 @@ def build_report(exp: GroupExpansion, trace=None, meta: dict | None = None,
             "rank": len(exp.schmidt),
             "coefficients": [float(c) for c in exp.schmidt.coefficients],
         },
-        "blocks": exp.blocks,
+        "blocks": json.loads(json.dumps(exp.blocks, default=dict)),     # plain dicts and lists
         "group": {
             "name": exp.group.name,
             "order": exp.group.order,
@@ -307,8 +307,7 @@ def expansion_from_report(report: dict) -> GroupExpansion:
         classification=report["classification"]["label"],
         details={key: decode_matrix(w, (None,) * (np.ndim(w) - 1))
                  for key, w in report["classification"].items() if key != "label"},
-        warnings=list(warnings),
-        blocks=report["blocks"])
+        warnings=warnings, blocks=report["blocks"])
 
 
 def _partition_consistent(sizes, classes, d_a: int) -> bool:

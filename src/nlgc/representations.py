@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import weyl_operator_basis
+from ._linalg import freeze, weyl_operator_basis
 from .errors import InconsistencyError, ValidationError
 from .groups import FactorSystem, FiniteGroup, cyclic, direct_product, quotient_by_central_cyclic
 from .sbd import _finest_split
@@ -30,19 +30,14 @@ class Representation:
     matrices: np.ndarray          # (order, d, d)
 
     def __post_init__(self):
-        matrices = np.asarray(self.matrices)
-        matrices.flags.writeable = False
-        object.__setattr__(self, "matrices", matrices)
+        freeze(self, matrices=np.asarray(self.matrices))
 
     @property
     def dim(self) -> int:
         return self.matrices.shape[1]
 
-    def characters(self) -> np.ndarray:
-        return np.einsum("fii->f", self.matrices)
-
-    def validate(self, tol: float = 1e-8):
-        _validate_all([self], tol)
+    def validate(self):
+        _validate_all([self])
 
 
 def _defects(group: FiniteGroup, factor: FactorSystem,

@@ -8,36 +8,44 @@ unitary conjugation.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (connected_components, dagger, leading_phase, null_space,
+from ._linalg import (connected_components, dagger, freeze, leading_phase, null_space,
                       polar_unitary, svd_rank)
 from .errors import DimensionError, InconsistencyError, NondeterminismError
 
 BLOCK_TOL = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class EquivalenceClass:
-    """Blocks carrying the same content up to a fixed unitary conjugation."""
+    """Blocks carrying the same content up to a fixed unitary conjugation; frozen."""
 
-    members: list            # block indices, first one is the representative
-    intertwiners: dict       # block index -> unitary T with T R_rep T† = R_member
+    members: tuple           # block indices, first one is the representative
+    intertwiners: Mapping    # block index -> unitary T with T R_rep T† = R_member
+
+    def __post_init__(self):
+        freeze(self, members=self.members, intertwiners=self.intertwiners)
 
     @property
     def representative(self) -> int:
         return self.members[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockStructure:
-    """Unitary basis change plus the common block partition it induces."""
+    """Unitary basis change plus the common block partition it induces; frozen."""
 
     basis_change: np.ndarray          # columns ordered block by block
-    block_sizes: list                 # sizes in block order
-    classes: list = field(default_factory=list)   # EquivalenceClass list, empty until classified
+    block_sizes: tuple                # sizes in block order
+    classes: tuple = ()               # EquivalenceClass tuple, empty until classified
+
+    def __post_init__(self):
+        freeze(self, basis_change=np.asarray(self.basis_change),
+               block_sizes=self.block_sizes, classes=self.classes)
 
     @property
     def dim(self) -> int:
@@ -203,28 +211,26 @@ def classify_equivalence(bs: BlockStructure, mats, tol: float = BLOCK_TOL) -> Bl
     slices = bs.block_slices()
     rotated = bs.transformed(_as_stack(mats))
     per_block = [rotated[:, sl, sl] for sl in slices]
-    classes: list[EquivalenceClass] = []
+    classes: list[dict] = []      # member -> intertwiner, the representative first
     for alpha in range(len(slices)):
-        for cls in classes:
-            rep = cls.representative
+        for inter in classes:
+            rep = next(iter(inter))
             if bs.block_sizes[rep] != bs.block_sizes[alpha]:
                 continue
             t = _intertwiner(per_block[rep], per_block[alpha], tol)
             if t is not None:
-                cls.members.append(alpha)
-                cls.intertwiners[alpha] = t
+                inter[alpha] = t
                 break
         else:
-            n = bs.block_sizes[alpha]
-            classes.append(EquivalenceClass([alpha], {alpha: np.eye(n, dtype=complex)}))
-    classes.sort(key=lambda c: (bs.block_sizes[c.representative], -len(c.members)))
-    order = [m for c in classes for m in c.members]
+            classes.append({alpha: np.eye(bs.block_sizes[alpha], dtype=complex)})
+    classes.sort(key=lambda c: (bs.block_sizes[next(iter(c))], -len(c)))
+    order = [m for c in classes for m in c]
     pos = {m: k for k, m in enumerate(order)}
     return BlockStructure(
         bs.basis_change[:, np.r_[tuple(slices[m] for m in order)]],
         [bs.block_sizes[m] for m in order],
-        [EquivalenceClass([pos[m] for m in c.members],
-                          {pos[m]: t for m, t in c.intertwiners.items()}) for c in classes])
+        [EquivalenceClass([pos[m] for m in c], {pos[m]: t for m, t in c.items()})
+         for c in classes])
 
 
 def merge_blocks(bs: BlockStructure, partition: list[list[int]]) -> BlockStructure:
@@ -241,14 +247,8 @@ def merge_blocks(bs: BlockStructure, partition: list[list[int]]) -> BlockStructu
     sized = [(sum(bs.block_sizes[i] for i in p), slices[p[0]].start, p) for p in parts]
     sized.sort(key=lambda t: (t[0], t[1]))
 
-    cols = []
-    new_sizes = []
-    for size, _, part in sized:
-        new_sizes.append(size)
-        for i in part:
-            cols.extend(range(slices[i].start, slices[i].stop))
-    s = bs.basis_change[:, cols]
-    merged = BlockStructure(s, new_sizes)
+    new_sizes = [size for size, _, _ in sized]
+    cols = [c for _, _, part in sized for i in part for c in range(slices[i].start, slices[i].stop)]
 
     new_index = {tuple(part): k for k, (_, _, part) in enumerate(sized)}
     classes = []
@@ -266,7 +266,6 @@ def merge_blocks(bs: BlockStructure, partition: list[list[int]]) -> BlockStructu
         if len(part) > 1:
             classes.append(EquivalenceClass([k], {k: np.eye(size, dtype=complex)}))
     classes.sort(key=lambda c: c.representative)
-    merged.classes = classes
     if len({m for c in classes for m in c.members}) != len(new_sizes):
         raise InconsistencyError("merged class bookkeeping lost a block")
-    return merged
+    return BlockStructure(bs.basis_change[:, cols], new_sizes, classes)

@@ -10,23 +10,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import kron_sum, leading_phase, unitarity_deviation
+from ._linalg import freeze, kron_sum, leading_phase, unitarity_deviation
 from .errors import DimensionError, ValidationError
 
 UNITARITY_TOL = 1e-8
 RANK_CUTOFF = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class BipartiteUnitary:
-    """Unitary matrix together with its tensor factorization dimensions."""
+    """Unitary matrix with its tensor factor dimensions; frozen, matrix a read-only copy."""
 
     matrix: np.ndarray
     dim_a: int
     dim_b: int
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
+        freeze(self, matrix=np.array(self.matrix, dtype=complex))
         d = self.dim_a * self.dim_b
         if self.dim_a < 1 or self.dim_b < 1:
             raise DimensionError("tensor factor dimensions must be positive")
@@ -48,14 +48,18 @@ class BipartiteUnitary:
         return BipartiteUnitary(m, self.dim_b, self.dim_a)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchmidtDecomposition:
-    """Terms of the operator Schmidt expansion, coefficients descending."""
+    """Terms of the operator Schmidt expansion, coefficients descending; frozen."""
 
     unitary: BipartiteUnitary
     coefficients: np.ndarray          # positive reals, descending
     a_ops: np.ndarray                 # (r, dA, dA), weight s_j folded in
     b_ops: np.ndarray                 # (r, dB, dB), orthonormal set
+
+    def __post_init__(self):
+        freeze(self, coefficients=np.asarray(self.coefficients),
+               a_ops=np.asarray(self.a_ops), b_ops=np.asarray(self.b_ops))
 
     def __len__(self) -> int:
         return len(self.coefficients)

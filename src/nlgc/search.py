@@ -7,7 +7,7 @@ eligible once the order reaches their dimension-square sum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,18 +19,19 @@ from .sbd import BlockStructure, EquivalenceClass, merge_blocks
 MERGE_ENUMERATION_CAP = 8
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchCandidate:
     """One (group, factor system, irrep assignment) proposal.
 
     assignment[i] indexes into irreps for the i-th equivalence class of
     structure; route records how the candidate was found. The irreps carry
     the group and its factor system; they are those the catalog index
-    holds, shared with every later search of that index.
+    holds, shared with every later search of that index. Frozen, with
+    tuples for irreps and assignment.
     """
 
     irreps: tuple[Representation, ...]
-    assignment: list[int]
+    assignment: tuple[int, ...]
     structure: BlockStructure
     route: str                       # "ordinary" | "projective" | "fallback"
 
@@ -65,7 +66,7 @@ def trivial_structure(dims: list[int]) -> BlockStructure:
     total = sum(dims)
     classes = [EquivalenceClass(members=[i], intertwiners={i: np.eye(d, dtype=complex)})
                for i, d in enumerate(dims)]
-    return BlockStructure(np.eye(total, dtype=complex), list(dims), classes)
+    return BlockStructure(np.eye(total, dtype=complex), dims, classes)
 
 
 def search_floor(structure: BlockStructure) -> int:
@@ -102,7 +103,7 @@ def _merge_warnings(into: list[str], *messages: str) -> None:
             into.append(msg)
 
 
-def _assign(required: list[int], irreps: list[Representation]) -> list[int] | None:
+def _assign(required: list[int], irreps: list[Representation]) -> tuple[int, ...] | None:
     """Match each required dim to the first unused irrep of that dimension;
     None when the irreps do not cover the required dims."""
     free = list(range(len(irreps)))
@@ -113,7 +114,7 @@ def _assign(required: list[int], irreps: list[Representation]) -> list[int] | No
             return None
         free.remove(i)
         out.append(i)
-    return out
+    return tuple(out)
 
 
 def _group_sort_key(catalog_index: int, g: FiniteGroup) -> tuple:
@@ -133,10 +134,9 @@ class CatalogIndex:
     shift/clock representation of the fallback are likewise computed on
     first use, keyed by the group object or the dimension.
 
-    What the index hands out can be shared by any number of searches: every
-    group it holds has its name frozen, irrep lists are tuples, and the
-    matrices and factor phases of a Representation are read-only. An entry
-    is stored only once it is fully built, by one setdefault, so searches
+    What the index hands out can be shared by any number of searches: groups
+    and representations are frozen, and irrep lists are tuples. An entry is
+    stored only once it is fully built, by one setdefault, so searches
     running at once may build an entry twice but all read the first stored.
     builtin_index(seed) is the process-wide index of the built-in catalog.
     """
@@ -159,33 +159,33 @@ class CatalogIndex:
         if order not in self._by_order:
             built = sorted(((idx, make()) for idx, make in self._makers.get(order, [])),
                            key=lambda t: _group_sort_key(*t))
-            self._by_order.setdefault(order, tuple(g.freeze_name() for _, g in built))
+            self._by_order.setdefault(order, tuple(g for _, g in built))
         return self._by_order[order]
 
     def irreps(self, g: FiniteGroup) -> tuple[Representation, ...]:
         """Ordinary irreps of a group."""
         if g not in self._ordinary:
-            self._ordinary.setdefault(g.freeze_name(), tuple(irreps_of(g, seed=self.seed)))
+            self._ordinary.setdefault(g, tuple(irreps_of(g, seed=self.seed)))
         return self._ordinary[g]
 
     def projective(self, l: FiniteGroup, z: int):
-        """(quotient, irreps) of l/<z> in the standard gauge; the quotient is
-        named after the first isomorphic catalog group of its order."""
+        """(quotient, irreps) of l/<z> in the standard gauge; the quotient, and
+        so the group of each irrep, is named after the first isomorphic
+        catalog group of its order."""
         if (l, z) not in self._projective:
             quotient, irreps = projective_irreps_from_extension(self.irreps(l), z)
             for known in self.groups(quotient.order):
                 if are_isomorphic(quotient, known):
-                    quotient.name = known.name
+                    quotient = replace(quotient, name=known.name)
+                    irreps = [replace(ir, group=quotient) for ir in irreps]
                     break
-            self._projective.setdefault((l, z), (quotient.freeze_name(), tuple(irreps)))
+            self._projective.setdefault((l, z), (quotient, tuple(irreps)))
         return self._projective[l, z]
 
     def fallback(self, dim: int) -> Representation:
         """The shift/clock representation of C_dim x C_dim, pauli_projective_rep(dim)."""
         if dim not in self._fallback:
-            rep = pauli_projective_rep(dim)
-            rep.group.freeze_name()
-            self._fallback.setdefault(dim, rep)
+            self._fallback.setdefault(dim, pauli_projective_rep(dim))
         return self._fallback[dim]
 
 

@@ -75,7 +75,7 @@ def test_criterion_2_swap_projective_order_four():
     for rep in irreps_of(ext):
         if rep.dim != 2:
             continue
-        chars = rep.characters()
+        chars = np.einsum("fii->f", rep.matrices)
         nonzero = {(round(c.real, 6), round(c.imag, 6))
                    for c in chars if abs(c) > 1e-9}
         if nonzero == targets:

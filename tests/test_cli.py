@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -823,8 +824,7 @@ def test_catalog_dir_feeds_the_search(tmp_path, capsys, monkeypatch):
     gate = write_gate(tmp_path / "cphase.json", m, 3, 3)
     catdir = tmp_path / "catalog"
     catdir.mkdir()
-    renamed = cyclic(3)
-    renamed.name = "MyZ3"
+    renamed = replace(cyclic(3), name="MyZ3")
     save_group_file(renamed, catdir / "MyZ3.json")
     monkeypatch.setenv("NLGC_CATALOG_DIR", str(catdir))
     assert main(["compile", gate]) == 0

@@ -2,9 +2,9 @@
 import json
 import sys
 import threading
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, is_dataclass
 from functools import partial
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from nlgc.expansion import (CONTROLLED, DOUBLE, NUM_TOL, GroupExpansion, _finest
 from nlgc.groups import (FiniteGroup, alternating, catalog_recipe, cyclic, dihedral,
                          direct_product, symmetric)
 from nlgc.protocol import build_M
-from nlgc.report import build_report, canonical_json, verify_report
+from nlgc.report import build_report, canonical_json, expansion_from_report, verify_report
 from nlgc.representations import irreps_of
 from nlgc.schmidt import BipartiteUnitary
 from nlgc.search import CatalogIndex, search_group, trivial_structure
@@ -403,7 +403,7 @@ def test_a_result_cannot_rename_or_write_what_a_later_compile_reads(fresh_builti
     swap = BipartiteUnitary(SWAP, 2, 2)
     exp = compile_unitary(swap)
     before = canonical_json(build_report(exp))
-    with pytest.raises(AttributeError, match="read-only"):
+    with pytest.raises(FrozenInstanceError):
         exp.group.name = "Renamed"
     with pytest.raises(FrozenInstanceError):
         exp.u_rep.matrices = np.zeros_like(exp.u_rep.matrices)
@@ -416,16 +416,17 @@ def test_a_result_cannot_rename_or_write_what_a_later_compile_reads(fresh_builti
     cand = next(c for c in search_group(bs, nlgc.search.builtin_index(0))
                 if c.group.name == exp.group.name)
     assert cand.group is exp.group and cand.factor is exp.factor
-    with pytest.raises(AttributeError, match="read-only"):
+    with pytest.raises(FrozenInstanceError):
         cand.group.name = "Renamed"
     with pytest.raises(ValueError, match="read-only"):
         cand.irreps[0].matrices[0] = 0
     with pytest.raises(TypeError):
         cand.irreps[0] = cand.irreps[-1]
-    cand.irreps = ()          # the candidate's own field, not the index's tuple
+    with pytest.raises(FrozenInstanceError):
+        cand.irreps = ()
     fallback = compile_unitary(BipartiteUnitary(random_unitary(16, np.random.default_rng(4)),
                                                 4, 4))
-    with pytest.raises(AttributeError, match="read-only"):
+    with pytest.raises(FrozenInstanceError):
         fallback.group.name = "Renamed"
     with pytest.raises(ValueError, match="read-only"):
         fallback.u_rep.matrices[1] = 0
@@ -454,8 +455,8 @@ def test_a_side_stream_ends_with_its_fallback_candidate():
     assert searched and all(k == (c.order, False, "A") and c.route != "fallback"
                             for k, c in searched)
     assert (key2, marker2) == ((4, True, "A"), None) and last == (4, True, "A")
-    assert (fallback.route, fallback.group.name, fallback.assignment) == ("fallback", "C2xC2", [0])
-    assert fallback.structure.block_sizes == [2]
+    assert (fallback.route, fallback.group.name, fallback.assignment) == ("fallback", "C2xC2", (0,))
+    assert fallback.structure.block_sizes == (2,)
 
 
 def test_a_candidate_whose_M_is_not_unitary_is_rejected():
@@ -507,7 +508,7 @@ def test_a_fallback_carries_the_first_search_step_of_an_unsearched_side():
     for d_a, d_b, side, first, second in [(4, 5, "A", 16, 25), (5, 4, "B", 25, 16)]:
         exp = compile_unitary(BipartiteUnitary(random_unitary(d_a * d_b, rng), d_a, d_b))
         assert (exp.fallback, exp.side, exp.group.name) == (True, side, "C4xC4")
-        assert exp.warnings == gaps[first] + gaps[second] + [fell_back]
+        assert exp.warnings == (*gaps[first], *gaps[second], fell_back)
 
 
 MIXED_DIMENSIONS = {
@@ -577,6 +578,54 @@ def test_a_compiled_expansion_rejects_writes_to_its_arrays(gate):
             pytest.fail(f"{name} accepted a write")
     assert exp.m_unitary and exp.residual < 1e-12
     np.testing.assert_array_equal(exp.m, build_M(exp.group, exp.factor, exp.w_ops))
+
+
+def _assert_sealed(value, path, seen):
+    """Every array reachable from value is read-only, no attribute of a
+    dataclass it reaches can be assigned, and it reaches no list, dict or set."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        with pytest.raises(ValueError, match="read-only"):
+            value[...] = value
+            pytest.fail(f"{path} accepted a write")
+    elif is_dataclass(value):
+        for name, child in [*vars(value).items(), ("unset", None)]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, child)
+            _assert_sealed(child, f"{path}.{name}", seen)
+    elif isinstance(value, MappingProxyType):
+        for key, child in value.items():
+            _assert_sealed(child, f"{path}[{key!r}]", seen)
+    elif isinstance(value, tuple):
+        for i, child in enumerate(value):
+            _assert_sealed(child, f"{path}[{i}]", seen)
+    else:
+        assert isinstance(value, (str, int, float, np.generic, type(None))), (path, type(value))
+
+
+@pytest.mark.parametrize("gate", ["cnot", "swap", "haar 4x4"])
+def test_nothing_reachable_from_an_expansion_can_be_written(gate):
+    # the gate, its Schmidt terms, the structure, the group table and its
+    # cached invariants, u_rep, the factor system, details, blocks, warnings
+    # and the cached residual and M, of a compile and of its report read back
+    matrix = {"cnot": CNOT, "swap": SWAP,
+              "haar 4x4": random_unitary(16, np.random.default_rng(4))}[gate]
+    exp = compile_unitary(BipartiteUnitary(matrix, *(2, 2) if len(matrix) == 4 else (4, 4)))
+    loaded = expansion_from_report(json.loads(canonical_json(build_report(exp))))
+    assert exp.warnings if gate == "haar 4x4" else exp.details
+    for name, e in (("compiled", exp), ("loaded", loaded)):
+        assert e.residual < 1e-9 and e.m_unitary and e.group.signature
+        _assert_sealed(e, name, set())
+
+
+def test_nothing_reachable_from_a_search_candidate_can_be_written():
+    _, bs = _finest_structure(BipartiteUnitary(SWAP, 2, 2), 10 * NUM_TOL, seed=0)
+    cands = [c for _, c in _side_stream("A", bs, CatalogIndex(), True, []) if c is not None]
+    assert {c.route for c in cands} == {"projective", "fallback"}
+    for i, cand in enumerate(cands):
+        _assert_sealed(cand, f"candidate {i}", set())
 
 
 def test_an_expansion_without_claims_still_has_its_costs():

@@ -1,6 +1,6 @@
 """Finite group construction, isomorphism testing, catalog hygiene."""
 import hashlib
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -66,15 +66,20 @@ def test_table_is_frozen_but_the_callers_array_is_not():
                                   "is_abelian", "center", "conjugacy_classes",
                                   "generating_set", "signature"])
 def test_only_the_name_of_a_group_can_be_reassigned(name):
+    # a group is a frozen dataclass: no attribute, the name included, can be
+    # assigned; a group under another name is a replaced copy
     g = dihedral(4)
     value = g.table.T if name == "table" else (3 if name == "identity" else (0,))
-    with pytest.raises(AttributeError, match="read-only"):
+    with pytest.raises(FrozenInstanceError):
         setattr(g, name, value)
     assert are_isomorphic(g, dihedral(4)) and g.signature == dihedral(4).signature
+    with pytest.raises(FrozenInstanceError):
+        g.name = "D4alias"
     with pytest.raises(ValidationError, match="must be a string"):
-        g.name = 7
-    g.name = "D4alias"
-    assert g.name == "D4alias"
+        replace(g, name=7)
+    alias = replace(g, name="D4alias")
+    assert (alias.name, g.name) == ("D4alias", "D4")
+    assert alias.table.tobytes() == g.table.tobytes() and not alias.table.flags.writeable
 
 
 def test_group_equality_is_identity_and_never_raises():
@@ -202,8 +207,7 @@ def test_isomorphic_extras_are_dropped_at_every_order():
 def test_catalog_respects_max_order_and_extras():
     cat = builtin_catalog(6)
     assert max(g.order for g in cat) == 6
-    extra = cyclic(5)
-    extra.name = "C5alias"
+    extra = replace(cyclic(5), name="C5alias")
     merged = builtin_catalog(6, extra=[extra])
     # isomorphic extras are dropped rather than duplicated
     assert sum(1 for g in merged if g.order == 5) == 1

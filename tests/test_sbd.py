@@ -73,7 +73,7 @@ def test_finest_sbd_returns_the_classified_structure():
     rng = np.random.default_rng(3)
     fam, _ = scrambled_family([(1, 2), (2, 1), (3, 2)], rng)
     bs = finest_sbd(fam, seed=0)
-    assert [c.members for c in bs.classes] == [[0, 1], [2], [3, 4]]
+    assert [c.members for c in bs.classes] == [(0, 1), (2,), (3, 4)]
     assert search_floor(bs) == sum(d * d for d in bs.class_dims()) == 1 + 4 + 9
 
 
@@ -82,9 +82,9 @@ def test_classify_equivalence_leaves_its_argument_unchanged():
     fam, s = scrambled_family([(2, 2), (1, 1)], np.random.default_rng(1))
     bs = BlockStructure(s, [2, 2, 1])
     classified = classify_equivalence(bs, fam)
-    assert bs.basis_change is s and bs.block_sizes == [2, 2, 1] and bs.classes == []
-    assert classified.block_sizes == [1, 2, 2]
-    assert [c.members for c in classified.classes] == [[0], [1, 2]]
+    assert bs.basis_change is s and bs.block_sizes == (2, 2, 1) and bs.classes == ()
+    assert classified.block_sizes == (1, 2, 2)
+    assert [c.members for c in classified.classes] == [(0,), (1, 2)]
 
 
 def test_intertwiners_map_representative_onto_members():
@@ -130,8 +130,8 @@ def test_class_lists_do_not_depend_on_the_seed():
     fam, _ = scrambled_family([(1, 1), (1, 2), (2, 1), (2, 2)], rng)
     for seed in range(6):
         bs = finest_sbd(fam, seed=seed)
-        assert bs.block_sizes == [1, 1, 1, 2, 2, 2]
-        assert [c.members for c in bs.classes] == [[0, 1], [2], [3, 4], [5]]
+        assert bs.block_sizes == (1, 1, 1, 2, 2, 2)
+        assert [c.members for c in bs.classes] == [(0, 1), (2,), (3, 4), (5,)]
         assert bs.off_block_mass(fam) < 1e-9
 
 
@@ -181,7 +181,7 @@ def test_zero_family_splits_into_singletons():
     # span{G, G†} is empty, so every matrix commutes and nothing couples
     fam = [np.zeros((3, 3), dtype=complex)]
     assert len(commutant_basis(fam)) == 9
-    assert finest_sbd(fam, seed=0).block_sizes == [1, 1, 1]
+    assert finest_sbd(fam, seed=0).block_sizes == (1, 1, 1)
 
 
 def test_identity_family_stays_whole():
@@ -239,7 +239,7 @@ def test_span_basis_commutant_equals_the_kron_stack_commutant(case):
 def test_finest_sbd_classifies_the_split_bitwise():
     grams = schmidt_grams("A4")
     split = sbd._finest_split(grams)
-    assert split.classes == []
+    assert split.classes == ()
     ref = finest_sbd(grams)
     bs = classify_equivalence(split, grams)
     assert bs.basis_change.tobytes() == ref.basis_change.tobytes()
@@ -355,9 +355,9 @@ def test_sbd_takes_a_list_or_a_stack():
     from_list = finest_sbd(fam, seed=1)
     from_stack = finest_sbd(stack, seed=1)
     assert from_list.basis_change.tobytes() == from_stack.basis_change.tobytes()
-    assert from_list.block_sizes == from_stack.block_sizes == [1, 1, 2, 2]
+    assert from_list.block_sizes == from_stack.block_sizes == (1, 1, 2, 2)
     assert ([c.members for c in from_list.classes]
-            == [c.members for c in from_stack.classes] == [[0, 1], [2, 3]])
+            == [c.members for c in from_stack.classes] == [(0, 1), (2, 3)])
     for c, c_stack in zip(from_list.classes, from_stack.classes):
         for m in c.members:
             assert c.intertwiners[m].tobytes() == c_stack.intertwiners[m].tobytes()

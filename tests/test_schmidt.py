@@ -1,4 +1,6 @@
 """Operator Schmidt decomposition checks against hand-computed expansions."""
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,20 @@ def test_rejects_bad_inputs():
         BipartiteUnitary(CNOT, 3, 2)
     with pytest.raises(ValidationError):
         BipartiteUnitary(np.ones((4, 4), dtype=complex), 2, 2)
+
+
+def test_the_gate_is_frozen_but_the_callers_array_is_not():
+    mine = CNOT.copy()
+    bu = BipartiteUnitary(mine, 2, 2)
+    dec = schmidt_decompose(bu)
+    for array in (bu.matrix, dec.coefficients, dec.a_ops, dec.b_ops):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    for obj, name in ((bu, "matrix"), (bu, "dim_a"), (dec, "unitary"), (dec, "a_ops")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, None)
+    mine[0, 0] = 5
+    assert mine.flags.writeable and bu.matrix[0, 0] == 1
 
 
 def test_swapped_exchanges_tensor_factors():
