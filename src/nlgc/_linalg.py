@@ -31,13 +31,20 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+    """Frobenius norm with the arithmetic of np.linalg.norm(m) for a float or
+    complex array, the dot products of its raveled real and imaginary parts,
+    without that function's argument handling."""
+    x = m.ravel(order="K")
+    if x.dtype.kind == "c":
+        return float(np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)))
+    return float(np.sqrt(x.dot(x)))
 
 
 def unitarity_deviation(m: np.ndarray) -> float:
     """Frobenius distance of m†m from the identity."""
-    d = m.shape[0]
-    return float(np.linalg.norm(dagger(m) @ m - np.eye(d)))
+    gram = dagger(m) @ m
+    gram.flat[::len(gram) + 1] -= 1     # the bits of gram - np.eye(d)
+    return frobenius(gram)
 
 
 def svd_rank(a: np.ndarray, full: bool = False) -> tuple[int, np.ndarray]:
@@ -97,21 +104,20 @@ def gram_schmidt(columns: np.ndarray, expected_rank: int) -> np.ndarray:
     dimension expected_rank.
     """
     scale = max(np.max(np.abs(columns)) if columns.size else 0.0, 1.0)
-    basis: list[np.ndarray] = []
+    basis: list[tuple[np.ndarray, np.ndarray]] = []     # (b, conj(b)) per basis vector
     for j in range(columns.shape[1]):
-        v = columns[:, j].astype(complex).copy()
-        for b in basis:
-            v -= b * (b.conj() @ v)
-        # second pass stabilizes nearly dependent columns
-        for b in basis:
-            v -= b * (b.conj() @ v)
-        norm = np.linalg.norm(v)
+        v = columns[:, j].astype(complex)       # a copy
+        for _ in range(2):      # a second pass stabilizes nearly dependent columns
+            for b, b_conj in basis:
+                v -= b * (b_conj @ v)
+        norm = frobenius(v)
         if norm > 1e-10 * scale:
-            basis.append(v / norm)
+            b = v / norm
+            basis.append((b, b.conj()))
     if len(basis) != expected_rank:
         raise SingularInputError(
             f"column group spans dimension {len(basis)}, expected {expected_rank}")
-    return np.column_stack(basis)
+    return np.column_stack([b for b, _ in basis])
 
 
 def connected_components(adjacency: np.ndarray) -> list[list[int]]:

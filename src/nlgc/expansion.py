@@ -26,7 +26,7 @@ from ._linalg import (dagger, freeze, frobenius, gram_schmidt, kron_sum, polar_u
 from .errors import (AssignmentError, InconsistencyError, SingularInputError,
                      ValidationError)
 from .groups import FactorSystem, FiniteGroup
-from .protocol import M_UNITARY_TOL, build_M
+from .protocol import M_UNITARY_TOL, build_branch_operators, build_M
 from .representations import Representation, character_classes
 from .sbd import BLOCK_TOL, BlockStructure, finest_sbd, gram_set
 from .schmidt import BipartiteUnitary, SchmidtDecomposition, schmidt_decompose
@@ -118,6 +118,12 @@ class GroupExpansion:
     @property
     def m_unitary(self) -> bool:
         return bool(self.m_deviation <= M_UNITARY_TOL)
+
+    @cached_property
+    def branch_operators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The arrays of simulate_protocol that no state changes, shared by
+        every state: conj(F), Z(h) and V U(g)†, read-only."""
+        return build_branch_operators(self)
 
     def reconstruct(self) -> np.ndarray:
         """sum_f [V U(f)] (x) W(f)."""

@@ -39,9 +39,10 @@ class FiniteGroup:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ValidationError(f"group name must be a string, not {self.name!r}")
-        if np.asarray(self.table).dtype.kind not in "iu":
+        table = np.asarray(self.table)
+        if table.dtype.kind not in "iu":
             raise ValidationError("table entries must be integer element indices")
-        table = np.array(self.table, dtype=int)
+        table = np.array(table, dtype=int)
         n = table.shape[0]
         if table.shape != (n, n):
             raise ValidationError("multiplication table must be square")
@@ -151,7 +152,8 @@ class FiniteGroup:
 @dataclass(frozen=True)
 class FactorSystem:
     """Unit-modulus two-cocycle mu(f, g) attached to a group; phases is
-    made read-only at construction, and no attribute can be assigned."""
+    made read-only at construction, and no attribute can be assigned, so
+    root_order and is_trivial are computed once, on first read."""
 
     phases: np.ndarray
 
@@ -162,17 +164,20 @@ class FactorSystem:
     def trivial(cls, order: int) -> "FactorSystem":
         return cls(np.ones((order, order), dtype=complex))
 
-    @property
+    @cached_property
     def root_order(self) -> int:
         """Smallest r <= 256 with every phase within 1e-8 of an r-th root of
-        unity, or 0 when there is none."""
+        unity, or 0 when there is none; 1 on a trivial factor system, whose
+        phases are within PHASE_TOL of 1."""
+        if self.is_trivial:
+            return 1
         for r in range(1, 257):
             n = np.mod(np.rint(np.angle(self.phases) * r / (2 * np.pi)).astype(int), r)
             if np.max(np.abs(np.exp(2j * np.pi * n / r) - self.phases)) <= 1e-8:
                 return r
         return 0
 
-    @property
+    @cached_property
     def is_trivial(self) -> bool:
         return bool(np.max(np.abs(self.phases - 1.0)) <= PHASE_TOL)    # False on NaN
 

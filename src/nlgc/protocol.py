@@ -10,10 +10,11 @@ rather than a sample statistic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import freeze, frobenius, read_only
 from .errors import ValidationError
 from .groups import FactorSystem, FiniteGroup
 
@@ -21,18 +22,26 @@ M_UNITARY_TOL = 1e-8
 DETERMINISM_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ProtocolTrace:
-    """Outcome table of one exhaustive protocol run."""
+    """Outcome table of one exhaustive protocol run. Like every value the
+    package hands out, it is frozen and seals its own fields with freeze:
+    the arrays are read-only, branch_outcomes and warnings tuples."""
 
-    branch_outcomes: list[tuple[int, int]]
+    branch_outcomes: tuple[tuple[int, int], ...]
     branch_probabilities: np.ndarray
     branch_fidelities: np.ndarray
     deterministic: bool
     min_fidelity: float
     ebits: float
     cbits: float
-    warnings: list[str] = field(default_factory=list)
+    warnings: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        # (h, g) pairs of ints: tuples seal them, with no read_only walk per pair
+        object.__setattr__(self, "branch_outcomes", tuple(map(tuple, self.branch_outcomes)))
+        freeze(self, branch_probabilities=np.asarray(self.branch_probabilities),
+               branch_fidelities=np.asarray(self.branch_fidelities), warnings=self.warnings)
 
     def summary(self) -> dict:
         return {
@@ -43,6 +52,18 @@ class ProtocolTrace:
             "ebits": self.ebits,
             "cbits": self.cbits,
         }
+
+
+def build_branch_operators(expansion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays of simulate_protocol that no state changes, read-only:
+    conj(F) and the diagonals of Z(h), each shaped to broadcast over the
+    (h, g, A, B) amplitudes, and Alice's corrections V U(g)†. An expansion
+    builds them once, on first read of its branch_operators."""
+    f_conj = np.conj(fourier_basis(expansion.group.order))
+    z = 1.0 / (np.sqrt(expansion.group.order) * f_conj)
+    u_mats = expansion.u_rep.matrices
+    return read_only((f_conj[:, :, None, None], z[:, :, None, None],
+                      expansion.v @ u_mats.conj().transpose(0, 2, 1)))
 
 
 def build_M(group: FiniteGroup, factor: FactorSystem, w_ops: np.ndarray) -> np.ndarray:
@@ -81,58 +102,54 @@ def simulate_protocol(expansion, psi: np.ndarray) -> ProtocolTrace:
 
     psi lives on A (x) B in the expansion's own orientation. The target is
     the compiled unitary applied to psi; each branch fidelity is the overlap
-    of the corrected branch output with that target. M, and whether it is
-    unitary, are the expansion's own (expansion.m, built on first read and
+    of the corrected branch output with that target. M, whether it is
+    unitary, and the other arrays no state changes are the expansion's own
+    (expansion.m and expansion.branch_operators, built on first read and
     shared by every state). A non-unitary M cannot be certified: the trace
     comes back flagged non-deterministic.
     """
     n = expansion.group.order
     d_a, d_b = expansion.unitary.dim_a, expansion.unitary.dim_b
     psi = np.asarray(psi, dtype=complex).reshape(d_a * d_b)
-    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:      # fails closed on NaN
+    if not abs(frobenius(psi) - 1.0) <= 1e-9:      # fails closed on NaN
         raise ValidationError("input state is not normalized")
-    psi0 = psi.reshape(d_a, d_b)
     target = (expansion.unitary.matrix @ psi).reshape(d_a * d_b)
-
-    f_matrix = fourier_basis(n)
-    m, m_ok, m_dev = expansion.m, expansion.m_unitary, expansion.m_deviation
-    warnings = [] if m_ok else [
+    f_conj, z, corrections = expansion.branch_operators
+    warnings = [] if expansion.m_unitary else [
         "M is not unitary (deviation %.3e): the group elements act through "
-        "linearly dependent operators, so branch outcomes are not certified" % m_dev]
+        "linearly dependent operators, so branch outcomes are not certified"
+        % expansion.m_deviation]
 
-    u_mats = expansion.u_rep.matrices
-    controlled = u_mats @ psi0                                      # (n, dA, dB)
+    controlled = expansion.u_rep.matrices @ psi.reshape(d_a, d_b)     # (n, dA, dB)
     # row h of z is the diagonal of Z(h); amp[h] is the unnormalized state on
     # b (x) A (x) B after Alice's outcome h, its phases undone by Z(h)
-    z = 1.0 / (np.sqrt(n) * np.conj(f_matrix))
-    amp = np.conj(f_matrix)[:, :, None, None] * controlled / np.sqrt(n)
-    amp = z[:, :, None, None] * amp
+    amp = f_conj * controlled / np.sqrt(n)
+    amp = z * amp
     # M acts on the joint (b, B) index; evolved[h, g] is branch (h, g) on (B, A)
     stacked = amp.transpose(0, 1, 3, 2).reshape(n, n * d_b, d_a)
-    evolved = (m @ stacked).reshape(n, n, d_b, d_a)
+    evolved = (expansion.m @ stacked).reshape(n, n, d_b, d_a)
     # Alice's correction V U(g)† on every branch; squared branch norms are
     # the joint outcome probabilities
-    finals = (expansion.v @ u_mats.conj().transpose(0, 2, 1)) @ evolved.transpose(0, 1, 3, 2)
-    outcomes = [(h, g) for h in range(n) for g in range(n)]
+    finals = corrections @ evolved.transpose(0, 1, 3, 2)
     probs = np.array([np.vdot(x, x).real for x in evolved.reshape(n * n, -1)])
     finals = np.divide(finals.reshape(n * n, -1), np.sqrt(probs)[:, None],
                        out=np.zeros((n * n, d_a * d_b), dtype=complex),
                        where=(probs > 1e-24)[:, None])
     fids = np.array([abs(np.vdot(target, f)) for f in finals])
-    total = float(np.sum(probs))
+    total = float(probs.sum())
 
     live = probs > 1e-12
-    min_fid = float(np.min(fids[live])) if np.any(live) else 0.0
+    min_fid = float(fids[live].min()) if live.any() else 0.0
     deterministic = bool(
-        m_ok and abs(total - 1.0) <= DETERMINISM_TOL
+        expansion.m_unitary and abs(total - 1.0) <= DETERMINISM_TOL
         and min_fid >= 1.0 - DETERMINISM_TOL)
     return ProtocolTrace(
-        branch_outcomes=outcomes,
+        branch_outcomes=[(h, g) for h in range(n) for g in range(n)],
         branch_probabilities=probs,
         branch_fidelities=fids,
         deterministic=deterministic,
         min_fidelity=min_fid,
-        ebits=float(np.log2(n)),
+        ebits=expansion.cost_ebits,
         cbits=float(2 * np.log2(n)) if n > 1 else 0.0,
         warnings=warnings,
     )

@@ -11,21 +11,17 @@ import json
 
 import numpy as np
 
+from ._canonical import _dump
 from ._linalg import dagger, frobenius, unitarity_deviation
 from .errors import ValidationError, json_bool, json_int, json_number, malformed
 from .expansion import GroupExpansion, classify
 from .groups import FactorSystem, FiniteGroup
 from .representations import Representation
-from .sbd import BLOCK_TOL, BlockStructure, EquivalenceClass, _intertwiner
+from .sbd import BLOCK_TOL, BlockStructure, EquivalenceClass, inequivalent
 from .schmidt import BipartiteUnitary, schmidt_decompose
 
 REPORT_FORMAT = "nlgc-report"
 REPORT_VERSION = 1
-
-
-def _round_sig(x: float) -> float:
-    out = float("%.12g" % x)
-    return 0.0 if out == 0.0 else out
 
 
 def encode_matrix(m) -> np.ndarray:
@@ -45,64 +41,17 @@ def decode_matrix(rows, shape: tuple) -> np.ndarray:
             "matrix is ragged or mixes numbers with [re, im] pairs") from exc
     if a.dtype.kind not in "iuf":
         raise ValidationError("matrix entries must be numbers or [re, im] pairs")
-    if a.ndim == len(shape) + 1 and a.shape[-1] == 2:
-        a = a.astype(float).view(complex)[..., 0]
+    pairs = a.ndim == len(shape) + 1 and a.shape[-1] == 2
+    if pairs:
+        a = a.astype(float).view(complex)[..., 0]       # a new complex array
     if a.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, a.shape)):
         raise ValidationError(f"matrix has shape {a.shape}, expected {shape}")
-    return a.astype(complex)
-
-
-def _layout(shape: tuple, level: int) -> str:
-    """json.dumps(indent=2)'s layout of an array at this level, a %s per entry."""
-    if not shape or shape[0] == 0:
-        return "[]" if shape else "%s"
-    pad = "\n" + "  " * (level + 1)
-    return f"[{pad}{(',' + pad).join([_layout(shape[1:], level + 1)] * shape[0])}\n{'  ' * level}]"
-
-
-def _dump(obj, level: int) -> str:
-    # An integer array fills the layout with str(x), a finite float array
-    # with repr(_round_sig(x)). When every nonzero |x| lies in [1e-300, 1e11)
-    # the %.12g token is that text once .0 is appended to a token with no
-    # '.' or 'e' (adding 0.0 first writes -0.0 as 0.0): 12 digits is below
-    # DBL_DIG = 15, so the shortest round-trip string of float(token) has
-    # the token's digits, and %g and repr both write decimal exponents
-    # -4..11 in fixed notation. Below 1e-300 subnormals lose digits, and
-    # from 1e11 a value can round to 1e12, which %g writes in scientific
-    # notation and repr not before 1e16; such an array parses its tokens
-    # back and writes their repr.
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind in "iu":
-            return _layout(obj.shape, level) % tuple(obj.ravel().tolist())
-        if obj.dtype.kind == "f" and np.all(np.isfinite(obj)):
-            text = "%.12g " * obj.size % tuple((obj.ravel() + 0.0).tolist())
-            mag = np.abs(obj)
-            if np.all((mag == 0) | (mag >= 1e-300) & (mag < 1e11)):
-                tokens = [t if "." in t or "e" in t else t + ".0" for t in text.split()]
-            else:
-                tokens = [float(t) for t in text.split()]
-            return _layout(obj.shape, level) % tuple(tokens)
-        obj = obj.tolist()
-    if type(obj) is int:
-        return str(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        obj = [obj.real, obj.imag]
-    if isinstance(obj, dict):
-        keyed = {str(k): v for k, v in obj.items()}
-        items = [f"{json.dumps(k)}: {_dump(keyed[k], level + 1)}" for k in sorted(keyed)]
-    elif isinstance(obj, (list, tuple)):
-        items = [_dump(v, level + 1) for v in obj]
-    elif isinstance(obj, (float, np.floating)):
-        return json.dumps(_round_sig(float(obj)))
-    else:           # a bool, a numpy integer, a str or None
-        return json.dumps(obj.item() if isinstance(obj, np.generic) else obj)
-    pad = "\n" + "  " * (level + 1)
-    body = pad + ("," + pad).join(items) + "\n" + "  " * level if items else ""
-    return ("{%s}" if isinstance(obj, dict) else "[%s]") % body
+    return a if pairs else a.astype(complex)
 
 
 def canonical_json(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2), str keys, floats to 12 digits."""
+    """json.dumps(obj, sort_keys=True, indent=2), str keys, floats to 12
+    digits; _canonical writes the text."""
     return _dump(obj, 0) + "\n"
 
 
@@ -203,7 +152,7 @@ def build_report(exp: GroupExpansion, trace=None, meta: dict | None = None,
             "dimA": original.dim_a,
             "dimB": original.dim_b,
             "frobeniusNorm": float(frobenius(u)),
-            "unitarityDeviation": float(unitarity_deviation(u)),
+            "unitarityDeviation": float(original.deviation),
             "matrix": encode_matrix(u),
         },
         "schmidt": {
@@ -266,6 +215,11 @@ def expansion_from_report(report: dict) -> GroupExpansion:
     ValidationError, and so do group.projective, factorPhases (null unless
     projective) and factorRootOrder when the factor phases contradict them.
     """
+    return _rebuild(report)[0]
+
+
+def _rebuild(report: dict) -> tuple[GroupExpansion, dict]:
+    """expansion_from_report's expansion, and the stored values _stored_derived read."""
     if not isinstance(report, dict) or report.get("format") != REPORT_FORMAT:
         raise ValidationError("not a compilation report")
     inp, grp, exp_data = report["input"], report["group"], report["expansion"]
@@ -293,10 +247,12 @@ def expansion_from_report(report: dict) -> GroupExpansion:
         raise ValidationError("group.projective or factorRootOrder contradicts the factor phases")
     u_rep = Representation(group, factor, decode_matrix(exp_data["uOps"], (n, d_a, d_a)))
     u_rep.validate()
-    _stored_derived(report)      # not read back, yet they must be numbers and booleans
+    stored = _stored_derived(report)     # not read back, yet they must be numbers and booleans
     warnings = report["warnings"]
     if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
         raise ValidationError("warnings must be a list of strings")
+    witnesses = {key: np.asarray(w) for key, w in report["classification"].items()
+                 if key != "label"}
     return GroupExpansion(
         schmidt=schmidt_decompose(bu),
         structure=_structure_from_payload(exp_data["structure"], d_a),
@@ -305,9 +261,8 @@ def expansion_from_report(report: dict) -> GroupExpansion:
         w_coeffs=decode_matrix(exp_data["wCoeffs"], (None, None)),
         route=exp_data["route"],
         classification=report["classification"]["label"],
-        details={key: decode_matrix(w, (None,) * (np.ndim(w) - 1))
-                 for key, w in report["classification"].items() if key != "label"},
-        warnings=warnings, blocks=report["blocks"])
+        details={key: decode_matrix(w, (None,) * (w.ndim - 1)) for key, w in witnesses.items()},
+        warnings=warnings, blocks=report["blocks"]), stored
 
 
 def _partition_consistent(sizes, classes, d_a: int) -> bool:
@@ -342,13 +297,14 @@ def _structure_consistent(exp: GroupExpansion) -> bool:
     no other, with T X_rep T† = X_member on the blocks of every X_j; the
     relation is linear in A_j, so a mixing of tied Schmidt terms keeps it.
     No unitary may map the representative of one class onto that of another."""
-    bs, va = exp.structure, dagger(exp.v) @ exp.schmidt.a_ops
+    bs = exp.structure
     if not (unitarity_deviation(bs.basis_change) <= 1e-8
             and _partition_consistent(bs.block_sizes, [c.members for c in bs.classes],
-                                      exp.unitary.dim_a)
-            and bs.off_block_mass(va) <= 1e-6):
+                                      exp.unitary.dim_a)):
         return False
-    x, slices = bs.transformed(va), bs.block_slices()
+    x, slices = bs.transformed(dagger(exp.v) @ exp.schmidt.a_ops), bs.block_slices()
+    if not bs.outside_blocks(x) <= 1e-6:
+        return False
     reps = [x[:, slices[c.representative], slices[c.representative]] for c in bs.classes]
     for cls, rep in zip(bs.classes, reps):
         if sorted(cls.intertwiners) != sorted(cls.members):
@@ -356,10 +312,9 @@ def _structure_consistent(exp: GroupExpansion) -> bool:
         for m, t in cls.intertwiners.items():
             if not (t.shape == rep.shape[1:] == (bs.block_sizes[m],) * 2
                     and unitarity_deviation(t) <= 1e-8
-                    and np.max(np.abs(t @ rep @ dagger(t) - x[:, slices[m], slices[m]])) <= 1e-6):
+                    and np.abs(t @ rep @ dagger(t) - x[:, slices[m], slices[m]]).max() <= 1e-6):
                 return False
-    return all(_intertwiner(a, b, BLOCK_TOL) is None
-               for i, a in enumerate(reps) for b in reps[i + 1:] if a.shape == b.shape)
+    return inequivalent(reps, BLOCK_TOL)
 
 
 def _w_coeffs_consistent(exp: GroupExpansion) -> bool:
@@ -370,17 +325,18 @@ def _w_coeffs_consistent(exp: GroupExpansion) -> bool:
     b = dec.b_ops.reshape(len(dec), -1)
     w = exp.w_ops.reshape(len(exp.w_ops), -1)
     p = b.conj() @ w.T          # coordinates of wOps in the orthonormal B_j
-    outside = np.linalg.norm(w.T - b.T @ p)
-    if c.shape != p.shape or not outside <= 1e-6 * max(1.0, np.linalg.norm(w)):
+    outside = frobenius(w.T - b.T @ p)
+    if c.shape != p.shape or not outside <= 1e-6 * max(1.0, frobenius(w)):
         return False
     s = dec.coefficients
-    groups = np.split(np.arange(len(s)), np.flatnonzero(np.diff(s) < -1e-6 * s[0]) + 1)
-    return all(np.max(np.abs(dagger(c[g]) @ c[g] - dagger(p[g]) @ p[g])) <= 1e-6 for g in groups)
+    cuts = [0, *(np.flatnonzero(np.diff(s) < -1e-6 * s[0]) + 1).tolist(), len(s)]
+    return all(np.abs(dagger(c[i:j]) @ c[i:j] - dagger(p[i:j]) @ p[i:j]).max() <= 1e-6
+               for i, j in zip(cuts, cuts[1:]))
 
 
 def _close(stored: np.ndarray, claimed: np.ndarray) -> bool:
     """A stored array has the recomputed one's shape and entries within 1e-6; NaN fails."""
-    return stored.shape == claimed.shape and bool(np.all(np.abs(stored - claimed) <= 1e-6))
+    return stored.shape == claimed.shape and bool((np.abs(stored - claimed) <= 1e-6).all())
 
 
 @malformed("report")
@@ -405,8 +361,7 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     integer raises ValidationError.
     """
     checks: dict[str, bool] = {}
-    exp = expansion_from_report(report)
-    stored = _stored_derived(report)
+    exp, stored = _rebuild(report)
     stored_dev = json_number(report["input"]["unitarityDeviation"], "unitarityDeviation")
     stored_norm = json_number(report["input"]["frobeniusNorm"], "frobeniusNorm")
     stored_rank = json_int(report["schmidt"]["rank"], "schmidt.rank")
@@ -415,15 +370,15 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
         exp.route == "fallback" and exp.group.order == exp.v.size     # d_A²
         and np.array_equal(exp.v, np.eye(len(exp.v))))
     checks["fallbackFlag"] = bool(report["expansion"]["fallback"] is exp.fallback and route_ok)
-    checks["blocks"] = _blocks_consistent(exp.blocks, {
-        "A": int(report["input"]["dimA"]), "B": int(report["input"]["dimB"])})
+    d_a, d_b = exp.unitary.dim_a, exp.unitary.dim_b
+    checks["blocks"] = _blocks_consistent(
+        exp.blocks, {"A": d_a, "B": d_b} if exp.side == "A" else {"A": d_b, "B": d_a})
     checks["structure"] = _structure_consistent(exp)
-    u = exp.unitary.matrix
 
-    dev = unitarity_deviation(u)
+    dev = exp.unitary.deviation
     checks["inputUnitary"] = bool(dev <= 1e-8)
     checks["inputDigest"] = bool(abs(dev - stored_dev) <= 1e-6
-                                 and abs(frobenius(u) - stored_norm) <= 1e-6)
+                                 and abs(frobenius(exp.unitary.matrix) - stored_norm) <= 1e-6)
     checks["vUnitary"] = bool(unitarity_deviation(exp.v) <= 1e-8)
     checks["wCoeffs"] = _w_coeffs_consistent(exp)
 

@@ -66,7 +66,7 @@ def _validate_all(reps: list[Representation], tol: float = 1e-8):
         by_dim.setdefault(r.dim, []).append(i)
     for idx in by_dim.values():
         mult[idx], unit[idx] = _defects(reps[0].group, reps[0].factor,
-                                        np.stack([reps[i].matrices for i in idx]))
+                                        np.array([reps[i].matrices for i in idx]))
     for m, u in zip(mult, unit):
         if not m <= tol:
             raise ValidationError("matrices violate the twisted multiplication law")

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (connected_components, dagger, freeze, leading_phase, null_space,
-                      polar_unitary, svd_rank)
+from ._linalg import (connected_components, dagger, freeze, frobenius, leading_phase,
+                      null_space, polar_unitary, svd_rank)
 from .errors import DimensionError, InconsistencyError, NondeterminismError
 
 BLOCK_TOL = 1e-8
@@ -65,10 +65,15 @@ class BlockStructure:
 
     def off_block_mass(self, mats) -> float:
         """Largest magnitude outside the blocks, over a list or stack of matrices."""
+        return self.outside_blocks(self.transformed(_as_stack(mats)))
+
+    def outside_blocks(self, x: np.ndarray) -> float:
+        """Largest magnitude outside the blocks of a (k, d, d) stack already in
+        the block basis, such as transformed returns."""
         mask = np.ones((self.dim, self.dim), dtype=bool)
         for sl in self.block_slices():
             mask[sl, sl] = False
-        return float(np.max(np.abs(self.transformed(_as_stack(mats))[:, mask]), initial=0.0))
+        return float(np.max(np.abs(x[:, mask]), initial=0.0))
 
     def class_dims(self) -> list[int]:
         """One block size per equivalence class, in class order."""
@@ -176,12 +181,20 @@ def finest_sbd(mats, tol: float = BLOCK_TOL, seed: int = 0) -> BlockStructure:
     return classify_equivalence(_finest_split(mats, tol, seed), mats, tol)
 
 
+def _trace_bound(blocks: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Trace of each n x n block of a stack, and how far the trace of a block
+    it is equivalent to may lie: n * tol + 1e-10 (1 + its largest entry).
+    Unitary conjugation keeps traces, and a pair further apart fails the
+    final check of _intertwiner."""
+    return (blocks.trace(axis1=-2, axis2=-1),
+            blocks.shape[-1] * tol + 1e-10 * (1 + np.abs(blocks).max(axis=(-2, -1))))
+
+
 def _intertwiner(rep_blocks, mem_blocks, tol):
     """Unitary T with T R_rep T† = R_member for all blocks of two (k, n, n) stacks, or None."""
     n = rep_blocks.shape[1]
-    # Unitary conjugation keeps traces: traces further apart than n * tol fail the check below.
-    gap = np.abs(np.trace(rep_blocks, axis1=1, axis2=2) - np.trace(mem_blocks, axis1=1, axis2=2))
-    if np.any(gap > n * tol + 1e-10 * (1 + np.max(np.abs(rep_blocks), axis=(1, 2)))):
+    trace, bound = _trace_bound(rep_blocks, tol)
+    if np.any(np.abs(trace - np.trace(mem_blocks, axis1=1, axis2=2)) > bound):
         return None
     ns = null_space(_sylvester_rows(mem_blocks, rep_blocks))
     if ns.shape[1] == 0:
@@ -191,12 +204,31 @@ def _intertwiner(rep_blocks, mem_blocks, tol):
     if scale <= tol:
         return None
     t = t / np.sqrt(scale)
-    if np.linalg.norm(dagger(t) @ t - np.eye(n)) > 1e-6:
+    if frobenius(dagger(t) @ t - np.eye(n)) > 1e-6:
         return None
     t = polar_unitary(t)
     if not np.max(np.abs(t @ rep_blocks @ dagger(t) - mem_blocks)) <= tol:
         return None
     return t / leading_phase(t.reshape(1, -1))[0]
+
+
+def inequivalent(reps, tol: float) -> bool:
+    """Whether no unitary maps one of these (k, n, n) stacks onto another of
+    the same size, as _intertwiner decides it for each pair. The traces of
+    all same-size pairs are compared at once, and only a pair whose traces
+    lie within _trace_bound goes on to _intertwiner."""
+    by_size: dict[tuple, list] = {}
+    for rep in reps:
+        by_size.setdefault(rep.shape, []).append(rep)
+    for same in by_size.values():
+        if len(same) < 2:
+            continue
+        trace, bound = _trace_bound(np.array(same), tol)
+        near = (~(np.abs(trace[:, None] - trace) > bound[:, None]).any(-1)).tolist()
+        if any(near[i][j] and _intertwiner(same[i], same[j], tol) is not None
+               for i in range(len(same)) for j in range(i + 1, len(same))):
+            return False
+    return True
 
 
 def classify_equivalence(bs: BlockStructure, mats, tol: float = BLOCK_TOL) -> BlockStructure:

@@ -6,7 +6,7 @@ into the A_j. The number of terms is the operator Schmidt rank.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,11 +19,14 @@ RANK_CUTOFF = 1e-10
 
 @dataclass(frozen=True)
 class BipartiteUnitary:
-    """Unitary matrix with its tensor factor dimensions; frozen, matrix a read-only copy."""
+    """Unitary matrix with its tensor factor dimensions; frozen, matrix a
+    read-only copy. deviation, the Frobenius distance of matrix†matrix from
+    the identity, is computed once, by the unitarity check of construction."""
 
     matrix: np.ndarray
     dim_a: int
     dim_b: int
+    deviation: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         freeze(self, matrix=np.array(self.matrix, dtype=complex))
@@ -36,6 +39,7 @@ class BipartiteUnitary:
         dev = unitarity_deviation(self.matrix)
         if not dev <= UNITARITY_TOL:     # fails closed on NaN entries
             raise ValidationError(f"matrix is not unitary (deviation {dev:.3e})")
+        freeze(self, deviation=dev)
 
     @property
     def dim(self) -> int:

@@ -74,26 +74,32 @@ def search_floor(structure: BlockStructure) -> int:
     return sum(d * d for d in structure.class_dims())
 
 
-def merge_plans(structure: BlockStructure) -> list[tuple[int, list[list[int]], BlockStructure]]:
-    """(cost, plan, merge_blocks(structure, plan)) triples, each plan merged
-    once, its cost the merged structure's search_floor, sorted by cost, then
-    fineness, then parts. Enumerates every partition of the block list up to
+def merge_plans(structure: BlockStructure) -> list[tuple[int, list[list[int]]]]:
+    """(cost, plan) pairs sorted by cost, then fineness, then parts; a plan
+    lists its parts sorted, each part's block indices ascending. The cost is
+    the search_floor that merge_blocks(structure, plan) would have, read off
+    the block sizes and classes alone: a class keeps its dimension while one
+    of its blocks stays a singleton part, and each fused part is a class of
+    its own. Enumerates every partition of the block list up to
     MERGE_ENUMERATION_CAP blocks; beyond that only the finest and the fully
     merged plans are kept.
     """
-    n = len(structure.block_sizes)
+    sizes = structure.block_sizes
+    n = len(sizes)
     if n <= MERGE_ENUMERATION_CAP:
         plans = set_partitions(list(range(n)))
     else:
         plans = [[[i] for i in range(n)], [list(range(n))]]
+    class_of = {m: k for k, c in enumerate(structure.classes) for m in c.members}
     keyed = []
     for plan in plans:
         parts = sorted([sorted(p) for p in plan], key=lambda p: p[0])
-        merged = merge_blocks(structure, parts)
-        keyed.append((search_floor(merged), -len(parts),
-                      tuple(tuple(p) for p in parts), parts, merged))
+        kept = {class_of[p[0]] for p in parts if len(p) == 1}
+        cost = (sum(sizes[structure.classes[k].representative] ** 2 for k in kept)
+                + sum(sum(sizes[b] for b in p) ** 2 for p in parts if len(p) > 1))
+        keyed.append((cost, -len(parts), tuple(tuple(p) for p in parts), parts))
     keyed.sort(key=lambda t: t[:3])
-    return [(cost, parts, merged) for cost, _, _, parts, merged in keyed]
+    return [(cost, parts) for cost, _, _, parts in keyed]
 
 
 def _merge_warnings(into: list[str], *messages: str) -> None:
@@ -211,9 +217,9 @@ def search_group(structure: BlockStructure, index: CatalogIndex,
 
     The class dimensions of structure, the finest block structure, are the
     irrep dimensions a candidate must supply; its block-level detail drives
-    the merge plans, merged once when the order first passes the finest
-    plan's cost. Ordinary candidates precede projective ones at equal order;
-    merged plans participate once the order reaches their cost. Any class
+    the merge plans, each merged once, when the walk first reaches it.
+    Ordinary candidates precede projective ones at equal order; merged
+    plans participate once the order reaches their cost. Any class
     of dimension 1 forces an ordinary representation for that plan, and a
     non-abelian extension is filled only if its irreps at z cover the classes.
     Orders run from search_floor(structure) to d_A², d_A = structure.dim, the
@@ -221,9 +227,9 @@ def search_group(structure: BlockStructure, index: CatalogIndex,
     when given, collects the catalog-gap warnings, including those found
     after the last yield.
     """
-    finest = [[b] for b in range(len(structure.block_sizes))]
     n_start = search_floor(structure)
-    plans = [(n_start, finest, merge_blocks(structure, finest))]   # any merge costs more
+    plans = [(n_start, [[b] for b in range(len(structure.block_sizes))])]   # any merge costs more
+    merged_plans: dict[tuple, BlockStructure] = {}     # plan -> its merge, once reached
     warnings: list[str] = warning_sink if warning_sink is not None else []
     seen_projective = set()
     for n in range(max(n_start, 1), structure.dim ** 2 + 1):
@@ -231,9 +237,13 @@ def search_group(structure: BlockStructure, index: CatalogIndex,
             _merge_warnings(warnings, f"catalog has no group of order {n}")
         if n == n_start + 1:
             plans = merge_plans(structure)
-        for n0, plan, merged in plans:
+        for n0, plan in plans:
             if n0 > n:
                 break
+            plan_key = tuple(tuple(p) for p in plan)
+            if plan_key not in merged_plans:
+                merged_plans[plan_key] = merge_blocks(structure, plan)
+            merged = merged_plans[plan_key]
             required = merged.class_dims()
             if any(n % d for d in required):
                 continue
@@ -249,7 +259,6 @@ def search_group(structure: BlockStructure, index: CatalogIndex,
 
             if not allow_projective or min(required) < 2:
                 continue
-            plan_key = tuple(tuple(p) for p in plan)
             for r in range(2, n + 1):
                 if n % r:
                     continue

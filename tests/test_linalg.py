@@ -6,12 +6,15 @@ direct call bidiagonalizes a itself, so svd_rank must not go QR-first there.
 The shapes sit on both sides of the crossover, 272 and 264 rows for 144
 columns, 68 and 67 for 36, and 30 and 29 for 16, which have fewer than the
 1024 entries from which svd_rank goes QR-first.
+
+gram_schmidt is compared bit for bit with the column loop it replaced, which
+conjugated each basis vector once per projection and copied every column twice.
 """
 import numpy as np
 import pytest
 
-from nlgc._linalg import null_space, svd_rank
-from nlgc.errors import ValidationError
+from nlgc._linalg import gram_schmidt, null_space, svd_rank
+from nlgc.errors import SingularInputError, ValidationError
 from nlgc.expansion import synthesize_group_gate
 from nlgc.groups import alternating
 from nlgc.sbd import _sylvester_rows, gram_set
@@ -90,3 +93,48 @@ def test_a_non_finite_entry_raises(bad, m):
         svd_rank(a)
     with pytest.raises(ValidationError, match="NaN or Inf"):
         null_space(a)
+
+
+def reference_gram_schmidt(columns):
+    """The bitwise reference: gram_schmidt's loop as it was, b.conj() taken
+    in every projection of both passes; its rank is the number of columns."""
+    scale = max(np.max(np.abs(columns)) if columns.size else 0.0, 1.0)
+    basis = []
+    for j in range(columns.shape[1]):
+        v = columns[:, j].astype(complex).copy()
+        for b in basis:
+            v -= b * (b.conj() @ v)
+        for b in basis:
+            v -= b * (b.conj() @ v)
+        norm = np.linalg.norm(v)
+        if norm > 1e-10 * scale:
+            basis.append(v / norm)
+    return np.column_stack(basis)
+
+
+def column_sets():
+    """Random column sets, complex and real, full rank and with dependent
+    columns, and nearly dependent ones: copies of earlier columns plus noise
+    of 1e-9, kept as new directions only after the second projection pass,
+    or of 1e-13, dropped."""
+    rng = np.random.default_rng(30)
+    for d, k, rank in [(6, 6, 6), (12, 30, 5), (9, 18, 9), (4, 9, 2), (16, 16, 3)]:
+        for dtype in (complex, float):
+            yield drawn(d, k, rank, dtype, seed=d * k + rank)
+        base = drawn(d, rank, rank, complex, seed=rank)
+        for noise in (1e-9, 1e-13):
+            copies = base[:, rng.integers(0, rank, k - rank)]
+            yield np.hstack([base, copies + noise * drawn(d, k - rank, k - rank, complex, 5)])
+
+
+def test_gram_schmidt_equals_the_column_loop_it_replaced_bitwise():
+    ranks = []
+    for columns in column_sets():
+        want = reference_gram_schmidt(columns)
+        rank = want.shape[1]
+        got = gram_schmidt(columns, expected_rank=rank)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        with pytest.raises(SingularInputError):
+            gram_schmidt(columns, expected_rank=rank + 1)
+        ranks.append(rank)
+    assert len(ranks) == 20 and min(ranks) < max(ranks)

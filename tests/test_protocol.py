@@ -1,5 +1,6 @@
 """Branch-by-branch protocol simulation and its building blocks."""
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -304,7 +305,43 @@ def test_batched_branch_pass_equals_the_per_h_loop_bitwise(name):
     for psi in states:
         trace = simulate_protocol(exp, psi)
         probs, fids = _branch_loop(exp, psi, fourier_basis(n))
-        assert trace.branch_outcomes == [(h, g) for h in range(n) for g in range(n)]
+        assert trace.branch_outcomes == tuple((h, g) for h in range(n) for g in range(n))
         assert trace.branch_probabilities.tobytes() == probs.tobytes()
         assert trace.branch_fidelities.tobytes() == fids.tobytes()
         assert trace.deterministic
+
+
+@pytest.mark.parametrize("name", ["cnot", "swap", "synth-A4"])
+def test_cached_branch_operators_equal_the_per_h_loop_bitwise(name):
+    # every state of an expansion, compiled or read back from its report,
+    # runs on the read-only arrays it built on first use, with the per-h loop's bits
+    exp = compile_unitary(BRANCH_GATES[name][0]())
+    loaded = expansion_from_report(json.loads(canonical_json(build_report(exp))))
+    n = exp.group.order
+    for e in (exp, loaded):
+        ops = e.branch_operators
+        assert not any(a.flags.writeable for a in ops)
+        for psi in random_states(e.unitary.dim, 4, seed=11):
+            trace = simulate_protocol(e, psi)
+            probs, fids = _branch_loop(e, psi, fourier_basis(n))
+            assert trace.branch_probabilities.tobytes() == probs.tobytes()
+            assert trace.branch_fidelities.tobytes() == fids.tobytes()
+            assert e.branch_operators is ops
+
+
+def test_a_trace_rejects_writes_and_keeps_its_summary():
+    exp = compile_unitary(BipartiteUnitary(CNOT, 2, 2))
+    trace = simulate_protocol(exp, random_states(4, 1, seed=0)[0])
+    summary = trace.summary()
+    with pytest.raises(ValueError, match="read-only"):
+        trace.branch_probabilities[0] = 7
+    with pytest.raises(ValueError, match="read-only"):
+        trace.branch_fidelities[0] = 7
+    with pytest.raises(FrozenInstanceError):
+        trace.deterministic = False
+    assert isinstance(trace.branch_outcomes, tuple) and isinstance(trace.warnings, tuple)
+    assert trace.summary() == summary and summary["probabilitySum"] == pytest.approx(1.0)
+    # a trace built from lists seals them too
+    built = type(trace)([[0, 1]], [1.0], [1.0], True, 1.0, 1.0, 2.0, ["w"])
+    assert built.branch_outcomes == ((0, 1),) and built.warnings == ("w",)
+    assert not built.branch_probabilities.flags.writeable

@@ -123,6 +123,39 @@ def test_canonical_json_writes_what_json_dumps_wrote(doc):
     assert canonical_json(doc) == reference_json(doc)
 
 
+# floats at the edges of the writer's spellings: the integral floats, -0.0,
+# and a few ulps either side of 1e-300 and 1e11 with either sign, and of
+# the smallest subnormal (whose neighbours keep one or two digits), 1e-5
+# (the first exponent %g writes), 1e12 (the first it writes with e+) and
+# 1e16 (the first repr writes with e+)
+NEAR_BOUNDS = st.builds(
+    lambda bound, ulps, sign: sign * float(bound + ulps * np.spacing(bound)),
+    st.sampled_from([5e-324, 1e-300, 1e-5, 1e11, 1e12, 1e16]),
+    st.integers(-3, 3), st.sampled_from([1.0, -1.0]))
+CONTRACT_FLOATS = (NEAR_BOUNDS | st.integers(-10 ** 13, 10 ** 13).map(float)
+                   | st.just(-0.0) | st.floats(width=64))
+CONTRACT_ARRAYS = (
+    hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+               elements=CONTRACT_FLOATS)
+    | hnp.arrays(hnp.integer_dtypes() | hnp.unsigned_integer_dtypes(),
+                 hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)))
+CONTRACT_DOCUMENTS = st.recursive(
+    CONTRACT_ARRAYS | CONTRACT_FLOATS | st.integers() | st.booleans() | st.none() | st.text(),
+    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.integers(-300, 300), inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=2), inner, max_size=3)),
+    max_leaves=10)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(CONTRACT_DOCUMENTS)
+def test_the_writer_keeps_its_documented_contract(doc):
+    # canonical_json(x) is json.dumps(rounded(x), sort_keys=True, indent=2) + "\n",
+    # where rounded turns keys into str (so "10" sorts before "2"), arrays
+    # into lists, complex numbers into pairs and floats to 12 digits
+    assert canonical_json(doc) == reference_json(doc)
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=3, max_side=4),
                   elements=st.floats(-1e11, 1e11, exclude_max=True, exclude_min=True)))

@@ -373,3 +373,31 @@ def test_a_ragged_list_or_a_non_square_stack_is_rejected(mats):
                  bs.off_block_mass):
         with pytest.raises(DimensionError, match="^all matrices must be square of equal size$"):
             call(mats)
+
+
+@pytest.mark.parametrize("sizes", [[1] * 8, [1] * 11, [2, 2, 2, 1, 1, 3], [1, 2, 1, 2]],
+                         ids=["C8", "C11", "mixed", "interleaved"])
+def test_inequivalent_decides_as_the_pairwise_intertwiner_loop(sizes):
+    # the batched trace test only skips pairs that _intertwiner rejects on
+    # their traces: with and without a hidden equivalent pair, and with a
+    # pair whose traces agree but which is not equivalent, it decides as
+    # the loop over every same-size pair does
+    rng = np.random.default_rng(len(sizes) + sum(sizes))
+
+    def hermitian(n):
+        x = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+        return x + x.conj().transpose(0, 2, 1)
+
+    reps = [hermitian(n) for n in sizes]
+    pair = [i for i, n in enumerate(sizes) if n == sizes[0]][:2]
+    u = random_unitary(sizes[0], rng)
+    twin = u @ reps[pair[0]] @ u.conj().T
+    same_traces = reps[pair[0]] + np.diag(np.arange(sizes[0]) - (sizes[0] - 1) / 2) * 1e-3
+    for variant in (reps, [*reps[:pair[1]], twin, *reps[pair[1] + 1:]],
+                    [*reps[:pair[1]], same_traces, *reps[pair[1] + 1:]]):
+        loop = all(sbd._intertwiner(a, b, BLOCK_TOL) is None
+                   for i, a in enumerate(variant) for b in variant[i + 1:] if a.shape == b.shape)
+        assert sbd.inequivalent(variant, BLOCK_TOL) == loop
+    assert sbd.inequivalent(reps, BLOCK_TOL)
+    twins = [*reps[:pair[1]], twin, *reps[pair[1] + 1:]]
+    assert not sbd.inequivalent(twins, BLOCK_TOL)

@@ -49,7 +49,7 @@ def test_merge_plans_cost_ordering():
     # dims {1, 2}: finest plan costs 1 + 4 = 5, full fusion costs 9
     bs = trivial_structure([1, 2])
     plans = merge_plans(bs)
-    costs = [c for c, _, _ in plans]
+    costs = [c for c, _ in plans]
     assert costs == sorted(costs)
     assert costs[0] == 5
     assert costs[-1] == 9
@@ -62,16 +62,16 @@ BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 def test_merge_plans_list_every_partition_once_in_order(n):
     sizes = [1 + k % 3 for k in range(n)]     # unequal sizes give cost ties
     plans = merge_plans(trivial_structure(sizes))
-    keys = [tuple(tuple(part) for part in plan) for _, plan, _ in plans]
+    keys = [tuple(tuple(part) for part in plan) for _, plan in plans]
     assert len(plans) == BELL[n]
     assert len(set(keys)) == len(keys)
-    for cost, plan, _ in plans:
+    for cost, plan in plans:
         assert sorted(b for part in plan for b in part) == list(range(n))
         assert all(part == sorted(part) for part in plan)
         assert [part[0] for part in plan] == sorted(part[0] for part in plan)
         # each block of a trivial structure is its own class
         assert cost == sum(sum(sizes[b] for b in part) ** 2 for part in plan)
-    order = [(cost, -len(plan), key) for (cost, plan, _), key in zip(plans, keys)]
+    order = [(cost, -len(plan), key) for (cost, plan), key in zip(plans, keys)]
     assert order == sorted(order)
 
 
@@ -82,19 +82,19 @@ def test_merge_plans_carry_each_merged_structure_at_its_floor():
     sizes = structure.block_sizes
     plans = merge_plans(structure)
     assert len(plans) == 5
-    for cost, plan, merged in plans:
+    for cost, plan in plans:
+        merged = merge_blocks(structure, plan)
         fused = [part for part in plan if len(part) > 1]
         absorbed = {b for part in fused for b in part}
         kept = [c for c in structure.classes if any(m not in absorbed for m in c.members)]
         assert cost == search_floor(merged) == (
             sum(sizes[c.representative] ** 2 for c in kept)
             + sum(sum(sizes[b] for b in part) ** 2 for part in fused))
-        assert merged.block_sizes == merge_blocks(structure, plan).block_sizes
 
 
 def test_a_search_walk_merges_each_plan_once(monkeypatch):
-    # the finest plan when the walk starts, then every plan of merge_plans
-    # once, when the order first passes the floor; no order merges again
+    # the finest plan when the walk starts, then every other plan of
+    # merge_plans once, when the walk first reaches it; no order merges again
     structure = trivial_structure([1, 2])
     n_plans = len(merge_plans(structure))
     calls = []
@@ -105,7 +105,27 @@ def test_a_search_walk_merges_each_plan_once(monkeypatch):
     monkeypatch.setattr(nlgc.search, "merge_blocks", counting)
     cands = list(search_group(structure, CatalogIndex()))
     assert {c.structure.block_sizes[0] for c in cands} == {1, 3}     # both plans yield
-    assert len(calls) == n_plans + 1
+    assert len(calls) == n_plans
+
+
+def test_a_search_merges_only_the_plans_its_walk_reaches(monkeypatch):
+    # eight 1-blocks, each its own class, have 4,140 merge plans; up to
+    # order 11 the walk reaches the finest (cost 8) and the 28 plans that
+    # fuse two blocks (cost 6 + 4 = 10), and merges each of them once
+    structure = trivial_structure([1] * 8)
+    calls = []
+
+    def counting(bs, plan):
+        calls.append(plan)
+        return merge_blocks(bs, plan)
+    monkeypatch.setattr(nlgc.search, "merge_blocks", counting)
+    for cand in search_group(structure, CatalogIndex()):
+        if cand.order > 10:
+            break
+    assert cand.order == 11
+    reached = [plan for cost, plan in merge_plans(structure) if cost <= 11]
+    assert len(merge_plans(structure)) == 4140 and len(reached) == 29
+    assert calls == reached
 
 
 def test_a_candidate_reads_its_group_off_its_irreps():
@@ -237,7 +257,7 @@ def _reference_search(structure, d_a, index, allow_projective=True, warning_sink
     for n in range(max(n_start, 1), d_a ** 2 + 1):
         if n not in index.orders:
             _merge_warnings(warnings, f"catalog has no group of order {n}")
-        for n0, plan, _ in plans:
+        for n0, plan in plans:
             if n0 > n:
                 continue
             plan_key = tuple(tuple(p) for p in plan)
