@@ -74,27 +74,23 @@ def _dump_list(items, level: int) -> str:
                             "  " * level)
 
 
+def _dump_complex(z, level: int) -> str:
+    return _dump_list([z.real, z.imag], level)
+
+
 _quoted = encode_basestring_ascii       # json.dumps of a str
+# np.floating and np.complexfloating cover long doubles, whose .item() is themselves
 _WRITERS = {dict: _dump_dict, list: _dump_list, tuple: _dump_list, float: _dump_float,
-            np.ndarray: _dump_array, np.float64: _dump_float,
-            str: lambda s, level: _quoted(s), int: lambda i, level: str(i),
-            bool: lambda b, level: "true" if b else "false", type(None): lambda n, level: "null"}
+            np.ndarray: _dump_array, np.float64: _dump_float, np.floating: _dump_float,
+            complex: _dump_complex, np.complexfloating: _dump_complex,
+            str: lambda s, level: _quoted(s), int: lambda i, level: int.__repr__(i),
+            bool: lambda b, level: "true" if b else "false", type(None): lambda n, level: "null",
+            np.generic: lambda x, level: _dump(x.item(), level),
+            object: lambda o, level: json.dumps(o)}     # raises json.dumps's TypeError
 
 
 def _dump(obj, level: int) -> str:
-    # the exact type picks the writer; subclasses and numpy scalars follow
-    write = _WRITERS.get(type(obj))
-    if write is not None:
-        return write(obj, level)
-    if isinstance(obj, np.ndarray):
-        return _dump_array(obj, level)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return _dump_list([obj.real, obj.imag], level)
-    if isinstance(obj, dict):
-        return _dump_dict(obj, level)
-    if isinstance(obj, (list, tuple)):
-        return _dump_list(obj, level)
-    if isinstance(obj, (float, np.floating)):
-        return _dump_float(obj, level)
-    # a numpy integer or bool, or an int or str subclass
-    return json.dumps(obj.item() if isinstance(obj, np.generic) else obj)
+    # the exact type picks the writer, else the first type of its MRO that has one
+    write = _WRITERS.get(type(obj)) or next(
+        _WRITERS[t] for t in type(obj).__mro__ if t in _WRITERS)
+    return write(obj, level)

@@ -9,9 +9,10 @@ from .errors import SingularInputError, ValidationError
 
 
 def read_only(value):
-    """value with its arrays made read-only, its lists tuples and its dicts
-    read-only mappings; a read-only mapping is returned as it is, so one can be shared."""
+    """value with each array a read-only view (the caller's stays writable), each list a
+    tuple and each dict a read-only mapping; a read-only mapping is returned as it is."""
     if isinstance(value, np.ndarray):
+        value = value.view()
         value.setflags(write=False)
     elif isinstance(value, (list, tuple)):
         return tuple(map(read_only, value))

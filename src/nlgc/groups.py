@@ -9,7 +9,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from ._linalg import freeze
+from ._linalg import freeze, read_only
 from .errors import DimensionError, ValidationError, json_int, malformed
 
 PHASE_TOL = 1e-9
@@ -77,9 +77,7 @@ class FiniteGroup:
         powers = [np.arange(self.order)]
         for _ in range(self.order - 1):
             powers.append(self.table[powers[-1], powers[0]])
-        orders = (np.array(powers) == self.identity).argmax(0) + 1
-        orders.flags.writeable = False
-        return orders
+        return read_only((np.array(powers) == self.identity).argmax(0) + 1)
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -149,7 +147,7 @@ class FiniteGroup:
         return g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorSystem:
     """Unit-modulus two-cocycle mu(f, g) attached to a group; phases is
     made read-only at construction, and no attribute can be assigned, so

@@ -215,11 +215,6 @@ def expansion_from_report(report: dict) -> GroupExpansion:
     ValidationError, and so do group.projective, factorPhases (null unless
     projective) and factorRootOrder when the factor phases contradict them.
     """
-    return _rebuild(report)[0]
-
-
-def _rebuild(report: dict) -> tuple[GroupExpansion, dict]:
-    """expansion_from_report's expansion, and the stored values _stored_derived read."""
     if not isinstance(report, dict) or report.get("format") != REPORT_FORMAT:
         raise ValidationError("not a compilation report")
     inp, grp, exp_data = report["input"], report["group"], report["expansion"]
@@ -247,7 +242,7 @@ def _rebuild(report: dict) -> tuple[GroupExpansion, dict]:
         raise ValidationError("group.projective or factorRootOrder contradicts the factor phases")
     u_rep = Representation(group, factor, decode_matrix(exp_data["uOps"], (n, d_a, d_a)))
     u_rep.validate()
-    stored = _stored_derived(report)     # not read back, yet they must be numbers and booleans
+    _stored_derived(report)     # not read back, yet they must be numbers and booleans
     warnings = report["warnings"]
     if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
         raise ValidationError("warnings must be a list of strings")
@@ -262,7 +257,7 @@ def _rebuild(report: dict) -> tuple[GroupExpansion, dict]:
         route=exp_data["route"],
         classification=report["classification"]["label"],
         details={key: decode_matrix(w, (None,) * (w.ndim - 1)) for key, w in witnesses.items()},
-        warnings=warnings, blocks=report["blocks"]), stored
+        warnings=warnings, blocks=report["blocks"])
 
 
 def _partition_consistent(sizes, classes, d_a: int) -> bool:
@@ -361,7 +356,7 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     integer raises ValidationError.
     """
     checks: dict[str, bool] = {}
-    exp, stored = _rebuild(report)
+    exp, stored = expansion_from_report(report), _stored_derived(report)
     stored_dev = json_number(report["input"]["unitarityDeviation"], "unitarityDeviation")
     stored_norm = json_number(report["input"]["frobeniusNorm"], "frobeniusNorm")
     stored_rank = json_int(report["schmidt"]["rank"], "schmidt.rank")

@@ -19,7 +19,7 @@ REP_TOL = 1e-8      # block tolerance of the irrep split, unit modulus of read-o
 CHAR_TOL = 1e-6     # equal characters; those of inequivalent irreps differ by >= sqrt(2) somewhere
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Representation:
     """Matrices U(f) with U(f) U(g) = mu(f, g) U(fg); matrices is made
     read-only at construction, and no attribute can be assigned, so a
@@ -36,41 +36,14 @@ class Representation:
     def dim(self) -> int:
         return self.matrices.shape[1]
 
-    def validate(self):
-        _validate_all([self])
-
-
-def _defects(group: FiniteGroup, factor: FactorSystem,
-             stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest deviations from the twisted multiplication law and from
-    unitarity of each (|G|, d, d) set in a (k, |G|, d, d) stack: every
-    U(f)U(g) of a set from one (|G|·d, d) @ (d, |G|·d) product, every
-    U(f)†U(f) from one batched product; NaN propagates."""
-    k, n, d, _ = stack.shape
-    products = (stack.reshape(k, n * d, d)
-                @ stack.transpose(0, 2, 1, 3).reshape(k, d, n * d)).reshape(k, n, d, n, d)
-    targets = factor.phases[:, :, None, None] * stack[:, group.table]
-    grams = stack.conj().swapaxes(-1, -2) @ stack
-    return (np.max(np.abs(products - targets.transpose(0, 1, 3, 2, 4)), axis=(1, 2, 3, 4)),
-            np.max(np.abs(grams - np.eye(d)), axis=(1, 2, 3)))
-
-
-def _validate_all(reps: list[Representation], tol: float = 1e-8):
-    """Validate representations of one group and factor system, those of one
-    dimension as one stack; the first that fails, in list order, raises what
-    its own validate raises: the multiplication law is checked before
-    unitarity."""
-    mult, unit = np.empty(len(reps)), np.empty(len(reps))
-    by_dim: dict[int, list[int]] = {}
-    for i, r in enumerate(reps):
-        by_dim.setdefault(r.dim, []).append(i)
-    for idx in by_dim.values():
-        mult[idx], unit[idx] = _defects(reps[0].group, reps[0].factor,
-                                        np.array([reps[i].matrices for i in idx]))
-    for m, u in zip(mult, unit):
-        if not m <= tol:
+    def validate(self, tol: float = 1e-8):
+        """The twisted law, every U(f)U(g) from one GEMM, then unitarity; NaN fails."""
+        m, n, d = self.matrices, self.group.order, self.dim
+        products = m.reshape(n * d, d) @ m.transpose(1, 0, 2).reshape(d, n * d)
+        targets = self.factor.phases[:, :, None, None] * m[self.group.table]
+        if not np.max(np.abs(products.reshape(n, d, n, d) - targets.transpose(0, 2, 1, 3))) <= tol:
             raise ValidationError("matrices violate the twisted multiplication law")
-        if not u <= tol:
+        if not np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(d))) <= tol:
             raise ValidationError("representation matrices must be unitary")
 
 
@@ -122,7 +95,8 @@ def irreps_of(group: FiniteGroup, seed: int = 0) -> list[Representation]:
     if total != group.order:
         raise InconsistencyError(
             f"irrep dimensions square-sum to {total}, expected {group.order}")
-    _validate_all(irreps, tol=1e-7)
+    for r in irreps:
+        r.validate(tol=1e-7)
     if len(irreps) != len(group.conjugacy_classes):
         raise InconsistencyError("irrep count does not match conjugacy classes")
     return irreps
@@ -190,7 +164,8 @@ def projective_irreps_from_extension(irreps: list[Representation], z: int):
             "projective irreps from the extension do not exhaust the quotient order")
     gauged, fs = gauge_normalize(picked, quotient)
     out = [Representation(quotient, fs, m) for m in gauged]
-    _validate_all(out)
+    for r in out:
+        r.validate()
     return quotient, out
 
 

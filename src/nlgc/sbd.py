@@ -20,7 +20,7 @@ from .errors import DimensionError, InconsistencyError, NondeterminismError
 BLOCK_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquivalenceClass:
     """Blocks carrying the same content up to a fixed unitary conjugation; frozen."""
 
@@ -35,7 +35,7 @@ class EquivalenceClass:
         return self.members[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockStructure:
     """Unitary basis change plus the common block partition it induces; frozen."""
 

@@ -17,7 +17,7 @@ UNITARITY_TOL = 1e-8
 RANK_CUTOFF = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteUnitary:
     """Unitary matrix with its tensor factor dimensions; frozen, matrix a
     read-only copy. deviation, the Frobenius distance of matrix†matrix from
@@ -26,7 +26,7 @@ class BipartiteUnitary:
     matrix: np.ndarray
     dim_a: int
     dim_b: int
-    deviation: float = field(init=False, repr=False, compare=False)
+    deviation: float = field(init=False, repr=False)
 
     def __post_init__(self):
         freeze(self, matrix=np.array(self.matrix, dtype=complex))
@@ -52,7 +52,7 @@ class BipartiteUnitary:
         return BipartiteUnitary(m, self.dim_b, self.dim_a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """Terms of the operator Schmidt expansion, coefficients descending; frozen."""
 
@@ -78,10 +78,6 @@ def _realign(matrix: np.ndarray, da: int, db: int) -> np.ndarray:
     return matrix.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
 
 
-def _lex_key(b: np.ndarray) -> tuple:
-    return tuple(np.round(b.reshape(-1).view(float), 9).tolist())
-
-
 def schmidt_decompose(u: BipartiteUnitary) -> SchmidtDecomposition:
     """Operator Schmidt decomposition via realignment and SVD.
 
@@ -104,5 +100,6 @@ def schmidt_decompose(u: BipartiteUnitary) -> SchmidtDecomposition:
     lead = [0]          # the first term of each term's run of tied coefficients
     for s in vals[1:]:
         lead.append(lead[-1] if abs(vals[lead[-1]] - s) <= tie else len(lead))
-    order = sorted(range(len(vals)), key=lambda i: (lead[i], _lex_key(b_ops[i])))
+    # lexsort's last key is its first: lead, then the B entries left to right; it is stable
+    order = np.lexsort([*np.round(b_ops.reshape(len(vals), -1).view(float), 9).T[::-1], lead])
     return SchmidtDecomposition(u, vals[order], a_ops[order], b_ops[order])

@@ -19,7 +19,7 @@ from .sbd import BlockStructure, EquivalenceClass, merge_blocks
 MERGE_ENUMERATION_CAP = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchCandidate:
     """One (group, factor system, irrep assignment) proposal.
 

@@ -1,17 +1,22 @@
 """Invariances the paper implies: a gate's cost and route depend on its
 nonlocal content only, not on local unitaries around it or a global phase;
 its cost depends neither on the compile seed nor on which side is which.
-A report carries enough to rerun the protocol it describes."""
+A report carries enough to rerun the protocol it describes. Group expansions
+compose: side A's floor of U1 (x) U2 is the product of the factors' floors."""
+import itertools
 import json
 
 import numpy as np
 import pytest
+from conftest import haar_block_gate
 from hypothesis import given, settings, strategies as st
 
 from nlgc.expansion import compile_unitary
 from nlgc.protocol import simulate_protocol
 from nlgc.report import build_report, canonical_json, expansion_from_report
-from nlgc.schmidt import BipartiteUnitary
+from nlgc.sbd import finest_sbd, gram_set
+from nlgc.schmidt import BipartiteUnitary, schmidt_decompose
+from nlgc.search import search_floor
 
 OMEGA = np.exp(2j * np.pi / 3)
 GATES = {
@@ -101,3 +106,38 @@ def test_report_round_trip_reproduces_the_simulation(name, seed):
                                rtol=0, atol=1e-9)
     np.testing.assert_allclose(after.branch_fidelities, before.branch_fidelities,
                                rtol=0, atol=1e-9)
+
+
+FLOOR_GATES = {
+    **GATES,
+    "cp-2x3": (np.diag([1, 1, 1, 1, -1, -1]).astype(complex), 2, 3),
+    "blocks-112": (haar_block_gate(2, [1, 1, 2], 3).matrix, 2, 4),
+}
+
+
+def floor(bu):
+    """Side A's floor: the search_floor of its finest structure."""
+    return search_floor(finest_sbd(gram_set(schmidt_decompose(bu))))
+
+
+def dressed(name, rng):
+    g, da, db = FLOOR_GATES[name]
+    a, b, c, d = (haar(n, rng) for n in (da, db, da, db))
+    return BipartiteUnitary(np.kron(a, b) @ g @ np.kron(c, d), da, db)
+
+
+def tensor(u1, u2):
+    """U1 (x) U2 with A = A1 A2 and B = B1 B2."""
+    a1, b1, a2, b2 = u1.dim_a, u1.dim_b, u2.dim_a, u2.dim_b
+    t = np.kron(u1.matrix, u2.matrix).reshape(a1, b1, a2, b2, a1, b1, a2, b2)
+    m = t.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(u1.dim * u2.dim, -1)
+    return BipartiteUnitary(m, a1 * a2, b1 * b2)
+
+
+@pytest.mark.parametrize("pair", itertools.combinations_with_replacement(FLOOR_GATES, 2),
+                         ids="*".join)
+def test_the_floor_of_a_tensor_product_is_the_product_of_the_floors(pair):
+    # the Gram algebra of U1 (x) U2 is the tensor product of the two algebras
+    rng = np.random.default_rng(5)
+    u1, u2 = dressed(pair[0], rng), dressed(pair[1], rng)
+    assert floor(tensor(u1, u2)) == floor(u1) * floor(u2)

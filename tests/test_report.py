@@ -1,4 +1,6 @@
 """Report serialization: stable bytes, faithful round trips, re-verification."""
+import collections
+import enum
 import json
 from dataclasses import fields
 
@@ -177,6 +179,31 @@ def test_canonical_json_indents_complex_scalars_and_keeps_edge_spellings():
                   np.array([edge, -0.0, 2.5e-7])):
             assert canonical_json(a) == reference_json(a), edge
     assert canonical_json(np.array([-0.0, 3.0, -1e-5])) == "[\n  0.0,\n  3.0,\n  -1e-05\n]\n"
+
+
+class _Level(enum.IntEnum):
+    HIGH = 7
+
+
+class _Text(str):
+    pass
+
+
+class _Array(np.ndarray):
+    pass
+
+
+def test_subclasses_and_numpy_scalars_take_the_writer_of_their_first_base():
+    # the exact type picks no writer for these; the first type of the MRO that has one does
+    doc = {"enum": _Level.HIGH, "text": _Text("t"), "ordered": collections.OrderedDict(b=1),
+           "pair": collections.namedtuple("Pair", "x y")(0.5, 2), "f32": np.float32(0.1),
+           "long": np.longdouble(1) / 3, "clong": np.clongdouble(1 - 2j) / 3,
+           "c64": np.complex64(1j), "i8": np.int8(-4), "u64": np.uint64(2 ** 64 - 1),
+           "flag": np.bool_(False), "npstr": np.str_("s"), "sub": np.array([1.5]).view(_Array)}
+    assert canonical_json(doc) == reference_json(doc)
+    for bad in ({1}, b"x", np.bytes_(b"x"), object()):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            canonical_json({"a": [bad]})
 
 
 @pytest.mark.parametrize("a", [

@@ -9,8 +9,7 @@ from nlgc.errors import ValidationError
 from nlgc.groups import (FactorSystem, alternating, builtin_catalog, cyclic,
                          dihedral, heisenberg, quaternion,
                          quotient_by_central_cyclic, symmetric)
-from nlgc.representations import (REP_TOL, Representation, _defects, _validate_all,
-                                  central_irreps,
+from nlgc.representations import (REP_TOL, Representation, central_irreps,
                                   factor_phases_of, gauge_normalize,
                                   irrep_dimensions, irreps_of,
                                   pauli_projective_rep,
@@ -297,35 +296,34 @@ def _unitarity_defect_einsum(rep):
     return float(np.max(np.abs(grams - np.eye(rep.dim))))
 
 
-def _validate_each(reps, tol):
-    """_validate_all as irreps_of ran it before stacking: each representation
-    on its own, the multiplication law before unitarity."""
-    for r in reps:
-        if not _multiplication_defect_einsum(r) <= tol:
-            raise ValidationError("matrices violate the twisted multiplication law")
-        if not _unitarity_defect_einsum(r) <= tol:
-            raise ValidationError("representation matrices must be unitary")
+def _einsum_outcome(rep, tol):
+    """What validate raises, from the einsum forms of both defects: the
+    multiplication law is checked before unitarity, and NaN fails."""
+    if not _multiplication_defect_einsum(rep) <= tol:
+        return "matrices violate the twisted multiplication law"
+    if not _unitarity_defect_einsum(rep) <= tol:
+        return "representation matrices must be unitary"
+    return None
 
 
-def _validation_outcome(check, reps, tol):
+def _validate_outcome(rep, tol):
     try:
-        check(reps, tol)
+        rep.validate(tol)
     except ValidationError as exc:
         return str(exc)
     return None
 
 
 @pytest.mark.parametrize("case", ["S4", "Q8", "C6", "D4/z"])
-def test_stacked_validation_equals_validating_each(case):
+def test_validate_equals_the_einsum_checks(case):
     if case == "D4/z":
         l = dihedral(4)
         reps = projective_irreps_from_extension(
             irreps_of(l), next(z for z in l.center if z != l.identity))[1]
     else:
         reps = irreps_of({"S4": symmetric(4), "Q8": quaternion(), "C6": cyclic(6)}[case])
-    group, factor = reps[0].group, reps[0].factor
-    variants = [list(reps)]
-    for i, rep in enumerate(reps):
+    variants = list(reps)
+    for rep in reps:
         d = rep.dim
         negated, nan = rep.matrices.copy(), rep.matrices.copy()
         negated[-1] *= -1
@@ -333,15 +331,18 @@ def test_stacked_validation_equals_validating_each(case):
         # a non-unitary similarity keeps the multiplication law; a 1-dim one scales
         s = np.eye(d) + 0.5 * np.eye(d, k=1) if d > 1 else 2 * np.eye(1)
         similar = s @ rep.matrices @ np.linalg.inv(s)
-        for broken in (negated, nan, similar if d > 1 else 2 * rep.matrices):
-            variants.append(reps[:i] + [Representation(group, factor, broken)] + reps[i + 1:])
-    # two broken sets: the later one's failure must not mask the earlier one's
-    variants.append([variants[-1][-1]] + variants[1][1:-1] + [variants[1][0]])
-    outcomes = [_validation_outcome(_validate_each, v, 1e-7) for v in variants]
-    assert [_validation_outcome(_validate_all, v, 1e-7) for v in variants] == outcomes
-    assert None in outcomes and "matrices violate the twisted multiplication law" in outcomes
+        # defects between 1e-8 and 1e-7: validate passes at 1e-7 only
+        near = rep.matrices * np.exp(3e-8j)
+        for broken in (negated, nan, similar if d > 1 else 2 * rep.matrices, near):
+            variants.append(Representation(rep.group, rep.factor, broken))
+    outcomes = {tol: [_einsum_outcome(r, tol) for r in variants] for tol in (1e-7, 1e-8)}
+    for tol, expected in outcomes.items():
+        assert [_validate_outcome(r, tol) for r in variants] == expected, tol
+    assert outcomes[1e-7] != outcomes[1e-8]
+    assert None in outcomes[1e-7]
+    assert "matrices violate the twisted multiplication law" in outcomes[1e-7]
     if case != "C6":
-        assert "representation matrices must be unitary" in outcomes
+        assert "representation matrices must be unitary" in outcomes[1e-7]
 
 
 def _defect_cases():
@@ -357,16 +358,24 @@ def _defect_cases():
         yield pauli_projective_rep(d)
 
 
-def test_stacked_defects_equal_the_einsum_forms():
+def test_validate_agrees_with_the_einsum_defects():
+    """validate passes just above both einsum defects and, on a perturbed
+    representation, fails with the law's message just below the law defect
+    and with unitarity's between the two defects."""
     rng = np.random.default_rng(11)
     for rep in _defect_cases():
         # a 1e-3 perturbation makes both defects large enough to compare
         noise = rng.standard_normal(rep.matrices.shape) + 1j * rng.standard_normal(rep.matrices.shape)
         for mats in (rep.matrices, rep.matrices + 1e-3 * noise):
             r = Representation(rep.group, rep.factor, mats)
-            mult, unit = _defects(r.group, r.factor, r.matrices[None])
-            assert abs(mult[0] - _multiplication_defect_einsum(r)) <= 1e-12
-            assert abs(unit[0] - _unitarity_defect_einsum(r)) <= 1e-12
+            mult, unit = _multiplication_defect_einsum(r), _unitarity_defect_einsum(r)
+            r.validate(max(mult, unit) + 1e-12)
+            if mult > 1e-9:
+                assert _validate_outcome(r, mult - 1e-12) == (
+                    "matrices violate the twisted multiplication law")
+            if unit > mult + 1e-9:
+                assert _validate_outcome(r, mult + 1e-12) == (
+                    "representation matrices must be unitary")
 
 
 @pytest.mark.parametrize("case", ["S3-2dim", "C5-1dim", "pauli-3"])

@@ -1,11 +1,11 @@
-"""No module of the package, its tests or its demos imports a name it does not use."""
+"""No module of the package, its tests, its demos or its tools imports a name it does not use."""
 import ast
 import pathlib
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-MODULES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+MODULES = sorted(p for d in ("src", "tests", "demos", "tools") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
