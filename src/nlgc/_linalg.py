@@ -9,10 +9,11 @@ from .errors import SingularInputError, ValidationError
 
 
 def read_only(value):
-    """value with each array a read-only view (the caller's stays writable), each list a
-    tuple and each dict a read-only mapping; a read-only mapping is returned as it is."""
+    """value with each array a read-only copy of the same strides (the caller's stays
+    writable and apart), each list a tuple and each dict a read-only mapping; a
+    read-only mapping is returned as it is."""
     if isinstance(value, np.ndarray):
-        value = value.view()
+        value = value.copy(order="K")
         value.setflags(write=False)
     elif isinstance(value, (list, tuple)):
         return tuple(map(read_only, value))

@@ -149,12 +149,10 @@ def construct_V(a_ops, bs: BlockStructure, tol: float = BLOCK_TOL) -> np.ndarray
 
     v_raw = np.hstack(parts)
     d_ops = dagger(v_raw) @ a_ops @ s
-    for cls in bs.classes:
-        rs = slices[cls.representative]
-        for m in cls.members:
-            if m == cls.representative:
-                continue
-            t = cls.intertwiners[m]
+    for members, inter in bs.classes:
+        rs = slices[members[0]]
+        for m in members[1:]:
+            t = inter[m]
             ms = slices[m]
             aligned = t @ d_ops[:, rs, rs] @ dagger(t)
             acc = np.add.reduce(d_ops[:, ms, ms] @ aligned.conj().transpose(0, 2, 1), axis=0)
@@ -181,15 +179,15 @@ def assemble_U(irreps, bs: BlockStructure, assignment) -> Representation:
     group, factor = irreps[0].group, irreps[0].factor
     d = s.shape[0]
     mats = np.zeros((group.order, d, d), dtype=complex)
-    for ci, cls in enumerate(bs.classes):
+    for ci, (members, inter) in enumerate(bs.classes):
         rep_mats = irreps[assignment[ci]].matrices
-        for m in cls.members:
+        for m in members:
             sl = slices[m]
             if rep_mats.shape[1] != sl.stop - sl.start:
                 raise AssignmentError(
                     "irrep of dimension %d assigned to a block of size %d"
                     % (rep_mats.shape[1], sl.stop - sl.start))
-            t = cls.intertwiners[m]
+            t = inter[m]
             mats[:, sl, sl] = np.einsum("ab,fbc,dc->fad", t, rep_mats, np.conj(t))
     mats = np.einsum("ab,fbc,dc->fad", s, mats, np.conj(s))
     rep = Representation(group, factor, mats)
@@ -218,10 +216,10 @@ def compute_W(v: np.ndarray, a_ops, bs: BlockStructure, irreps, assignment,
     d_max = max(bs.block_sizes)
     carried = np.zeros((len(bs.classes), n, d_max, d_max), dtype=complex)
     blocks = np.zeros((len(bs.classes), len(x), d_max, d_max), dtype=complex)
-    for ci, cls in enumerate(bs.classes):
+    for ci, (members, _) in enumerate(bs.classes):
         mats = irreps[assignment[ci]].matrices
         inv_mats = mats[group.inverses]
-        rs = slices[cls.representative]
+        rs = slices[members[0]]
         d_lam = mats.shape[1]
         size = rs.stop - rs.start
         carried[ci, :, :d_lam, :d_lam] = mats
@@ -399,7 +397,7 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
     finest = {label: _finest_structure(bu, block_tol, seed)
               for label, bu in (("A", u), ("B", u.swapped()))}
     blocks = read_only({label: {"sizes": bs.block_sizes, "classDims": bs.class_dims(),
-                                "classes": [c.members for c in bs.classes]}
+                                "classes": [members for members, _ in bs.classes]}
                         for label, (_, bs) in finest.items()})
     warnings = {label: [] for label in (["A", "B"] if side == "both" else [side])}
     streams = [_side_stream(label, finest[label][1], index, allow_projective, sink)

@@ -21,7 +21,7 @@ class FiniteGroup:
 
     table[f, g] is the element index of f*g. Construction checks that name
     is a string, then verifies closure, identity, inverses and associativity
-    on a private copy of the table and makes it read-only, so the invariants
+    and seals a read-only copy of the table, so the invariants
     computed on first use and kept on the instance cannot go stale: the
     cached properties element_orders (a read-only int array, like inverses),
     is_abelian, center, conjugacy_classes, generating_set and signature
@@ -42,7 +42,7 @@ class FiniteGroup:
         table = np.asarray(self.table)
         if table.dtype.kind not in "iu":
             raise ValidationError("table entries must be integer element indices")
-        table = np.array(table, dtype=int)
+        table = np.asarray(table, dtype=int)
         n = table.shape[0]
         if table.shape != (n, n):
             raise ValidationError("multiplication table must be square")

@@ -17,7 +17,7 @@ from .errors import ValidationError, json_bool, json_int, json_number, malformed
 from .expansion import GroupExpansion, classify
 from .groups import FactorSystem, FiniteGroup
 from .representations import Representation
-from .sbd import BLOCK_TOL, BlockStructure, EquivalenceClass, inequivalent
+from .sbd import BLOCK_TOL, BlockStructure, inequivalent
 from .schmidt import BipartiteUnitary, schmidt_decompose
 
 REPORT_FORMAT = "nlgc-report"
@@ -97,10 +97,9 @@ def _structure_payload(bs: BlockStructure) -> dict:
         "basisChange": encode_matrix(bs.basis_change),
         "sizes": list(bs.block_sizes),
         "classes": [
-            {"members": list(c.members),
-             "intertwiners": {str(m): encode_matrix(t)
-                              for m, t in sorted(c.intertwiners.items())}}
-            for c in bs.classes
+            {"members": list(members),
+             "intertwiners": {str(m): encode_matrix(t) for m, t in sorted(inter.items())}}
+            for members, inter in bs.classes
         ],
     }
 
@@ -117,13 +116,10 @@ def _ints(values, what: str) -> list[int]:
 
 
 def _structure_from_payload(data: dict, d_a: int) -> BlockStructure:
-    classes = [
-        EquivalenceClass(
-            members=_ints(c["members"], "expansion.structure members"),
-            intertwiners={_block_index(k): decode_matrix(v, (None, None))
-                          for k, v in c["intertwiners"].items()})
-        for c in data["classes"]
-    ]
+    classes = [(_ints(c["members"], "expansion.structure members"),
+                {_block_index(k): decode_matrix(v, (None, None))
+                 for k, v in c["intertwiners"].items()})
+               for c in data["classes"]]
     return BlockStructure(decode_matrix(data["basisChange"], (d_a, d_a)),
                           _ints(data["sizes"], "expansion.structure.sizes"), classes)
 
@@ -294,17 +290,17 @@ def _structure_consistent(exp: GroupExpansion) -> bool:
     No unitary may map the representative of one class onto that of another."""
     bs = exp.structure
     if not (unitarity_deviation(bs.basis_change) <= 1e-8
-            and _partition_consistent(bs.block_sizes, [c.members for c in bs.classes],
+            and _partition_consistent(bs.block_sizes, [members for members, _ in bs.classes],
                                       exp.unitary.dim_a)):
         return False
     x, slices = bs.transformed(dagger(exp.v) @ exp.schmidt.a_ops), bs.block_slices()
     if not bs.outside_blocks(x) <= 1e-6:
         return False
-    reps = [x[:, slices[c.representative], slices[c.representative]] for c in bs.classes]
-    for cls, rep in zip(bs.classes, reps):
-        if sorted(cls.intertwiners) != sorted(cls.members):
+    reps = [x[:, slices[members[0]], slices[members[0]]] for members, _ in bs.classes]
+    for (members, inter), rep in zip(bs.classes, reps):
+        if sorted(inter) != sorted(members):
             return False
-        for m, t in cls.intertwiners.items():
+        for m, t in inter.items():
             if not (t.shape == rep.shape[1:] == (bs.block_sizes[m],) * 2
                     and unitarity_deviation(t) <= 1e-8
                     and np.abs(t @ rep @ dagger(t) - x[:, slices[m], slices[m]]).max() <= 1e-6):

@@ -8,7 +8,6 @@ unitary conjugation.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,27 +20,14 @@ BLOCK_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
-class EquivalenceClass:
-    """Blocks carrying the same content up to a fixed unitary conjugation; frozen."""
-
-    members: tuple           # block indices, first one is the representative
-    intertwiners: Mapping    # block index -> unitary T with T R_rep T† = R_member
-
-    def __post_init__(self):
-        freeze(self, members=self.members, intertwiners=self.intertwiners)
-
-    @property
-    def representative(self) -> int:
-        return self.members[0]
-
-
-@dataclass(frozen=True, eq=False)
 class BlockStructure:
-    """Unitary basis change plus the common block partition it induces; frozen."""
+    """Unitary basis change plus the common block partition it induces; frozen.
+    A class is a (members, intertwiners) pair: block indices, representative
+    first, and a mapping from each member to the unitary T with T R_rep T† = R_member."""
 
     basis_change: np.ndarray          # columns ordered block by block
     block_sizes: tuple                # sizes in block order
-    classes: tuple = ()               # EquivalenceClass tuple, empty until classified
+    classes: tuple = ()               # (members, intertwiners) pairs, empty until classified
 
     def __post_init__(self):
         freeze(self, basis_change=np.asarray(self.basis_change),
@@ -63,10 +49,6 @@ class BlockStructure:
         s = self.basis_change
         return dagger(s) @ m @ s
 
-    def off_block_mass(self, mats) -> float:
-        """Largest magnitude outside the blocks, over a list or stack of matrices."""
-        return self.outside_blocks(self.transformed(_as_stack(mats)))
-
     def outside_blocks(self, x: np.ndarray) -> float:
         """Largest magnitude outside the blocks of a (k, d, d) stack already in
         the block basis, such as transformed returns."""
@@ -77,7 +59,7 @@ class BlockStructure:
 
     def class_dims(self) -> list[int]:
         """One block size per equivalence class, in class order."""
-        return [self.block_sizes[c.representative] for c in self.classes]
+        return [self.block_sizes[members[0]] for members, _ in self.classes]
 
 
 def _as_stack(mats) -> np.ndarray:
@@ -168,7 +150,7 @@ def _finest_split(mats, tol: float = BLOCK_TOL, seed: int = 0,
             s[:, at:at + n * count] = (q @ v).swapaxes(0, 1).reshape(d, -1)
         at += n * count
     bs = BlockStructure(s / leading_phase(s.T), [len(c) for c in comps_a])
-    worst = bs.off_block_mass(mats)
+    worst = bs.outside_blocks(bs.transformed(mats))
     if not worst <= tol:
         raise NondeterminismError(
             f"off-block residue {worst:.3e} exceeds tol after splitting")
@@ -261,8 +243,7 @@ def classify_equivalence(bs: BlockStructure, mats, tol: float = BLOCK_TOL) -> Bl
     return BlockStructure(
         bs.basis_change[:, np.r_[tuple(slices[m] for m in order)]],
         [bs.block_sizes[m] for m in order],
-        [EquivalenceClass([pos[m] for m in c], {pos[m]: t for m, t in c.items()})
-         for c in classes])
+        [([pos[m] for m in c], {pos[m]: t for m, t in c.items()}) for c in classes])
 
 
 def merge_blocks(bs: BlockStructure, partition: list[list[int]]) -> BlockStructure:
@@ -284,20 +265,16 @@ def merge_blocks(bs: BlockStructure, partition: list[list[int]]) -> BlockStructu
 
     new_index = {tuple(part): k for k, (_, _, part) in enumerate(sized)}
     classes = []
-    for cls in bs.classes:
-        singles = [m for m in cls.members if (m,) in new_index]
-        if not singles:
-            continue
-        singles.sort(key=lambda m: new_index[(m,)])
-        rep = singles[0]
-        t_rep = cls.intertwiners[rep]
-        members = [new_index[(m,)] for m in singles]
-        inter = {new_index[(m,)]: cls.intertwiners[m] @ dagger(t_rep) for m in singles}
-        classes.append(EquivalenceClass(members, inter))
+    for members, inter in bs.classes:
+        singles = sorted((new_index[(m,)], m) for m in members if (m,) in new_index)
+        if singles:
+            t_rep = inter[singles[0][1]]
+            classes.append(([k for k, _ in singles],
+                            {k: inter[m] @ dagger(t_rep) for k, m in singles}))
     for k, (size, _, part) in enumerate(sized):
         if len(part) > 1:
-            classes.append(EquivalenceClass([k], {k: np.eye(size, dtype=complex)}))
-    classes.sort(key=lambda c: c.representative)
-    if len({m for c in classes for m in c.members}) != len(new_sizes):
+            classes.append(([k], {k: np.eye(size, dtype=complex)}))
+    classes.sort(key=lambda c: c[0][0])
+    if len({m for members, _ in classes for m in members}) != len(new_sizes):
         raise InconsistencyError("merged class bookkeeping lost a block")
     return BlockStructure(bs.basis_change[:, cols], new_sizes, classes)

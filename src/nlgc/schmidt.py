@@ -29,7 +29,7 @@ class BipartiteUnitary:
     deviation: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        freeze(self, matrix=np.array(self.matrix, dtype=complex))
+        freeze(self, matrix=np.asarray(self.matrix, dtype=complex))
         d = self.dim_a * self.dim_b
         if self.dim_a < 1 or self.dim_b < 1:
             raise DimensionError("tensor factor dimensions must be positive")

@@ -14,7 +14,7 @@ import numpy as np
 from .groups import FiniteGroup, _built, are_isomorphic, catalog_recipe
 from .representations import (Representation, central_irreps, irreps_of,
                               pauli_projective_rep, projective_irreps_from_extension)
-from .sbd import BlockStructure, EquivalenceClass, merge_blocks
+from .sbd import BlockStructure, merge_blocks
 
 MERGE_ENUMERATION_CAP = 8
 
@@ -64,8 +64,7 @@ def set_partitions(items: list) -> list[list[list]]:
 def trivial_structure(dims: list[int]) -> BlockStructure:
     """Identity-basis structure with one block and one class per dimension."""
     total = sum(dims)
-    classes = [EquivalenceClass(members=[i], intertwiners={i: np.eye(d, dtype=complex)})
-               for i, d in enumerate(dims)]
+    classes = [([i], {i: np.eye(d, dtype=complex)}) for i, d in enumerate(dims)]
     return BlockStructure(np.eye(total, dtype=complex), dims, classes)
 
 
@@ -90,12 +89,13 @@ def merge_plans(structure: BlockStructure) -> list[tuple[int, list[list[int]]]]:
         plans = set_partitions(list(range(n)))
     else:
         plans = [[[i] for i in range(n)], [list(range(n))]]
-    class_of = {m: k for k, c in enumerate(structure.classes) for m in c.members}
+    class_of = {m: k for k, (members, _) in enumerate(structure.classes) for m in members}
+    class_dims = structure.class_dims()
     keyed = []
     for plan in plans:
         parts = sorted([sorted(p) for p in plan], key=lambda p: p[0])
         kept = {class_of[p[0]] for p in parts if len(p) == 1}
-        cost = (sum(sizes[structure.classes[k].representative] ** 2 for k in kept)
+        cost = (sum(class_dims[k] ** 2 for k in kept)
                 + sum(sum(sizes[b] for b in p) ** 2 for p in parts if len(p) > 1))
         keyed.append((cost, -len(parts), tuple(tuple(p) for p in parts), parts))
     keyed.sort(key=lambda t: t[:3])

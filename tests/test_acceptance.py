@@ -13,7 +13,7 @@ from nlgc.expansion import compile_unitary, construct_V, synthesize_group_gate
 from nlgc.groups import builtin_catalog, pauli_sixteen
 from nlgc.protocol import random_states, simulate_protocol
 from nlgc.representations import irreps_of
-from nlgc.sbd import BlockStructure, EquivalenceClass, finest_sbd
+from nlgc.sbd import BlockStructure, finest_sbd
 from nlgc.schmidt import BipartiteUnitary, schmidt_decompose
 
 CNOT = np.array([[1, 0, 0, 0],
@@ -137,8 +137,7 @@ def test_criterion_6_v_construction_block_diagonalizes():
         total = sum(sizes)
         s = random_unitary(total, rng)
         v_true = random_unitary(total, rng)
-        classes = [EquivalenceClass([i], {i: np.eye(d, dtype=complex)})
-                   for i, d in enumerate(sizes)]
+        classes = [([i], {i: np.eye(d, dtype=complex)}) for i, d in enumerate(sizes)]
         bs = BlockStructure(s, sizes, classes)
         a_ops = []
         for _ in range(int(rng.integers(2, 5))):
@@ -151,7 +150,7 @@ def test_criterion_6_v_construction_block_diagonalizes():
             a_ops.append(v_true @ s @ blocks @ s.conj().T)
         v = construct_V(a_ops, bs)
         for a in a_ops:
-            off = bs.off_block_mass([v.conj().T @ a])
+            off = bs.outside_blocks(bs.transformed((v.conj().T @ a)[None]))
             worst = max(worst, off)
     assert worst <= 1e-8, worst
     print(f"PASS criterion 6: 100 random structured families, worst "

@@ -214,6 +214,8 @@ def test_side_b_alone_skips_the_uncertified_group(tmp_path, capsys):
     assert rep["costs"]["costEbits"] == round(float(np.log2(25)), 11)
     assert rep["mStatus"]["unitary"] is True and rep["protocol"]["deterministic"] is True
     assert main(["verify", str(out)]) == 0
+    # the branch pass on the factor phases decoded from the report
+    assert main(["simulate", str(out), "--random", "4"]) == 0
     capsys.readouterr()
 
 
@@ -459,6 +461,32 @@ def test_huge_entries_print_only_the_error_line(cnot_file, tmp_path):
         assert proc.returncode == 2, proc.stderr
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:"), \
             proc.stderr
+
+
+# cases of the tables above run again as a real `python -m nlgc.cli`
+# process, whose stderr would also show a traceback or a numpy warning
+PROCESS_CASES = {
+    **{key: MALFORMED_FILES[key] for key in (
+        "ragged gate rows, compile", "gate of booleans", "schmidt rank float in a report",
+        "structure sizes float in a report", "SWAP factorRootOrder 5 in a report")},
+    "mStatus.unitary text in a report": ("verify", lambda rep: _report_with(
+        rep, "false", "mStatus", "unitary")),
+    "group name 7": ("groups load", lambda rep: json.dumps({**cyclic(3).to_dict(), "name": 7})),
+}
+
+
+@pytest.mark.parametrize("command, make", PROCESS_CASES.values(), ids=PROCESS_CASES.keys())
+def test_a_process_given_a_malformed_file_prints_one_error_line(command, make, cnot_file,
+                                                                tmp_path, monkeypatch):
+    out = tmp_path / "report.json"
+    assert main(["compile", cnot_file, "--out", str(out)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(make(json.loads(out.read_text())))
+    monkeypatch.setenv("NLGC_CATALOG_DIR", str(tmp_path / "catalog"))
+    proc = _cli_process(*command.split(), str(bad))
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:"), proc.stderr
+    assert not (tmp_path / "catalog").exists()
 
 
 BAD_OPTIONS = {

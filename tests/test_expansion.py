@@ -566,11 +566,11 @@ def test_a_compiled_expansion_rejects_writes_to_its_arrays(gate):
     # CNOT is controlled (projectors, targets), SWAP double-unitary (wFactorPhases, wNorms)
     exp = compile_unitary(BipartiteUnitary(CNOT if gate == "cnot" else SWAP, 2, 2))
     assert exp.m_unitary and exp.residual < 1e-12
-    cls = exp.structure.classes[0]
+    members, inter = exp.structure.classes[0]
     arrays = {"v": exp.v, "w_coeffs": exp.w_coeffs, "w_ops": exp.w_ops,
               "u_rep.matrices": exp.u_rep.matrices,
               "structure.basis_change": exp.structure.basis_change,
-              "intertwiner": cls.intertwiners[cls.representative], **exp.details}
+              "intertwiner": inter[members[0]], **exp.details}
     assert len(exp.details) == 2
     for name, array in arrays.items():
         with pytest.raises(ValueError, match="read-only"):

@@ -12,6 +12,7 @@ from conftest import haar_block_gate
 from hypothesis import given, settings, strategies as st
 
 from nlgc.expansion import compile_unitary
+from nlgc.groups import are_isomorphic, catalog_recipe, direct_product
 from nlgc.protocol import simulate_protocol
 from nlgc.report import build_report, canonical_json, expansion_from_report
 from nlgc.sbd import finest_sbd, gram_set
@@ -141,3 +142,23 @@ def test_the_floor_of_a_tensor_product_is_the_product_of_the_floors(pair):
     rng = np.random.default_rng(5)
     u1, u2 = dressed(pair[0], rng), dressed(pair[1], rng)
     assert floor(tensor(u1, u2)) == floor(u1) * floor(u2)
+
+
+# G1 x G2 is C2^4 on these pairs, a group the catalog does not hold
+NO_CATALOG_PRODUCT = {("swap", "swap"), ("swap", "blocks-112"), ("blocks-112", "blocks-112")}
+
+
+@pytest.mark.parametrize("pair", itertools.combinations_with_replacement(FLOOR_GATES, 2),
+                         ids="*".join)
+def test_the_cost_of_a_tensor_product_is_at_most_the_sum_of_the_costs(pair):
+    # on a shared side A, G1 x G2 expands U1 (x) U2, so when the catalog holds
+    # it the search finds a group of at most that order: |G| <= |G1| |G2|
+    rng = np.random.default_rng(5)
+    u1, u2 = dressed(pair[0], rng), dressed(pair[1], rng)
+    g1, g2, g = (compile_unitary(u, side="A").group for u in (u1, u2, tensor(u1, u2)))
+    product = direct_product(g1, g2)
+    in_catalog = any(are_isomorphic(product, make())
+                     for order, make in catalog_recipe() if order == product.order)
+    assert in_catalog == (pair not in NO_CATALOG_PRODUCT)
+    if in_catalog:
+        assert g.order <= product.order

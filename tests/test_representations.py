@@ -256,7 +256,7 @@ def _dense_irreps(group, seed):
         on_gens, REP_TOL)
     slices = bs.block_slices()
     return [np.einsum("ij,fjk,kl->fil", dagger(s), r, s)
-            for s in (bs.basis_change[:, slices[c.representative]] for c in bs.classes)]
+            for s in (bs.basis_change[:, slices[members[0]]] for members, _ in bs.classes)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 5])

@@ -19,6 +19,11 @@ def random_unitary(dim, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def off_block_mass(bs, mats):
+    """Largest magnitude outside the blocks of bs, over a list or stack of matrices."""
+    return bs.outside_blocks(bs.transformed(mats))
+
+
 def commutant_dim_brute(mats):
     # vectorized commutation constraints for the family and its adjoints
     d = mats[0].shape[0]
@@ -57,7 +62,7 @@ def test_recovers_hidden_block_sizes():
     fam, _ = scrambled_family([(1, 1), (2, 1)], rng)
     bs = finest_sbd(fam, seed=4)
     assert sorted(bs.block_sizes) == [1, 2]
-    assert bs.off_block_mass(fam) < 1e-9
+    assert off_block_mass(bs, fam) < 1e-9
 
 
 def test_repeated_content_found_equivalent():
@@ -65,7 +70,7 @@ def test_repeated_content_found_equivalent():
     fam, _ = scrambled_family([(2, 2), (1, 1)], rng)
     bs = finest_sbd(fam, seed=2)
     assert sorted(bs.class_dims()) == [1, 2]
-    sizes = sorted(len(c.members) for c in bs.classes)
+    sizes = sorted(len(members) for members, _ in bs.classes)
     assert sizes == [1, 2]
 
 
@@ -73,7 +78,7 @@ def test_finest_sbd_returns_the_classified_structure():
     rng = np.random.default_rng(3)
     fam, _ = scrambled_family([(1, 2), (2, 1), (3, 2)], rng)
     bs = finest_sbd(fam, seed=0)
-    assert [c.members for c in bs.classes] == [(0, 1), (2,), (3, 4)]
+    assert [members for members, _ in bs.classes] == [(0, 1), (2,), (3, 4)]
     assert search_floor(bs) == sum(d * d for d in bs.class_dims()) == 1 + 4 + 9
 
 
@@ -81,24 +86,26 @@ def test_classify_equivalence_leaves_its_argument_unchanged():
     # the hidden basis of the family, blocks in the order it was built
     fam, s = scrambled_family([(2, 2), (1, 1)], np.random.default_rng(1))
     bs = BlockStructure(s, [2, 2, 1])
+    before = bs.basis_change.tobytes()
     classified = classify_equivalence(bs, fam)
-    assert np.shares_memory(bs.basis_change, s) and not bs.basis_change.flags.writeable
+    assert bs.basis_change.tobytes() == before == s.tobytes()
+    assert not np.shares_memory(bs.basis_change, s) and not bs.basis_change.flags.writeable
     assert bs.block_sizes == (2, 2, 1) and bs.classes == ()
     assert classified.block_sizes == (1, 2, 2)
-    assert [c.members for c in classified.classes] == [(0,), (1, 2)]
+    assert [members for members, _ in classified.classes] == [(0,), (1, 2)]
 
 
 def test_intertwiners_map_representative_onto_members():
     rng = np.random.default_rng(5)
     fam, _ = scrambled_family([(2, 3)], rng)
     bs = finest_sbd(fam, seed=0)
-    cls = bs.classes[0]
-    rep = cls.representative
+    members, inter = bs.classes[0]
+    rep = members[0]
     sl = bs.block_slices()
     for m in fam:
         t = bs.transformed(m)
-        for member in cls.members:
-            tw = cls.intertwiners[member]
+        for member in members:
+            tw = inter[member]
             np.testing.assert_allclose(
                 t[sl[member], sl[member]],
                 tw @ t[sl[rep], sl[rep]] @ tw.conj().T, atol=1e-8)
@@ -132,8 +139,8 @@ def test_class_lists_do_not_depend_on_the_seed():
     for seed in range(6):
         bs = finest_sbd(fam, seed=seed)
         assert bs.block_sizes == (1, 1, 1, 2, 2, 2)
-        assert [c.members for c in bs.classes] == [(0, 1), (2,), (3, 4), (5,)]
-        assert bs.off_block_mass(fam) < 1e-9
+        assert [members for members, _ in bs.classes] == [(0, 1), (2,), (3, 4), (5,)]
+        assert off_block_mass(bs, fam) < 1e-9
 
 
 def test_finest_structure_is_idempotent():
@@ -175,7 +182,7 @@ def test_merge_blocks_fuses_and_reorders():
     order = np.argsort([sl.start for sl in bs.block_slices()])
     merged = merge_blocks(bs, [[int(order[0]), int(order[1])], [int(order[2])]])
     assert sorted(merged.block_sizes) == [2, 2]
-    assert merged.off_block_mass(fam) < 1e-9
+    assert off_block_mass(merged, fam) < 1e-9
 
 
 def test_zero_family_splits_into_singletons():
@@ -245,11 +252,11 @@ def test_finest_sbd_classifies_the_split_bitwise():
     bs = classify_equivalence(split, grams)
     assert bs.basis_change.tobytes() == ref.basis_change.tobytes()
     assert bs.block_sizes == ref.block_sizes
-    assert [c.members for c in bs.classes] == [c.members for c in ref.classes]
-    for c, c_ref in zip(bs.classes, ref.classes):
-        assert c.intertwiners.keys() == c_ref.intertwiners.keys()
-        for m, t in c.intertwiners.items():
-            assert t.tobytes() == c_ref.intertwiners[m].tobytes()
+    assert [members for members, _ in bs.classes] == [members for members, _ in ref.classes]
+    for (_, inter), (_, inter_ref) in zip(bs.classes, ref.classes):
+        assert inter.keys() == inter_ref.keys()
+        for m, t in inter.items():
+            assert t.tobytes() == inter_ref[m].tobytes()
 
 
 @pytest.mark.parametrize("name", ["cnot", "haar3x3", "A4"])
@@ -267,11 +274,11 @@ def test_finest_sbd_does_not_depend_on_the_commutant_basis(name):
         mixed = list(np.einsum("ij,jab->iab", mix, basis))
         bs = classify_equivalence(sbd._finest_split(grams, seed=2, commutant=mixed), grams)
         assert bs.block_sizes == ref.block_sizes
-        assert [c.members for c in bs.classes] == [c.members for c in ref.classes]
+        assert [members for members, _ in bs.classes] == [members for members, _ in ref.classes]
         assert np.max(np.abs(bs.basis_change - ref.basis_change)) <= 1e-12
-        for c, c_ref in zip(bs.classes, ref.classes):
-            for m in c.members:
-                assert np.max(np.abs(c.intertwiners[m] - c_ref.intertwiners[m])) <= 1e-12
+        for (members, inter), (_, inter_ref) in zip(bs.classes, ref.classes):
+            for m in members:
+                assert np.max(np.abs(inter[m] - inter_ref[m])) <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -321,8 +328,9 @@ def test_off_block_mass_equals_the_per_matrix_maximum_bytewise(d):
     expected = 0.0
     for m in mats:
         expected = max(expected, float(np.max(np.abs((s.conj().T @ m @ s)[mask]))))
-    assert bs.off_block_mass(mats).hex() == expected.hex()
-    assert BlockStructure(s, [d]).off_block_mass(mats) == 0.0
+    assert bs.outside_blocks(bs.transformed(np.stack(mats))).hex() == expected.hex()
+    whole = BlockStructure(s, [d])
+    assert whole.outside_blocks(whole.transformed(np.stack(mats))) == 0.0
 
 
 @pytest.mark.parametrize("d", STACK_DIMS)
@@ -357,12 +365,12 @@ def test_sbd_takes_a_list_or_a_stack():
     from_stack = finest_sbd(stack, seed=1)
     assert from_list.basis_change.tobytes() == from_stack.basis_change.tobytes()
     assert from_list.block_sizes == from_stack.block_sizes == (1, 1, 2, 2)
-    assert ([c.members for c in from_list.classes]
-            == [c.members for c in from_stack.classes] == [(0, 1), (2, 3)])
-    for c, c_stack in zip(from_list.classes, from_stack.classes):
-        for m in c.members:
-            assert c.intertwiners[m].tobytes() == c_stack.intertwiners[m].tobytes()
-    assert from_list.off_block_mass(fam) == from_list.off_block_mass(stack)
+    assert ([members for members, _ in from_list.classes]
+            == [members for members, _ in from_stack.classes] == [(0, 1), (2, 3)])
+    for (members, inter), (_, inter_stack) in zip(from_list.classes, from_stack.classes):
+        for m in members:
+            assert inter[m].tobytes() == inter_stack[m].tobytes()
+    assert off_block_mass(from_list, fam) == off_block_mass(from_list, stack)
 
 
 @pytest.mark.parametrize("mats", [[np.eye(2), np.eye(3)], [np.eye(2), np.ones((2, 3))],
@@ -370,8 +378,7 @@ def test_sbd_takes_a_list_or_a_stack():
                          ids=["ragged", "ragged-rows", "non-square", "one-matrix", "empty"])
 def test_a_ragged_list_or_a_non_square_stack_is_rejected(mats):
     bs = BlockStructure(np.eye(2, dtype=complex), [1, 1])
-    for call in (finest_sbd, commutant_basis, lambda m: classify_equivalence(bs, m),
-                 bs.off_block_mass):
+    for call in (finest_sbd, commutant_basis, lambda m: classify_equivalence(bs, m)):
         with pytest.raises(DimensionError, match="^all matrices must be square of equal size$"):
             call(mats)
 

@@ -9,7 +9,7 @@ import pytest
 import nlgc.search
 from nlgc.groups import builtin_catalog, catalog_recipe, cyclic
 from nlgc.representations import irreps_of
-from nlgc.sbd import BlockStructure, EquivalenceClass, merge_blocks
+from nlgc.sbd import BlockStructure, merge_blocks
 from nlgc.search import (CatalogIndex, SearchCandidate, _assign, _merge_warnings,
                          merge_plans, search_floor, search_group, set_partitions,
                          trivial_structure)
@@ -86,9 +86,10 @@ def test_merge_plans_carry_each_merged_structure_at_its_floor():
         merged = merge_blocks(structure, plan)
         fused = [part for part in plan if len(part) > 1]
         absorbed = {b for part in fused for b in part}
-        kept = [c for c in structure.classes if any(m not in absorbed for m in c.members)]
+        kept = [members for members, _ in structure.classes
+                if any(m not in absorbed for m in members)]
         assert cost == search_floor(merged) == (
-            sum(sizes[c.representative] ** 2 for c in kept)
+            sum(sizes[members[0]] ** 2 for members in kept)
             + sum(sum(sizes[b] for b in part) ** 2 for part in fused))
 
 
@@ -300,8 +301,7 @@ def _reference_search(structure, d_a, index, allow_projective=True, warning_sink
 def _two_equivalent_blocks():
     """Blocks of sizes 1, 2, 2 where the two 2-blocks form one class."""
     eye2 = np.eye(2, dtype=complex)
-    classes = [EquivalenceClass([0], {0: np.eye(1, dtype=complex)}),
-               EquivalenceClass([1, 2], {1: eye2, 2: eye2})]
+    classes = [([0], {0: np.eye(1, dtype=complex)}), ([1, 2], {1: eye2, 2: eye2})]
     return BlockStructure(np.eye(5, dtype=complex), [1, 2, 2], classes)
 
 
