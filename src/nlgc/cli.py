@@ -107,11 +107,9 @@ def _compile_args(parser: argparse.ArgumentParser):
 
 
 def _compile_from_args(args, bu: BipartiteUnitary):
-    # a search reaches orders up to d² and central extensions up to d⁴
-    reach = max(bu.dim_a, bu.dim_b) ** 4
     return compile_unitary(bu, side=args.side, tol=args.tol, seed=args.seed,
                            allow_projective=args.projective,
-                           catalog=catalog_recipe(min(args.max_order, reach), _extra_groups()))
+                           catalog=catalog_recipe(args.max_order, _extra_groups()))
 
 
 def cmd_compile(args) -> int:

@@ -30,8 +30,8 @@ from .protocol import M_UNITARY_TOL, build_branch_operators, build_M
 from .representations import Representation, character_classes
 from .sbd import BLOCK_TOL, BlockStructure, finest_sbd, gram_set
 from .schmidt import BipartiteUnitary, SchmidtDecomposition, schmidt_decompose
-from .search import (CatalogIndex, SearchCandidate, _merge_warnings, builtin_index,
-                     search_floor, search_group, trivial_structure)
+from .search import (CatalogIndex, SearchCandidate, builtin_index, search_floor,
+                     search_group, trivial_structure)
 
 NUM_TOL = 1e-9
 
@@ -319,7 +319,7 @@ def _finest_structure(bu: BipartiteUnitary, block_tol: float,
 
 
 def _side_stream(label: str, bs: BlockStructure, index: CatalogIndex,
-                 allow_projective: bool, warnings: list):
+                 allow_projective: bool, warnings: dict):
     """((order, is fallback, side), candidate) pairs of one side, cheapest
     first: a start marker at the side's floor, then the search's candidates,
     then the generalized shift-and-phase fallback over C_d x C_d at order d²,
@@ -399,7 +399,7 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
     blocks = read_only({label: {"sizes": bs.block_sizes, "classDims": bs.class_dims(),
                                 "classes": [members for members, _ in bs.classes]}
                         for label, (_, bs) in finest.items()})
-    warnings = {label: [] for label in (["A", "B"] if side == "both" else [side])}
+    warnings = {label: {} for label in (["A", "B"] if side == "both" else [side])}
     streams = [_side_stream(label, finest[label][1], index, allow_projective, sink)
                for label, sink in warnings.items()]
     for (order, fallback, label), cand in heapq.merge(*streams, key=lambda item: item[0]):
@@ -412,18 +412,17 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
                     next(search_group(finest[other][1], index, allow_projective,
                                       warnings[other]), None)
         inherited = itertools.chain(*warnings.values()) if fallback else warnings[label]
+        tried = f"order-{cand.order} candidate {cand.group.name}"
         try:
             exp = _build(cand, dec, label, inherited, tol, block_tol, blocks)
         except (SingularInputError, InconsistencyError, AssignmentError) as exc:
-            _merge_warnings(warnings[label], "order-%d candidate %s rejected: %s"
-                            % (cand.order, cand.group.name, exc))
+            warnings[label].setdefault(f"{tried} rejected: {exc}")
             continue
         if not exp.residual <= 1e-8:
-            _merge_warnings(warnings[label], "order-%d candidate %s left residual %.3e"
-                            % (cand.order, cand.group.name, exp.residual))
+            warnings[label].setdefault(f"{tried} left residual {exp.residual:.3e}")
         elif not exp.m_unitary:
-            _merge_warnings(warnings[label], "order-%d candidate %s rejected: M is not unitary "
-                            "(deviation %.3e)" % (cand.order, cand.group.name, exp.m_deviation))
+            warnings[label].setdefault(
+                f"{tried} rejected: M is not unitary (deviation {exp.m_deviation:.3e})")
         else:
             break
     else:

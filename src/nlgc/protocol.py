@@ -11,6 +11,7 @@ rather than a sample statistic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,34 +19,62 @@ from ._linalg import freeze, frobenius, read_only
 from .errors import ValidationError
 from .groups import FactorSystem, FiniteGroup
 
+if TYPE_CHECKING:
+    from .expansion import GroupExpansion
+
 M_UNITARY_TOL = 1e-8
 DETERMINISM_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class ProtocolTrace:
-    """Outcome table of one exhaustive protocol run. Like every value the
-    package hands out, it is frozen and seals its own fields with freeze:
-    the arrays are read-only, branch_outcomes and warnings tuples."""
+    """Outcome table of one exhaustive protocol run: the expansion it ran and the
+    probability and fidelity of each (h, g) branch, h-major, sealed with freeze;
+    the grid, verdict, resources and warning are derived from them."""
 
-    branch_outcomes: tuple[tuple[int, int], ...]
+    expansion: GroupExpansion
     branch_probabilities: np.ndarray
     branch_fidelities: np.ndarray
-    deterministic: bool
-    min_fidelity: float
-    ebits: float
-    cbits: float
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        # (h, g) pairs of ints: tuples seal them, with no read_only walk per pair
-        object.__setattr__(self, "branch_outcomes", tuple(map(tuple, self.branch_outcomes)))
         freeze(self, branch_probabilities=np.asarray(self.branch_probabilities),
-               branch_fidelities=np.asarray(self.branch_fidelities), warnings=self.warnings)
+               branch_fidelities=np.asarray(self.branch_fidelities))
+
+    @property
+    def branch_outcomes(self) -> tuple[tuple[int, int], ...]:
+        n = self.expansion.group.order
+        return tuple((h, g) for h in range(n) for g in range(n))
+
+    @property
+    def min_fidelity(self) -> float:
+        """The lowest fidelity of a branch with probability above 1e-12, 0.0 if none."""
+        live = self.branch_probabilities > 1e-12
+        return float(self.branch_fidelities[live].min()) if live.any() else 0.0
+
+    @property
+    def deterministic(self) -> bool:
+        """M is unitary, the probabilities sum to 1 and every branch that occurs gives the gate."""
+        return bool(self.expansion.m_unitary
+                    and abs(float(self.branch_probabilities.sum()) - 1.0) <= DETERMINISM_TOL
+                    and self.min_fidelity >= 1.0 - DETERMINISM_TOL)
+
+    @property
+    def ebits(self) -> float:
+        return self.expansion.cost_ebits
+
+    @property
+    def cbits(self) -> float:
+        return 2 * self.ebits
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        return () if self.expansion.m_unitary else (
+            "M is not unitary (deviation %.3e): the group elements act through linearly dependent "
+            "operators, so branch outcomes are not certified" % self.expansion.m_deviation,)
 
     def summary(self) -> dict:
         return {
-            "branches": len(self.branch_outcomes),
+            "branches": len(self.branch_probabilities),
             "deterministic": self.deterministic,
             "minFidelity": self.min_fidelity,
             "probabilitySum": float(np.sum(self.branch_probabilities)),
@@ -97,7 +126,7 @@ def random_states(dim: int, count: int, seed: int = 0) -> np.ndarray:
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def simulate_protocol(expansion, psi: np.ndarray) -> ProtocolTrace:
+def simulate_protocol(expansion: GroupExpansion, psi: np.ndarray) -> ProtocolTrace:
     """Run every (h, g) measurement branch of the protocol on one state.
 
     psi lives on A (x) B in the expansion's own orientation. The target is
@@ -105,8 +134,8 @@ def simulate_protocol(expansion, psi: np.ndarray) -> ProtocolTrace:
     of the corrected branch output with that target. M, whether it is
     unitary, and the other arrays no state changes are the expansion's own
     (expansion.m and expansion.branch_operators, built on first read and
-    shared by every state). A non-unitary M cannot be certified: the trace
-    comes back flagged non-deterministic.
+    shared by every state). A non-unitary M cannot be certified: such a trace
+    is non-deterministic and carries a warning.
     """
     n = expansion.group.order
     d_a, d_b = expansion.unitary.dim_a, expansion.unitary.dim_b
@@ -115,10 +144,6 @@ def simulate_protocol(expansion, psi: np.ndarray) -> ProtocolTrace:
         raise ValidationError("input state is not normalized")
     target = (expansion.unitary.matrix @ psi).reshape(d_a * d_b)
     f_conj, z, corrections = expansion.branch_operators
-    warnings = [] if expansion.m_unitary else [
-        "M is not unitary (deviation %.3e): the group elements act through "
-        "linearly dependent operators, so branch outcomes are not certified"
-        % expansion.m_deviation]
 
     controlled = expansion.u_rep.matrices @ psi.reshape(d_a, d_b)     # (n, dA, dB)
     # row h of z is the diagonal of Z(h); amp[h] is the unnormalized state on
@@ -136,20 +161,4 @@ def simulate_protocol(expansion, psi: np.ndarray) -> ProtocolTrace:
                        out=np.zeros((n * n, d_a * d_b), dtype=complex),
                        where=(probs > 1e-24)[:, None])
     fids = np.array([abs(np.vdot(target, f)) for f in finals])
-    total = float(probs.sum())
-
-    live = probs > 1e-12
-    min_fid = float(fids[live].min()) if live.any() else 0.0
-    deterministic = bool(
-        expansion.m_unitary and abs(total - 1.0) <= DETERMINISM_TOL
-        and min_fid >= 1.0 - DETERMINISM_TOL)
-    return ProtocolTrace(
-        branch_outcomes=[(h, g) for h in range(n) for g in range(n)],
-        branch_probabilities=probs,
-        branch_fidelities=fids,
-        deterministic=deterministic,
-        min_fidelity=min_fid,
-        ebits=expansion.cost_ebits,
-        cbits=float(2 * np.log2(n)) if n > 1 else 0.0,
-        warnings=warnings,
-    )
+    return ProtocolTrace(expansion, probs, fids)

@@ -16,6 +16,7 @@ from ._linalg import dagger, frobenius, unitarity_deviation
 from .errors import ValidationError, json_bool, json_int, json_number, malformed
 from .expansion import GroupExpansion, classify
 from .groups import FactorSystem, FiniteGroup
+from .protocol import DETERMINISM_TOL
 from .representations import Representation
 from .sbd import BLOCK_TOL, BlockStructure, inequivalent
 from .schmidt import BipartiteUnitary, schmidt_decompose
@@ -189,15 +190,44 @@ def build_report(exp: GroupExpansion, trace=None, meta: dict | None = None,
     return report
 
 
+_PROTOCOL_FIELDS = {"branches": json_int, "deterministic": json_bool, "minFidelity": json_number,
+                    "probabilitySum": json_number, "ebits": json_number, "cbits": json_number}
+
+
 def _stored_derived(report: dict) -> dict:
     """The costs, residual and M status a report stores, keyed by the GroupExpansion
-    properties that derive them; a value of the wrong JSON type raises ValidationError."""
+    properties that derive them, and its protocol summary, None or the ProtocolTrace
+    summary's six fields; a value of the wrong JSON type raises ValidationError."""
     costs = {"cost_ebits": "costEbits", "baseline_ebits": "baselineEbits",
              "savings_ebits": "savingsEbits"}
+    protocol = report["protocol"]
+    if protocol is not None:
+        if not (isinstance(protocol, dict) and protocol.keys() == _PROTOCOL_FIELDS.keys()):
+            raise ValidationError("protocol must be null or an object of the fields "
+                                  + ", ".join(_PROTOCOL_FIELDS))
+        protocol = {key: read(protocol[key], f"protocol.{key}")
+                    for key, read in _PROTOCOL_FIELDS.items()}
     return dict({name: json_number(report["costs"][key], key) for name, key in costs.items()},
                 residual=json_number(report["expansion"]["residual"], "residual"),
                 m_unitary=json_bool(report["mStatus"]["unitary"], "mStatus.unitary"),
-                m_deviation=json_number(report["mStatus"]["deviation"], "mStatus.deviation"))
+                m_deviation=json_number(report["mStatus"]["deviation"], "mStatus.deviation"),
+                protocol=protocol)
+
+
+def _protocol_consistent(p: dict | None, exp: GroupExpansion) -> bool:
+    """A stored protocol summary p has |G|² branches, the expansion's cost in
+    ebits and twice that in cbits, each to 1e-9. A deterministic verdict needs
+    a unitary M, a probability sum within 1e-6 of 1 and a least fidelity of at
+    least 1 - 1e-6. A verdict of false is refuted by a unitary M with both
+    numbers within a tenth of DETERMINISM_TOL of 1: a run judged so missed one
+    of them by more than DETERMINISM_TOL, which 12-digit rounding cannot hide."""
+    if p is None:
+        return True
+    tol = 1e-6 if p["deterministic"] else DETERMINISM_TOL / 10
+    certain = bool(exp.m_unitary and abs(p["probabilitySum"] - 1.0) <= tol
+                   and p["minFidelity"] >= 1.0 - tol)
+    return bool(p["branches"] == exp.group.order ** 2 and abs(p["ebits"] - exp.cost_ebits) <= 1e-9
+                and abs(p["cbits"] - 2 * p["ebits"]) <= 1e-9 and certain == p["deterministic"])
 
 
 @malformed("report")
@@ -342,12 +372,15 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     fallback flag must match the route, which is projective, ordinary on a
     group that is not projective, or fallback with |G| = d_A² and V = I
     exactly, as compiling writes it, the block summaries must be consistent
-    with the input dimensions, and the stored structure must
+    with the input dimensions, the stored structure must
     block-diagonalize V†A_j with one unitary intertwiner per class member
-    and none between two classes; the blocks are not recomputed.
+    and none between two classes (the blocks are not recomputed), and a
+    stored protocol summary must agree with the expansion and with its own
+    verdict (_protocol_consistent).
     A group order or identity that disagrees with the table, factor claims
     that the factor phases contradict, a group name that is not a string,
-    mStatus.unitary or group.projective that is not a boolean, or a block
+    mStatus.unitary or group.projective that is not a boolean, a protocol
+    section that is not null or the six fields of a trace summary, or a block
     size, class member, class dimension or intertwiner key that is not an
     integer raises ValidationError.
     """
@@ -377,6 +410,7 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     checks["mStatus"] = bool(exp.m_unitary == stored["m_unitary"]
                              and abs(exp.m_deviation - stored["m_deviation"]) <= 1e-6)
     checks["certified"] = exp.m_unitary
+    checks["protocol"] = _protocol_consistent(stored["protocol"], exp)
     checks["costs"] = all(abs(stored[key] - getattr(exp, key)) <= 1e-9
                           for key in ("cost_ebits", "baseline_ebits", "savings_ebits"))
     classification, details = classify(exp, tol)

@@ -102,13 +102,6 @@ def merge_plans(structure: BlockStructure) -> list[tuple[int, list[list[int]]]]:
     return [(cost, parts) for cost, _, _, parts in keyed]
 
 
-def _merge_warnings(into: list[str], *messages: str) -> None:
-    """Append each message not already in into, keeping first-seen order."""
-    for msg in messages:
-        if msg not in into:
-            into.append(msg)
-
-
 def _assign(required: list[int], irreps: list[Representation]) -> tuple[int, ...] | None:
     """Match each required dim to the first unused irrep of that dimension;
     None when the irreps do not cover the required dims."""
@@ -212,7 +205,7 @@ def builtin_index(seed: int) -> CatalogIndex:
 
 
 def search_group(structure: BlockStructure, index: CatalogIndex,
-                 allow_projective: bool = True, warning_sink: list | None = None):
+                 allow_projective: bool = True, warning_sink: dict | None = None):
     """Yield SearchCandidate objects in ascending order of group order.
 
     The class dimensions of structure, the finest block structure, are the
@@ -224,17 +217,17 @@ def search_group(structure: BlockStructure, index: CatalogIndex,
     non-abelian extension is filled only if its irreps at z cover the classes.
     Orders run from search_floor(structure) to d_A², d_A = structure.dim, the
     fallback's order, which compile_unitary ranks after them; warning_sink,
-    when given, collects the catalog-gap warnings, including those found
-    after the last yield.
+    when given, collects the catalog-gap warnings as its keys, once each in
+    first-seen order, including those found after the last yield.
     """
     n_start = search_floor(structure)
     plans = [(n_start, [[b] for b in range(len(structure.block_sizes))])]   # any merge costs more
     merged_plans: dict[tuple, BlockStructure] = {}     # plan -> its merge, once reached
-    warnings: list[str] = warning_sink if warning_sink is not None else []
+    warnings: dict[str, None] = warning_sink if warning_sink is not None else {}
     seen_projective = set()
     for n in range(max(n_start, 1), structure.dim ** 2 + 1):
         if n not in index.orders:
-            _merge_warnings(warnings, f"catalog has no group of order {n}")
+            warnings.setdefault(f"catalog has no group of order {n}")
         if n == n_start + 1:
             plans = merge_plans(structure)
         for n0, plan in plans:
@@ -263,8 +256,8 @@ def search_group(structure: BlockStructure, index: CatalogIndex,
                 if n % r:
                     continue
                 if r * n not in index.orders:
-                    _merge_warnings(warnings, f"catalog has no group of order {r * n} "
-                                    f"for central extensions over order {n}")
+                    warnings.setdefault(f"catalog has no group of order {r * n} "
+                                        f"for central extensions over order {n}")
                     continue
                 for l in index.groups(r * n):
                     if l.is_abelian:

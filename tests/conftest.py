@@ -106,7 +106,7 @@ def uncertified_s4_expansion():
     gate = haar_block_gate(4, [2, 3], seed=7)
     bu = gate.swapped()
     dec, bs = _finest_structure(bu, 10 * NUM_TOL, seed=0)
-    cands = list(search_group(bs, CatalogIndex(), warning_sink=[]))
+    cands = list(search_group(bs, CatalogIndex(), warning_sink={}))
     blocks = compile_unitary(gate, side="B").blocks
     return cands, _build(cands[0], dec, "B", [], NUM_TOL, 10 * NUM_TOL, blocks)
 

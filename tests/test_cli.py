@@ -73,19 +73,26 @@ def test_a_gate_won_by_a_merged_plan_compiles(tmp_path, capsys):
 def test_a_max_order_beyond_the_search_reach_builds_no_more_catalog(cnot_file, tmp_path,
                                                                       monkeypatch):
     # CNOT's search reaches orders 2² and extensions 2⁴: a larger bound changes
-    # nothing but meta.maxOrder
-    asked = []
+    # nothing but meta.maxOrder, as the index builds an order only when the
+    # search reaches it
+    built = []      # per compile, the order of each catalog group it built
+
+    def counted(order, make):
+        def build():
+            built[-1].append(order)
+            return make()
+        return order, build
 
     def recording(max_order, extra=None):
-        asked.append(max_order)
-        return catalog_recipe(max_order, extra)
+        built.append([])
+        return [counted(*entry) for entry in catalog_recipe(max_order, extra)]
     monkeypatch.setattr(nlgc.cli, "catalog_recipe", recording)
     default, large = tmp_path / "default.json", tmp_path / "large.json"
     assert main(["compile", cnot_file, "--out", str(default)]) == 0
     assert main(["compile", cnot_file, "--max-order", "4096", "--out", str(large)]) == 0
     assert '"maxOrder": 4096' in large.read_text()
     assert large.read_text().replace('"maxOrder": 4096', '"maxOrder": 32') == default.read_text()
-    assert asked == [16, 16]
+    assert len(built) == 2 and built[0] == built[1] and 0 < max(built[0]) <= 16
 
 
 def test_compile_writes_what_json_dumps_wrote(cnot_file, tmp_path, monkeypatch):
@@ -798,6 +805,70 @@ def test_tampered_claims_fail_verification(tamper, check, cnot_file, tmp_path, c
     code, out, _ = _verify(rep, tmp_path, capsys)
     assert code == 4
     assert [line for line in out.splitlines() if "FAIL" in line] == [f"{check}: FAIL"]
+
+
+def _protocol_with(**fields):
+    def tamper(rep):
+        rep["protocol"].update(fields)
+    return tamper
+
+
+def _protocol_without(key):
+    def tamper(rep):
+        del rep["protocol"][key]
+    return tamper
+
+
+# a change to the CNOT report's protocol section, and the exit code verify must
+# give: 4 with the one FAIL line "protocol: FAIL", or 2 with one error line
+PROTOCOL_TAMPERS = {
+    "ebits 0": (_protocol_with(ebits=0), 4),
+    "cbits 99": (_protocol_with(cbits=99), 4),
+    "branches 1": (_protocol_with(branches=1), 4),
+    "deterministic false": (_protocol_with(deterministic=False), 4),
+    "minFidelity 0.5": (_protocol_with(minFidelity=0.5), 4),
+    "probabilitySum 0.9": (_protocol_with(probabilitySum=0.9), 4),
+    "probabilitySum text": (_protocol_with(probabilitySum="x"), 2),
+    "branches float": (_protocol_with(branches=4.0), 2),
+    "deterministic text": (_protocol_with(deterministic="true"), 2),
+    "ebits true": (_protocol_with(ebits=True), 2),
+    "an extra field": (_protocol_with(seed=1), 2),
+    "no cbits": (_protocol_without("cbits"), 2),
+    "section a string": (lambda rep: rep.update(protocol="deterministic"), 2),
+    "section a list": (lambda rep: rep.update(protocol=[]), 2),
+    "section null": (lambda rep: rep.update(protocol=None), 0),
+}
+
+
+@pytest.mark.parametrize("tamper, code", PROTOCOL_TAMPERS.values(), ids=PROTOCOL_TAMPERS.keys())
+def test_tampered_protocol_fails_verification(tamper, code, cnot_file, tmp_path, capsys):
+    rep = _report(cnot_file, tmp_path)
+    assert rep["protocol"] == {"branches": 4, "cbits": 2.0, "deterministic": True, "ebits": 1.0,
+                               "minFidelity": 1.0, "probabilitySum": 1.0}
+    tamper(rep)
+    got, out, err = _verify(rep, tmp_path, capsys)
+    assert got == code
+    if code == 4:
+        assert [line for line in out.splitlines() if "FAIL" in line] == ["protocol: FAIL"]
+    elif code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert main(["simulate", str(tmp_path / "bad.json")]) == 2
+        capsys.readouterr()
+    else:
+        assert "protocol: ok" in out
+
+
+def test_an_uncertified_report_cannot_claim_determinism(tmp_path, capsys, monkeypatch):
+    _, s4 = uncertified_s4_expansion()
+    monkeypatch.setattr(nlgc.cli, "_compile_from_args", lambda args, bu: s4)
+    gate = write_gate(tmp_path / "w2w3.json", haar_block_gate(4, [2, 3], seed=7).matrix, 4, 5)
+    rep = _report(gate, tmp_path, "--side", "B")
+    assert rep["protocol"]["deterministic"] is False
+    rep["protocol"].update(deterministic=True, probabilitySum=1.0, minFidelity=1.0)
+    code, out, _ = _verify(rep, tmp_path, capsys)
+    assert code == 4
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        "certified: FAIL", "protocol: FAIL"]
 
 
 def test_schmidt_prints_rank_and_coefficients(cnot_file, capsys):

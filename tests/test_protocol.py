@@ -1,17 +1,17 @@
 """Branch-by-branch protocol simulation and its building blocks."""
 import json
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
-from conftest import counting_build_M, dense_regular
+from conftest import counting_build_M, dense_regular, uncertified_s4_expansion
 
 from nlgc._linalg import unitarity_deviation
 from nlgc.errors import ValidationError
 from nlgc.expansion import compile_unitary, synthesize_group_gate
 from nlgc.groups import FactorSystem, alternating, cyclic
-from nlgc.protocol import (M_UNITARY_TOL, build_M, fourier_basis, random_states,
-                           simulate_protocol)
+from nlgc.protocol import (M_UNITARY_TOL, ProtocolTrace, build_M, fourier_basis,
+                           random_states, simulate_protocol)
 from nlgc.report import build_report, canonical_json, expansion_from_report
 from nlgc.representations import pauli_projective_rep
 from nlgc.schmidt import BipartiteUnitary
@@ -341,7 +341,51 @@ def test_a_trace_rejects_writes_and_keeps_its_summary():
         trace.deterministic = False
     assert isinstance(trace.branch_outcomes, tuple) and isinstance(trace.warnings, tuple)
     assert trace.summary() == summary and summary["probabilitySum"] == pytest.approx(1.0)
-    # a trace built from lists seals them too
-    built = type(trace)([[0, 1]], [1.0], [1.0], True, 1.0, 1.0, 2.0, ["w"])
-    assert built.branch_outcomes == ((0, 1),) and built.warnings == ("w",)
-    assert not built.branch_probabilities.flags.writeable
+    # a trace built from lists seals them as read-only arrays
+    probs, fids = [0.25] * 4, [1.0] * 4
+    built = type(trace)(exp, probs, fids)
+    for sealed, given in ((built.branch_probabilities, probs), (built.branch_fidelities, fids)):
+        assert isinstance(sealed, np.ndarray) and not sealed.flags.writeable
+        assert sealed.tolist() == given
+    assert built.summary() == {"branches": 4, "deterministic": True, "minFidelity": 1.0,
+                               "probabilitySum": 1.0, "ebits": 1.0, "cbits": 2.0}
+
+
+def _product_gate():
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    return BipartiteUnitary(np.kron(hadamard, np.array([[0, 1], [1, 0]])), 2, 2)
+
+
+TRACE_EXPANSIONS = {
+    "cnot": lambda: compile_unitary(BipartiteUnitary(CNOT, 2, 2)),
+    "product": lambda: compile_unitary(_product_gate()),
+    "uncertified S4": lambda: uncertified_s4_expansion()[1],
+}
+
+
+def test_a_trace_stores_its_branch_table_and_derives_the_rest():
+    assert [f.name for f in fields(ProtocolTrace)] == [
+        "expansion", "branch_probabilities", "branch_fidelities"]
+    for name in ("branch_outcomes", "min_fidelity", "deterministic", "ebits", "cbits",
+                 "warnings"):
+        assert isinstance(getattr(ProtocolTrace, name), property), name
+
+
+@pytest.mark.parametrize("name", TRACE_EXPANSIONS)
+def test_a_trace_agrees_with_its_expansion(name):
+    exp = TRACE_EXPANSIONS[name]()
+    n = exp.group.order
+    trace = simulate_protocol(exp, random_states(exp.unitary.dim, 1, seed=2)[0])
+    assert trace.expansion is exp
+    assert type(trace.ebits) is float and trace.ebits == exp.cost_ebits
+    assert type(trace.cbits) is float and trace.cbits == 2 * trace.ebits
+    assert trace.branch_outcomes == tuple((h, g) for h in range(n) for g in range(n))
+    assert isinstance(trace.warnings, tuple) and bool(trace.warnings) == (not exp.m_unitary)
+    assert trace.summary()["branches"] == n * n
+    if name == "product":
+        assert (n, trace.cbits, trace.branch_outcomes) == (1, 0.0, ((0, 0),))
+    if name == "uncertified S4":
+        assert exp.group.name == "S4" and not trace.deterministic
+        assert "%.3e" % exp.m_deviation in trace.warnings[0]
+    else:
+        assert trace.deterministic and trace.warnings == ()

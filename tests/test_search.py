@@ -10,9 +10,8 @@ import nlgc.search
 from nlgc.groups import builtin_catalog, catalog_recipe, cyclic
 from nlgc.representations import irreps_of
 from nlgc.sbd import BlockStructure, merge_blocks
-from nlgc.search import (CatalogIndex, SearchCandidate, _assign, _merge_warnings,
-                         merge_plans, search_floor, search_group, set_partitions,
-                         trivial_structure)
+from nlgc.search import (CatalogIndex, SearchCandidate, _assign, merge_plans, search_floor,
+                         search_group, set_partitions, trivial_structure)
 
 
 def test_set_partitions_of_three_items():
@@ -216,7 +215,7 @@ def test_merged_plans_unlock_larger_blocks():
 def test_extension_scaffolding_respects_the_catalog_bound():
     # with the catalog capped at order 4 no order-8 extension exists, so the
     # fused projective candidate disappears and a warning marks the gap
-    sink = []
+    sink = {}
     cands = list(search_group(trivial_structure([1, 1]), CatalogIndex(builtin_catalog(4)),
                               warning_sink=sink))
     assert all(c.route == "ordinary" for c in cands)
@@ -225,7 +224,7 @@ def test_extension_scaffolding_respects_the_catalog_bound():
 
 def test_missing_catalog_order_produces_warning():
     catalog = [cyclic(1), cyclic(2), cyclic(4)]
-    sink = []
+    sink = {}
     cands = list(search_group(trivial_structure([1, 1, 1]), CatalogIndex(catalog),
                               allow_projective=False, warning_sink=sink))
     assert cands
@@ -253,11 +252,11 @@ def _reference_search(structure, d_a, index, allow_projective=True, warning_sink
     and a projective fill of every (extension, central element) pair."""
     plans = merge_plans(structure)
     n_start = plans[0][0]
-    warnings = warning_sink if warning_sink is not None else []
+    warnings = warning_sink if warning_sink is not None else {}
     seen_projective = set()
     for n in range(max(n_start, 1), d_a ** 2 + 1):
         if n not in index.orders:
-            _merge_warnings(warnings, f"catalog has no group of order {n}")
+            warnings.setdefault(f"catalog has no group of order {n}")
         for n0, plan in plans:
             if n0 > n:
                 continue
@@ -279,8 +278,8 @@ def _reference_search(structure, d_a, index, allow_projective=True, warning_sink
                 if n % r:
                     continue
                 if r * n not in index.orders:
-                    _merge_warnings(warnings, f"catalog has no group of order {r * n} "
-                                    f"for central extensions over order {n}")
+                    warnings.setdefault(f"catalog has no group of order {r * n} "
+                                        f"for central extensions over order {n}")
                     continue
                 for l in index.groups(r * n):
                     for z in l.center:
@@ -330,12 +329,12 @@ def _assert_search_matches_walk(name, setting, index):
     max_order, allow_projective = SEARCH_SETTINGS[setting]
     ref_index = _indexes(max_order)[0]
     structure = EQUIVALENCE_STRUCTURES[name]()
-    ref_warnings, warnings = [], []
+    ref_warnings, warnings = {}, {}
     expected = _trace(_reference_search(structure, structure.dim, ref_index,
                                         allow_projective, ref_warnings))
     got = _trace(search_group(structure, index, allow_projective, warnings))
     assert got == expected
-    assert warnings == ref_warnings
+    assert list(warnings) == list(ref_warnings)     # the same messages in the same order
 
 
 @pytest.mark.parametrize("setting", SEARCH_SETTINGS)
