@@ -17,7 +17,7 @@ import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (AssignmentError, InconsistencyError, SingularInputError,
 from .groups import FactorSystem, FiniteGroup
 from .protocol import M_UNITARY_TOL, build_branch_operators, build_M
 from .representations import Representation, character_classes
-from .sbd import BLOCK_TOL, BlockStructure, finest_sbd, gram_set
+from .sbd import BLOCK_TOL, BlockStructure, commutant_basis, finest_sbd, gram_set
 from .schmidt import BipartiteUnitary, SchmidtDecomposition, schmidt_decompose
 from .search import (CatalogIndex, SearchCandidate, builtin_index, search_floor,
                      search_group, trivial_structure)
@@ -311,21 +311,15 @@ def synthesize_group_gate(group: FiniteGroup, seed: int = 0) -> BipartiteUnitary
     return BipartiteUnitary(m, n, d_b)
 
 
-def _finest_structure(bu: BipartiteUnitary, block_tol: float,
-                      seed: int) -> tuple[SchmidtDecomposition, BlockStructure]:
-    """Schmidt terms and finest classified block structure of one orientation."""
-    dec = schmidt_decompose(bu)
-    return dec, finest_sbd(gram_set(dec), tol=block_tol, seed=seed)
-
-
-def _side_stream(label: str, bs: BlockStructure, index: CatalogIndex,
+def _side_stream(label: str, floor: int, split, index: CatalogIndex,
                  allow_projective: bool, warnings: dict):
     """((order, is fallback, side), candidate) pairs of one side, cheapest
-    first: a start marker at the side's floor, then the search's candidates,
-    then the generalized shift-and-phase fallback over C_d x C_d at order d²,
-    d = bs.dim. The fallback follows a marker of its own key, so it is built
-    only when the merge reaches it; markers carry None."""
-    yield (search_floor(bs), False, label), None
+    first: a start marker at its floor, then the search's candidates over
+    bs = split(), called once the merge pops the marker, then the fallback
+    over C_d x C_d at order d², d = bs.dim, after a marker of its own key,
+    so it is built only when the merge reaches it; markers carry None."""
+    yield (floor, False, label), None
+    bs = split()
     for cand in search_group(bs, index, allow_projective, warning_sink=warnings):
         yield (cand.order, False, label), cand
     yield (bs.dim ** 2, True, label), None
@@ -368,48 +362,53 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
                     allow_projective: bool = True, catalog=None) -> GroupExpansion:
     """Find the cheapest verified group expansion of a bipartite unitary.
 
-    Searches the requested side or both (side in {"A", "B", "both"}); B-side
-    compilation swaps the tensor factors first. Each side offers its search
-    candidates in ascending group order, then its generalized shift-and-phase
-    fallback over C_d x C_d at order d², d its own dimension. One stream
-    merges them by (order, is fallback, side) and starts a side's search when
-    it reaches the side's search_floor; the first candidate that assembles,
-    reproduces the gate and has a unitary M, so that its branch protocol is
-    certified, is the result, carrying the M its check built (a candidate
-    whose residual fails builds none). So the cost is minimal relative to the
-    catalog, with side="both" never above the teleportation cost
-    2 log2 min(dA, dB), and compile_unitary never fails on a valid unitary.
-    A fallback carries the warnings of every side, searched or not. The
-    finest block structures of both orientations, at block tolerance
-    min(10*tol, BLOCK_TOL), are summarized in the result's blocks. catalog
-    is a list of groups or catalog_recipe entries; the call builds one
-    CatalogIndex of it, shared by both sides, which builds the groups of an
-    order when the search first reaches it. Without one, the call searches
-    builtin_index(seed), the process-wide index of catalog_recipe(), the
-    built-in catalog up to order 32: a compile builds only the groups and
-    irreps that no earlier compile at this seed has built, and its result
-    is the same as from a fresh index.
+    Searches side A, side B (the tensor factors swapped) or both. Each side
+    offers its search candidates in ascending group order, then its
+    generalized shift-and-phase fallback over C_d x C_d at order d², d its
+    dimension; one stream merges them by (order, is fallback, side), and the
+    first candidate that assembles, reproduces the gate and has a unitary M,
+    so that its branch protocol is certified, is the result, carrying the M
+    its check built. So the cost is minimal relative to the catalog,
+    side="both" is never above the teleportation cost 2 log2 min(dA, dB),
+    and the call never fails on a valid unitary. A fallback carries the
+    warnings of every side, searched or not.
+
+    The result's blocks summarize the finest block structures of both
+    orientations at block tolerance min(10*tol, BLOCK_TOL). A side's search
+    starts when the stream reaches its floor, the structure's search_floor.
+    A side whose commutant holds only the scalars is one block of size d in
+    one class, floor d², and is split only when the stream reaches that
+    floor or a fallback asks it for its first search step. catalog is a
+    CatalogRecipe or a list of groups and (order, make) entries, indexed
+    once for both sides; without one the call searches builtin_index(seed),
+    the process-wide index of catalog_recipe(), with the result a fresh
+    index would give.
     """
     if side not in ("A", "B", "both"):
         raise ValidationError("side must be A, B, or both")
     block_tol = min(10 * tol, BLOCK_TOL)
     index = builtin_index(seed) if catalog is None else CatalogIndex(catalog, seed)
-    finest = {label: _finest_structure(bu, block_tol, seed)
-              for label, bu in (("A", u), ("B", u.swapped()))}
+    decs = {"A": schmidt_decompose(u), "B": schmidt_decompose(u.swapped())}
+    grams = {label: gram_set(dec) for label, dec in decs.items()}
+    commutants = {label: commutant_basis(g) for label, g in grams.items()}
+    split = cache(lambda label: finest_sbd(grams[label], tol=block_tol, seed=seed,
+                                           commutant=commutants[label]))     # on first need
+    finest = {label: trivial_structure([dec.unitary.dim_a]) if len(commutants[label]) == 1
+              else split(label) for label, dec in decs.items()}
     blocks = read_only({label: {"sizes": bs.block_sizes, "classDims": bs.class_dims(),
                                 "classes": [members for members, _ in bs.classes]}
-                        for label, (_, bs) in finest.items()})
+                        for label, bs in finest.items()})
     warnings = {label: {} for label in (["A", "B"] if side == "both" else [side])}
-    streams = [_side_stream(label, finest[label][1], index, allow_projective, sink)
-               for label, sink in warnings.items()]
+    streams = [_side_stream(label, search_floor(finest[label]), partial(split, label), index,
+                            allow_projective, sink) for label, sink in warnings.items()]
     for (order, fallback, label), cand in heapq.merge(*streams, key=lambda item: item[0]):
         if cand is None:
             continue    # a marker: the merge runs that side's search or builds its fallback
-        dec = finest[label][0]
+        dec = decs[label]
         if fallback:
             for other in warnings:  # a side not searched yet adds its first step's warnings
-                if search_floor(finest[other][1]) > order:
-                    next(search_group(finest[other][1], index, allow_projective,
+                if search_floor(finest[other]) > order:
+                    next(search_group(split(other), index, allow_projective,
                                       warnings[other]), None)
         inherited = itertools.chain(*warnings.values()) if fallback else warnings[label]
         tried = f"order-{cand.order} candidate {cand.group.name}"

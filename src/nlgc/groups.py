@@ -363,13 +363,14 @@ def _elementary_divisors(factors) -> tuple[int, ...]:
     return tuple(sorted(parts))
 
 
-def _abelian_factors(max_order: int) -> list[tuple[int, ...]]:
-    """Factor orders of C1 to C(max_order), then of the products of two and
-    three cyclic groups up to max_order, each factor at least the one
-    before, skipping any whose elementary divisors an earlier one has."""
-    candidates = [(n,) for n in range(1, max_order + 1)] + [
-        (n1, n2, *last) for n1 in range(2, max_order + 1) for n2 in range(n1, max_order // n1 + 1)
-        for last in [()] + [(n3,) for n3 in range(n2, max_order // (n1 * n2) + 1)]]
+def _abelian_factors(order: int) -> list[tuple[int, ...]]:
+    """Factor orders of the products of one to three cyclic groups of this order,
+    C(order) first, then by first and second factor, each above 1 and at least
+    the one before, skipping any whose elementary divisors an earlier one has."""
+    candidates = [(order,)] + [
+        (n1, *rest) for n1 in range(2, math.isqrt(order) + 1) if order % n1 == 0
+        for rest in [(n2, order // n1 // n2) for n2 in range(n1, math.isqrt(order // n1) + 1)
+                     if order // n1 % n2 == 0] + [(order // n1,)]]
     first: dict[tuple, tuple] = {}
     for factors in candidates:
         first.setdefault(_elementary_divisors(factors), factors)
@@ -383,47 +384,51 @@ def pauli_sixteen():
     return central_extension(_cyclic_product((2, 2)), n, 4, name="Pauli16")
 
 
-def _built(g: FiniteGroup) -> tuple:
-    """Catalog recipe entry of a group that is already built."""
-    return g.order, lambda: g
+class CatalogRecipe:
+    """The catalog of builtin_catalog(max_order, extra), no group built: its
+    (order, make) entries in catalog order, make() building the group. orders
+    holds 1 to max_order; makers(order) enumerates an order's entries when
+    first asked. An extra group is kept unless it is isomorphic (are_isomorphic)
+    to a builtin or an earlier extra of its order, whose groups it builds."""
+
+    def __init__(self, max_order: int, extra):
+        self.orders = frozenset(range(1, max_order + 1))
+        self._makers: dict[int, list] = {}
+        for order, make, *args in ((6, symmetric, 3), (12, alternating, 4), (24, symmetric, 4),
+                                   (8, quaternion), *((2 * n, dihedral, n) for n in range(4, 17)),
+                                   (27, heisenberg, 3), (16, pauli_sixteen)):
+            if order <= max_order:
+                self.makers(order).append(partial(make, *args))
+        for g in (extra or []):
+            if g.order <= max_order:
+                makes = self._makers[g.order] = [(lambda h=make(): h)
+                                                 for make in self.makers(g.order)]
+                if not any(are_isomorphic(g, make()) for make in makes):
+                    makes.append(lambda g=g: g)
+
+    def makers(self, order: int) -> list:
+        if order not in self._makers:
+            self._makers.setdefault(order, [partial(_cyclic_product, f) for f in (
+                _abelian_factors(order) if order in self.orders else ())])
+        return self._makers[order]
+
+    def __iter__(self):
+        return ((order, make) for order in sorted(self.orders) for make in self.makers(order))
 
 
-def catalog_recipe(max_order: int = 32, extra=None) -> list[tuple]:
-    """(order, make) entries of builtin_catalog(max_order, extra), in its
-    order: make() builds and validates the group, so the orders present are
-    known before any group is built.
-
-    An extra group is kept unless it is isomorphic (are_isomorphic, which
-    compares signatures first) to a builtin or an earlier extra of its
-    order; the groups of that order are built for the comparison.
-    """
-    recipe = [(math.prod(f), partial(_cyclic_product, f))
-              for f in _abelian_factors(max_order)]
-    recipe += [(order, partial(make, *args)) for order, make, *args in (
-        (6, symmetric, 3), (12, alternating, 4), (24, symmetric, 4), (8, quaternion),
-        *((2 * n, dihedral, n) for n in range(4, 17)), (27, heisenberg, 3), (16, pauli_sixteen))
-        if order <= max_order]
-    for g in (extra or []):
-        if g.order <= max_order:
-            recipe = [_built(make()) if order == g.order else (order, make)
-                      for order, make in recipe]
-            if not any(are_isomorphic(g, make()) for order, make in recipe if order == g.order):
-                recipe.append(_built(g))
-    recipe.sort(key=lambda entry: entry[0])
-    return recipe
+def catalog_recipe(max_order: int = 32, extra=None) -> CatalogRecipe:
+    """The CatalogRecipe of the catalog up to max_order, with the extras it keeps."""
+    return CatalogRecipe(max_order, extra)
 
 
 def builtin_catalog(max_order: int = 32, extra=None) -> list[FiniteGroup]:
-    """Standard group families up to max_order, one per isomorphism class.
-
-    Cyclic groups, abelian products of up to three cyclic factors, Q8, S3,
-    A4, S4, dihedral groups D4 to D16, the Heisenberg group over Z_3 and
-    the order 16 Pauli extension, sorted by order, and the extras kept by
-    catalog_recipe: every entry of catalog_recipe(max_order, extra), built.
-    Builtins need no isomorphism search: a product of cyclic groups is
-    skipped when its elementary divisors were seen before (cyclic groups
-    first), and D3 = S3 and Heis2 = D4 are not generated.
-    """
+    """Every group of catalog_recipe(max_order, extra), built, sorted by order:
+    cyclic groups, abelian products of up to three cyclic factors, Q8, S3, A4,
+    S4, D4 to D16, the Heisenberg group over Z_3 and the order 16 Pauli
+    extension, one per isomorphism class with no isomorphism search (a product
+    of cyclic groups is skipped when its elementary divisors were seen before,
+    cyclic groups first; D3 = S3 and Heis2 = D4 are not generated), then the
+    extras kept."""
     return [make() for _, make in catalog_recipe(max_order, extra)]
 
 

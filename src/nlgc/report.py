@@ -241,6 +241,11 @@ def expansion_from_report(report: dict) -> GroupExpansion:
     ValidationError, and so do group.projective, factorPhases (null unless
     projective) and factorRootOrder when the factor phases contradict them.
     """
+    return _read_report(report)[0]
+
+
+def _read_report(report: dict) -> tuple[GroupExpansion, dict]:
+    """expansion_from_report's expansion, and _stored_derived's values read in the same pass."""
     if not isinstance(report, dict) or report.get("format") != REPORT_FORMAT:
         raise ValidationError("not a compilation report")
     inp, grp, exp_data = report["input"], report["group"], report["expansion"]
@@ -268,7 +273,7 @@ def expansion_from_report(report: dict) -> GroupExpansion:
         raise ValidationError("group.projective or factorRootOrder contradicts the factor phases")
     u_rep = Representation(group, factor, decode_matrix(exp_data["uOps"], (n, d_a, d_a)))
     u_rep.validate()
-    _stored_derived(report)     # not read back, yet they must be numbers and booleans
+    stored = _stored_derived(report)
     warnings = report["warnings"]
     if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
         raise ValidationError("warnings must be a list of strings")
@@ -283,7 +288,7 @@ def expansion_from_report(report: dict) -> GroupExpansion:
         route=exp_data["route"],
         classification=report["classification"]["label"],
         details={key: decode_matrix(w, (None,) * (w.ndim - 1)) for key, w in witnesses.items()},
-        warnings=warnings, blocks=report["blocks"])
+        warnings=warnings, blocks=report["blocks"]), stored
 
 
 def _partition_consistent(sizes, classes, d_a: int) -> bool:
@@ -385,7 +390,7 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     integer raises ValidationError.
     """
     checks: dict[str, bool] = {}
-    exp, stored = expansion_from_report(report), _stored_derived(report)
+    exp, stored = _read_report(report)
     stored_dev = json_number(report["input"]["unitarityDeviation"], "unitarityDeviation")
     stored_norm = json_number(report["input"]["frobeniusNorm"], "frobeniusNorm")
     stored_rank = json_int(report["schmidt"]["rank"], "schmidt.rank")

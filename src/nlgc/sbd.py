@@ -157,10 +157,10 @@ def _finest_split(mats, tol: float = BLOCK_TOL, seed: int = 0,
     return bs
 
 
-def finest_sbd(mats, tol: float = BLOCK_TOL, seed: int = 0) -> BlockStructure:
-    """Finest common block diagonalization of a matrix set: the split of
-    _finest_split, its blocks then classified at the same tol."""
-    return classify_equivalence(_finest_split(mats, tol, seed), mats, tol)
+def finest_sbd(mats, tol: float = BLOCK_TOL, seed: int = 0, commutant=None) -> BlockStructure:
+    """Finest common block diagonalization of a matrix set: _finest_split(mats,
+    tol, seed, commutant), its blocks then classified at the same tol."""
+    return classify_equivalence(_finest_split(mats, tol, seed, commutant), mats, tol)
 
 
 def _trace_bound(blocks: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .groups import FiniteGroup, _built, are_isomorphic, catalog_recipe
+from .groups import CatalogRecipe, FiniteGroup, are_isomorphic, catalog_recipe
 from .representations import (Representation, central_irreps, irreps_of,
                               pauli_projective_rep, projective_irreps_from_extension)
 from .sbd import BlockStructure, merge_blocks
@@ -124,31 +124,35 @@ def _group_sort_key(catalog_index: int, g: FiniteGroup) -> tuple:
 class CatalogIndex:
     """A group catalog grouped by order in search order, with memoized irreps.
 
-    catalog holds FiniteGroup objects and catalog_recipe (order, make)
-    entries, by default catalog_recipe(); a group's position there breaks
-    ties in the search order. The orders present are known at once; the
-    groups of an order are built, validated and sorted the first time
-    groups(order) asks. The ordinary irreps of a group, the projective
-    irreps of the quotient of an extension l by a central z, and the
-    shift/clock representation of the fallback are likewise computed on
-    first use, keyed by the group object or the dimension.
+    catalog is a CatalogRecipe, by default catalog_recipe(), or holds
+    FiniteGroup objects and (order, make) entries; a group's position among
+    those of its order breaks ties in the search order. The orders present
+    are known at once. The groups of an order (built, validated, sorted), the
+    ordinary irreps of a group, those of an extension l representing a
+    central z as a scalar, the projective irreps of l/<z> and the fallback's
+    shift/clock representation are computed when first asked for.
 
     What the index hands out can be shared by any number of searches: groups
     and representations are frozen, and irrep lists are tuples. An entry is
     stored only once it is fully built, by one setdefault, so searches
     running at once may build an entry twice but all read the first stored.
-    builtin_index(seed) is the process-wide index of the built-in catalog.
     """
 
     def __init__(self, catalog=None, seed: int = 0):
         self.seed = seed
-        self._makers: dict[int, list] = {}      # order -> [(position, make)]
-        for idx, entry in enumerate(catalog_recipe() if catalog is None else catalog):
-            order, make = _built(entry) if isinstance(entry, FiniteGroup) else entry
-            self._makers.setdefault(order, []).append((idx, make))
-        self.orders = frozenset(self._makers)
+        recipe = catalog_recipe() if catalog is None else catalog
+        if isinstance(recipe, CatalogRecipe):       # its orders are enumerated when reached
+            self.orders, self._makers = recipe.orders, recipe.makers
+        else:
+            by_order: dict[int, list] = {}
+            for entry in recipe:
+                order, make = ((entry.order, lambda g=entry: g) if isinstance(entry, FiniteGroup)
+                               else entry)
+                by_order.setdefault(order, []).append(make)
+            self.orders, self._makers = frozenset(by_order), lambda order: by_order.get(order, ())
         self._by_order: dict[int, tuple[FiniteGroup, ...]] = {}
         self._ordinary: dict[FiniteGroup, tuple[Representation, ...]] = {}
+        self._central: dict[tuple[FiniteGroup, int], tuple[Representation, ...]] = {}
         self._projective: dict[tuple[FiniteGroup, int], tuple] = {}
         self._fallback: dict[int, Representation] = {}
 
@@ -156,7 +160,7 @@ class CatalogIndex:
         """The groups of this order in search order, built on the first
         request; empty when the catalog has none."""
         if order not in self._by_order:
-            built = sorted(((idx, make()) for idx, make in self._makers.get(order, [])),
+            built = sorted(((idx, make()) for idx, make in enumerate(self._makers(order))),
                            key=lambda t: _group_sort_key(*t))
             self._by_order.setdefault(order, tuple(g for _, g in built))
         return self._by_order[order]
@@ -166,6 +170,12 @@ class CatalogIndex:
         if g not in self._ordinary:
             self._ordinary.setdefault(g, tuple(irreps_of(g, seed=self.seed)))
         return self._ordinary[g]
+
+    def central(self, l: FiniteGroup, z: int) -> tuple[Representation, ...]:
+        """central_irreps(irreps(l), z), in that order."""
+        if (l, z) not in self._central:
+            self._central.setdefault((l, z), tuple(central_irreps(self.irreps(l), z)))
+        return self._central[l, z]
 
     def projective(self, l: FiniteGroup, z: int):
         """(quotient, irreps) of l/<z> in the standard gauge; the quotient, and
@@ -266,7 +276,7 @@ def search_group(structure: BlockStructure, index: CatalogIndex,
                         if l.element_orders[z] != r:
                             continue
                         # the projective irreps are these central irreps, in this order
-                        assignment = _assign(required, central_irreps(index.irreps(l), z))
+                        assignment = _assign(required, index.central(l, z))
                         if assignment is None:
                             continue
                         quotient, irreps = index.projective(l, z)

@@ -7,10 +7,11 @@ import nlgc.expansion
 import nlgc.protocol
 import nlgc.search
 from nlgc._linalg import weyl_operator_basis
-from nlgc.expansion import NUM_TOL, _build, _finest_structure, compile_unitary
+from nlgc.expansion import NUM_TOL, _build, compile_unitary
 from nlgc.protocol import build_M
 from nlgc.representations import Representation
-from nlgc.schmidt import BipartiteUnitary
+from nlgc.sbd import finest_sbd, gram_set
+from nlgc.schmidt import BipartiteUnitary, schmidt_decompose
 from nlgc.search import CatalogIndex, search_group
 
 
@@ -98,6 +99,13 @@ def haar_block_gate(d_a: int, parts: list[int], seed: int) -> BipartiteUnitary:
     return BipartiteUnitary(u.reshape(d_a * d_b, -1), d_a, d_b)
 
 
+def finest_structure(bu: BipartiteUnitary):
+    """Schmidt terms and finest classified block structure of one orientation,
+    split eagerly at the block tolerance compile_unitary uses at NUM_TOL."""
+    dec = schmidt_decompose(bu)
+    return dec, finest_sbd(gram_set(dec), tol=10 * NUM_TOL, seed=0)
+
+
 def uncertified_s4_expansion():
     """Side B's search candidates for the 4x5 gate W2 + W3 of haar_block_gate,
     and the expansion the first one, S4, assembles: it reproduces the gate,
@@ -105,7 +113,7 @@ def uncertified_s4_expansion():
     carries the blocks summary of the compiled gate, as a compile result does."""
     gate = haar_block_gate(4, [2, 3], seed=7)
     bu = gate.swapped()
-    dec, bs = _finest_structure(bu, 10 * NUM_TOL, seed=0)
+    dec, bs = finest_structure(bu)
     cands = list(search_group(bs, CatalogIndex(), warning_sink={}))
     blocks = compile_unitary(gate, side="B").blocks
     return cands, _build(cands[0], dec, "B", [], NUM_TOL, 10 * NUM_TOL, blocks)

@@ -3,27 +3,27 @@ import json
 import sys
 import threading
 from dataclasses import FrozenInstanceError, is_dataclass
-from functools import partial
+from functools import cache, partial
 from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import dense_regular, haar_block_gate, uncertified_s4_expansion
+from conftest import dense_regular, finest_structure, haar_block_gate, uncertified_s4_expansion
 
 import nlgc.expansion
 import nlgc.search
 from nlgc._linalg import dagger
 from nlgc.errors import InconsistencyError, SingularInputError
-from nlgc.expansion import (CONTROLLED, DOUBLE, NUM_TOL, GroupExpansion, _finest_structure,
-                            _side_stream, classify, compile_unitary, compute_W, construct_V,
-                            synthesize_group_gate)
+from nlgc.expansion import (CONTROLLED, DOUBLE, NUM_TOL, GroupExpansion, _side_stream, classify,
+                            compile_unitary, compute_W, construct_V, synthesize_group_gate)
 from nlgc.groups import (FiniteGroup, alternating, catalog_recipe, cyclic, dihedral,
-                         direct_product, symmetric)
+                         direct_product, quaternion, symmetric)
 from nlgc.protocol import build_M
 from nlgc.report import build_report, canonical_json, expansion_from_report, verify_report
 from nlgc.representations import irreps_of
-from nlgc.schmidt import BipartiteUnitary
-from nlgc.search import CatalogIndex, search_group, trivial_structure
+from nlgc.sbd import commutant_basis, finest_sbd, gram_set
+from nlgc.schmidt import BipartiteUnitary, schmidt_decompose
+from nlgc.search import CatalogIndex, search_floor, search_group, trivial_structure
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
@@ -412,7 +412,7 @@ def test_a_result_cannot_rename_or_write_what_a_later_compile_reads(fresh_builti
     for array in (exp.u_rep.matrices, exp.factor.phases):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    _, bs = _finest_structure(swap, 10 * NUM_TOL, seed=0)
+    _, bs = finest_structure(swap)
     cand = next(c for c in search_group(bs, nlgc.search.builtin_index(0))
                 if c.group.name == exp.group.name)
     assert cand.group is exp.group and cand.factor is exp.factor
@@ -448,15 +448,99 @@ def test_a_cheaper_fallback_beats_a_costlier_group():
 def test_a_side_stream_ends_with_its_fallback_candidate():
     # the start marker, the search's candidates, then the fallback the stream
     # builds after the marker of its own key
-    _, bs = _finest_structure(BipartiteUnitary(CNOT, 2, 2), 10 * NUM_TOL, seed=0)
+    _, bs = finest_structure(BipartiteUnitary(CNOT, 2, 2))
     (key, marker), *searched, (key2, marker2), (last, fallback) = _side_stream(
-        "A", bs, CatalogIndex(), True, [])
+        "A", search_floor(bs), lambda: bs, CatalogIndex(), True, [])
     assert (key, marker) == ((2, False, "A"), None)
     assert searched and all(k == (c.order, False, "A") and c.route != "fallback"
                             for k, c in searched)
     assert (key2, marker2) == ((4, True, "A"), None) and last == (4, True, "A")
     assert (fallback.route, fallback.group.name, fallback.assignment) == ("fallback", "C2xC2", (0,))
     assert fallback.structure.block_sizes == (2,)
+
+
+def haar(d_a: int, d_b: int, seed: int) -> BipartiteUnitary:
+    return BipartiteUnitary(random_unitary(d_a * d_b, np.random.default_rng(seed)), d_a, d_b)
+
+
+def synth_12_gates() -> list[BipartiteUnitary]:
+    """One gate of each group the synth-12 benchmark synthesizes from."""
+    groups = [cyclic(2), cyclic(3), cyclic(4), symmetric(3), cyclic(6), dihedral(4), quaternion(),
+              direct_product(cyclic(2), cyclic(4)), cyclic(8),
+              direct_product(cyclic(3), cyclic(3)), dihedral(5), cyclic(11), alternating(4)]
+    return [synthesize_group_gate(g, seed=1) for g in groups]
+
+
+def dressed_swap(seed: int) -> BipartiteUnitary:
+    a, b, c, d = (random_unitary(2, np.random.default_rng([seed, k])) for k in range(4))
+    return BipartiteUnitary(np.kron(a, b) @ SWAP @ np.kron(c, d), 2, 2)
+
+
+# orientations whose commutant may hold only the scalars: Haar gates both
+# ways, the B sides of the synth-12 gates, and dressed SWAP both ways
+SCALAR_CANDIDATES = ([bu for d_a in range(2, 6) for d_b in range(2, 6) for seed in range(10)
+                      for bu in (haar(d_a, d_b, seed), haar(d_a, d_b, seed).swapped())]
+                     + [bu.swapped() for bu in synth_12_gates()]
+                     + [dressed_swap(0), dressed_swap(0).swapped()])
+
+
+def test_a_side_whose_commutant_is_the_scalars_is_one_block_in_one_class():
+    scalar = 0
+    for bu in SCALAR_CANDIDATES:
+        grams = gram_set(schmidt_decompose(bu))
+        if len(commutant_basis(grams)) == 1:
+            scalar += 1
+            bs = finest_sbd(grams, tol=10 * NUM_TOL)
+            assert bs.block_sizes == (bu.dim_a,) and bs.class_dims() == [bu.dim_a]
+            assert [list(members) for members, _ in bs.classes] == [[0]]
+    # all but the B side of the C2 gate, whose commutant has two elements
+    assert scalar == len(SCALAR_CANDIDATES) - 1
+
+
+def eager_blocks(bu: BipartiteUnitary) -> dict:
+    """The blocks summary of both orientations, each split and classified."""
+    out = {}
+    for label, oriented in (("A", bu), ("B", bu.swapped())):
+        bs = finest_structure(oriented)[1]
+        out[label] = {"sizes": list(bs.block_sizes), "classDims": bs.class_dims(),
+                      "classes": [list(members) for members, _ in bs.classes]}
+    return out
+
+
+@cache
+def blocks_corpus() -> list[tuple[BipartiteUnitary, dict]]:
+    """Each gate with its eager blocks summary: the Haar gates, among them
+    4x4 that falls back, the synth-12 gates, dressed SWAP, and W2 + W3,
+    whose side B has blocks [2, 3]."""
+    gates = ([haar(d_a, d_b, seed) for d_a in range(2, 6) for d_b in range(2, 6)
+              for seed in range(10)]
+             + synth_12_gates() + [dressed_swap(0), haar_block_gate(4, [2, 3], seed=7)])
+    return [(bu, eager_blocks(bu)) for bu in gates]
+
+
+@pytest.mark.parametrize("side", ["both", "A", "B"])
+def test_compile_summarizes_the_blocks_an_eager_split_finds(side):
+    for bu, eager in blocks_corpus():
+        blocks = compile_unitary(bu, side=side).blocks
+        assert json.loads(json.dumps(blocks, default=dict)) == eager, (bu.dim_a, bu.dim_b)
+
+
+@pytest.mark.parametrize("gate, splits", [
+    (haar(2, 3, 0), 1), (haar(3, 2, 0), 1), (haar(2, 4, 0), 1), (haar(3, 3, 0), 1),
+    (BipartiteUnitary(SWAP, 2, 2), 1), (haar(4, 4, 0), 2), (BipartiteUnitary(CNOT, 2, 2), 2)],
+    ids=["haar 2x3", "haar 3x2", "haar 2x4", "haar 3x3", "swap", "haar 4x4", "cnot"])
+def test_compile_splits_only_the_sides_the_search_reaches(gate, splits, monkeypatch):
+    # a side whose commutant is the scalars has floor d², so the merge never
+    # pops its marker when the other side wins below that; Haar 4x4 falls
+    # back at 16 after both searches, and both sides of CNOT have blocks
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return finest_sbd(*args, **kwargs)
+    monkeypatch.setattr(nlgc.expansion, "finest_sbd", counted)
+    compile_unitary(gate)
+    assert len(calls) == splits
 
 
 def test_a_candidate_whose_M_is_not_unitary_is_rejected():
@@ -621,8 +705,9 @@ def test_nothing_reachable_from_an_expansion_can_be_written(gate):
 
 
 def test_nothing_reachable_from_a_search_candidate_can_be_written():
-    _, bs = _finest_structure(BipartiteUnitary(SWAP, 2, 2), 10 * NUM_TOL, seed=0)
-    cands = [c for _, c in _side_stream("A", bs, CatalogIndex(), True, []) if c is not None]
+    _, bs = finest_structure(BipartiteUnitary(SWAP, 2, 2))
+    cands = [c for _, c in _side_stream("A", search_floor(bs), lambda: bs, CatalogIndex(), True, [])
+             if c is not None]
     assert {c.route for c in cands} == {"projective", "fallback"}
     for i, cand in enumerate(cands):
         _assert_sealed(cand, f"candidate {i}", set())

@@ -7,12 +7,14 @@ import pytest
 
 from nlgc import groups
 from nlgc.errors import ValidationError
+from nlgc.expansion import compile_unitary
 from nlgc.groups import (FactorSystem, FiniteGroup, alternating, are_isomorphic,
                          builtin_catalog, catalog_recipe, central_extension,
                          cyclic, dihedral,
                          direct_product, heisenberg, load_group_file,
                          quaternion, quotient_by_central_cyclic,
                          save_group_file, symmetric)
+from nlgc.schmidt import BipartiteUnitary
 
 C4_TABLE = np.array([[0, 1, 2, 3],
                      [1, 2, 3, 0],
@@ -183,6 +185,29 @@ def test_catalog_recipe_knows_every_order_and_builds_no_group(monkeypatch):
     monkeypatch.undo()
     assert [order for order, _ in recipe] == orders
     assert catalog_digest([make() for _, make in recipe]) == CATALOG_64_SHA256
+
+
+def test_a_recipe_lists_an_order_the_same_under_any_bound():
+    def entries(recipe, top):
+        return [(order, make.func, make.args) for order, make in recipe if order <= top]
+    assert entries(catalog_recipe(16), 16) == entries(catalog_recipe(32), 16)
+    assert entries(catalog_recipe(64), 64) == entries(catalog_recipe(4096), 64)
+
+
+def test_a_recipe_enumerates_only_the_orders_an_index_reaches(monkeypatch):
+    asked = []
+
+    def recording(order):
+        asked.append(order)
+        return abelian_factors(order)
+    abelian_factors = groups._abelian_factors
+    monkeypatch.setattr(groups, "_abelian_factors", recording)
+    # a recipe lists the orders of its non-abelian builtins, all at most 32, when it is made
+    recipe = catalog_recipe(4096)
+    assert recipe.orders == frozenset(range(1, 4097)) and max(asked) <= 32
+    cnot = BipartiteUnitary(np.eye(4)[[0, 1, 3, 2]], 2, 2)
+    assert compile_unitary(cnot, catalog=recipe).group.name == "C2"
+    assert max(asked) <= 32 and len(asked) == len(set(asked))
 
 
 def relabelled(g: FiniteGroup, name: str, seed: int = 0) -> FiniteGroup:

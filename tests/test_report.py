@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import nlgc.report
 from nlgc.errors import ValidationError
 from nlgc.expansion import GroupExpansion, compile_unitary, synthesize_group_gate
 from nlgc.groups import alternating
@@ -315,6 +316,19 @@ def test_a_root_order_that_is_not_an_integer_is_rejected(loosen):
     rep["group"]["factorRootOrder"] = loosen(4)
     with pytest.raises(ValidationError, match="factorRootOrder must be an integer"):
         verify_report(rep)
+
+
+def test_verify_reads_the_stored_values_once(monkeypatch):
+    calls = []
+
+    def counted(report):
+        calls.append(report)
+        return stored_derived(report)
+    stored_derived = nlgc.report._stored_derived
+    monkeypatch.setattr(nlgc.report, "_stored_derived", counted)
+    ok, checks = verify_report(json.loads(canonical_json(cnot_report())))
+    assert ok, checks
+    assert len(calls) == 1
 
 
 def test_blocks_survive_a_report_round_trip():

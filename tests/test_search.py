@@ -8,7 +8,7 @@ import pytest
 
 import nlgc.search
 from nlgc.groups import builtin_catalog, catalog_recipe, cyclic
-from nlgc.representations import irreps_of
+from nlgc.representations import central_irreps, irreps_of
 from nlgc.sbd import BlockStructure, merge_blocks
 from nlgc.search import (CatalogIndex, SearchCandidate, _assign, merge_plans, search_floor,
                          search_group, set_partitions, trivial_structure)
@@ -148,6 +148,24 @@ def test_the_catalog_index_keys_its_memos_by_group():
     quotient, irreps = index.projective(q8, z)
     assert index.projective(q8, z)[1] is irreps
     assert all(ir.group is quotient for ir in irreps)
+
+
+def test_the_catalog_index_picks_the_central_irreps_of_an_extension_once(monkeypatch):
+    calls = []
+
+    def counted(irreps, z):
+        calls.append((irreps[0].group, z))
+        return central_irreps(irreps, z)
+    monkeypatch.setattr(nlgc.search, "central_irreps", counted)
+    index, qubit = CatalogIndex(catalog_recipe(8)), trivial_structure([2])
+    first = [(c.group.name, c.assignment) for c in search_group(qubit, index)]
+    picked = list(calls)
+    again = [(c.group.name, c.assignment) for c in search_group(qubit, index)]
+    # the extensions of order 8 over order 4, D4 and Q8, each picked once
+    assert first == again and calls == picked and len(set(picked)) == len(picked) > 0
+    for l, z in picked:
+        assert index.central(l, z) is index.central(l, z)
+        assert index.central(l, z) == tuple(central_irreps(index.irreps(l), z))
 
 
 def test_two_singlet_classes_start_at_order_two():
