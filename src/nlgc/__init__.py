@@ -10,7 +10,7 @@ from .errors import (AssignmentError, CompilerError, DimensionError,
                      SingularInputError, ValidationError)
 from .expansion import (GroupExpansion, classify, compile_unitary,
                         construct_V, synthesize_group_gate)
-from .groups import (FactorSystem, FiniteGroup, builtin_catalog, catalog_recipe,
+from .groups import (FactorSystem, FiniteGroup, builtin_catalog, catalog_groups,
                      load_group_file)
 from .protocol import (ProtocolTrace, build_M, fourier_basis, random_states,
                        simulate_protocol)
@@ -32,7 +32,7 @@ __all__ = [
     "GroupExpansion", "InconsistencyError", "NondeterminismError",
     "ProtocolTrace", "Representation", "SchmidtDecomposition",
     "SearchCandidate", "SingularInputError", "ValidationError", "build_M",
-    "build_report", "builtin_catalog", "canonical_json", "catalog_recipe",
+    "build_report", "builtin_catalog", "canonical_json", "catalog_groups",
     "classify", "classify_equivalence", "compile_unitary", "construct_V",
     "expansion_from_report", "finest_sbd", "fourier_basis", "gram_set",
     "irrep_dimensions", "irreps_of", "load_group_file", "matrix_payload",

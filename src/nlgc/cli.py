@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CompilerError, DimensionError, ValidationError
 from .expansion import compile_unitary
-from .groups import FiniteGroup, builtin_catalog, catalog_recipe, save_group_file
+from .groups import FiniteGroup, builtin_catalog, save_group_file
 from .protocol import random_states, simulate_protocol
 from .report import (build_report, canonical_json, encode_matrix, expansion_from_report,
                      parse_matrix_payload, parse_state_payload, verify_report)
@@ -108,8 +108,8 @@ def _compile_args(parser: argparse.ArgumentParser):
 
 def _compile_from_args(args, bu: BipartiteUnitary):
     return compile_unitary(bu, side=args.side, tol=args.tol, seed=args.seed,
-                           allow_projective=args.projective,
-                           catalog=catalog_recipe(args.max_order, _extra_groups()))
+                           allow_projective=args.projective, max_order=args.max_order,
+                           extra=_extra_groups())
 
 
 def cmd_compile(args) -> int:

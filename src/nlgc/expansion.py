@@ -359,7 +359,8 @@ def _build(cand: SearchCandidate, dec: SchmidtDecomposition, side: str, warnings
 
 def compile_unitary(u: BipartiteUnitary, side: str = "both",
                     tol: float = NUM_TOL, seed: int = 0,
-                    allow_projective: bool = True, catalog=None) -> GroupExpansion:
+                    allow_projective: bool = True, max_order: int = 32,
+                    extra=()) -> GroupExpansion:
     """Find the cheapest verified group expansion of a bipartite unitary.
 
     Searches side A, side B (the tensor factors swapped) or both. Each side
@@ -378,16 +379,15 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
     starts when the stream reaches its floor, the structure's search_floor.
     A side whose commutant holds only the scalars is one block of size d in
     one class, floor d², and is split only when the stream reaches that
-    floor or a fallback asks it for its first search step. catalog is a
-    CatalogRecipe or a list of groups and (order, make) entries, indexed
-    once for both sides; without one the call searches builtin_index(seed),
-    the process-wide index of catalog_recipe(), with the result a fresh
-    index would give.
+    floor or a fallback asks it for its first search step. Both sides
+    search builtin_index(max_order, extra, seed), the process-wide
+    CatalogIndex of the catalog up to max_order with the extra groups it
+    keeps, with the result a fresh index would give.
     """
     if side not in ("A", "B", "both"):
         raise ValidationError("side must be A, B, or both")
     block_tol = min(10 * tol, BLOCK_TOL)
-    index = builtin_index(seed) if catalog is None else CatalogIndex(catalog, seed)
+    index = builtin_index(max_order, extra, seed)
     decs = {"A": schmidt_decompose(u), "B": schmidt_decompose(u.swapped())}
     grams = {label: gram_set(dec) for label, dec in decs.items()}
     commutants = {label: commutant_basis(g) for label, g in grams.items()}

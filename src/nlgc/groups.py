@@ -5,7 +5,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -384,52 +384,31 @@ def pauli_sixteen():
     return central_extension(_cyclic_product((2, 2)), n, 4, name="Pauli16")
 
 
-class CatalogRecipe:
-    """The catalog of builtin_catalog(max_order, extra), no group built: its
-    (order, make) entries in catalog order, make() building the group. orders
-    holds 1 to max_order; makers(order) enumerates an order's entries when
-    first asked. An extra group is kept unless it is isomorphic (are_isomorphic)
-    to a builtin or an earlier extra of its order, whose groups it builds."""
-
-    def __init__(self, max_order: int, extra):
-        self.orders = frozenset(range(1, max_order + 1))
-        self._makers: dict[int, list] = {}
-        for order, make, *args in ((6, symmetric, 3), (12, alternating, 4), (24, symmetric, 4),
-                                   (8, quaternion), *((2 * n, dihedral, n) for n in range(4, 17)),
-                                   (27, heisenberg, 3), (16, pauli_sixteen)):
-            if order <= max_order:
-                self.makers(order).append(partial(make, *args))
-        for g in (extra or []):
-            if g.order <= max_order:
-                makes = self._makers[g.order] = [(lambda h=make(): h)
-                                                 for make in self.makers(g.order)]
-                if not any(are_isomorphic(g, make()) for make in makes):
-                    makes.append(lambda g=g: g)
-
-    def makers(self, order: int) -> list:
-        if order not in self._makers:
-            self._makers.setdefault(order, [partial(_cyclic_product, f) for f in (
-                _abelian_factors(order) if order in self.orders else ())])
-        return self._makers[order]
-
-    def __iter__(self):
-        return ((order, make) for order in sorted(self.orders) for make in self.makers(order))
+# (order, make, *args) of the non-abelian builtins; an order's entries keep this order
+_NONABELIAN = ((6, symmetric, 3), (12, alternating, 4), (24, symmetric, 4), (8, quaternion),
+               *((2 * n, dihedral, n) for n in range(4, 17)), (27, heisenberg, 3),
+               (16, pauli_sixteen))
 
 
-def catalog_recipe(max_order: int = 32, extra=None) -> CatalogRecipe:
-    """The CatalogRecipe of the catalog up to max_order, with the extras it keeps."""
-    return CatalogRecipe(max_order, extra)
+def catalog_groups(order: int, extra=()) -> list[FiniteGroup]:
+    """The catalog's groups of one order, built, in catalog order: the
+    products of cyclic groups of _abelian_factors(order), one per
+    isomorphism class with no isomorphism search (D3 = S3 and Heis2 = D4 are
+    not generated either); the non-abelian builtins S3, Q8, A4, S4, D4 to
+    D16, Heis3 and Pauli16 of this order (8: Q8, D4; 12: A4, D6; 16: D8,
+    Pauli16; 24: S4, D12); each extra of this order that are_isomorphic
+    (signatures first) finds equal to no group before it."""
+    out = [_cyclic_product(f) for f in _abelian_factors(order)]
+    out += [make(*args) for n, make, *args in _NONABELIAN if n == order]
+    for g in extra:
+        if g.order == order and not any(are_isomorphic(g, h) for h in out):
+            out.append(g)
+    return out
 
 
-def builtin_catalog(max_order: int = 32, extra=None) -> list[FiniteGroup]:
-    """Every group of catalog_recipe(max_order, extra), built, sorted by order:
-    cyclic groups, abelian products of up to three cyclic factors, Q8, S3, A4,
-    S4, D4 to D16, the Heisenberg group over Z_3 and the order 16 Pauli
-    extension, one per isomorphism class with no isomorphism search (a product
-    of cyclic groups is skipped when its elementary divisors were seen before,
-    cyclic groups first; D3 = S3 and Heis2 = D4 are not generated), then the
-    extras kept."""
-    return [make() for _, make in catalog_recipe(max_order, extra)]
+def builtin_catalog(max_order: int = 32, extra=()) -> list[FiniteGroup]:
+    """catalog_groups(order, extra) of every order from 1 to max_order, in turn."""
+    return [g for order in range(1, max_order + 1) for g in catalog_groups(order, extra)]
 
 
 def load_group_file(path) -> FiniteGroup:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .groups import CatalogRecipe, FiniteGroup, are_isomorphic, catalog_recipe
+from .groups import FiniteGroup, are_isomorphic, catalog_groups
 from .representations import (Representation, central_irreps, irreps_of,
                               pauli_projective_rep, projective_irreps_from_extension)
 from .sbd import BlockStructure, merge_blocks
@@ -122,15 +122,13 @@ def _group_sort_key(catalog_index: int, g: FiniteGroup) -> tuple:
 
 
 class CatalogIndex:
-    """A group catalog grouped by order in search order, with memoized irreps.
+    """The catalog up to max_order with the extras it keeps, memoized.
 
-    catalog is a CatalogRecipe, by default catalog_recipe(), or holds
-    FiniteGroup objects and (order, make) entries; a group's position among
-    those of its order breaks ties in the search order. The orders present
-    are known at once. The groups of an order (built, validated, sorted), the
-    ordinary irreps of a group, those of an extension l representing a
-    central z as a scalar, the projective irreps of l/<z> and the fallback's
-    shift/clock representation are computed when first asked for.
+    groups(n), catalog_groups(n, extra) sorted by _group_sort_key (a group's
+    catalog position breaks ties) and empty above max_order, the ordinary
+    irreps of a group, those of an extension l representing a central z as a
+    scalar, the projective irreps of l/<z> and the fallback's shift/clock
+    representation are computed when first asked for: a new index holds none.
 
     What the index hands out can be shared by any number of searches: groups
     and representations are frozen, and irrep lists are tuples. An entry is
@@ -138,18 +136,8 @@ class CatalogIndex:
     running at once may build an entry twice but all read the first stored.
     """
 
-    def __init__(self, catalog=None, seed: int = 0):
-        self.seed = seed
-        recipe = catalog_recipe() if catalog is None else catalog
-        if isinstance(recipe, CatalogRecipe):       # its orders are enumerated when reached
-            self.orders, self._makers = recipe.orders, recipe.makers
-        else:
-            by_order: dict[int, list] = {}
-            for entry in recipe:
-                order, make = ((entry.order, lambda g=entry: g) if isinstance(entry, FiniteGroup)
-                               else entry)
-                by_order.setdefault(order, []).append(make)
-            self.orders, self._makers = frozenset(by_order), lambda order: by_order.get(order, ())
+    def __init__(self, max_order: int = 32, extra=(), seed: int = 0):
+        self.max_order, self.extra, self.seed = max_order, tuple(extra), seed
         self._by_order: dict[int, tuple[FiniteGroup, ...]] = {}
         self._ordinary: dict[FiniteGroup, tuple[Representation, ...]] = {}
         self._central: dict[tuple[FiniteGroup, int], tuple[Representation, ...]] = {}
@@ -158,9 +146,11 @@ class CatalogIndex:
 
     def groups(self, order: int) -> tuple[FiniteGroup, ...]:
         """The groups of this order in search order, built on the first
-        request; empty when the catalog has none."""
+        request; empty above max_order."""
+        if order > self.max_order:
+            return ()
         if order not in self._by_order:
-            built = sorted(((idx, make()) for idx, make in enumerate(self._makers(order))),
+            built = sorted(enumerate(catalog_groups(order, self.extra)),
                            key=lambda t: _group_sort_key(*t))
             self._by_order.setdefault(order, tuple(g for _, g in built))
         return self._by_order[order]
@@ -201,16 +191,16 @@ class CatalogIndex:
 _builtin: CatalogIndex | None = None      # the one slot of builtin_index
 
 
-def builtin_index(seed: int) -> CatalogIndex:
-    """The process-wide CatalogIndex of the built-in catalog, catalog_recipe(),
-    at this seed: created on first use, so importing nlgc builds nothing, and
-    shared by every compile_unitary call without an explicit catalog. It has
-    one slot, so a request at another seed replaces it with a fresh index;
-    a search that holds the old one keeps it."""
+def builtin_index(max_order: int, extra, seed: int) -> CatalogIndex:
+    """The process-wide CatalogIndex(max_order, extra, seed) that every
+    compile_unitary call searches: created on first use, so importing nlgc
+    builds nothing. It has one slot, keyed on all three values (extras by
+    identity), so a request with other values replaces it with a fresh
+    index; a search that holds the old one keeps it."""
     global _builtin
-    index = _builtin
-    if index is None or index.seed != seed:
-        index = _builtin = CatalogIndex(seed=seed)
+    index, extra = _builtin, tuple(extra)
+    if index is None or (index.max_order, index.extra, index.seed) != (max_order, extra, seed):
+        index = _builtin = CatalogIndex(max_order, extra, seed)
     return index
 
 
@@ -236,7 +226,7 @@ def search_group(structure: BlockStructure, index: CatalogIndex,
     warnings: dict[str, None] = warning_sink if warning_sink is not None else {}
     seen_projective = set()
     for n in range(max(n_start, 1), structure.dim ** 2 + 1):
-        if n not in index.orders:
+        if n > index.max_order:
             warnings.setdefault(f"catalog has no group of order {n}")
         if n == n_start + 1:
             plans = merge_plans(structure)
@@ -265,7 +255,7 @@ def search_group(structure: BlockStructure, index: CatalogIndex,
             for r in range(2, n + 1):
                 if n % r:
                     continue
-                if r * n not in index.orders:
+                if r * n > index.max_order:
                     warnings.setdefault(f"catalog has no group of order {r * n} "
                                         f"for central extensions over order {n}")
                     continue

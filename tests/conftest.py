@@ -8,6 +8,7 @@ import nlgc.protocol
 import nlgc.search
 from nlgc._linalg import weyl_operator_basis
 from nlgc.expansion import NUM_TOL, _build, compile_unitary
+from nlgc.groups import FiniteGroup
 from nlgc.protocol import build_M
 from nlgc.representations import Representation
 from nlgc.sbd import finest_sbd, gram_set
@@ -18,9 +19,17 @@ from nlgc.search import CatalogIndex, search_group
 @pytest.fixture
 def fresh_builtin_index(monkeypatch):
     """An empty slot for search.builtin_index, so that the test's first
-    compile without a catalog builds a fresh index; the index of the
-    process comes back after the test."""
+    compile builds a fresh index; the index of the process comes back
+    after the test."""
     monkeypatch.setattr(nlgc.search, "_builtin", None)
+
+
+def relabelled(g: FiniteGroup, name: str, seed: int = 0) -> FiniteGroup:
+    """g with its elements renumbered by a seeded permutation."""
+    p = np.random.default_rng(seed).permutation(g.order)
+    table = np.empty_like(g.table)
+    table[p[:, None], p] = p[g.table]
+    return FiniteGroup(name, table)
 
 
 def orthogonality_defect(irreps: list[Representation]) -> float:

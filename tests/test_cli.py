@@ -11,9 +11,10 @@ from conftest import counting_build_M, haar_block_gate, uncertified_s4_expansion
 from test_report import SWAP, parsed_report, reference_json
 
 import nlgc.cli
+import nlgc.search
 from nlgc.cli import main
 from nlgc.expansion import synthesize_group_gate
-from nlgc.groups import (FiniteGroup, catalog_recipe, cyclic, dihedral, save_group_file,
+from nlgc.groups import (FiniteGroup, catalog_groups, cyclic, dihedral, save_group_file,
                          symmetric)
 from nlgc.report import (build_report, canonical_json, decode_matrix, encode_matrix,
                          matrix_payload, state_payload)
@@ -75,24 +76,31 @@ def test_a_max_order_beyond_the_search_reach_builds_no_more_catalog(cnot_file, t
     # CNOT's search reaches orders 2² and extensions 2⁴: a larger bound changes
     # nothing but meta.maxOrder, as the index builds an order only when the
     # search reaches it
-    built = []      # per compile, the order of each catalog group it built
+    built = []      # per compile, the orders whose catalog groups it built
 
-    def counted(order, make):
-        def build():
-            built[-1].append(order)
-            return make()
-        return order, build
-
-    def recording(max_order, extra=None):
-        built.append([])
-        return [counted(*entry) for entry in catalog_recipe(max_order, extra)]
-    monkeypatch.setattr(nlgc.cli, "catalog_recipe", recording)
+    def recording(order, extra):
+        built[-1].append(order)
+        return catalog_groups(order, extra)
+    monkeypatch.setattr(nlgc.search, "catalog_groups", recording)
     default, large = tmp_path / "default.json", tmp_path / "large.json"
-    assert main(["compile", cnot_file, "--out", str(default)]) == 0
-    assert main(["compile", cnot_file, "--max-order", "4096", "--out", str(large)]) == 0
+    for flags, out in (([], default), (["--max-order", "4096"], large)):
+        monkeypatch.setattr(nlgc.search, "_builtin", None)
+        built.append([])
+        assert main(["compile", cnot_file, "--out", str(out), *flags]) == 0
     assert '"maxOrder": 4096' in large.read_text()
     assert large.read_text().replace('"maxOrder": 4096', '"maxOrder": 32') == default.read_text()
-    assert len(built) == 2 and built[0] == built[1] and 0 < max(built[0]) <= 16
+    assert built[0] == built[1] and len(set(built[0])) == len(built[0])
+    assert 0 < max(built[0]) <= 16
+
+
+def test_a_max_order_below_the_extension_order_makes_swap_fall_back(tmp_path):
+    # SWAP's projective C2xC2 comes from an extension of order 8
+    out = tmp_path / "report.json"
+    assert main(["compile", write_gate(tmp_path / "swap.json", SWAP, 2, 2),
+                 "--max-order", "4", "--out", str(out)]) == 3
+    rep = json.loads(out.read_text())
+    assert (rep["group"]["name"], rep["expansion"]["route"]) == ("C2xC2", "fallback")
+    assert any("no group of order 8" in w for w in rep["warnings"])
 
 
 def test_compile_writes_what_json_dumps_wrote(cnot_file, tmp_path, monkeypatch):

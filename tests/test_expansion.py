@@ -8,7 +8,8 @@ from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import dense_regular, finest_structure, haar_block_gate, uncertified_s4_expansion
+from conftest import (dense_regular, finest_structure, haar_block_gate, relabelled,
+                      uncertified_s4_expansion)
 
 import nlgc.expansion
 import nlgc.search
@@ -16,7 +17,7 @@ from nlgc._linalg import dagger
 from nlgc.errors import InconsistencyError, SingularInputError
 from nlgc.expansion import (CONTROLLED, DOUBLE, NUM_TOL, GroupExpansion, _side_stream, classify,
                             compile_unitary, compute_W, construct_V, synthesize_group_gate)
-from nlgc.groups import (FiniteGroup, alternating, catalog_recipe, cyclic, dihedral,
+from nlgc.groups import (FiniteGroup, alternating, cyclic, dihedral,
                          direct_product, quaternion, symmetric)
 from nlgc.protocol import build_M
 from nlgc.report import build_report, canonical_json, expansion_from_report, verify_report
@@ -251,7 +252,7 @@ def test_asymmetric_dimensions_choose_the_cheap_side():
 def test_restricted_catalog_falls_back_with_warnings():
     rng = np.random.default_rng(11)
     bu = BipartiteUnitary(random_unitary(4, rng), 2, 2)
-    exp = compile_unitary(bu, catalog=[cyclic(n) for n in (1, 2, 4)])
+    exp = compile_unitary(bu, max_order=4)
     assert exp.fallback
     assert exp.route == "fallback"
     assert exp.cost_ebits == 2.0
@@ -357,25 +358,33 @@ def test_a_repeat_compile_builds_no_group_and_no_irreps(fresh_builtin_index, gro
     again = [compile_unitary(bu) for bu in gates]
     assert group_builds == [] and irreps_calls == []
     assert [e.group for e in again] == [e.group for e in first]
-    # a compile at another seed replaces the one slot; an explicit catalog
-    # builds its own index and leaves the slot alone
-    compile_unitary(gates[0], seed=5)
-    assert group_builds and nlgc.search._builtin.seed == 5
-    group_builds.clear()
-    compile_unitary(gates[0], catalog=catalog_recipe(4))
-    assert group_builds
-    assert nlgc.search._builtin.seed == 5
+    # a compile with another max_order, extra or seed replaces the one slot
+    # with a fresh index, and a repeat with the same arguments builds nothing
+    for kwargs in ({"seed": 5}, {"max_order": 16}, {"extra": [relabelled(dihedral(4), "D4'")]},
+                   {}):
+        slot = nlgc.search._builtin
+        group_builds.clear()
+        irreps_calls.clear()
+        compile_unitary(gates[1], **kwargs)
+        assert nlgc.search._builtin is not slot and group_builds and irreps_calls
+        group_builds.clear()
+        irreps_calls.clear()
+        compile_unitary(gates[1], **kwargs)
+        assert group_builds == [] and irreps_calls == []
 
 
-def test_compiles_in_threads_share_the_index_and_keep_their_reports(fresh_builtin_index):
+def test_compiles_in_threads_share_the_index_and_keep_their_reports(fresh_builtin_index,
+                                                                     monkeypatch):
     w = np.exp(2j * np.pi / 3)
     gates = [BipartiteUnitary(CNOT, 2, 2), BipartiteUnitary(SWAP, 2, 2),
              BipartiteUnitary(np.diag([w ** (i * j) for i in range(3) for j in range(3)]), 3, 3),
              BipartiteUnitary(random_unitary(9, np.random.default_rng(6)), 3, 3)]
-    # each reference compile builds an index of its own
-    serial = [canonical_json(build_report(compile_unitary(bu, catalog=catalog_recipe())))
-              for bu in gates]
-    index = nlgc.search.builtin_index(0)     # empty, filled by all threads at once
+    serial = []
+    for bu in gates:        # each reference compile builds an index of its own
+        monkeypatch.setattr(nlgc.search, "_builtin", None)
+        serial.append(canonical_json(build_report(compile_unitary(bu))))
+    monkeypatch.setattr(nlgc.search, "_builtin", None)
+    index = nlgc.search.builtin_index(32, (), 0)     # empty, filled by all threads at once
     results = [[None] * len(gates) for _ in range(6)]
 
     def work(k):
@@ -413,7 +422,7 @@ def test_a_result_cannot_rename_or_write_what_a_later_compile_reads(fresh_builti
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
     _, bs = finest_structure(swap)
-    cand = next(c for c in search_group(bs, nlgc.search.builtin_index(0))
+    cand = next(c for c in search_group(bs, nlgc.search.builtin_index(32, (), 0))
                 if c.group.name == exp.group.name)
     assert cand.group is exp.group and cand.factor is exp.factor
     with pytest.raises(FrozenInstanceError):

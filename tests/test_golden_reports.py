@@ -25,11 +25,14 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import relabelled
 
+import nlgc.search
 from nlgc import (BipartiteUnitary, build_report, canonical_json,
                   compile_unitary, random_states, simulate_protocol)
 from nlgc.expansion import synthesize_group_gate
-from nlgc.groups import alternating, builtin_catalog, catalog_recipe
+from nlgc.groups import alternating, dihedral
+from nlgc.search import CatalogIndex
 
 
 def haar_unitary(dim, seed):
@@ -82,8 +85,7 @@ def test_earlier_compiles_leave_later_reports_unchanged():
     first = canonical_report(cnot)
     canonical_report(gate("haar3x3"))
     again = canonical_report(cnot)
-    explicit = canonical_report(cnot, catalog=builtin_catalog(32))
-    assert first == again == explicit
+    assert first == again
     assert sha256(first) == GOLDEN_SHA256["cnot"]
 
 
@@ -95,9 +97,9 @@ def _history_gates():
     return gates
 
 
-def test_reports_do_not_depend_on_what_the_shared_index_holds(fresh_builtin_index):
-    """compile_unitary without a catalog searches one process-wide index per
-    seed: a fresh index, one filled by earlier compiles, and one rebuilt
+def test_reports_do_not_depend_on_what_the_shared_index_holds(fresh_builtin_index, monkeypatch):
+    """compile_unitary searches one process-wide index per (max_order, extra,
+    seed): a fresh index, one filled by earlier compiles, and one rebuilt
     after a compile at another seed took its slot give the same bytes."""
     gates = _history_gates()
     fresh = {name: canonical_report(bu) for name, bu in gates.items()}
@@ -106,24 +108,35 @@ def test_reports_do_not_depend_on_what_the_shared_index_holds(fresh_builtin_inde
     at_five = {name: canonical_report(bu, seed=5) for name, bu in gates.items()}
     assert {name: canonical_report(bu) for name, bu in gates.items()} == fresh
     assert {name: canonical_report(bu, seed=5) for name, bu in gates.items()} == at_five
-    # an explicit catalog builds an index of its own for the call
     for seed, reports in ((0, fresh), (5, at_five)):
-        assert {name: canonical_report(bu, seed=seed, catalog=catalog_recipe())
-                for name, bu in gates.items()} == reports
+        for name, bu in gates.items():      # each from an index of its own
+            monkeypatch.setattr(nlgc.search, "_builtin", None)
+            assert canonical_report(bu, seed=seed) == reports[name]
+
+
+def test_an_extra_isomorphic_to_a_builtin_keeps_the_golden_reports(fresh_builtin_index):
+    extra = [relabelled(dihedral(4), "D4alias")]
+    for name, digest in GOLDEN_SHA256.items():
+        assert sha256(canonical_report(gate(name), extra=extra)) == digest, name
 
 
 @pytest.mark.parametrize("name", [*sorted(GATES), "haar2x3", "synth-A4"])
-def test_lazy_default_index_reports_equal_the_built_catalogs(name):
-    """The default index builds each order on first use; handing it every
-    group of builtin_catalog() already built changes no byte."""
+def test_lazy_default_index_reports_equal_the_built_catalogs(name, monkeypatch):
+    """The default index builds each order on first use; an index whose
+    every order was built before the compile changes no byte."""
     if name == "haar2x3":
         bu = BipartiteUnitary(haar_unitary(6, 2), 2, 3)
     elif name == "synth-A4":
         bu = synthesize_group_gate(alternating(4), seed=3)
     else:
         bu = gate(name)
+    monkeypatch.setattr(nlgc.search, "_builtin", None)
     lazy = canonical_report(bu)
-    assert lazy == canonical_report(bu, catalog=builtin_catalog())
+    built = CatalogIndex()
+    for order in range(1, built.max_order + 1):
+        built.groups(order)
+    monkeypatch.setattr(nlgc.search, "_builtin", built)
+    assert lazy == canonical_report(bu) and nlgc.search._builtin is built
     assert json.loads(lazy)["expansion"]["fallback"] == (name == "haar4x4")
 
 

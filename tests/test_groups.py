@@ -5,16 +5,19 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
+from conftest import relabelled
+
 from nlgc import groups
 from nlgc.errors import ValidationError
 from nlgc.expansion import compile_unitary
 from nlgc.groups import (FactorSystem, FiniteGroup, alternating, are_isomorphic,
-                         builtin_catalog, catalog_recipe, central_extension,
+                         builtin_catalog, central_extension,
                          cyclic, dihedral,
                          direct_product, heisenberg, load_group_file,
                          quaternion, quotient_by_central_cyclic,
                          save_group_file, symmetric)
 from nlgc.schmidt import BipartiteUnitary
+from nlgc.search import CatalogIndex
 
 C4_TABLE = np.array([[0, 1, 2, 3],
                      [1, 2, 3, 0],
@@ -179,22 +182,27 @@ def test_builtin_catalog_runs_no_isomorphism_search(monkeypatch):
 
 
 def test_catalog_recipe_knows_every_order_and_builds_no_group(monkeypatch):
+    # the index took the recipe's place: it knows every order up to its
+    # bound when made, and builds a group only when an order is asked for
     orders = [g.order for g in builtin_catalog(64)]
     monkeypatch.setattr(FiniteGroup, "__post_init__", None)     # any build fails
-    recipe = catalog_recipe(64)
+    index = CatalogIndex(64)
     monkeypatch.undo()
-    assert [order for order, _ in recipe] == orders
-    assert catalog_digest([make() for _, make in recipe]) == CATALOG_64_SHA256
+    assert [n for n in range(1, 66) for _ in index.groups(n)] == orders
+    assert index.groups(65) == ()
 
 
 def test_a_recipe_lists_an_order_the_same_under_any_bound():
-    def entries(recipe, top):
-        return [(order, make.func, make.args) for order, make in recipe if order <= top]
-    assert entries(catalog_recipe(16), 16) == entries(catalog_recipe(32), 16)
-    assert entries(catalog_recipe(64), 64) == entries(catalog_recipe(4096), 64)
+    def entries(index, top):
+        return [(g.name, g.table.tobytes()) for n in range(1, top + 1) for g in index.groups(n)]
+    assert entries(CatalogIndex(16), 16) == entries(CatalogIndex(32), 16)
+    assert entries(CatalogIndex(64), 64) == entries(CatalogIndex(4096), 64)
 
 
-def test_a_recipe_enumerates_only_the_orders_an_index_reaches(monkeypatch):
+def test_a_recipe_enumerates_only_the_orders_an_index_reaches(fresh_builtin_index,
+                                                              monkeypatch):
+    # a compile enumerates the abelian products of each order its search
+    # reaches, once, whatever the bound
     asked = []
 
     def recording(order):
@@ -202,20 +210,15 @@ def test_a_recipe_enumerates_only_the_orders_an_index_reaches(monkeypatch):
         return abelian_factors(order)
     abelian_factors = groups._abelian_factors
     monkeypatch.setattr(groups, "_abelian_factors", recording)
-    # a recipe lists the orders of its non-abelian builtins, all at most 32, when it is made
-    recipe = catalog_recipe(4096)
-    assert recipe.orders == frozenset(range(1, 4097)) and max(asked) <= 32
+    CatalogIndex(4096)
+    assert asked == []
     cnot = BipartiteUnitary(np.eye(4)[[0, 1, 3, 2]], 2, 2)
-    assert compile_unitary(cnot, catalog=recipe).group.name == "C2"
-    assert max(asked) <= 32 and len(asked) == len(set(asked))
-
-
-def relabelled(g: FiniteGroup, name: str, seed: int = 0) -> FiniteGroup:
-    """g with its elements renumbered by a seeded permutation."""
-    p = np.random.default_rng(seed).permutation(g.order)
-    table = np.empty_like(g.table)
-    table[p[:, None], p] = p[g.table]
-    return FiniteGroup(name, table)
+    reached = []
+    for max_order in (32, 4096):
+        asked.clear()
+        assert compile_unitary(cnot, max_order=max_order).group.name == "C2"
+        reached.append(list(asked))
+    assert reached[0] == reached[1] and len(set(asked)) == len(asked) and max(asked) <= 16
 
 
 def test_isomorphic_extras_are_dropped_at_every_order():

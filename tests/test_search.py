@@ -5,13 +5,15 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from conftest import relabelled
 
 import nlgc.search
-from nlgc.groups import builtin_catalog, catalog_recipe, cyclic
+from nlgc.groups import (builtin_catalog, catalog_groups, cyclic, dihedral, direct_product,
+                         symmetric)
 from nlgc.representations import central_irreps, irreps_of
 from nlgc.sbd import BlockStructure, merge_blocks
-from nlgc.search import (CatalogIndex, SearchCandidate, _assign, merge_plans, search_floor,
-                         search_group, set_partitions, trivial_structure)
+from nlgc.search import (CatalogIndex, SearchCandidate, _assign, _group_sort_key, merge_plans,
+                         search_floor, search_group, set_partitions, trivial_structure)
 
 
 def test_set_partitions_of_three_items():
@@ -138,7 +140,7 @@ def test_a_candidate_reads_its_group_off_its_irreps():
 
 
 def test_the_catalog_index_keys_its_memos_by_group():
-    index = CatalogIndex(catalog_recipe(8))
+    index = CatalogIndex(8)
     groups = index.groups(8)
     assert [g.name for g in groups] == ["C8", "C2xC2xC2", "C2xC4", "Q8", "D4"]
     for g in groups:
@@ -157,7 +159,7 @@ def test_the_catalog_index_picks_the_central_irreps_of_an_extension_once(monkeyp
         calls.append((irreps[0].group, z))
         return central_irreps(irreps, z)
     monkeypatch.setattr(nlgc.search, "central_irreps", counted)
-    index, qubit = CatalogIndex(catalog_recipe(8)), trivial_structure([2])
+    index, qubit = CatalogIndex(8), trivial_structure([2])
     first = [(c.group.name, c.assignment) for c in search_group(qubit, index)]
     picked = list(calls)
     again = [(c.group.name, c.assignment) for c in search_group(qubit, index)]
@@ -168,8 +170,41 @@ def test_the_catalog_index_picks_the_central_irreps_of_an_extension_once(monkeyp
         assert index.central(l, z) == tuple(central_irreps(index.irreps(l), z))
 
 
+@pytest.mark.parametrize("max_order", [12, 32, 64])
+def test_an_index_sorts_the_catalog_groups_of_each_order(max_order):
+    # groups(n) is builtin_catalog's order-n groups sorted by _group_sort_key,
+    # and empty above max_order
+    index, catalog = CatalogIndex(max_order), builtin_catalog(max_order)
+    for n in range(1, 2 * max_order + 1):
+        of_n = [g for g in catalog if g.order == n]
+        expected = [g for _, g in sorted(enumerate(of_n), key=lambda t: _group_sort_key(*t))]
+        assert ([(g.name, g.table.tobytes()) for g in index.groups(n)]
+                == [(g.name, g.table.tobytes()) for g in expected]), n
+
+
+def test_an_extra_above_the_bound_is_never_searched(monkeypatch):
+    c3s3 = direct_product(cyclic(3), symmetric(3))
+    assert c3s3 in CatalogIndex(18, [c3s3]).groups(18)     # kept within the bound
+    asked = []
+
+    def recording(order, extra):
+        asked.append(order)
+        return catalog_groups(order, extra)
+    monkeypatch.setattr(nlgc.search, "catalog_groups", recording)
+    sink = {}
+    cands = list(search_group(trivial_structure([1] * 5), CatalogIndex(16, [c3s3]),
+                              allow_projective=False, warning_sink=sink))
+    assert cands and max(c.order for c in cands) <= 16 and max(asked) == 16
+    assert "catalog has no group of order 18" in sink
+
+
+def test_an_extra_isomorphic_to_a_builtin_is_dropped():
+    index = CatalogIndex(8, [relabelled(dihedral(4), "D4alias")])
+    assert [g.name for g in index.groups(8)] == ["C8", "C2xC2xC2", "C2xC4", "Q8", "D4"]
+
+
 def test_two_singlet_classes_start_at_order_two():
-    cands = list(search_group(trivial_structure([1, 1]), CatalogIndex(builtin_catalog())))
+    cands = list(search_group(trivial_structure([1, 1]), CatalogIndex()))
     assert cands, "search found nothing"
     first = cands[0]
     assert first.order == 2
@@ -182,13 +217,13 @@ def test_two_singlet_classes_start_at_order_two():
 
 
 def test_single_class_dim_one_is_the_trivial_group():
-    cands = list(search_group(trivial_structure([1]), CatalogIndex(builtin_catalog())))
+    cands = list(search_group(trivial_structure([1]), CatalogIndex()))
     assert cands[0].order == 1
     assert cands[0].group.name == "C1"
 
 
 def test_single_two_dim_class_needs_a_projective_rep():
-    cands = list(search_group(trivial_structure([2]), CatalogIndex(builtin_catalog())))
+    cands = list(search_group(trivial_structure([2]), CatalogIndex()))
     assert cands
     first = cands[0]
     assert first.order == 4
@@ -203,7 +238,7 @@ def test_single_two_dim_class_needs_a_projective_rep():
 
 def test_ordinary_candidates_come_before_projective_at_each_order():
     seen = {}
-    for cand in search_group(trivial_structure([1, 1]), CatalogIndex(builtin_catalog(8))):
+    for cand in search_group(trivial_structure([1, 1]), CatalogIndex(8)):
         seen.setdefault(cand.order, []).append(cand.route)
     for order, routes in seen.items():
         if "ordinary" in routes and "projective" in routes:
@@ -211,7 +246,7 @@ def test_ordinary_candidates_come_before_projective_at_each_order():
 
 
 def test_assignments_respect_class_dimensions():
-    for cand in search_group(trivial_structure([1, 2]), CatalogIndex(builtin_catalog(12))):
+    for cand in search_group(trivial_structure([1, 2]), CatalogIndex(12)):
         dims = [cand.irreps[i].dim for i in cand.assignment]
         sizes = cand.structure.class_dims()
         assert dims == sizes
@@ -224,7 +259,7 @@ def test_merged_plans_unlock_larger_blocks():
     # projective rep at order 4; the extension group lives at order 8, so
     # the catalog bound must reach that far for the fused plan to appear
     routes = set()
-    for cand in search_group(trivial_structure([1, 1]), CatalogIndex(builtin_catalog(8))):
+    for cand in search_group(trivial_structure([1, 1]), CatalogIndex(8)):
         routes.add((cand.order, len(cand.structure.classes), cand.route))
     assert (2, 2, "ordinary") in routes
     assert any(n == 4 and k == 1 and r == "projective" for n, k, r in routes)
@@ -234,32 +269,30 @@ def test_extension_scaffolding_respects_the_catalog_bound():
     # with the catalog capped at order 4 no order-8 extension exists, so the
     # fused projective candidate disappears and a warning marks the gap
     sink = {}
-    cands = list(search_group(trivial_structure([1, 1]), CatalogIndex(builtin_catalog(4)),
+    cands = list(search_group(trivial_structure([1, 1]), CatalogIndex(4),
                               warning_sink=sink))
     assert all(c.route == "ordinary" for c in cands)
     assert any("order 8" in w for w in sink)
 
 
 def test_missing_catalog_order_produces_warning():
-    catalog = [cyclic(1), cyclic(2), cyclic(4)]
     sink = {}
-    cands = list(search_group(trivial_structure([1, 1, 1]), CatalogIndex(catalog),
+    cands = list(search_group(trivial_structure([1, 1, 1]), CatalogIndex(2),
                               allow_projective=False, warning_sink=sink))
-    assert cands
-    assert cands[0].group.name == "C4"
-    assert any("order 3" in w for w in sink)
+    assert cands == []
+    assert list(sink) == [f"catalog has no group of order {n}" for n in range(3, 10)]
 
 
 def test_search_exhausts_cleanly_when_nothing_fits():
-    catalog = [cyclic(1), cyclic(2)]
-    cands = list(search_group(trivial_structure([2]), CatalogIndex(catalog),
+    # order 4 holds only abelian groups, whose irreps are all 1-dim
+    cands = list(search_group(trivial_structure([2]), CatalogIndex(4),
                               allow_projective=False))
     assert cands == []
 
 
 def test_cost_floor_matches_dimension_squares():
     # required {1, 1, 2} needs at least order 6; S3 fits exactly
-    cands = list(search_group(trivial_structure([1, 1, 2]), CatalogIndex(builtin_catalog(12))))
+    cands = list(search_group(trivial_structure([1, 1, 2]), CatalogIndex(12)))
     assert cands
     assert cands[0].order == 6
     assert cands[0].group.name == "S3"
@@ -273,7 +306,7 @@ def _reference_search(structure, d_a, index, allow_projective=True, warning_sink
     warnings = warning_sink if warning_sink is not None else {}
     seen_projective = set()
     for n in range(max(n_start, 1), d_a ** 2 + 1):
-        if n not in index.orders:
+        if n > index.max_order:
             warnings.setdefault(f"catalog has no group of order {n}")
         for n0, plan in plans:
             if n0 > n:
@@ -295,7 +328,7 @@ def _reference_search(structure, d_a, index, allow_projective=True, warning_sink
             for r in range(2, n + 1):
                 if n % r:
                     continue
-                if r * n not in index.orders:
+                if r * n > index.max_order:
                     warnings.setdefault(f"catalog has no group of order {r * n} "
                                         f"for central extensions over order {n}")
                     continue
@@ -334,8 +367,7 @@ SEARCH_SETTINGS = {"catalog 32": (32, True), "catalog 12": (12, True),
 @functools.lru_cache(maxsize=None)
 def _indexes(max_order):
     """Separate reference and change indexes, shared by every structure."""
-    return (CatalogIndex(builtin_catalog(max_order)),
-            CatalogIndex(builtin_catalog(max_order)))
+    return CatalogIndex(max_order), CatalogIndex(max_order)
 
 
 def _trace(candidates):
@@ -364,14 +396,14 @@ def test_search_yields_what_the_exhaustive_walk_yields(name, setting):
 @pytest.mark.parametrize("setting", SEARCH_SETTINGS)
 @pytest.mark.parametrize("name", EQUIVALENCE_STRUCTURES)
 def test_lazily_filled_index_yields_what_the_exhaustive_walk_yields(name, setting):
-    # a fresh index of recipe entries builds each order when the search reaches it
-    index = CatalogIndex(catalog_recipe(SEARCH_SETTINGS[setting][0]))
+    # a fresh index builds each order when this search first reaches it
+    index = CatalogIndex(SEARCH_SETTINGS[setting][0])
     _assert_search_matches_walk(name, setting, index)
 
 
 def test_abelian_extensions_give_only_one_dim_projective_irreps():
     index = _indexes(32)[0]
-    for order in index.orders:
+    for order in range(1, index.max_order + 1):
         for g in index.groups(order):
             if g.is_abelian:
                 for z in g.center:

@@ -9,9 +9,11 @@ One sorted `key sha256 exit` line per report:
   gates of benchmarks/workloads.py and the states benchmarks/run.py draws
   for them; exit is 0 when every check of that pipeline passes,
   verify_report's among them, and 1 otherwise
-- the reports of 25 `nlgc compile` processes: CNOT, SWAP, Haar 3x3 (seed
+- the reports of 35 `nlgc compile` processes: CNOT, SWAP, Haar 3x3 (seed
   6), Haar 4x4 (seed 4) and the 3x2 controlled phase, each with no flag,
-  `--seed 5`, `--side A`, `--side B` and `--no-projective`; exit is the
+  `--seed 5`, `--side A`, `--side B`, `--no-projective` and `--max-order 8`,
+  and with no flag under an NLGC_CATALOG_DIR that holds a relabelled D4,
+  which the catalog drops, and C2xC2xC2xC2, which it keeps; exit is the
   process's exit code, and sha256 is that of its report file
 
 The script exits 1 when an in-process report fails a check. A change
@@ -42,7 +44,8 @@ import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
 CLI_FLAGS = {"default": [], "seed5": ["--seed", "5"], "sideA": ["--side", "A"],
-             "sideB": ["--side", "B"], "no-projective": ["--no-projective"]}
+             "sideB": ["--side", "B"], "no-projective": ["--no-projective"],
+             "max-order8": ["--max-order", "8"]}
 
 
 def in_process_lines() -> list[str]:
@@ -68,19 +71,37 @@ def cli_gates() -> dict:
             "ctrl-phase3x2": named["qutrit-ctrl-z"]}
 
 
+def catalog_dir(workdir: str) -> str:
+    """A group catalog directory holding D4 with its elements renumbered and C2^4."""
+    path = os.path.join(workdir, "catalog")
+    os.makedirs(path)
+    d4, c2 = nlgc.groups.dihedral(4), nlgc.groups.cyclic(2)
+    p = np.random.default_rng(0).permutation(d4.order)
+    table = np.empty_like(d4.table)
+    table[p[:, None], p] = p[d4.table]
+    c2x4 = nlgc.groups.direct_product(nlgc.groups.direct_product(c2, c2),
+                                      nlgc.groups.direct_product(c2, c2))
+    for g in (nlgc.FiniteGroup("D4relabelled", table), c2x4):
+        nlgc.groups.save_group_file(g, os.path.join(path, f"{g.name}.json"))
+    return path
+
+
 def cli_lines(workdir: str) -> list[str]:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get(
         "PYTHONPATH")])))
+    runs = [(tag, flags, env) for tag, flags in CLI_FLAGS.items()]
+    runs.append(("catalog-dir", [], dict(env, NLGC_CATALOG_DIR=catalog_dir(workdir))))
     lines = []
     for name, (matrix, d_a, d_b) in cli_gates().items():
         gate_path = os.path.join(workdir, f"{name}.json")
         with open(gate_path, "w", encoding="utf-8") as fh:
             json.dump({"dimA": d_a, "dimB": d_b, "matrix": [
                 [[z.real, z.imag] for z in row] for row in np.asarray(matrix, dtype=complex)]}, fh)
-        for tag, flags in CLI_FLAGS.items():
+        for tag, flags, run_env in runs:
             out = os.path.join(workdir, f"{name}-{tag}.report.json")
             code = subprocess.run([sys.executable, "-m", "nlgc.cli", "compile", gate_path,
-                                   "--out", out, *flags], env=env, capture_output=True).returncode
+                                   "--out", out, *flags], env=run_env,
+                                  capture_output=True).returncode
             digest = "-"
             if os.path.exists(out):
                 with open(out, "rb") as fh:
