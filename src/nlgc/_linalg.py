@@ -123,25 +123,14 @@ def gram_schmidt(columns: np.ndarray, expected_rank: int) -> np.ndarray:
 
 
 def connected_components(adjacency: np.ndarray) -> list[list[int]]:
-    """Connected components of an undirected graph, each sorted ascending."""
-    n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in np.nonzero(adjacency[i])[0]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(int(j))
-        comps.append(sorted(comp))
-    return comps
+    """Connected components of an undirected graph, each sorted ascending, in
+    the order of their least vertex; the diagonal of adjacency is not read."""
+    reach = adjacency.astype(bool) | np.eye(len(adjacency), dtype=bool)
+    while np.count_nonzero(closer := reach @ reach) > np.count_nonzero(reach):   # reach <= closer
+        reach = closer
+    # a vertex's row of reach is its component, whose least vertex is the row's first True
+    return [[j for j, hit in enumerate(row) if hit]
+            for i, row in enumerate(reach.tolist()) if row.index(True) == i]
 
 
 def weyl_operator_basis(dim: int) -> np.ndarray:

@@ -58,8 +58,7 @@ def _write_text(text: str, out: str | None):
 
 
 def _load_unitary(path: str, dims) -> BipartiteUnitary:
-    data = _read_json(path)
-    return parse_matrix_payload(data, tuple(dims) if dims else None)
+    return parse_matrix_payload(_read_json(path), tuple(dims) if dims else None)
 
 
 def _extra_groups() -> list:

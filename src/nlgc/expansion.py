@@ -1,15 +1,6 @@
-"""Assemble group expansions of bipartite unitaries.
-
-Given the operator Schmidt data of a gate, these routines build the change
-of basis V, place irreducible representation copies into the blocks of
-U(f), solve for the partner operators W(f), and verify the identity
-
-    gate = sum_f [V U(f)] (x) W(f)
-
-exactly. compile_unitary ties the whole pipeline to the group search and
-returns the cheapest verified expansion, the generalized shift-and-phase
-fallback of each side among the candidates.
-"""
+"""Group expansions gate = sum_f [V U(f)] (x) W(f) of bipartite unitaries:
+their assembly from a search candidate, and compile_unitary, which returns
+the cheapest one that verifies."""
 from __future__ import annotations
 
 import heapq
@@ -42,15 +33,10 @@ GENERAL = "general"
 
 @dataclass(frozen=True, eq=False)
 class GroupExpansion:
-    """An expansion of one bipartite unitary over a finite group.
-
-    The gate is schmidt.unitary, and the group and its factor system are
-    those of u_rep; the properties unitary, group and factor return them.
-    The frozen data derive the residual and M once, on first read; only the
-    classification is stored, because it depends on the tolerance. Like
-    every value it holds, it is frozen and seals its own fields with freeze
-    (arrays read-only, lists tuples, dicts read-only mappings), so a cached
-    fact cannot go stale through a write either."""
+    """An expansion of the gate schmidt.unitary over the group and factor
+    system of u_rep. Frozen, its fields sealed with freeze, so the residual
+    and M it derives once, on first read, cannot go stale; only the
+    classification is stored, because it depends on the tolerance."""
 
     schmidt: SchmidtDecomposition
     structure: BlockStructure
@@ -131,13 +117,9 @@ class GroupExpansion:
 
 
 def construct_V(a_ops, bs: BlockStructure, tol: float = BLOCK_TOL) -> np.ndarray:
-    """Unitary V making every V†A_k block diagonal in the bs basis.
-
-    In the S basis the columns of the A_k, grouped by block, span mutually
-    orthogonal subspaces whose dimensions match the block sizes; V is built
-    from a deterministic Gram-Schmidt basis of each subspace. Blocks in the
-    same equivalence class are then rotated so their content matches the
-    class representative through the stored intertwiner.
+    """Unitary V making every V†A_k block diagonal in the bs basis, each class
+    member's block content matching its representative's through the stored
+    intertwiner. Raises SingularInputError when the A_k do not carry bs.
     """
     a_ops = np.asarray(a_ops, dtype=complex)
     s = bs.basis_change
@@ -168,11 +150,9 @@ def construct_V(a_ops, bs: BlockStructure, tol: float = BLOCK_TOL) -> np.ndarray
 
 def assemble_U(irreps, bs: BlockStructure, assignment) -> Representation:
     """Block diagonal representation with one irrep copy per block, of the
-    group and factor system that the irreps carry.
-
-    Block content for a class member is T U(f) T† with the member's stored
-    intertwiner, so equivalent blocks carry identical operator content in
-    the aligned basis produced by construct_V.
+    group and factor system that the irreps carry; a class member's block is
+    T U(f) T† with its stored intertwiner T. Raises AssignmentError when an
+    irrep's dimension differs from its block's size.
     """
     slices = bs.block_slices()
     s = bs.basis_change
@@ -197,14 +177,10 @@ def assemble_U(irreps, bs: BlockStructure, assignment) -> Representation:
 
 def compute_W(v: np.ndarray, a_ops, bs: BlockStructure, irreps, assignment,
               tol: float = NUM_TOL) -> np.ndarray:
-    """Solve for the W coefficients of the expansion by irrep orthogonality:
-    a (Schmidt rank, |G|) array, W(g) = sum_j coefficient[j, g] B_j.
-
-    The coefficient of B_j on element g collects one trace per assigned
-    irrep, weighted d/|G|; repeated equivalent blocks contribute through
-    their representative only. Blocks of irreps absent from the assignment
-    are implicitly zero. Every assigned block must be reproduced by the
-    resulting coefficients, otherwise the assignment is inconsistent.
+    """The W coefficients by irrep orthogonality: a (Schmidt rank, |G|) array,
+    W(g) = sum_j coefficient[j, g] B_j, read off each class's representative
+    block. Raises InconsistencyError when they fail to rebuild an assigned
+    block to tol.
     """
     group = irreps[0].group
     n = group.order
@@ -274,9 +250,7 @@ def classify(exp: GroupExpansion, tol: float = NUM_TOL) -> tuple[str, dict]:
         dev = np.max(np.linalg.norm(grams - scales[:, None, None] * np.eye(d_b), axis=(1, 2)))
         if dev <= 1e3 * tol * max(1.0, float(np.max(scales)) * d_b):
             wt = w / np.sqrt(scales)[:, None, None]
-            # the expansion gauge hides a fixed local unitary inside every
-            # W(f); anchoring at the identity element mods it out before the
-            # closure test
+            # anchoring at the identity mods out the local unitary the gauge hides in every W(f)
             anchored = np.einsum("ba,fbc->fac", np.conj(wt[exp.group.identity]), wt)
             prod = anchored[:, None] @ anchored           # [f, g] = W'(f) W'(g)
             target = anchored[exp.group.table]            # [f, g] = W'(fg)
@@ -289,13 +263,10 @@ def classify(exp: GroupExpansion, tol: float = NUM_TOL) -> tuple[str, dict]:
 
 
 def synthesize_group_gate(group: FiniteGroup, seed: int = 0) -> BipartiteUnitary:
-    """Random bipartite unitary that the given group implements exactly.
-
-    Draws random W0(f) on d_B = max(2, ceil(sqrt|G|)) dimensions, forms
-    sum_f R(f) (x) W0(f) over the regular representation, and unitarizes by
-    the polar factor, which stays inside the translation algebra; the W
-    blocks are read back off the identity block row and re-verified.
-    """
+    """Random bipartite unitary on |G| x d_B, d_B = max(2, ceil(sqrt|G|)), that
+    the group implements exactly: the polar factor of sum_f R(f) (x) W0(f)
+    over the regular representation for random W0(f). Raises
+    InconsistencyError when the draw is too close to singular."""
     n = group.order
     d_b = max(2, math.isqrt(n - 1) + 1)
     rng = np.random.default_rng(seed)
@@ -367,22 +338,18 @@ def compile_unitary(u: BipartiteUnitary, side: str = "both",
     offers its search candidates in ascending group order, then its
     generalized shift-and-phase fallback over C_d x C_d at order d², d its
     dimension; one stream merges them by (order, is fallback, side), and the
-    first candidate that assembles, reproduces the gate and has a unitary M,
-    so that its branch protocol is certified, is the result, carrying the M
-    its check built. So the cost is minimal relative to the catalog,
+    first candidate that assembles, reproduces the gate and has a unitary M
+    is the result. So the cost is minimal relative to the catalog,
     side="both" is never above the teleportation cost 2 log2 min(dA, dB),
     and the call never fails on a valid unitary. A fallback carries the
     warnings of every side, searched or not.
 
     The result's blocks summarize the finest block structures of both
-    orientations at block tolerance min(10*tol, BLOCK_TOL). A side's search
-    starts when the stream reaches its floor, the structure's search_floor.
-    A side whose commutant holds only the scalars is one block of size d in
-    one class, floor d², and is split only when the stream reaches that
-    floor or a fallback asks it for its first search step. Both sides
-    search builtin_index(max_order, extra, seed), the process-wide
-    CatalogIndex of the catalog up to max_order with the extra groups it
-    keeps, with the result a fresh index would give.
+    orientations at block tolerance min(10*tol, BLOCK_TOL); a side whose
+    commutant holds only the scalars is one block of size d, split only
+    when the search reaches it. Both sides search builtin_index(max_order,
+    extra, seed), with the result a fresh index would give. A side other
+    than A, B or both raises ValidationError.
     """
     if side not in ("A", "B", "both"):
         raise ValidationError("side must be A, B, or both")

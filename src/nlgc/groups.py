@@ -298,18 +298,14 @@ def quotient_by_central_cyclic(l: FiniteGroup, z: int):
     level = np.empty(l.order, dtype=int)     # y = z**level[y] reps[coset_of[y]]
     level[cosets[:, reps]] = np.arange(r)[:, None]
     prod = t[reps[:, None], reps]
-    table, n_table = coset_of[prod], level[prod]
-    q = FiniteGroup(f"{l.name}/<z{z}>", table)
-    return q, reps, n_table, r
+    return FiniteGroup(f"{l.name}/<z{z}>", coset_of[prod]), reps, level[prod], r
 
 
 # ------------------------------------------------------------------ catalog
 
 def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
     """Isomorphism test by backtracking over generator images."""
-    if g1.order != g2.order:
-        return False
-    if g1.signature != g2.signature:
+    if g1.signature != g2.signature:     # its first entry is the order
         return False
     gens = g1.generating_set
     if not gens:

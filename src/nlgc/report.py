@@ -216,7 +216,9 @@ def _stored_derived(report: dict) -> dict:
 
 def _protocol_consistent(p: dict | None, exp: GroupExpansion) -> bool:
     """A stored protocol summary p has |G|² branches, the expansion's cost in
-    ebits and twice that in cbits, each to 1e-9. A deterministic verdict needs
+    ebits and twice that in cbits, each to 1e-9, a least fidelity in
+    [0, 1 + 1e-6] (each is |<target, normalized output>|) and a probability
+    sum of at least 0 (a sum of squared norms). A deterministic verdict needs
     a unitary M, a probability sum within 1e-6 of 1 and a least fidelity of at
     least 1 - 1e-6. A verdict of false is refuted by a unitary M with both
     numbers within a tenth of DETERMINISM_TOL of 1: a run judged so missed one
@@ -227,7 +229,8 @@ def _protocol_consistent(p: dict | None, exp: GroupExpansion) -> bool:
     certain = bool(exp.m_unitary and abs(p["probabilitySum"] - 1.0) <= tol
                    and p["minFidelity"] >= 1.0 - tol)
     return bool(p["branches"] == exp.group.order ** 2 and abs(p["ebits"] - exp.cost_ebits) <= 1e-9
-                and abs(p["cbits"] - 2 * p["ebits"]) <= 1e-9 and certain == p["deterministic"])
+                and abs(p["cbits"] - 2 * p["ebits"]) <= 1e-9 and certain == p["deterministic"]
+                and 0 <= p["minFidelity"] <= 1 + 1e-6 and p["probabilitySum"] >= 0)
 
 
 @malformed("report")
@@ -237,9 +240,10 @@ def expansion_from_report(report: dict) -> GroupExpansion:
     The expansion derives its residual and M from the decoded data, never
     from the stored values, which _stored_derived only type-checks here.
     The classification witnesses become its details, each decoded with the
-    rank it is stored with. A missing or mis-shaped field raises
-    ValidationError, and so do group.projective, factorPhases (null unless
-    projective) and factorRootOrder when the factor phases contradict them.
+    rank it is stored with. A missing or mis-shaped field, a version other
+    than REPORT_VERSION, and group.projective, factorPhases (null unless
+    projective) or factorRootOrder that the factor phases contradict raise
+    ValidationError.
     """
     return _read_report(report)[0]
 
@@ -248,6 +252,8 @@ def _read_report(report: dict) -> tuple[GroupExpansion, dict]:
     """expansion_from_report's expansion, and _stored_derived's values read in the same pass."""
     if not isinstance(report, dict) or report.get("format") != REPORT_FORMAT:
         raise ValidationError("not a compilation report")
+    if json_int(report["version"], "version") != REPORT_VERSION:
+        raise ValidationError(f"report version must be {REPORT_VERSION}")
     inp, grp, exp_data = report["input"], report["group"], report["expansion"]
     d_a, d_b = json_int(inp["dimA"], "dimA"), json_int(inp["dimB"], "dimB")
     original = BipartiteUnitary(decode_matrix(inp["matrix"], (d_a * d_b,) * 2), d_a, d_b)
@@ -367,27 +373,23 @@ def _close(stored: np.ndarray, claimed: np.ndarray) -> bool:
 
 @malformed("report")
 def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
-    """Re-check a report's claims from its own embedded data.
+    """Re-check a report's claims from its own embedded data: (all passed,
+    {check name: passed}).
 
     Rebuilds the expansion, which derives its residual, M status and costs,
-    and compares each with the value _stored_derived reads off the report,
-    as it does classify's label and witness data at tol and the Schmidt rank
-    and coefficients of the report's own unitary. V and M must be unitary,
-    the W coefficients must rebuild wOps from the Schmidt terms, the
-    fallback flag must match the route, which is projective, ordinary on a
-    group that is not projective, or fallback with |G| = d_A² and V = I
-    exactly, as compiling writes it, the block summaries must be consistent
-    with the input dimensions, the stored structure must
+    and compares each with the value stored in the report, as it does
+    classify's label and witness data at tol and the Schmidt rank and
+    coefficients of the report's own unitary. V and M must be unitary, the
+    W coefficients must rebuild wOps from the Schmidt terms, the fallback
+    flag must match the route, which is projective, ordinary on a trivial
+    factor system, or fallback with |G| = d_A² and V = I exactly, the
+    block summaries must fit the input dimensions, the stored structure must
     block-diagonalize V†A_j with one unitary intertwiner per class member
-    and none between two classes (the blocks are not recomputed), and a
-    stored protocol summary must agree with the expansion and with its own
-    verdict (_protocol_consistent).
-    A group order or identity that disagrees with the table, factor claims
-    that the factor phases contradict, a group name that is not a string,
-    mStatus.unitary or group.projective that is not a boolean, a protocol
-    section that is not null or the six fields of a trace summary, or a block
-    size, class member, class dimension or intertwiner key that is not an
-    integer raises ValidationError.
+    and none between two classes, and a stored protocol summary must agree
+    with the expansion and with its own verdict (_protocol_consistent).
+    What expansion_from_report rejects, a value of the wrong JSON type and
+    a protocol section that is not null or the six fields of a trace
+    summary raise ValidationError.
     """
     checks: dict[str, bool] = {}
     exp, stored = _read_report(report)

@@ -57,19 +57,13 @@ def character_classes(chars: np.ndarray) -> np.ndarray:
 
 
 def irreps_of(group: FiniteGroup, seed: int = 0) -> list[Representation]:
-    """All inequivalent ordinary irreps of a group.
+    """All inequivalent ordinary irreps of a group, by dimension, ties in split order.
 
-    Splits the regular representation R(f)|g> = |gf> restricted to a
-    generating set, with the left translations L(h)|g> = |hg> as the basis
-    of its commutant, and groups the resulting irreducible blocks by their
-    characters: blocks whose characters agree within CHAR_TOL are
-    equivalent. Classes keep the order of their first block and are sorted
-    by size, as classify_equivalence sorts them (an irrep of dimension n
-    fills n blocks, so no two classes of one size differ in length). Each
-    class's first block S is evaluated on every group element as
-    (S†R(f)S)[i, l] = sum_g conj S[g, i] S[gf, l]. All of these are read off
-    the group table. The squared dimensions sum to the group order and the
-    count matches the conjugacy classes.
+    Splits the regular representation R(f)|g> = |gf> on a generating set,
+    with the left translations as the basis of its commutant, and keeps the
+    first block of each class of blocks whose characters agree within
+    CHAR_TOL. Raises InconsistencyError unless the squared dimensions sum
+    to the group order and the count matches the conjugacy classes.
     """
     table = group.table
     eye = np.eye(group.order, dtype=complex)

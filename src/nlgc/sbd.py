@@ -38,11 +38,8 @@ class BlockStructure:
         return self.basis_change.shape[0]
 
     def block_slices(self) -> list[slice]:
-        out, start = [], 0
-        for n in self.block_sizes:
-            out.append(slice(start, start + n))
-            start += n
-        return out
+        ends = np.cumsum(self.block_sizes, dtype=int).tolist()
+        return [slice(end - n, end) for n, end in zip(self.block_sizes, ends)]
 
     def transformed(self, m: np.ndarray) -> np.ndarray:
         """S† m S, for one matrix or a (k, d, d) stack."""

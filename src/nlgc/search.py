@@ -21,13 +21,11 @@ MERGE_ENUMERATION_CAP = 8
 
 @dataclass(frozen=True, eq=False)
 class SearchCandidate:
-    """One (group, factor system, irrep assignment) proposal.
+    """One (group, factor system, irrep assignment) proposal; frozen.
 
-    assignment[i] indexes into irreps for the i-th equivalence class of
-    structure; route records how the candidate was found. The irreps carry
-    the group and its factor system; they are those the catalog index
-    holds, shared with every later search of that index. Frozen, with
-    tuples for irreps and assignment.
+    assignment[i] indexes into irreps, which carry the group and its factor
+    system, for the i-th equivalence class of structure; route records how
+    the candidate was found.
     """
 
     irreps: tuple[Representation, ...]
@@ -122,13 +120,8 @@ def _group_sort_key(catalog_index: int, g: FiniteGroup) -> tuple:
 
 
 class CatalogIndex:
-    """The catalog up to max_order with the extras it keeps, memoized.
-
-    groups(n), catalog_groups(n, extra) sorted by _group_sort_key (a group's
-    catalog position breaks ties) and empty above max_order, the ordinary
-    irreps of a group, those of an extension l representing a central z as a
-    scalar, the projective irreps of l/<z> and the fallback's shift/clock
-    representation are computed when first asked for: a new index holds none.
+    """The catalog up to max_order with the extras it keeps, each entry built
+    when first asked for: a new index holds none.
 
     What the index hands out can be shared by any number of searches: groups
     and representations are frozen, and irrep lists are tuples. An entry is
@@ -138,54 +131,46 @@ class CatalogIndex:
 
     def __init__(self, max_order: int = 32, extra=(), seed: int = 0):
         self.max_order, self.extra, self.seed = max_order, tuple(extra), seed
-        self._by_order: dict[int, tuple[FiniteGroup, ...]] = {}
-        self._ordinary: dict[FiniteGroup, tuple[Representation, ...]] = {}
-        self._central: dict[tuple[FiniteGroup, int], tuple[Representation, ...]] = {}
-        self._projective: dict[tuple[FiniteGroup, int], tuple] = {}
-        self._fallback: dict[int, Representation] = {}
+        self._entries: dict[tuple, object] = {}     # (kind, key) -> entry
+
+    def _entry(self, key: tuple, build):
+        if key not in self._entries:
+            self._entries.setdefault(key, build())
+        return self._entries[key]
 
     def groups(self, order: int) -> tuple[FiniteGroup, ...]:
-        """The groups of this order in search order, built on the first
-        request; empty above max_order."""
+        """catalog_groups(order, extra) sorted by _group_sort_key, a group's
+        catalog position breaking ties; empty above max_order."""
         if order > self.max_order:
             return ()
-        if order not in self._by_order:
-            built = sorted(enumerate(catalog_groups(order, self.extra)),
-                           key=lambda t: _group_sort_key(*t))
-            self._by_order.setdefault(order, tuple(g for _, g in built))
-        return self._by_order[order]
+        return self._entry(("groups", order), lambda: tuple(g for _, g in sorted(
+            enumerate(catalog_groups(order, self.extra)), key=lambda t: _group_sort_key(*t))))
 
     def irreps(self, g: FiniteGroup) -> tuple[Representation, ...]:
         """Ordinary irreps of a group."""
-        if g not in self._ordinary:
-            self._ordinary.setdefault(g, tuple(irreps_of(g, seed=self.seed)))
-        return self._ordinary[g]
+        return self._entry(("irreps", g), lambda: tuple(irreps_of(g, seed=self.seed)))
 
     def central(self, l: FiniteGroup, z: int) -> tuple[Representation, ...]:
         """central_irreps(irreps(l), z), in that order."""
-        if (l, z) not in self._central:
-            self._central.setdefault((l, z), tuple(central_irreps(self.irreps(l), z)))
-        return self._central[l, z]
+        return self._entry(("central", (l, z)), lambda: tuple(central_irreps(self.irreps(l), z)))
 
     def projective(self, l: FiniteGroup, z: int):
         """(quotient, irreps) of l/<z> in the standard gauge; the quotient, and
         so the group of each irrep, is named after the first isomorphic
         catalog group of its order."""
-        if (l, z) not in self._projective:
-            quotient, irreps = projective_irreps_from_extension(self.irreps(l), z)
-            for known in self.groups(quotient.order):
-                if are_isomorphic(quotient, known):
-                    quotient = replace(quotient, name=known.name)
-                    irreps = [replace(ir, group=quotient) for ir in irreps]
-                    break
-            self._projective.setdefault((l, z), (quotient, tuple(irreps)))
-        return self._projective[l, z]
+        return self._entry(("projective", (l, z)), lambda: self._catalog_named(
+            *projective_irreps_from_extension(self.irreps(l), z)))
+
+    def _catalog_named(self, quotient: FiniteGroup, irreps) -> tuple:
+        for known in self.groups(quotient.order):
+            if are_isomorphic(quotient, known):
+                quotient = replace(quotient, name=known.name)
+                return quotient, tuple(replace(ir, group=quotient) for ir in irreps)
+        return quotient, tuple(irreps)
 
     def fallback(self, dim: int) -> Representation:
         """The shift/clock representation of C_dim x C_dim, pauli_projective_rep(dim)."""
-        if dim not in self._fallback:
-            self._fallback.setdefault(dim, pauli_projective_rep(dim))
-        return self._fallback[dim]
+        return self._entry(("fallback", dim), lambda: pauli_projective_rep(dim))
 
 
 _builtin: CatalogIndex | None = None      # the one slot of builtin_index

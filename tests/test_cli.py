@@ -437,6 +437,10 @@ MALFORMED_FILES = {
     "projective claim on trivial factor phases": ("verify", _report_made_projective),
     "factorPhases junk on an ordinary group": ("verify", lambda rep: _report_with(
         rep, "junk", "group", "factorPhases")),
+    "version 99 in a report": ("verify", lambda rep: _report_with(rep, 99, "version")),
+    "version 99, simulate": ("simulate", lambda rep: _report_with(rep, 99, "version")),
+    "version float in a report": ("verify", lambda rep: _report_with(rep, 1.0, "version")),
+    "no version in a report": ("verify", lambda rep: json.dumps(_without("version")(rep))),
 }
 
 
@@ -835,6 +839,8 @@ PROTOCOL_TAMPERS = {
     "branches 1": (_protocol_with(branches=1), 4),
     "deterministic false": (_protocol_with(deterministic=False), 4),
     "minFidelity 0.5": (_protocol_with(minFidelity=0.5), 4),
+    "minFidelity 7": (_protocol_with(minFidelity=7.0), 4),
+    "minFidelity 1.00001": (_protocol_with(minFidelity=1.00001), 4),
     "probabilitySum 0.9": (_protocol_with(probabilitySum=0.9), 4),
     "probabilitySum text": (_protocol_with(probabilitySum="x"), 2),
     "branches float": (_protocol_with(branches=4.0), 2),
@@ -866,13 +872,40 @@ def test_tampered_protocol_fails_verification(tamper, code, cnot_file, tmp_path,
         assert "protocol: ok" in out
 
 
-def test_an_uncertified_report_cannot_claim_determinism(tmp_path, capsys, monkeypatch):
+def _uncertified_s4_report(tmp_path, monkeypatch):
+    """The report compile writes for the uncertified S4 expansion: its protocol
+    verdict is false, and verify fails its certified check alone."""
     _, s4 = uncertified_s4_expansion()
     monkeypatch.setattr(nlgc.cli, "_compile_from_args", lambda args, bu: s4)
     gate = write_gate(tmp_path / "w2w3.json", haar_block_gate(4, [2, 3], seed=7).matrix, 4, 5)
     rep = _report(gate, tmp_path, "--side", "B")
     assert rep["protocol"]["deterministic"] is False
+    return rep
+
+
+def test_an_uncertified_report_cannot_claim_determinism(tmp_path, capsys, monkeypatch):
+    rep = _uncertified_s4_report(tmp_path, monkeypatch)
     rep["protocol"].update(deterministic=True, probabilitySum=1.0, minFidelity=1.0)
+    code, out, _ = _verify(rep, tmp_path, capsys)
+    assert code == 4
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        "certified: FAIL", "protocol: FAIL"]
+
+
+# a fidelity |<target, normalized output>| lies in [0, 1] and a probability sum
+# is a sum of squared norms, whatever the verdict
+IMPOSSIBLE_PROTOCOL_NUMBERS = {"minFidelity -5": {"minFidelity": -5.0},
+                               "minFidelity 1.5": {"minFidelity": 1.5},
+                               "minFidelity 7": {"minFidelity": 7.0},
+                               "probabilitySum -3": {"probabilitySum": -3.0}}
+
+
+@pytest.mark.parametrize("fields", IMPOSSIBLE_PROTOCOL_NUMBERS.values(),
+                         ids=IMPOSSIBLE_PROTOCOL_NUMBERS.keys())
+def test_an_uncertified_report_cannot_store_impossible_protocol_numbers(
+        fields, tmp_path, capsys, monkeypatch):
+    rep = _uncertified_s4_report(tmp_path, monkeypatch)
+    rep["protocol"].update(fields)
     code, out, _ = _verify(rep, tmp_path, capsys)
     assert code == 4
     assert [line for line in out.splitlines() if "FAIL" in line] == [

@@ -9,11 +9,16 @@ columns, 68 and 67 for 36, and 30 and 29 for 16, which have fewer than the
 
 gram_schmidt is compared bit for bit with the column loop it replaced, which
 conjugated each basis vector once per projection and copied every column twice.
+
+connected_components, which reads the components off the graph's reachability
+matrix, is compared with a breadth-first search over the adjacency lists.
 """
+from collections import deque
+
 import numpy as np
 import pytest
 
-from nlgc._linalg import gram_schmidt, null_space, svd_rank
+from nlgc._linalg import connected_components, gram_schmidt, null_space, svd_rank
 from nlgc.errors import SingularInputError, ValidationError
 from nlgc.expansion import synthesize_group_gate
 from nlgc.groups import alternating
@@ -138,3 +143,62 @@ def test_gram_schmidt_equals_the_column_loop_it_replaced_bitwise():
             gram_schmidt(columns, expected_rank=rank + 1)
         ranks.append(rank)
     assert len(ranks) == 20 and min(ranks) < max(ranks)
+
+
+def bfs_components(adjacency):
+    # the reference: a breadth-first search from each unseen vertex in
+    # ascending order, so the components come in the order of their least vertex
+    n = len(adjacency)
+    seen, comps = [False] * n, []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start], queue, comp = True, deque([start]), []
+        while queue:
+            i = queue.popleft()
+            comp.append(i)
+            for j in range(n):
+                if adjacency[i][j] and not seen[j]:
+                    seen[j] = True
+                    queue.append(j)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _random_graph(n, density, rng, diagonal):
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    adjacency = upper | upper.T
+    if diagonal:
+        np.fill_diagonal(adjacency, True)
+    return adjacency
+
+
+def _path_graph(n):
+    # the path 0 - (n-1) - 1 - (n-2) - ... through all n vertices: its ends are
+    # n - 1 steps apart, the most any connected graph on n vertices has
+    order = [v for pair in zip(range(n), range(n - 1, -1, -1)) for v in pair][:n]
+    adjacency = np.zeros((n, n), dtype=bool)
+    for a, b in zip(order, order[1:]):
+        adjacency[a, b] = adjacency[b, a] = True
+    return adjacency
+
+
+@pytest.mark.parametrize("density", [0.0, 0.03, 0.08, 0.2, 0.6])
+def test_connected_components_equal_a_breadth_first_search(density):
+    rng = np.random.default_rng(int(density * 100) + 7)
+    for n in range(1, 41):
+        for diagonal in (True, False):
+            adjacency = _random_graph(n, density, rng, diagonal)
+            assert connected_components(adjacency) == bfs_components(adjacency.tolist()), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_connected_components_of_paths_and_isolated_vertices(n):
+    path, isolated = _path_graph(n), np.zeros((n, n), dtype=bool)
+    assert connected_components(path) == bfs_components(path.tolist()) == [list(range(n))]
+    assert connected_components(isolated) == [[i] for i in range(n)]
+    # two interleaved paths and an isolated vertex, no diagonal set
+    both = np.zeros((2 * n + 1, 2 * n + 1), dtype=bool)
+    both[1::2, 1::2], both[2::2, 2::2] = path, path
+    assert connected_components(both) == bfs_components(both.tolist()) == [
+        [0], list(range(1, 2 * n + 1, 2)), list(range(2, 2 * n + 1, 2))]

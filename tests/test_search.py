@@ -139,17 +139,37 @@ def test_a_candidate_reads_its_group_off_its_irreps():
         assert cand.factor is cand.irreps[0].factor
 
 
-def test_the_catalog_index_keys_its_memos_by_group():
+def test_the_catalog_index_keys_its_memos_by_group(monkeypatch):
+    # each kind of entry is built once per key, and a repeated call returns
+    # the stored object itself
+    builds = []
+
+    def counted(name):
+        build = getattr(nlgc.search, name)
+        return lambda *args, **kw: builds.append((name, args[:2])) or build(*args, **kw)
+    for name in ("catalog_groups", "irreps_of", "central_irreps",
+                 "projective_irreps_from_extension", "pauli_projective_rep"):
+        monkeypatch.setattr(nlgc.search, name, counted(name))
     index = CatalogIndex(8)
     groups = index.groups(8)
     assert [g.name for g in groups] == ["C8", "C2xC2xC2", "C2xC4", "Q8", "D4"]
+    assert index.groups(8) is groups and index.groups(9) == ()
     for g in groups:
         assert index.irreps(g) is index.irreps(g)
     q8 = groups[3]
     z = next(z for z in q8.center if q8.element_orders[z] == 2)
-    quotient, irreps = index.projective(q8, z)
-    assert index.projective(q8, z)[1] is irreps
+    for _ in range(2):
+        central, (quotient, irreps) = index.central(q8, z), index.projective(q8, z)
+        assert index.central(q8, z) is central and index.projective(q8, z)[1] is irreps
+        assert index.fallback(3) is index.fallback(3)
     assert all(ir.group is quotient for ir in irreps)
+    assert quotient.name == "C2xC2" and index.groups(4)[-1].name == "C2xC2"
+    keys = [(name, tuple(a if isinstance(a, int) else id(a) for a in args))
+            for name, args in builds]
+    assert len(keys) == len(set(keys))
+    assert sorted({name for name, _ in keys}) == [
+        "catalog_groups", "central_irreps", "irreps_of", "pauli_projective_rep",
+        "projective_irreps_from_extension"]
 
 
 def test_the_catalog_index_picks_the_central_irreps_of_an_extension_once(monkeypatch):
