@@ -102,8 +102,9 @@ def gram_schmidt(columns: np.ndarray, expected_rank: int) -> np.ndarray:
     """Orthonormalize columns left to right, dropping dependent ones.
 
     Processing order is fixed by the input column order so the result is
-    deterministic. Raises SingularInputError when the span does not have
-    dimension expected_rank.
+    deterministic; once the basis spans the whole space the rest are not
+    read. Raises SingularInputError when the span does not have dimension
+    expected_rank.
     """
     scale = max(np.max(np.abs(columns)) if columns.size else 0.0, 1.0)
     basis: list[tuple[np.ndarray, np.ndarray]] = []     # (b, conj(b)) per basis vector
@@ -116,6 +117,8 @@ def gram_schmidt(columns: np.ndarray, expected_rank: int) -> np.ndarray:
         if norm > 1e-10 * scale:
             b = v / norm
             basis.append((b, b.conj()))
+            if len(basis) == len(columns):
+                break       # the basis spans the space: later columns project to rounding noise
     if len(basis) != expected_rank:
         raise SingularInputError(
             f"column group spans dimension {len(basis)}, expected {expected_rank}")

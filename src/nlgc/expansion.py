@@ -319,13 +319,22 @@ def _build(cand: SearchCandidate, dec: SchmidtDecomposition, side: str, warnings
     classification, details = classify(exp, tol=tol)
     own = list(dict.fromkeys(warnings))
     if exp.fallback:
-        cost = "the teleportation cost"
-        if cand.order > min(d_a, dec.unitary.dim_b) ** 2:     # a one-sided fallback
-            cost = "%.3f ebits, above the teleportation cost of %.3f" % (
-                exp.cost_ebits, exp.baseline_ebits)
-        own.append("no admissible group found within the search bound; fell back to the "
-                   "generalized shift-and-phase expansion at " + cost)
+        own.append(_fallback_warning(exp))
     return replace(exp, classification=classification, details=details, warnings=own)
+
+
+_FELL_BACK = ("no admissible group found within the search bound; fell back to the "
+              "generalized shift-and-phase expansion at ")
+
+
+def _fallback_warning(exp: GroupExpansion) -> str:
+    """The warning a fallback expansion carries last: _FELL_BACK and its cost,
+    the teleportation cost unless |G| exceeds min(dA, dB)², as on a one-sided
+    fallback."""
+    if exp.group.order > min(exp.unitary.dim_a, exp.unitary.dim_b) ** 2:
+        return _FELL_BACK + "%.3f ebits, above the teleportation cost of %.3f" % (
+            exp.cost_ebits, exp.baseline_ebits)
+    return _FELL_BACK + "the teleportation cost"
 
 
 def compile_unitary(u: BipartiteUnitary, side: str = "both",

@@ -14,7 +14,7 @@ import numpy as np
 from ._canonical import _dump
 from ._linalg import dagger, frobenius, unitarity_deviation
 from .errors import ValidationError, json_bool, json_int, json_number, malformed
-from .expansion import GroupExpansion, classify
+from .expansion import _FELL_BACK, GroupExpansion, _fallback_warning, classify
 from .groups import FactorSystem, FiniteGroup
 from .protocol import DETERMINISM_TOL
 from .representations import Representation
@@ -383,6 +383,8 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
     W coefficients must rebuild wOps from the Schmidt terms, the fallback
     flag must match the route, which is projective, ordinary on a trivial
     factor system, or fallback with |G| = d_A² and V = I exactly, the
+    warnings must hold compile's fallback warning, once and word for word,
+    on a fallback and no warning of its opening words on any other route, the
     block summaries must fit the input dimensions, the stored structure must
     block-diagonalize V†A_j with one unitary intertwiner per class member
     and none between two classes, and a stored protocol summary must agree
@@ -400,7 +402,9 @@ def verify_report(report: dict, tol: float = 1e-9) -> tuple[bool, dict]:
         exp.route == "ordinary" and exp.factor.is_trivial) or (
         exp.route == "fallback" and exp.group.order == exp.v.size     # d_A²
         and np.array_equal(exp.v, np.eye(len(exp.v))))
-    checks["fallbackFlag"] = bool(report["expansion"]["fallback"] is exp.fallback and route_ok)
+    notes = [w for w in exp.warnings if w.startswith(_FELL_BACK)]
+    checks["fallbackFlag"] = bool(report["expansion"]["fallback"] is exp.fallback and route_ok
+                                  and notes == ([_fallback_warning(exp)] if exp.fallback else []))
     d_a, d_b = exp.unitary.dim_a, exp.unitary.dim_b
     checks["blocks"] = _blocks_consistent(
         exp.blocks, {"A": d_a, "B": d_b} if exp.side == "A" else {"A": d_b, "B": d_a})

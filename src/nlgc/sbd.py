@@ -121,6 +121,10 @@ def _finest_split(mats, tol: float = BLOCK_TOL, seed: int = 0,
     H1, so nothing depends on the commutant basis. A second seeded
     projection must give the same block sizes, and the set's mass outside
     the blocks must be at most tol, otherwise the split is declared unstable.
+    A commutant of one element, the scalars, is one block without a graph:
+    the eigenbasis of the projected H0, gauge-fixed by H1, as the graph
+    path gives it bit for bit, with no second draw and no off-block check,
+    even for a set within tol of reducible.
     """
     mats = _as_stack(mats)
     d = mats.shape[1]
@@ -131,12 +135,15 @@ def _finest_split(mats, tol: float = BLOCK_TOL, seed: int = 0,
     # orthogonal projections of H0 and its second draw: the same for any basis k
     coeffs = np.einsum("kij,hij->hk", k.conj(), h[:2]) / np.einsum("kij,kij->k", k.conj(), k).real
     x0, x0_again = np.einsum("hk,kij->hij", coeffs, k)
-    basis_a, comps_a = _component_structure(mats, x0, tol)
-    _, comps_b = _component_structure(mats, x0_again, tol)
-    if sorted(len(c) for c in comps_a) != sorted(len(c) for c in comps_b):
-        raise NondeterminismError(
-            "block structure differs between independent random samples; "
-            "loosen tol or check the input scale")
+    if len(k) == 1:     # only the scalars commute: one block, known before any graph
+        basis_a, comps_a = np.linalg.eigh(x0 + dagger(x0))[1], [list(range(d))]
+    else:
+        basis_a, comps_a = _component_structure(mats, x0, tol)
+        _, comps_b = _component_structure(mats, x0_again, tol)
+        if sorted(len(c) for c in comps_a) != sorted(len(c) for c in comps_b):
+            raise NondeterminismError(
+                "block structure differs between independent random samples; "
+                "loosen tol or check the input scale")
 
     s = basis_a[:, [i for comp in comps_a for i in comp]]
     at = 0
@@ -147,6 +154,8 @@ def _finest_split(mats, tol: float = BLOCK_TOL, seed: int = 0,
             s[:, at:at + n * count] = (q @ v).swapaxes(0, 1).reshape(d, -1)
         at += n * count
     bs = BlockStructure(s / leading_phase(s.T), [len(c) for c in comps_a])
+    if len(comps_a) == 1:
+        return bs       # nothing lies outside one block
     worst = bs.outside_blocks(bs.transformed(mats))
     if not worst <= tol:
         raise NondeterminismError(
@@ -220,8 +229,11 @@ def classify_equivalence(bs: BlockStructure, mats, tol: float = BLOCK_TOL) -> Bl
     by size, larger classes first, so class lists do not depend on the seeded split.
     """
     slices = bs.block_slices()
-    rotated = bs.transformed(_as_stack(mats))
-    per_block = [rotated[:, sl, sl] for sl in slices]
+    stack = _as_stack(mats)
+    per_block = []      # one block is one class and is compared with nothing
+    if len(slices) > 1:
+        rotated = bs.transformed(stack)
+        per_block = [rotated[:, sl, sl] for sl in slices]
     classes: list[dict] = []      # member -> intertwiner, the representative first
     for alpha in range(len(slices)):
         for inter in classes:

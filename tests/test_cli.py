@@ -620,6 +620,37 @@ def test_a_compiled_fallback_verifies(tmp_path, capsys):
     assert code == 0 and "fallbackFlag: ok" in out
 
 
+FELL_BACK = "no admissible group found within the search bound; fell back"
+
+# warnings that contradict the route: compile's fallback warning, word for
+# word and once, belongs to a fallback and to no other route
+FALLBACK_WARNING_TAMPERS = {
+    "fallback without its warning": ("haar", lambda warnings, note: warnings.clear()),
+    "ordinary route with the warning": ("cnot", lambda warnings, note: warnings.append(note)),
+    "fallback warning twice": ("haar", lambda warnings, note: warnings.append(note)),
+    "fallback warning at another cost": ("haar", lambda warnings, note: warnings.__setitem__(
+        -1, note.replace("the teleportation cost", "5.000 ebits, above the teleportation "
+                         "cost of 4.000"))),
+}
+
+
+@pytest.mark.parametrize("gate, tamper", FALLBACK_WARNING_TAMPERS.values(),
+                         ids=FALLBACK_WARNING_TAMPERS.keys())
+def test_a_warning_that_contradicts_the_route_fails_verification(gate, tamper, tmp_path,
+                                                                 capsys):
+    haar = haar_block_gate(4, [4], seed=4)
+    fallback = _report(write_gate(tmp_path / "haar.json", haar.matrix, 4, 4), tmp_path)
+    note = fallback["warnings"][-1]
+    assert note.startswith(FELL_BACK) and note.endswith("at the teleportation cost")
+    rep = fallback if gate == "haar" else _report(
+        write_gate(tmp_path / "cnot.json", CNOT, 2, 2), tmp_path)
+    assert _verify(rep, tmp_path, capsys)[0] == 0
+    tamper(rep["warnings"], note)
+    code, out, _ = _verify(rep, tmp_path, capsys)
+    assert code == 4
+    assert [line for line in out.splitlines() if "FAIL" in line] == ["fallbackFlag: FAIL"]
+
+
 # a field that no longer says what the rest of the report does, with the
 # exit code and the one FAIL check or error message verify must give
 MISLABELS = {

@@ -13,6 +13,7 @@ from conftest import (dense_regular, finest_structure, haar_block_gate, relabell
 
 import nlgc.expansion
 import nlgc.search
+from nlgc import sbd
 from nlgc._linalg import dagger
 from nlgc.errors import InconsistencyError, SingularInputError
 from nlgc.expansion import (CONTROLLED, DOUBLE, NUM_TOL, GroupExpansion, _side_stream, classify,
@@ -550,6 +551,42 @@ def test_compile_splits_only_the_sides_the_search_reaches(gate, splits, monkeypa
     monkeypatch.setattr(nlgc.expansion, "finest_sbd", counted)
     compile_unitary(gate)
     assert len(calls) == splits
+
+
+def test_an_irreducible_side_splits_without_a_support_graph(monkeypatch):
+    # a side whose commutant is the scalars is one block before any graph:
+    # its split builds no component structure and classifies without
+    # rotating the set, while a side with blocks still reads its graph
+    inside, counts = [], {"graphs": 0, "rotations": 0, "splits": 0}
+
+    def split(*args, **kwargs):
+        counts["splits"] += 1
+        inside.append(True)
+        try:
+            return finest_sbd(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted(key, real):
+        def call(*args, **kwargs):
+            counts[key] += bool(inside)
+            return real(*args, **kwargs)
+        return call
+    monkeypatch.setattr(nlgc.expansion, "finest_sbd", split)
+    monkeypatch.setattr(sbd, "_component_structure",
+                        counted("graphs", sbd._component_structure))
+    monkeypatch.setattr(sbd.BlockStructure, "transformed",
+                        counted("rotations", sbd.BlockStructure.transformed))
+    irreducible = [haar(d_a, d_b, 0) for d_a in range(2, 5) for d_b in range(2, 5)]
+    for bu in irreducible + [dressed_swap(0)]:
+        counts.update(graphs=0, rotations=0, splits=0)
+        compile_unitary(bu)
+        assert counts == {"graphs": 0, "rotations": 0, "splits": counts["splits"]}
+        assert counts["splits"] >= 1, (bu.dim_a, bu.dim_b)
+    for bu in (BipartiteUnitary(CNOT, 2, 2), synthesize_group_gate(dihedral(4), seed=1)):
+        counts.update(graphs=0, rotations=0, splits=0)
+        compile_unitary(bu)
+        assert counts["splits"] >= 1 and counts["graphs"] >= 2
 
 
 def test_a_candidate_whose_M_is_not_unitary_is_rejected():

@@ -121,9 +121,11 @@ def column_sets():
     """Random column sets, complex and real, full rank and with dependent
     columns, and nearly dependent ones: copies of earlier columns plus noise
     of 1e-9, kept as new directions only after the second projection pass,
-    or of 1e-13, dropped."""
+    or of 1e-13, dropped. The wide sets of rank d span the whole space
+    before their last column, where gram_schmidt stops."""
     rng = np.random.default_rng(30)
-    for d, k, rank in [(6, 6, 6), (12, 30, 5), (9, 18, 9), (4, 9, 2), (16, 16, 3)]:
+    for d, k, rank in [(6, 6, 6), (12, 30, 5), (9, 18, 9), (4, 9, 2), (16, 16, 3),
+                       (2, 8, 2), (4, 16, 4)]:
         for dtype in (complex, float):
             yield drawn(d, k, rank, dtype, seed=d * k + rank)
         base = drawn(d, rank, rank, complex, seed=rank)
@@ -133,7 +135,7 @@ def column_sets():
 
 
 def test_gram_schmidt_equals_the_column_loop_it_replaced_bitwise():
-    ranks = []
+    ranks, wide_full = [], 0
     for columns in column_sets():
         want = reference_gram_schmidt(columns)
         rank = want.shape[1]
@@ -141,8 +143,12 @@ def test_gram_schmidt_equals_the_column_loop_it_replaced_bitwise():
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         with pytest.raises(SingularInputError):
             gram_schmidt(columns, expected_rank=rank + 1)
+        if rank == len(columns) < columns.shape[1]:
+            wide_full += 1
+            with pytest.raises(SingularInputError):
+                gram_schmidt(columns, expected_rank=rank - 1)
         ranks.append(rank)
-    assert len(ranks) == 20 and min(ranks) < max(ranks)
+    assert len(ranks) == 28 and min(ranks) < max(ranks) and wide_full == 14
 
 
 def bfs_components(adjacency):

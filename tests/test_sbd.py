@@ -1,9 +1,12 @@
 """Simultaneous block diagonalization: fineness, Schur counting, classes."""
+from collections import Counter
+
 import numpy as np
 import pytest
+from test_expansion import SCALAR_CANDIDATES
 
 from nlgc import sbd
-from nlgc._linalg import connected_components
+from nlgc._linalg import connected_components, leading_phase
 from nlgc.errors import DimensionError
 from nlgc.expansion import synthesize_group_gate
 from nlgc.groups import alternating
@@ -409,3 +412,55 @@ def test_inequivalent_decides_as_the_pairwise_intertwiner_loop(sizes):
     assert sbd.inequivalent(reps, BLOCK_TOL)
     twins = [*reps[:pair[1]], twin, *reps[pair[1] + 1:]]
     assert not sbd.inequivalent(twins, BLOCK_TOL)
+
+
+def graph_path_split(mats, tol, seed, commutant):
+    """The reference: _finest_split as it splits a set with blocks, both
+    _component_structure draws, their size comparison and the off-block
+    check included, on a set whose commutant is passed."""
+    d = mats.shape[1]
+    k = commutant
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+    h = x + x.conj().transpose(0, 2, 1)
+    coeffs = np.einsum("kij,hij->hk", k.conj(), h[:2]) / np.einsum("kij,kij->k", k.conj(), k).real
+    x0, x0_again = np.einsum("hk,kij->hij", coeffs, k)
+    basis_a, comps_a = sbd._component_structure(mats, x0, tol)
+    _, comps_b = sbd._component_structure(mats, x0_again, tol)
+    assert sorted(map(len, comps_a)) == sorted(map(len, comps_b))
+    s = basis_a[:, [i for comp in comps_a for i in comp]]
+    at = 0
+    for n, count in sorted(Counter(map(len, comps_a)).items()):
+        if n > 1:
+            q = s[:, at:at + n * count].reshape(d, count, n).swapaxes(0, 1)
+            _, v = np.linalg.eigh(q.conj().swapaxes(1, 2) @ h[2] @ q)
+            s[:, at:at + n * count] = (q @ v).swapaxes(0, 1).reshape(d, -1)
+        at += n * count
+    bs = BlockStructure(s / leading_phase(s.T), [len(c) for c in comps_a])
+    assert bs.outside_blocks(bs.transformed(mats)) <= tol
+    return bs
+
+
+def test_a_scalar_commutant_splits_as_the_graph_path_bitwise():
+    # a set whose commutant is the scalars is one block: the split reads it
+    # off the eigenbasis of x0 + x0† without a support graph, and must give
+    # the basis change, sizes, classes and intertwiners of the graph path
+    scalar = 0
+    for bu in SCALAR_CANDIDATES:
+        grams = gram_set(schmidt_decompose(bu))
+        k = commutant_basis(grams)
+        if len(k) != 1:
+            continue
+        scalar += 1
+        for seed in (0, 3):
+            ref = graph_path_split(grams, BLOCK_TOL, seed, k)
+            split = sbd._finest_split(grams, BLOCK_TOL, seed, k)
+            assert split.block_sizes == ref.block_sizes == (bu.dim_a,) and split.classes == ()
+            assert split.basis_change.tobytes() == ref.basis_change.tobytes()
+            bs = finest_sbd(grams, BLOCK_TOL, seed, k)
+            assert bs.basis_change.tobytes() == ref.basis_change.tobytes()
+            assert bs.block_sizes == ref.block_sizes
+            assert [members for members, _ in bs.classes] == [(0,)]
+            (_, inter), = bs.classes
+            assert inter[0].tobytes() == np.eye(bu.dim_a, dtype=complex).tobytes()
+    assert scalar == len(SCALAR_CANDIDATES) - 1
